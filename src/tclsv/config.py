@@ -12,6 +12,7 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
+from . import storage
 from .errors import DataError
 from .frontend import FrontendConfig
 from .gmm import MapConfig
@@ -173,4 +174,4 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
 
 
 def write_snapshot(path: str | Path, config: ExperimentConfig) -> None:
-    Path(path).write_text(config.to_json(), encoding="utf-8")
+    storage.atomic_write_text(path, config.to_json())

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import storage
 from .errors import DataError, InsufficientFrames, UtteranceTooShort
 from .frontend import FeatureMatrix
 
@@ -169,7 +170,7 @@ def write_label_archive(path: str | Path, labels: dict[str, np.ndarray]) -> None
     lines = []
     for utt_id, vec in labels.items():
         lines.append(f"{utt_id}\t{' '.join(str(int(v)) for v in vec)}\n")
-    Path(path).write_text("".join(lines), encoding="utf-8")
+    storage.atomic_write_text(path, "".join(lines))
 
 
 def read_label_archive(path: str | Path) -> dict[str, np.ndarray]:

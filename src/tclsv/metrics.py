@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import storage
 from .errors import DataError, EmptyScoreList, MissingNonTargets, MissingTargets
 
 TARGET = "target"
@@ -209,7 +210,7 @@ def write_scores(path: str | Path, score_set: TrialScoreSet) -> None:
         lines.append(
             f"{trial.model_id}\t{trial.test_utterance_id}\t{trial.ground_truth}\t{score:.12g}\n"
         )
-    Path(path).write_text("".join(lines), encoding="utf-8")
+    storage.atomic_write_text(path, "".join(lines))
 
 
 def read_scores(path: str | Path) -> TrialScoreSet:

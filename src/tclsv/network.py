@@ -76,11 +76,35 @@ class TrainConfig:
             raise DataError("task_weights must sum to 1")
 
 
+class ContextWindows:
+    """Read-only stand-in for a matrix of context-stacked rows.
+
+    Holds the frames once plus one row of frame indices per stacked row, and
+    gathers ``frames[index[sel]]`` only when rows are asked for, so a training
+    set costs one copy of the frames instead of ``left + 1 + right`` copies.
+    """
+
+    def __init__(self, frames: np.ndarray, index: np.ndarray):
+        self.frames = frames
+        self.index = index
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.index), self.index.shape[1] * self.frames.shape[1])
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, sel) -> np.ndarray:
+        rows = self.index[sel]
+        return self.frames[rows].reshape(*rows.shape[:-1], -1)
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     """Context-stacked inputs plus one integer label vector per head."""
 
-    inputs: np.ndarray
+    inputs: np.ndarray | ContextWindows
     labels: dict[str, np.ndarray]
 
     def __post_init__(self):
@@ -113,13 +137,33 @@ class Gradients:
     head_biases: list[np.ndarray]
 
 
+def _context_index(num_frames: int, left: int, right: int) -> np.ndarray:
+    """Frame index of every context slot, clipped to the utterance edges."""
+    offsets = np.arange(-left, right + 1)
+    return np.clip(np.arange(num_frames)[:, None] + offsets[None, :], 0, num_frames - 1)
+
+
 def stack_context(features, left: int = 5, right: int = 5) -> np.ndarray:
     """One row per frame: the frame plus its left/right context, edges replicated."""
     frames = features.frames if hasattr(features, "frames") else np.asarray(features)
     T = frames.shape[0]
-    offsets = np.arange(-left, right + 1)
-    idx = np.clip(np.arange(T)[:, None] + offsets[None, :], 0, T - 1)
-    return frames[idx].reshape(T, -1)
+    return frames[_context_index(T, left, right)].reshape(T, -1)
+
+
+def context_windows(
+    utterances: list[tuple[np.ndarray, int]], left: int = 5, right: int = 5
+) -> ContextWindows:
+    """Lazy ``vstack([stack_context(frames, left, right)[:rows] for frames, rows in utterances])``.
+
+    Each utterance keeps all its frames, so a truncated prefix still sees the
+    right context that lies beyond it.
+    """
+    frames, index, offset = [], [], 0
+    for utt_frames, rows in utterances:
+        index.append(_context_index(len(utt_frames), left, right)[:rows] + offset)
+        frames.append(utt_frames)
+        offset += len(utt_frames)
+    return ContextWindows(np.concatenate(frames), np.concatenate(index))
 
 
 def init_network(arch: NetworkArch, seed: int = 0) -> NetworkParams:
@@ -144,12 +188,10 @@ def init_network(arch: NetworkArch, seed: int = 0) -> NetworkParams:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, without overflow.
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.divide(np.where(z >= 0, 1.0, e), d, out=d)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -197,11 +239,20 @@ def loss(
     return total
 
 
-def _loss_from_log(fp: ForwardPass, labels: list[np.ndarray], task_weights) -> float:
+def _picked_log_posteriors(fp: ForwardPass, labels: list[np.ndarray]) -> list[np.ndarray]:
+    """Per head, each row's log posterior of its true class."""
+    return [lp[np.arange(len(y)), y] for lp, y in zip(fp.head_log_posteriors, labels)]
+
+
+def _weighted_mean_loss(picked: list[np.ndarray], task_weights) -> float:
     total = 0.0
-    for lp, y, w in zip(fp.head_log_posteriors, labels, task_weights):
-        total += w * float(-np.mean(lp[np.arange(len(y)), y]))
+    for vec, w in zip(picked, task_weights):
+        total += w * float(-np.mean(vec))
     return total
+
+
+def _loss_from_log(fp: ForwardPass, labels: list[np.ndarray], task_weights) -> float:
+    return _weighted_mean_loss(_picked_log_posteriors(fp, labels), task_weights)
 
 
 def backward(
@@ -248,8 +299,9 @@ def train(
     """Plain minibatch SGD; returns the trained parameters and the loss trace.
 
     The trace holds the full-dataset loss before training and after each
-    epoch.  Minibatch order is drawn from ``config.shuffle_seed``, parameter
-    initialization from ``config.init_seed``; reruns are bit-identical.
+    epoch, evaluated ``minibatch_size`` rows at a time.  Minibatch order is
+    drawn from ``config.shuffle_seed``, parameter initialization from
+    ``config.init_seed``; reruns are bit-identical.
     """
     if dataset.num_rows == 0:
         raise DataError("training dataset is empty")
@@ -262,18 +314,27 @@ def train(
 
     params = init_network(arch, config.init_seed)
     label_order = [dataset.labels[name] for name, _ in arch.output_heads]
+    n, step = dataset.num_rows, config.minibatch_size
 
     def full_loss() -> float:
-        fp = forward(params, dataset.inputs)
-        return _loss_from_log(fp, label_order, task_weights)
+        # One minibatch of activations at a time; the mean is still taken
+        # over the whole vector, so the value matches one full-batch pass.
+        picked = [np.empty(n) for _ in label_order]
+        for start in range(0, n, step):
+            rows = slice(start, start + step)
+            fp = forward(params, dataset.inputs[rows])
+            parts = _picked_log_posteriors(fp, [y[rows] for y in label_order])
+            for vec, part in zip(picked, parts):
+                vec[rows] = part
+        return _weighted_mean_loss(picked, task_weights)
 
     trace = [full_loss()]
     rng = np.random.default_rng(config.shuffle_seed)
     lr = config.learning_rate
     for _ in range(config.epochs):
-        order = rng.permutation(dataset.num_rows)
-        for start in range(0, dataset.num_rows, config.minibatch_size):
-            sel = order[start : start + config.minibatch_size]
+        order = rng.permutation(n)
+        for start in range(0, n, step):
+            sel = order[start : start + step]
             batch = LabeledDataset(
                 inputs=dataset.inputs[sel],
                 labels={name: vec[sel] for name, vec in dataset.labels.items()},

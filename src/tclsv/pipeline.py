@@ -27,7 +27,7 @@ import numpy as np
 
 from . import gmm, labeling, metrics, network, pca, storage
 from .config import ExperimentConfig, write_snapshot
-from .errors import DataError, DimensionMismatch, MissingArtifact
+from .errors import DataError, DimensionMismatch, EmptyUtterance, MissingArtifact
 from .frontend import FeatureMatrix, cmvn, extract_features, read_wav
 from .manifest import ManifestEntry, by_split, read_manifest
 from .metrics import TrialScoreSet
@@ -39,10 +39,6 @@ def _snapshot(config: ExperimentConfig, out_dir: Path, stage: str) -> None:
     cfg_dir = out_dir / "config"
     cfg_dir.mkdir(parents=True, exist_ok=True)
     write_snapshot(cfg_dir / f"{stage}.json", config)
-
-
-def _atomic_text(path: Path, text: str) -> None:
-    storage.atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def _failed_ids(out_dir: Path) -> set[str]:
@@ -117,7 +113,7 @@ def run_extract_features(
                 except DataError as exc:
                     failures.append((entry.utterance_id, str(exc)))
     failures.sort()
-    _atomic_text(
+    storage.atomic_write_text(
         feat_dir / "failures.tsv",
         "".join(f"{utt}\t{msg}\n" for utt, msg in failures),
     )
@@ -154,7 +150,7 @@ def _build_training_dataset(
         raise DataError("manifest has no usable dnn-train utterances")
     left, right = config.dnn.context_left, config.dnn.context_right
 
-    rows: list[np.ndarray] = []
+    utterances: list[tuple[np.ndarray, int]] = []  # (frames, rows kept)
     if config.dnn.targets == "tcl":
         archive_path = out_dir / "labels" / "labels.tsv"
         if not archive_path.exists():
@@ -177,9 +173,9 @@ def _build_training_dataset(
                     f"{entry.utterance_id}: label {int(vec.max())} out of range for"
                     f" {config.tcl.num_classes} classes"
                 )
-            rows.append(network.stack_context(feats, left, right)[: len(vec)])
+            utterances.append((feats.frames, len(vec)))
             label_parts.append(vec)
-        if not rows:
+        if not utterances:
             raise DataError("no labeled training frames; check labels.tsv")
         labels = {"tcl": np.concatenate(label_parts)}
         heads = (("tcl", config.tcl.num_classes),)
@@ -194,7 +190,7 @@ def _build_training_dataset(
         speaker_parts, phrase_parts = [], []
         for entry in train_entries:
             feats = _load_features(out_dir, entry)
-            rows.append(network.stack_context(feats, left, right))
+            utterances.append((feats.frames, feats.num_frames))
             speaker_parts.append(np.full(feats.num_frames, speaker_index[entry.speaker_id]))
             if want_phrase:
                 phrase_parts.append(np.full(feats.num_frames, phrase_index[entry.phrase_id]))
@@ -204,7 +200,7 @@ def _build_training_dataset(
             labels["phrase"] = np.concatenate(phrase_parts)
             heads += (("phrase", len(phrases)),)
 
-    inputs = np.vstack(rows)
+    inputs = network.context_windows(utterances, left, right)
     arch = network.NetworkArch(
         input_dim=inputs.shape[1],
         hidden_layers=config.dnn.hidden_layers,
@@ -223,7 +219,7 @@ def run_train_dnn(
     dnn_dir = out_dir / "dnn"
     dnn_dir.mkdir(parents=True, exist_ok=True)
     storage.write_network(dnn_dir / "model.tcln", params)
-    _atomic_text(dnn_dir / "loss_trace.txt", "".join(f"{v:.12g}\n" for v in trace))
+    storage.atomic_write_text(dnn_dir / "loss_trace.txt", "".join(f"{v:.12g}\n" for v in trace))
     logger.info("dnn loss %.6f -> %.6f over %d epochs", trace[0], trace[-1], len(trace) - 1)
     _snapshot(config, out_dir, "train-dnn")
     return params, trace
@@ -243,30 +239,31 @@ def run_extract_bn(manifest_path, config: ExperimentConfig, out_dir) -> pca.PcaM
     entries = _usable(read_manifest(manifest_path), out_dir)
     left, right = config.dnn.context_left, config.dnn.context_right
 
-    normalized: dict[str, np.ndarray] = {}
-    for entry in entries:
+    def normalized(entry: ManifestEntry) -> np.ndarray:
         feats = _load_features(out_dir, entry)
         deep = network.extract_deep_features(
             params, network.stack_context(feats, left, right), config.bn.layer
         )
-        normalized[entry.utterance_id] = cmvn(
-            FeatureMatrix(frames=deep, utterance_id=entry.utterance_id)
-        ).frames
+        return cmvn(FeatureMatrix(frames=deep, utterance_id=entry.utterance_id)).frames
 
+    # Only the fit utterances' deep features are held at once; every other
+    # utterance is computed, projected and written on its own.
     fit_entries = by_split(entries, config.bn.fit_split)
     if not fit_entries:
         raise DataError(f"manifest has no usable {config.bn.fit_split!r} utterances to fit PCA")
-    pooled = np.vstack([normalized[e.utterance_id] for e in fit_entries])
-    projection = pca.fit_pca(pooled, config.bn.pca_dim)
+    fitted = {e.utterance_id: normalized(e) for e in fit_entries}
+    projection = pca.fit_pca(np.vstack(list(fitted.values())), config.bn.pca_dim)
 
     bn_dir = out_dir / "bn"
     bn_dir.mkdir(parents=True, exist_ok=True)
     storage.write_pca(bn_dir / "pca.tclp", projection)
     for entry in entries:
-        projected = pca.project(projection, normalized[entry.utterance_id])
+        deep = fitted.pop(entry.utterance_id, None)
+        if deep is None:
+            deep = normalized(entry)
         storage.write_feature_archive(
             bn_dir / f"{entry.utterance_id}.tclf",
-            FeatureMatrix(frames=projected, utterance_id=entry.utterance_id),
+            FeatureMatrix(frames=pca.project(projection, deep), utterance_id=entry.utterance_id),
         )
     _snapshot(config, out_dir, "extract-bn")
     return projection
@@ -291,7 +288,7 @@ def run_train_ubm(
     ubm_dir = out_dir / "ubm"
     ubm_dir.mkdir(parents=True, exist_ok=True)
     storage.write_gmm(ubm_dir / "ubm.tclg", model)
-    _atomic_text(ubm_dir / "ll_trace.txt", "".join(f"{v:.12g}\n" for v in trace))
+    storage.atomic_write_text(ubm_dir / "ll_trace.txt", "".join(f"{v:.12g}\n" for v in trace))
     _snapshot(config, out_dir, "train-ubm")
     return model, trace
 
@@ -337,7 +334,9 @@ def run_score(manifest_path, config: ExperimentConfig, out_dir, trials_path) -> 
     subdir = _backend_subdir(config)
 
     model_cache: dict[str, gmm.GmmModel] = {}
-    feature_cache: dict[str, np.ndarray] = {}
+    # Per test utterance: its frames and the UBM log-likelihood of each frame,
+    # so the UBM is evaluated once per utterance rather than once per trial.
+    test_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     scores = np.empty(len(trials))
     for i, trial in enumerate(trials):
         if trial.model_id not in model_cache:
@@ -347,17 +346,20 @@ def run_score(manifest_path, config: ExperimentConfig, out_dir, trials_path) -> 
                     f"no enrolled model for {trial.model_id!r} ({model_path}); run enroll first"
                 )
             model_cache[trial.model_id] = storage.read_gmm(model_path)
-        if trial.test_utterance_id not in feature_cache:
+        if trial.test_utterance_id not in test_cache:
             entry = by_id.get(trial.test_utterance_id)
             if entry is None:
                 raise DataError(
                     f"trial references utterance {trial.test_utterance_id!r}"
                     f" which is not in the manifest"
                 )
-            feature_cache[trial.test_utterance_id] = _load_features(out_dir, entry, subdir).frames
-        scores[i] = gmm.score_llr(
-            model_cache[trial.model_id], ubm, feature_cache[trial.test_utterance_id]
-        )
+            x = _load_features(out_dir, entry, subdir).frames
+            if x.shape[0] == 0:
+                raise EmptyUtterance(f"{entry.utterance_id}: utterance has no frames")
+            test_cache[trial.test_utterance_id] = (x, gmm.log_likelihoods(ubm, x))
+        x, ubm_ll = test_cache[trial.test_utterance_id]
+        # the same arithmetic as gmm.score_llr, with the UBM term reused
+        scores[i] = float(np.mean(gmm.log_likelihoods(model_cache[trial.model_id], x) - ubm_ll))
     score_set = TrialScoreSet(trials=trials, scores=scores)
     scores_dir = out_dir / "scores"
     scores_dir.mkdir(parents=True, exist_ok=True)
@@ -375,8 +377,8 @@ def run_evaluate(config: ExperimentConfig, out_dir) -> metrics.EvaluationReport:
     report = metrics.evaluate(score_set, config.dcf)
     report_dir = out_dir / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
-    _atomic_text(report_dir / "report.txt", metrics.format_report(report) + "\n")
-    _atomic_text(
+    storage.atomic_write_text(report_dir / "report.txt", metrics.format_report(report) + "\n")
+    storage.atomic_write_text(
         report_dir / "report.json",
         json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
     )

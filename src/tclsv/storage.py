@@ -48,6 +48,11 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
         raise
 
 
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """UTF-8 text through :func:`atomic_write_bytes`."""
+    atomic_write_bytes(path, text.encode("utf-8"))
+
+
 class _Reader:
     def __init__(self, path: Path, magic: bytes):
         if not path.exists():

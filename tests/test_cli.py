@@ -5,9 +5,11 @@ and rerun determinism on a tiny synthetic corpus.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from tclsv import cli, pipeline
+from tclsv import cli, gmm, pipeline, storage
+from tclsv.config import load_config
 from tclsv.synthcorpus import CorpusSpec, generate_corpus
 
 TINY_CONFIG = {
@@ -238,3 +240,35 @@ def test_score_missing_model_names_it(tiny_corpus, config_path, tmp_path, capsys
     assert code == 2
     err = capsys.readouterr().err
     assert "no enrolled model for 's00'" in err  # the offending model id is named
+
+
+def test_score_matches_per_trial_score_llr_bitwise(tiny_corpus, config_path, tmp_path, monkeypatch):
+    manifest, trials = tiny_corpus
+    out = tmp_path / "run"
+    for stage in ("extract-features", "make-labels", "train-dnn", "extract-bn",
+                  "train-ubm", "enroll"):
+        assert run_cli(stage, "--manifest", manifest, "--config", config_path,
+                       "--out", out, "--deterministic") == 0
+    real_log_likelihoods = gmm.log_likelihoods
+    calls = []
+
+    def counting(model, frames):
+        calls.append(model)
+        return real_log_likelihoods(model, frames)
+
+    monkeypatch.setattr(gmm, "log_likelihoods", counting)
+    score_set = pipeline.run_score(manifest, load_config(config_path).resolved(None), out, trials)
+    monkeypatch.setattr(gmm, "log_likelihoods", real_log_likelihoods)
+
+    test_ids = {t.test_utterance_id for t in score_set.trials}
+    assert len(calls) == len(score_set.trials) + len(test_ids)  # one UBM pass per test utterance
+    ubm = storage.read_gmm(out / "ubm" / "ubm.tclg")
+    expected = [
+        gmm.score_llr(
+            storage.read_gmm(out / "models" / f"{t.model_id}.tclg"),
+            ubm,
+            storage.read_feature_archive(out / "bn" / f"{t.test_utterance_id}.tclf"),
+        )
+        for t in score_set.trials
+    ]
+    assert np.array_equal(score_set.scores, np.array(expected))

@@ -5,6 +5,7 @@ a central finite-difference oracle, and trainer behavior on toy data.
 import numpy as np
 import pytest
 
+from tclsv import network
 from tclsv.errors import DataError, DimensionMismatch, UnknownLayer
 from tclsv.network import (
     Gradients,
@@ -12,7 +13,10 @@ from tclsv.network import (
     NetworkArch,
     NetworkParams,
     TrainConfig,
+    _loss_from_log,
+    _sigmoid,
     backward,
+    context_windows,
     extract_deep_features,
     forward,
     init_network,
@@ -107,6 +111,40 @@ def test_stack_context_matches_loop_oracle():
 
 
 # --- initialization ---
+
+
+def test_context_windows_match_stacked_rows():
+    rng = np.random.default_rng(4)
+    lengths, kept = (1, 7, 4, 9), (1, 7, 2, 0)  # one-frame, whole, two truncated prefixes
+    utterances = [(rng.standard_normal((n, 3)), k) for n, k in zip(lengths, kept)]
+    expected = np.vstack([stack_context(f, 2, 3)[:k] for f, k in utterances])
+    view = context_windows(utterances, left=2, right=3)
+    assert view.shape == expected.shape == (10, 18)
+    assert len(view) == 10
+    np.testing.assert_array_equal(view[:], expected)
+    order = rng.permutation(10)
+    np.testing.assert_array_equal(view[order], expected[order])
+    np.testing.assert_array_equal(view[3:8], expected[3:8])
+    np.testing.assert_array_equal(view[5], expected[5])
+
+
+def test_sigmoid_bitwise_equal_to_masked_formula():
+    def masked(z):
+        out = np.empty_like(z)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+
+    rng = np.random.default_rng(0)
+    blocks = [rng.standard_normal((64, 33)) * scale for scale in (1, 10, 40, 200, 800)]
+    extremes = np.array([0.0, -0.0, 745.0, -745.0, 1e-300, -1e-300, 709.8, -709.8,
+                         5e-324, -5e-324, np.inf, -np.inf])
+    for z in blocks + [extremes, extremes.reshape(3, 4)]:
+        got = _sigmoid(z)
+        assert got.shape == z.shape
+        np.testing.assert_array_equal(got, masked(z))
 
 
 def test_init_deterministic_and_biases_zero():
@@ -325,6 +363,54 @@ def test_training_is_bit_deterministic():
         p2.weights + p2.biases + p2.head_weights + p2.head_biases,
     ):
         assert np.array_equal(a, b)
+
+
+def test_training_loss_trace_forwards_one_minibatch_at_a_time(monkeypatch):
+    rng = np.random.default_rng(21)
+    n, minibatch = 1000, 256  # deliberately not a multiple
+    x = rng.standard_normal((n, 10))
+    labels = {"a": rng.integers(0, 4, n), "b": rng.integers(0, 3, n)}
+    arch = NetworkArch(input_dim=10, hidden_layers=(32, 16), output_heads=(("a", 4), ("b", 3)))
+    config = TrainConfig(learning_rate=0.1, epochs=2, minibatch_size=minibatch,
+                         init_seed=2, shuffle_seed=3, task_weights=(0.3, 0.7))
+    real_forward = network.forward
+    rows_seen = []
+
+    def recording_forward(params, batch):
+        rows_seen.append(len(batch))
+        return real_forward(params, batch)
+
+    monkeypatch.setattr(network, "forward", recording_forward)
+    params, trace = train(LabeledDataset(inputs=x, labels=labels), arch, config)
+    assert max(rows_seen) == minibatch
+    assert sum(rows_seen) == 3 * n + 2 * n  # three loss passes, two epochs of SGD
+
+    heads = [labels["a"], labels["b"]]
+    initial = init_network(arch, config.init_seed)
+    assert trace[0] == _loss_from_log(real_forward(initial, x), heads, config.task_weights)
+    assert trace[-1] == _loss_from_log(real_forward(params, x), heads, config.task_weights)
+
+
+def test_training_on_context_windows_matches_stacked_matrix(monkeypatch):
+    real_backward = network.backward
+
+    def checked_backward(params, batch, task_weights=None):
+        assert type(batch.inputs) is np.ndarray
+        return real_backward(params, batch, task_weights)
+
+    monkeypatch.setattr(network, "backward", checked_backward)
+    rng = np.random.default_rng(8)
+    utterances = [(rng.standard_normal((n, 4)), k) for n, k in ((30, 30), (1, 1), (25, 12))]
+    view = context_windows(utterances, left=1, right=2)
+    stacked = view[:]
+    y = {"y": rng.integers(0, 3, len(view))}
+    arch = NetworkArch(input_dim=16, hidden_layers=(8,), output_heads=(("y", 3),))
+    config = TrainConfig(learning_rate=0.2, epochs=2, minibatch_size=8, init_seed=1, shuffle_seed=6)
+    p1, t1 = train(LabeledDataset(inputs=view, labels=y), arch, config)
+    p2, t2 = train(LabeledDataset(inputs=stacked, labels=y), arch, config)
+    assert t1 == t2
+    for a, b in zip(p1.weights + p1.head_weights, p2.weights + p2.head_weights):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_training_validates_inputs():

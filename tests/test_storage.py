@@ -1,8 +1,12 @@
 """Binary artifact tests: roundtrips, header validation, corruption handling."""
 
+import os
+
 import numpy as np
 import pytest
 
+from tclsv import labeling, metrics
+from tclsv.config import ExperimentConfig, write_snapshot
 from tclsv.errors import ArtifactError, MissingArtifact
 from tclsv.frontend import FeatureMatrix
 from tclsv.gmm import GmmModel
@@ -41,6 +45,49 @@ def test_atomic_write_replaces_existing(tmp_path):
     path.write_bytes(b"old")
     atomic_write_bytes(path, b"new")
     assert path.read_bytes() == b"new"
+
+
+TEXT_WRITERS = {
+    "scores": lambda path: metrics.write_scores(path, metrics.TrialScoreSet(
+        trials=[metrics.Trial("s00", "u1", "target"),
+                metrics.Trial("s01", "u1", "impostor-correct")],
+        scores=np.array([1.5, -0.25]))),
+    "labels": lambda path: labeling.write_label_archive(path, {"u1": np.array([0, 1, 1, 2])}),
+    "snapshot": lambda path: write_snapshot(path, ExperimentConfig()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_WRITERS))
+def test_text_writer_failing_part_way_keeps_previous_file(name, tmp_path, monkeypatch):
+    path = tmp_path / f"{name}.txt"
+    path.write_bytes(b"previous\n")
+    real_fdopen = os.fdopen
+
+    class HalfThenFail:
+        def __init__(self, fd, mode):
+            self.handle = real_fdopen(fd, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def write(self, data):
+            self.handle.write(data[: len(data) // 2])
+            self.handle.flush()
+            raise OSError("disk full")
+
+    monkeypatch.setattr(os, "fdopen", HalfThenFail)
+    with pytest.raises(OSError, match="disk full"):
+        TEXT_WRITERS[name](path)
+    assert path.read_bytes() == b"previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    monkeypatch.setattr(os, "fdopen", real_fdopen)
+    TEXT_WRITERS[name](path)
+    assert path.read_bytes() != b"previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 # --- feature archives ---

@@ -7,127 +7,4 @@ features after PCA, and a GMM-UBM/MAP backend scored by average-frame LLR
 with EER/minDCF evaluation.  ``tclsv.cli`` exposes each stage as a subcommand.
 """
 
-from .config import ExperimentConfig, load_config
-from .errors import DataError, RankDeficientWarning, TclsvError
-from .frontend import (
-    AudioSignal,
-    FeatureMatrix,
-    FrontendConfig,
-    append_deltas,
-    apply_rasta,
-    apply_vad,
-    cmvn,
-    compute_mfcc,
-    extract_features,
-    frame_signal,
-    mel_filterbank,
-    read_wav,
-    write_wav,
-)
-from .gmm import (
-    GmmModel,
-    MapConfig,
-    em_step,
-    init_gmm,
-    log_likelihood,
-    log_likelihoods,
-    map_adapt,
-    responsibilities,
-    score_llr,
-    train_ubm,
-)
-from .labeling import (
-    LabeledFrames,
-    TclConfig,
-    assign_stream_labels,
-    assign_utterance_labels,
-    label_utterances,
-    summarize_label_distribution,
-)
-from .manifest import ManifestEntry, read_manifest, write_manifest
-from .metrics import (
-    DcfParams,
-    ErrorCurve,
-    EvaluationReport,
-    Trial,
-    TrialScoreSet,
-    compute_eer,
-    compute_error_curve,
-    compute_mindcf,
-    evaluate,
-)
-from .network import (
-    LabeledDataset,
-    NetworkArch,
-    NetworkParams,
-    TrainConfig,
-    extract_deep_features,
-    forward,
-    init_network,
-    stack_context,
-    train,
-)
-from .pca import PcaModel, fit_pca, project
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AudioSignal",
-    "DataError",
-    "DcfParams",
-    "ErrorCurve",
-    "EvaluationReport",
-    "ExperimentConfig",
-    "FeatureMatrix",
-    "FrontendConfig",
-    "GmmModel",
-    "LabeledDataset",
-    "LabeledFrames",
-    "ManifestEntry",
-    "MapConfig",
-    "NetworkArch",
-    "NetworkParams",
-    "PcaModel",
-    "RankDeficientWarning",
-    "TclConfig",
-    "TclsvError",
-    "TrainConfig",
-    "Trial",
-    "TrialScoreSet",
-    "append_deltas",
-    "apply_rasta",
-    "apply_vad",
-    "cmvn",
-    "compute_eer",
-    "compute_error_curve",
-    "compute_mfcc",
-    "compute_mindcf",
-    "em_step",
-    "evaluate",
-    "extract_deep_features",
-    "extract_features",
-    "fit_pca",
-    "forward",
-    "frame_signal",
-    "init_gmm",
-    "init_network",
-    "label_utterances",
-    "assign_stream_labels",
-    "assign_utterance_labels",
-    "load_config",
-    "log_likelihood",
-    "log_likelihoods",
-    "map_adapt",
-    "mel_filterbank",
-    "project",
-    "read_manifest",
-    "read_wav",
-    "responsibilities",
-    "score_llr",
-    "stack_context",
-    "summarize_label_distribution",
-    "train",
-    "train_ubm",
-    "write_manifest",
-    "write_wav",
-]

@@ -10,7 +10,6 @@ import argparse
 import logging
 import sys
 import traceback
-from dataclasses import replace
 from pathlib import Path
 
 from . import labeling, metrics, pipeline
@@ -51,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--deterministic",
             action="store_true",
-            help="single-worker execution; reruns produce byte-identical artifacts",
+            help="accepted for compatibility; every run is single-worker and byte-identical on rerun",
         )
         if name in ("score", "run"):
             p.add_argument("--trials", required=True, help="trial list TSV")
@@ -72,8 +71,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     config = load_config(args.config).resolved(args.seed)
-    if args.deterministic:
-        config = replace(config, workers=1)
     out = Path(args.out)
 
     if args.command == "extract-features":

@@ -18,7 +18,7 @@ from .frontend import FrontendConfig
 from .gmm import MapConfig
 from .labeling import TclConfig
 from .metrics import DcfParams
-from .network import TrainConfig
+from .network import NetworkArch, TrainConfig
 
 DNN_TARGETS = ("tcl", "speaker", "speaker+phrase")
 
@@ -72,13 +72,24 @@ class TclSection:
 @dataclass(frozen=True)
 class ExperimentConfig:
     seed: int = 1234
-    workers: int = 4
     frontend: FrontendConfig = field(default_factory=FrontendConfig)
     tcl: TclSection = field(default_factory=TclSection)
     dnn: DnnConfig = field(default_factory=DnnConfig)
     bn: BnConfig = field(default_factory=BnConfig)
     backend: BackendConfig = field(default_factory=BackendConfig)
     dcf: DcfParams = field(default_factory=DcfParams)
+
+    def __post_init__(self):
+        # Fail at load time, not several stages in: build what the stages build
+        # so their own checks run now.  The head is a placeholder.
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise DataError(f"seed must be an integer, got {self.seed!r}")
+        self.tcl_config()
+        self.train_config(1)
+        self.map_config()
+        NetworkArch(
+            input_dim=1, hidden_layers=self.dnn.hidden_layers, output_heads=(("tcl", 1),)
+        ).layer_index(self.bn.layer)
 
     def resolved(self, seed_override: int | None = None) -> "ExperimentConfig":
         """Fill derived seeds from the master seed; apply a CLI seed override."""
@@ -162,8 +173,10 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
     }
     kwargs = {}
     for key, value in data.items():
-        if key in ("seed", "workers"):
-            kwargs[key] = int(value)
+        if key == "seed":
+            kwargs[key] = value
+        elif key == "workers":
+            pass  # ignored: old snapshots and the benchmark's generated configs still set it
         elif key in sections:
             if not isinstance(value, dict):
                 raise DataError(f"{path}: section {key!r} must be an object")

@@ -68,14 +68,18 @@ def _component_log_likelihoods(model: GmmModel, x: np.ndarray) -> np.ndarray:
     return np.log(model.weights) + const + quad
 
 
+def _row_logsumexp(comp: np.ndarray) -> np.ndarray:
+    """Stable log-sum-exp over components, shape (frames, 1)."""
+    peak = comp.max(axis=1, keepdims=True)
+    return peak + np.log(np.exp(comp - peak).sum(axis=1, keepdims=True))
+
+
 def log_likelihoods(model: GmmModel, frames) -> np.ndarray:
     """Per-frame mixture log density via log-sum-exp over components."""
     x = _as_frames(frames)
     if x.shape[1] != model.dim:
         raise DimensionMismatch(f"frames have dim {x.shape[1]}, model expects {model.dim}")
-    comp = _component_log_likelihoods(model, x)
-    peak = comp.max(axis=1, keepdims=True)
-    return (peak + np.log(np.exp(comp - peak).sum(axis=1, keepdims=True))).ravel()
+    return _row_logsumexp(_component_log_likelihoods(model, x)).ravel()
 
 
 def log_likelihood(model: GmmModel, frame) -> float:
@@ -141,8 +145,7 @@ def em_step(model: GmmModel, data) -> tuple[GmmModel, float]:
     if x.shape[0] == 0:
         raise DataError("em_step needs at least one frame")
     comp = _component_log_likelihoods(model, x)
-    peak = comp.max(axis=1, keepdims=True)
-    log_norm = peak + np.log(np.exp(comp - peak).sum(axis=1, keepdims=True))
+    log_norm = _row_logsumexp(comp)
     total_ll = float(log_norm.sum())
     resp = np.exp(comp - log_norm)
 
@@ -176,9 +179,7 @@ def train_ubm(
     for _ in range(em_iterations):
         model, ll = em_step(model, x)
         trace.append(ll)
-    comp = _component_log_likelihoods(model, x)
-    peak = comp.max(axis=1, keepdims=True)
-    trace.append(float((peak + np.log(np.exp(comp - peak).sum(axis=1, keepdims=True))).sum()))
+    trace.append(float(_row_logsumexp(_component_log_likelihoods(model, x)).sum()))
     return model, trace
 
 

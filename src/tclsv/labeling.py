@@ -38,14 +38,14 @@ class TclConfig:
 
 @dataclass(frozen=True)
 class LabeledFrames:
-    """Concatenated frame vectors with one class label per frame.
+    """One class label per frame of the concatenated utterances.
 
+    Labels depend only on frame positions, so no frame values are kept.
     ``utterance_boundaries[k] : utterance_boundaries[k+1]`` is the slice of
-    ``features``/``labels`` belonging to ``utterance_ids[k]``; utterances whose
-    frames were all dropped appear as empty slices.
+    ``labels`` belonging to ``utterance_ids[k]``; utterances whose frames were
+    all dropped appear as empty slices.
     """
 
-    features: np.ndarray
     labels: np.ndarray
     utterance_boundaries: list[int]
     utterance_ids: list[str]
@@ -68,7 +68,6 @@ def assign_stream_labels(utterances: list[FeatureMatrix], config: TclConfig) -> 
         raise InsufficientFrames(f"stream has {total} frames, need at least {d}")
 
     order = np.random.default_rng(config.shuffle_seed).permutation(len(utterances))
-    stream = np.vstack([utterances[i].frames for i in order])
     num_labeled = (total // d) * d
 
     segment_index = np.arange(num_labeled) // d
@@ -81,7 +80,6 @@ def assign_stream_labels(utterances: list[FeatureMatrix], config: TclConfig) -> 
         boundaries.append(end)
         ids.append(utterances[i].utterance_id)
     return LabeledFrames(
-        features=stream[:num_labeled],
         labels=labels.astype(np.int64),
         utterance_boundaries=boundaries,
         utterance_ids=ids,
@@ -103,7 +101,6 @@ def assign_utterance_labels(utterance: FeatureMatrix, num_classes: int) -> Label
     lengths = [base + 1 if n < extra else base for n in range(num_classes)]
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), lengths)
     return LabeledFrames(
-        features=utterance.frames,
         labels=labels,
         utterance_boundaries=[0, T],
         utterance_ids=[utterance.utterance_id],
@@ -136,7 +133,6 @@ def label_utterances(utterances: list[FeatureMatrix], config: TclConfig) -> Labe
         boundaries.append(boundaries[-1] + part.num_frames)
         ids.append(part.utterance_ids[0])
     return LabeledFrames(
-        features=np.vstack([p.features for p in parts]),
         labels=np.concatenate([p.labels for p in parts]),
         utterance_boundaries=boundaries,
         utterance_ids=ids,

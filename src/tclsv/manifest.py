@@ -11,6 +11,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import storage
 from .errors import ManifestError
 
 SPLITS = ("dnn-train", "ubm-train", "enroll", "test")
@@ -106,7 +107,7 @@ def write_manifest(path: str | Path, entries: list[ManifestEntry]) -> None:
         lines.append(
             f"{e.utterance_id}\t{wav}\t{e.speaker_id}\t{e.phrase_id or ''}\t{e.split}\n"
         )
-    path.write_text("".join(lines), encoding="utf-8")
+    storage.atomic_write_text(path, "".join(lines))
 
 
 def by_split(entries: list[ManifestEntry], split: str) -> list[ManifestEntry]:

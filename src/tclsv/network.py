@@ -28,10 +28,6 @@ class NetworkArch:
         if any(k <= 0 for _, k in self.output_heads):
             raise DataError("head class counts must be positive")
 
-    @property
-    def head_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.output_heads)
-
     def layer_index(self, layer: str) -> int:
         """Map a layer name like ``L2`` to its 0-based hidden-layer index."""
         if layer.startswith("L"):

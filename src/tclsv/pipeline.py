@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import logging
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -92,26 +91,14 @@ def run_extract_features(
     if not entries:
         warnings.warn("manifest has no entries; nothing to extract")
 
-    def one(entry: ManifestEntry) -> None:
-        signal = read_wav(entry.wav_path)
-        feats = extract_features(signal, config.frontend, utterance_id=entry.utterance_id)
-        storage.write_feature_archive(feat_dir / f"{entry.utterance_id}.tclf", feats)
-
     failures: list[tuple[str, str]] = []
-    if config.workers <= 1:
-        for entry in entries:
-            try:
-                one(entry)
-            except DataError as exc:
-                failures.append((entry.utterance_id, str(exc)))
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            futures = [(pool.submit(one, e), e) for e in entries]
-            for future, entry in futures:
-                try:
-                    future.result()
-                except DataError as exc:
-                    failures.append((entry.utterance_id, str(exc)))
+    for entry in entries:
+        try:
+            signal = read_wav(entry.wav_path)
+            feats = extract_features(signal, config.frontend, utterance_id=entry.utterance_id)
+            storage.write_feature_archive(feat_dir / f"{entry.utterance_id}.tclf", feats)
+        except DataError as exc:
+            failures.append((entry.utterance_id, str(exc)))
     failures.sort()
     storage.atomic_write_text(
         feat_dir / "failures.tsv",

@@ -35,11 +35,18 @@ _U64 = struct.Struct("<Q")
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write to a temp file in the destination directory, then rename."""
+    """Write to a temp file in the destination directory, then rename.
+
+    The file gets the mode a plain ``open`` would give it (0o666 less the
+    umask), not the owner-only mode of ``mkstemp``.
+    """
     path = Path(path)
+    umask = os.umask(0)  # reading the umask means setting it; no tclsv code runs threads
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
+            os.chmod(tmp, 0o666 & ~umask)
             handle.write(data)
         os.replace(tmp, path)
     except BaseException:

@@ -95,6 +95,26 @@ def test_bad_config_key_exits_2(tiny_corpus, tmp_path, capsys):
     assert "unknown keys" in capsys.readouterr().err
 
 
+def test_non_integer_seed_exits_2(tiny_corpus, tmp_path, capsys):
+    manifest, _ = tiny_corpus
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"seed": "abc"}', encoding="utf-8")
+    code = run_cli("extract-features", "--manifest", manifest, "--config", bad, "--out", tmp_path)
+    assert code == 2
+    assert "seed must be an integer" in capsys.readouterr().err
+
+
+def test_invalid_value_stops_run_before_any_stage(tiny_corpus, tmp_path, capsys):
+    manifest, trials = tiny_corpus
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**TINY_CONFIG, "backend": {"relevance_factor": -1}}), encoding="utf-8")
+    out = tmp_path / "run"
+    code = run_cli("run", "--manifest", manifest, "--trials", trials, "--config", bad, "--out", out)
+    assert code == 2
+    assert "relevance_factor" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_before_score_exits_2(tmp_path, capsys):
     code = run_cli("evaluate", "--out", tmp_path)
     assert code == 2

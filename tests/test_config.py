@@ -88,6 +88,37 @@ def test_backend_source_validated():
         BackendConfig(feature_source="plp")
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"tcl": {"mode": "chunk"}, "backend": {"relevance_factor": -1}, "bn": {"layer": "L9"}},
+         "unknown TCL mode"),
+        ({"tcl": {"mode": "chunk"}}, "unknown TCL mode"),
+        ({"tcl": {"num_classes": 1}}, "num_classes"),
+        ({"dnn": {"learning_rate": -0.1}}, "learning_rate"),
+        ({"dnn": {"epochs": 0}}, "epochs"),
+        ({"backend": {"relevance_factor": -1}}, "relevance_factor"),
+        ({"backend": {"map_iterations": 0}}, "iterations"),
+        ({"bn": {"layer": "L9"}}, "no hidden layer 'L9'"),
+        ({"dnn": {"hidden_layers": [64, 64]}, "bn": {"layer": "L3"}}, r"L1\.\.L2"),
+        ({"bn": {"layer": "fc1"}}, "no hidden layer"),
+        ({"seed": "abc"}, "seed must be an integer"),
+        ({"seed": 1.5}, "seed must be an integer"),
+    ],
+)
+def test_invalid_values_rejected_at_load(tmp_path, data, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(DataError, match=message):
+        load_config(path)
+
+
+def test_workers_key_is_accepted_and_ignored(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"seed": 3, "workers": 2}', encoding="utf-8")
+    assert load_config(path) == ExperimentConfig(seed=3)
+
+
 def test_resolved_derives_stage_seeds_from_master():
     config = ExperimentConfig(seed=1000).resolved()
     assert config.tcl.shuffle_seed == 1101
@@ -144,7 +175,7 @@ def test_to_json_is_canonical(tmp_path):
 
 
 def test_snapshot_roundtrips_through_loader(tmp_path):
-    original = ExperimentConfig(seed=9, workers=2).resolved()
+    original = ExperimentConfig(seed=9).resolved()
     path = tmp_path / "snapshot.json"
     write_snapshot(path, original)
     reloaded = load_config(path)

@@ -1,6 +1,7 @@
 """Binary artifact tests: roundtrips, header validation, corruption handling."""
 
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from tclsv.config import ExperimentConfig, write_snapshot
 from tclsv.errors import ArtifactError, MissingArtifact
 from tclsv.frontend import FeatureMatrix
 from tclsv.gmm import GmmModel
+from tclsv.manifest import ManifestEntry, write_manifest
 from tclsv.network import NetworkArch, init_network
 from tclsv.pca import fit_pca
 from tclsv.storage import (
@@ -47,6 +49,18 @@ def test_atomic_write_replaces_existing(tmp_path):
     assert path.read_bytes() == b"new"
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+def test_atomic_write_mode_follows_umask(tmp_path, umask, mode):
+    path = tmp_path / "artifact.bin"
+    previous = os.umask(umask)
+    try:
+        atomic_write_bytes(path, b"payload")
+    finally:
+        left = os.umask(previous)
+    assert left == umask  # the write restored the umask it read
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+
+
 TEXT_WRITERS = {
     "scores": lambda path: metrics.write_scores(path, metrics.TrialScoreSet(
         trials=[metrics.Trial("s00", "u1", "target"),
@@ -54,6 +68,8 @@ TEXT_WRITERS = {
         scores=np.array([1.5, -0.25]))),
     "labels": lambda path: labeling.write_label_archive(path, {"u1": np.array([0, 1, 1, 2])}),
     "snapshot": lambda path: write_snapshot(path, ExperimentConfig()),
+    "manifest": lambda path: write_manifest(path, [
+        ManifestEntry("u1", path.parent / "wavs" / "u1.wav", "s00", "p0", "enroll")]),
 }
 
 

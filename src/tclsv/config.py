@@ -17,6 +17,7 @@ from .errors import DataError
 from .frontend import FrontendConfig
 from .gmm import MapConfig
 from .labeling import TclConfig
+from .manifest import SPLITS
 from .metrics import DcfParams
 from .network import NetworkArch, TrainConfig
 
@@ -87,9 +88,23 @@ class ExperimentConfig:
         self.tcl_config()
         self.train_config(1)
         self.map_config()
-        NetworkArch(
+        layer = NetworkArch(
             input_dim=1, hidden_layers=self.dnn.hidden_layers, output_heads=(("tcl", 1),)
         ).layer_index(self.bn.layer)
+        if self.dnn.context_left < 0 or self.dnn.context_right < 0:
+            raise DataError("dnn.context_left and dnn.context_right must be >= 0")
+        width = self.dnn.hidden_layers[layer]
+        if not 1 <= self.bn.pca_dim <= width:
+            raise DataError(
+                f"bn.pca_dim must be in 1..{width}, the width of {self.bn.layer},"
+                f" got {self.bn.pca_dim}"
+            )
+        if self.bn.fit_split not in SPLITS:
+            raise DataError(f"bn.fit_split must be one of {SPLITS}, got {self.bn.fit_split!r}")
+        if self.backend.num_mixtures < 1:
+            raise DataError("backend.num_mixtures must be >= 1")
+        if self.backend.em_iterations < 0:
+            raise DataError("backend.em_iterations must be >= 0")
 
     def resolved(self, seed_override: int | None = None) -> "ExperimentConfig":
         """Fill derived seeds from the master seed; apply a CLI seed override."""

@@ -5,6 +5,7 @@ and average-frame log-likelihood-ratio scoring.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,9 +23,28 @@ VARIANCE_FLOOR_FRACTION = 1e-3
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
+# np.exp runs a fast SIMD path only for arguments above about -708; from
+# -708.4 down to its underflow near -745.13 it costs about 100x more per
+# element (numpy 2.4 on an x86-64 Xeon: 1.3 ns against 130-240 ns), and a
+# vector that mixes both ranges drops to the slow path as a whole.  A
+# log-sum-exp term more than 700 below its row's peak is under e^-700 ~ 1e-304
+# of it: even 512 such terms total about 5e-302, far below half an ulp of a
+# row sum that is >= 1 (the peak's own term), so flooring the exponent there
+# leaves every sum unchanged.
+_EXP_FLOOR = -700.0
+# np.exp returns exactly 0.0 below about -745.13.
+_EXP_ZERO_BELOW = -745.2
+
 
 @dataclass(frozen=True)
 class GmmModel:
+    """Diagonal-covariance GMM.
+
+    The frame-independent terms of the log density are computed on first use
+    and cached on the instance, so a model's arrays must not be mutated after
+    it has been used.
+    """
+
     weights: np.ndarray
     means: np.ndarray
     variances: np.ndarray
@@ -36,6 +56,17 @@ class GmmModel:
     @property
     def dim(self) -> int:
         return self.means.shape[1]
+
+    @cached_property
+    def _density_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(1/variances, log w + const, (means/variances)^T)."""
+        inv_var = 1.0 / self.variances
+        const = -0.5 * (
+            self.dim * _LOG_2PI
+            + np.sum(np.log(self.variances), axis=1)
+            + np.sum(self.means**2 * inv_var, axis=1)
+        )
+        return inv_var, np.log(self.weights) + const, (self.means * inv_var).T
 
 
 @dataclass(frozen=True)
@@ -57,21 +88,45 @@ def _as_frames(data) -> np.ndarray:
 
 
 def _component_log_likelihoods(model: GmmModel, x: np.ndarray) -> np.ndarray:
-    """log w_k + log N(x; mu_k, diag sigma_k^2), shape (frames, components)."""
-    inv_var = 1.0 / model.variances
-    const = -0.5 * (
-        model.dim * _LOG_2PI
-        + np.sum(np.log(model.variances), axis=1)
-        + np.sum(model.means**2 * inv_var, axis=1)
-    )
-    quad = -0.5 * (x**2) @ inv_var.T + x @ (model.means * inv_var).T
-    return np.log(model.weights) + const + quad
+    """log w_k + log N(x; mu_k, diag sigma_k^2), shape (frames, components).
+
+    Built in place as quad + (log w + const); addition commutes bit for bit,
+    so this equals log w + const + quad.
+    """
+    inv_var, offset, scaled_means = model._density_terms
+    comp = x @ scaled_means
+    comp += -0.5 * (x**2) @ inv_var.T
+    comp += offset
+    return comp
+
+
+def _exp_inplace(a: np.ndarray) -> np.ndarray:
+    """``a[...] = np.exp(a)``, bit for bit, with nearly every element on the fast path.
+
+    ``a`` must be C-contiguous, so that its flat view writes through.
+    Arguments below ``_EXP_ZERO_BELOW`` give 0.0, only the thin band between
+    it and ``_EXP_FLOOR`` goes through the slow path, and every other argument
+    is clamped into the fast one.  NaN and +-inf come out as np.exp gives them.
+    """
+    flat = a.reshape(-1)
+    low = np.flatnonzero(flat < _EXP_FLOOR)
+    low_vals = flat[low]
+    band = low_vals >= _EXP_ZERO_BELOW
+    low_exp = np.zeros_like(low_vals)
+    low_exp[band] = np.exp(low_vals[band])
+    np.maximum(a, _EXP_FLOOR, out=a)
+    np.exp(a, out=a)
+    flat[low] = low_exp
+    return a
 
 
 def _row_logsumexp(comp: np.ndarray) -> np.ndarray:
     """Stable log-sum-exp over components, shape (frames, 1)."""
     peak = comp.max(axis=1, keepdims=True)
-    return peak + np.log(np.exp(comp - peak).sum(axis=1, keepdims=True))
+    terms = comp - peak
+    np.maximum(terms, _EXP_FLOOR, out=terms)
+    np.exp(terms, out=terms)
+    return peak + np.log(terms.sum(axis=1, keepdims=True))
 
 
 def log_likelihoods(model: GmmModel, frames) -> np.ndarray:
@@ -91,8 +146,9 @@ def responsibilities(model: GmmModel, frames) -> np.ndarray:
     """Posterior component probabilities per frame; rows sum to 1."""
     comp = _component_log_likelihoods(model, _as_frames(frames))
     comp -= comp.max(axis=1, keepdims=True)
-    post = np.exp(comp)
-    return post / post.sum(axis=1, keepdims=True)
+    post = _exp_inplace(comp)
+    post /= post.sum(axis=1, keepdims=True)
+    return post
 
 
 def init_gmm(data, num_components: int, seed: int = 0) -> GmmModel:
@@ -118,21 +174,26 @@ def init_gmm(data, num_components: int, seed: int = 0) -> GmmModel:
             centers[k] = x[rng.choice(m, p=dist_sq / total)]
         dist_sq = np.minimum(dist_sq, np.sum((x - centers[k]) ** 2, axis=1))
 
+    x_sq = np.sum(x**2, axis=1)[:, None]
+    two_x = 2.0 * x
+    dists = np.empty((m, num_components))
     assignment = None
     for _ in range(10):
-        dists = (
-            np.sum(x**2, axis=1)[:, None]
-            - 2.0 * x @ centers.T
-            + np.sum(centers**2, axis=1)[None, :]
-        )
+        # ||x||^2 - 2 x.c + ||c||^2, in one buffer
+        np.matmul(two_x, centers.T, out=dists)
+        np.subtract(x_sq, dists, out=dists)
+        dists += np.sum(centers**2, axis=1)[None, :]
         new_assignment = dists.argmin(axis=1)
         if assignment is not None and np.array_equal(new_assignment, assignment):
             break
         assignment = new_assignment
-        for k in range(num_components):
-            members = x[assignment == k]
-            if len(members):
-                centers[k] = members.mean(axis=0)
+        # A stable sort keeps each cluster's rows in frame order, so every
+        # slice holds the rows a boolean mask would select, in the same order.
+        members = x[np.argsort(assignment, kind="stable")]
+        counts = np.bincount(assignment, minlength=num_components)
+        ends = np.cumsum(counts)
+        for k in np.flatnonzero(counts):
+            centers[k] = members[ends[k] - counts[k] : ends[k]].mean(axis=0)
 
     variances = np.tile(np.maximum(x.var(axis=0), 1e-12), (num_components, 1))
     weights = np.full(num_components, 1.0 / num_components)
@@ -147,7 +208,8 @@ def em_step(model: GmmModel, data) -> tuple[GmmModel, float]:
     comp = _component_log_likelihoods(model, x)
     log_norm = _row_logsumexp(comp)
     total_ll = float(log_norm.sum())
-    resp = np.exp(comp - log_norm)
+    comp -= log_norm
+    resp = _exp_inplace(comp)
 
     occupancy = resp.sum(axis=0)
     safe = np.maximum(occupancy, 1e-300)

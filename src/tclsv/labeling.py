@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +37,20 @@ class TclConfig:
             raise DataError(f"unknown TCL mode {self.mode!r}")
 
 
+class FrameCount(NamedTuple):
+    """An utterance as labeling reads it: its id and frame count.
+
+    Labels depend only on frame positions, so this is all the labeling
+    functions use; a :class:`FeatureMatrix` serves as well.
+    """
+
+    utterance_id: str
+    num_frames: int
+
+
+Utterance = FrameCount | FeatureMatrix
+
+
 @dataclass(frozen=True)
 class LabeledFrames:
     """One class label per frame of the concatenated utterances.
@@ -55,7 +70,7 @@ class LabeledFrames:
         return len(self.labels)
 
 
-def assign_stream_labels(utterances: list[FeatureMatrix], config: TclConfig) -> LabeledFrames:
+def assign_stream_labels(utterances: list[Utterance], config: TclConfig) -> LabeledFrames:
     """Stream-wise labeling: segment j of the shuffled stream gets class j mod N.
 
     Utterance order is shuffled by ``config.shuffle_seed`` (frames within an
@@ -86,7 +101,7 @@ def assign_stream_labels(utterances: list[FeatureMatrix], config: TclConfig) -> 
     )
 
 
-def assign_utterance_labels(utterance: FeatureMatrix, num_classes: int) -> LabeledFrames:
+def assign_utterance_labels(utterance: Utterance, num_classes: int) -> LabeledFrames:
     """Utterance-wise labeling: N contiguous segments, segment n gets class n.
 
     Segment lengths differ by at most one; the first ``T mod N`` segments are
@@ -107,7 +122,7 @@ def assign_utterance_labels(utterance: FeatureMatrix, num_classes: int) -> Label
     )
 
 
-def label_utterances(utterances: list[FeatureMatrix], config: TclConfig) -> LabeledFrames:
+def label_utterances(utterances: list[Utterance], config: TclConfig) -> LabeledFrames:
     """Label a dataset with the configured strategy.
 
     In utterance mode, utterances shorter than ``num_classes`` frames are

@@ -61,13 +61,18 @@ def _usable(entries: list[ManifestEntry], out_dir: Path) -> list[ManifestEntry]:
     return kept
 
 
-def _load_features(out_dir: Path, entry: ManifestEntry, subdir: str = "features") -> FeatureMatrix:
+def _feature_path(out_dir: Path, entry: ManifestEntry, subdir: str = "features") -> Path:
     path = out_dir / subdir / f"{entry.utterance_id}.tclf"
     if not path.exists():
         raise MissingArtifact(
             f"{path}: no feature archive for {entry.utterance_id!r};"
             f" run the producing stage first or check features/failures.tsv"
         )
+    return path
+
+
+def _load_features(out_dir: Path, entry: ManifestEntry, subdir: str = "features") -> FeatureMatrix:
+    path = _feature_path(out_dir, entry, subdir)
     return storage.read_feature_archive(path, utterance_id=entry.utterance_id)
 
 
@@ -117,7 +122,11 @@ def run_make_labels(manifest_path, config: ExperimentConfig, out_dir) -> labelin
     train_entries = by_split(entries, "dnn-train")
     if not train_entries:
         raise DataError("manifest has no usable dnn-train utterances")
-    utterances = [_load_features(out_dir, e) for e in train_entries]
+    # labels depend only on frame counts, which the archive headers hold
+    utterances = []
+    for e in train_entries:
+        num_frames, _ = storage.read_feature_shape(_feature_path(out_dir, e))
+        utterances.append(labeling.FrameCount(e.utterance_id, num_frames))
     labeled = labeling.label_utterances(utterances, config.tcl_config())
     labels_dir = out_dir / "labels"
     labels_dir.mkdir(parents=True, exist_ok=True)

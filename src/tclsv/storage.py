@@ -61,11 +61,14 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 class _Reader:
-    def __init__(self, path: Path, magic: bytes):
+    """Reads the whole file, or only its first ``size`` bytes when given."""
+
+    def __init__(self, path: Path, magic: bytes, size: int | None = None):
         if not path.exists():
             raise MissingArtifact(f"{path} does not exist")
         self.path = path
-        self.buf = path.read_bytes()
+        with open(path, "rb") as handle:
+            self.buf = handle.read(size)
         self.pos = 0
         got = self.read_bytes(4)
         if got != magic:
@@ -122,6 +125,12 @@ def read_feature_archive(path: str | Path, utterance_id: str | None = None) -> F
     if utterance_id is None:
         utterance_id = path.stem
     return FeatureMatrix(frames=frames, utterance_id=utterance_id)
+
+
+def read_feature_shape(path: str | Path) -> tuple[int, int]:
+    """(frames, dim) of a feature archive, read from its 16-byte header alone."""
+    reader = _Reader(Path(path), b"TCLF", size=16)
+    return reader.read_u32(), reader.read_u32()
 
 
 # --- network (TCLN) ---

@@ -3,13 +3,15 @@ and rerun determinism on a tiny synthetic corpus.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tclsv import cli, gmm, pipeline, storage
+from tclsv import cli, gmm, labeling, pipeline, storage
 from tclsv.config import load_config
+from tclsv.manifest import read_manifest
 from tclsv.synthcorpus import CorpusSpec, generate_corpus
 
 TINY_CONFIG = {
@@ -292,3 +294,29 @@ def test_score_matches_per_trial_score_llr_bitwise(tiny_corpus, config_path, tmp
         for t in score_set.trials
     ]
     assert np.array_equal(score_set.scores, np.array(expected))
+
+
+@pytest.mark.parametrize("mode", ["utterance", "stream"])
+def test_make_labels_reads_archive_headers_only(tiny_corpus, config_path, tmp_path, monkeypatch, mode):
+    manifest, _ = tiny_corpus
+    out = tmp_path / "run"
+    assert run_cli("extract-features", "--manifest", manifest, "--config", config_path,
+                   "--out", out) == 0
+    config = load_config(config_path).resolved(None)
+    config = replace(config, tcl=replace(config.tcl, mode=mode))
+    full_reads = []
+    real_read = storage.read_feature_archive
+    monkeypatch.setattr(storage, "read_feature_archive",
+                        lambda *a, **k: full_reads.append(a) or real_read(*a, **k))
+    pipeline.run_make_labels(manifest, config, out)
+    assert full_reads == []
+
+    # the same labels as labeling the fully read archives
+    entries = [e for e in read_manifest(manifest) if e.split == "dnn-train"]
+    utterances = [real_read(out / "features" / f"{e.utterance_id}.tclf", e.utterance_id)
+                  for e in entries]
+    expected = tmp_path / "expected.tsv"
+    labeling.write_label_archive(
+        expected, labeling.labels_by_utterance(labeling.label_utterances(utterances, config.tcl_config()))
+    )
+    assert (out / "labels" / "labels.tsv").read_bytes() == expected.read_bytes()

@@ -104,6 +104,13 @@ def test_backend_source_validated():
         ({"bn": {"layer": "fc1"}}, "no hidden layer"),
         ({"seed": "abc"}, "seed must be an integer"),
         ({"seed": 1.5}, "seed must be an integer"),
+        ({"backend": {"num_mixtures": 0}}, "num_mixtures"),
+        ({"backend": {"em_iterations": -1}}, "em_iterations"),
+        ({"bn": {"fit_split": "nope"}}, "fit_split"),
+        ({"dnn": {"context_left": -3}}, "context_left"),
+        ({"dnn": {"context_right": -1}}, "context_right"),
+        ({"bn": {"pca_dim": 0}}, "pca_dim"),
+        ({"dnn": {"hidden_layers": [64, 32]}, "bn": {"layer": "L2", "pca_dim": 33}}, r"1\.\.32"),
     ],
 )
 def test_invalid_values_rejected_at_load(tmp_path, data, message):

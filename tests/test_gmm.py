@@ -1,5 +1,6 @@
 """GMM backend tests: closed-form single-component checks, a naive-summation
-likelihood oracle, EM monotonicity, MAP limit behavior, and LLR identities.
+likelihood oracle, EM monotonicity, MAP limit behavior, LLR identities, and
+bitwise equality of the kernels with reference copies of their plain formulas.
 """
 
 import numpy as np
@@ -16,6 +17,8 @@ from tclsv.gmm import (
     VARIANCE_FLOOR_FRACTION,
     GmmModel,
     MapConfig,
+    _exp_inplace,
+    _row_logsumexp,
     em_step,
     init_gmm,
     log_likelihood,
@@ -297,3 +300,192 @@ def test_all_likelihoods_finite_with_floored_variances():
     )
     values = log_likelihoods(model, rng.standard_normal((10, 4)) * 100.0)
     assert np.all(np.isfinite(values))
+
+
+# --- bitwise equality with the plain formulas ---
+#
+# The kernels keep every np.exp call on numpy's fast path, cache each model's
+# frame-independent terms and refine k-means with sorted slices.  Each of these
+# is meant to leave every value bit for bit unchanged, so each is compared with
+# a verbatim copy of the formula it replaced.
+
+
+def ref_component_log_likelihoods(model, x):
+    inv_var = 1.0 / model.variances
+    const = -0.5 * (
+        model.dim * np.log(2.0 * np.pi)
+        + np.sum(np.log(model.variances), axis=1)
+        + np.sum(model.means**2 * inv_var, axis=1)
+    )
+    quad = -0.5 * (x**2) @ inv_var.T + x @ (model.means * inv_var).T
+    return np.log(model.weights) + const + quad
+
+
+def ref_row_logsumexp(comp):
+    peak = comp.max(axis=1, keepdims=True)
+    return peak + np.log(np.exp(comp - peak).sum(axis=1, keepdims=True))
+
+
+def ref_responsibilities(model, x):
+    comp = ref_component_log_likelihoods(model, x)
+    comp -= comp.max(axis=1, keepdims=True)
+    post = np.exp(comp)
+    return post / post.sum(axis=1, keepdims=True)
+
+
+def ref_em_step(model, x):
+    comp = ref_component_log_likelihoods(model, x)
+    log_norm = ref_row_logsumexp(comp)
+    total_ll = float(log_norm.sum())
+    resp = np.exp(comp - log_norm)
+
+    occupancy = resp.sum(axis=0)
+    safe = np.maximum(occupancy, 1e-300)
+    new_means = (resp.T @ x) / safe[:, None]
+    new_vars = (resp.T @ (x**2)) / safe[:, None] - new_means**2
+
+    floor = VARIANCE_FLOOR_FRACTION * x.var(axis=0)
+    new_vars = np.maximum(new_vars, np.maximum(floor, 1e-12))
+
+    empty = occupancy <= 0
+    if np.any(empty):
+        new_means[empty] = model.means[empty]
+        new_vars[empty] = model.variances[empty]
+    new_weights = occupancy / x.shape[0]
+    return GmmModel(weights=new_weights, means=new_means, variances=new_vars), total_ll
+
+
+def ref_init_gmm(x, num_components, seed):
+    m = x.shape[0]
+    rng = np.random.default_rng(seed)
+
+    centers = np.empty((num_components, x.shape[1]))
+    centers[0] = x[rng.integers(m)]
+    dist_sq = np.sum((x - centers[0]) ** 2, axis=1)
+    for k in range(1, num_components):
+        total = dist_sq.sum()
+        if total <= 0:
+            centers[k] = x[rng.integers(m)]
+        else:
+            centers[k] = x[rng.choice(m, p=dist_sq / total)]
+        dist_sq = np.minimum(dist_sq, np.sum((x - centers[k]) ** 2, axis=1))
+
+    assignment = None
+    for _ in range(10):
+        dists = (
+            np.sum(x**2, axis=1)[:, None]
+            - 2.0 * x @ centers.T
+            + np.sum(centers**2, axis=1)[None, :]
+        )
+        new_assignment = dists.argmin(axis=1)
+        if assignment is not None and np.array_equal(new_assignment, assignment):
+            break
+        assignment = new_assignment
+        for k in range(num_components):
+            members = x[assignment == k]
+            if len(members):
+                centers[k] = members.mean(axis=0)
+
+    variances = np.tile(np.maximum(x.var(axis=0), 1e-12), (num_components, 1))
+    weights = np.full(num_components, 1.0 / num_components)
+    return GmmModel(weights=weights, means=centers, variances=variances)
+
+
+def assert_models_equal(a, b):
+    assert np.array_equal(a.weights, b.weights)
+    assert np.array_equal(a.means, b.means)
+    assert np.array_equal(a.variances, b.variances)
+
+
+def spread_model(seed, zero_weight):
+    """Components scattered so widely that log-likelihood rows span thousands."""
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(24))
+    if zero_weight:
+        weights[5] = 0.0
+        weights /= weights.sum()
+    return GmmModel(
+        weights=weights,
+        means=rng.uniform(-60.0, 60.0, (24, 3)),
+        variances=rng.uniform(0.3, 3.0, (24, 3)),
+    )
+
+
+def test_exp_inplace_equals_np_exp():
+    special = [-700.0, -708.4, -745.13, -745.2, -745.1332, np.nextafter(-700.0, 0.0),
+               np.nextafter(-700.0, -np.inf), np.nextafter(-745.2, 0.0), -1e300,
+               -0.0, 0.0, -np.inf, np.inf, np.nan]
+    grid = np.concatenate([np.linspace(-800.0, 0.0, 160_001), special])
+    got = _exp_inplace(grid.copy())
+    assert np.array_equal(got, np.exp(grid), equal_nan=True)
+    block = grid[:160_000].reshape(400, 400)[:, ::-1].copy()
+    assert np.array_equal(_exp_inplace(block.copy()), np.exp(block))
+
+
+def test_row_logsumexp_equals_plain_formula():
+    rng = np.random.default_rng(30)
+    comp = np.where(
+        rng.random((300, 64)) < 0.5,
+        rng.uniform(-40.0, 0.0, (300, 64)),
+        rng.uniform(-2000.0, -40.0, (300, 64)),
+    ) + rng.uniform(-500.0, 500.0, (300, 1))
+    comp[::7, 3] = -np.inf  # a zero-weight component
+    assert np.ptp(comp[:, 4:], axis=1).min() > 745
+    assert np.array_equal(_row_logsumexp(comp), ref_row_logsumexp(comp))
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero encountered in log")
+@pytest.mark.parametrize("zero_weight", [False, True])
+def test_log_likelihoods_equal_plain_formula(zero_weight):
+    model = spread_model(31, zero_weight)
+    x = np.random.default_rng(32).uniform(-70.0, 70.0, (500, 3))
+    comp = ref_component_log_likelihoods(model, x)
+    finite = np.where(np.isfinite(comp), comp, np.nan)
+    assert np.median(np.nanmax(finite, axis=1) - np.nanmin(finite, axis=1)) > 745
+    assert np.array_equal(log_likelihoods(model, x), ref_row_logsumexp(comp).ravel())
+    assert np.array_equal(responsibilities(model, x), ref_responsibilities(model, x))
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero encountered in log")
+def test_em_step_equals_plain_formula_on_far_apart_clusters():
+    rng = np.random.default_rng(33)
+    x = np.vstack([rng.normal(0.0, 1.0, (500, 2)), rng.normal(0.0, 1.0, (500, 2)) + [60.0, 0.0]])
+    # One component per cluster, one 38 sigma beyond the nearest frame (all
+    # its log-responsibilities lie in or below exp's slow band) and one so far
+    # away that they all underflow to 0, leaving it empty.
+    start = GmmModel(
+        weights=np.full(4, 0.25),
+        means=np.array([[0.0, 0.0], [60.0, 0.0], [0.0, x[:, 1].max() + 38.0], [0.0, -80.0]]),
+        variances=np.ones((4, 2)),
+    )
+    comp = ref_component_log_likelihoods(start, x)
+    log_resp = comp - ref_row_logsumexp(comp)
+    assert -745.2 <= log_resp[:, 2].max() < -708.0
+    ours, ref = start, start
+    below = []
+    for _ in range(3):
+        comp = ref_component_log_likelihoods(ref, x)
+        below.append(np.mean(comp - ref_row_logsumexp(comp) < -708.0))
+        ours, ll = em_step(ours, x)
+        ref, ref_ll = ref_em_step(ref, x)
+        assert ll == ref_ll
+        assert_models_equal(ours, ref)
+    assert min(below) > 0.05
+    assert np.array_equal(responsibilities(start, x), ref_responsibilities(start, x))
+
+
+def test_init_gmm_equals_mask_based_lloyd():
+    rng = np.random.default_rng(34)
+    centers = rng.uniform(-10.0, 10.0, (12, 5))
+    x = centers[rng.integers(12, size=3000)] + rng.standard_normal((3000, 5))
+    assert_models_equal(init_gmm(x, 16, seed=3), ref_init_gmm(x, 16, seed=3))
+
+
+def test_model_scored_twice_gives_identical_results():
+    model = spread_model(35, zero_weight=False)
+    rng = np.random.default_rng(36)
+    x, other = rng.uniform(-70.0, 70.0, (200, 3)), rng.uniform(-70.0, 70.0, (50, 3))
+    first = log_likelihoods(model, x)
+    log_likelihoods(model, other)
+    assert np.array_equal(log_likelihoods(model, x), first)
+    assert np.array_equal(responsibilities(model, x), responsibilities(model, x))

@@ -17,6 +17,7 @@ from tclsv.pca import fit_pca
 from tclsv.storage import (
     atomic_write_bytes,
     read_feature_archive,
+    read_feature_shape,
     read_gmm,
     read_network,
     read_pca,
@@ -137,6 +138,36 @@ def test_feature_archive_empty_matrix(tmp_path):
     write_feature_archive(path, FeatureMatrix(frames=np.zeros((0, 5)), utterance_id="e"))
     loaded = read_feature_archive(path)
     assert loaded.frames.shape == (0, 5)
+
+
+@pytest.mark.parametrize("shape", [(11, 7), (0, 5), (1, 57)])
+def test_feature_shape_matches_full_read(tmp_path, shape):
+    path = tmp_path / "utt.tclf"
+    write_feature_archive(path, feature_matrix(shape=shape))
+    assert read_feature_shape(path) == read_feature_archive(path).frames.shape
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda data: b"WHAT" + data[4:], "magic"),
+        (lambda data: data[:4] + (2).to_bytes(4, "little") + data[8:], "version"),
+        (lambda data: data[:12], "truncated"),
+        (lambda data: data[:3], "truncated"),
+    ],
+    ids=["magic", "version", "header-12-bytes", "header-3-bytes"],
+)
+def test_feature_shape_rejects_bad_header(tmp_path, corrupt, message):
+    path = tmp_path / "bad.tclf"
+    write_feature_archive(path, feature_matrix())
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(ArtifactError, match=message):
+        read_feature_shape(path)
+
+
+def test_feature_shape_missing_file(tmp_path):
+    with pytest.raises(MissingArtifact):
+        read_feature_shape(tmp_path / "nope.tclf")
 
 
 # --- corruption handling, shared across formats ---

@@ -53,6 +53,17 @@ class NetworkParams:
     head_biases: list[np.ndarray]
     rng_seed: int = 0
 
+    def astype(self, dtype) -> NetworkParams:
+        """The same parameters in ``dtype``; arrays already in it are shared, not copied."""
+
+        def cast(arrays: list[np.ndarray]) -> list[np.ndarray]:
+            return [a.astype(dtype, copy=False) for a in arrays]
+
+        return NetworkParams(
+            self.arch, cast(self.weights), cast(self.biases),
+            cast(self.head_weights), cast(self.head_biases), self.rng_seed,
+        )
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -183,11 +194,21 @@ def init_network(arch: NetworkArch, seed: int = 0) -> NetworkParams:
     return NetworkParams(arch, weights, biases, head_weights, head_biases, rng_seed=seed)
 
 
+def _as_float(inputs) -> np.ndarray:
+    """``inputs`` as a 2-D float array: float32 stays float32, all else becomes float64."""
+    x = np.atleast_2d(np.asarray(inputs))
+    return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, without overflow.
-    e = np.exp(-np.abs(z))
+    # With e = e^-|z| <= 1, max(e, z >= 0) is the numerator of both branches,
+    # with no per-element branch on the sign of z.
+    e = np.abs(z)
+    np.exp(np.negative(e, out=e), out=e)
     d = 1.0 + e
-    return np.divide(np.where(z >= 0, 1.0, e), d, out=d)
+    np.maximum(e, z >= 0, out=e)
+    return np.divide(e, d, out=d)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -195,9 +216,19 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
+def _affine(a: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    z = a @ W
+    z += b
+    return z
+
+
 def forward(params: NetworkParams, input_batch: np.ndarray) -> ForwardPass:
-    """Forward pass; returns per-layer sigmoid activations and per-head posteriors."""
-    x = np.atleast_2d(np.asarray(input_batch, dtype=np.float64))
+    """Forward pass; returns per-layer sigmoid activations and per-head posteriors.
+
+    Computes in the dtype of the input and the parameters: float32 throughout
+    when both are float32.
+    """
+    x = _as_float(input_batch)
     if x.shape[1] != params.arch.input_dim:
         raise DimensionMismatch(
             f"input dim {x.shape[1]}, network expects {params.arch.input_dim}"
@@ -205,10 +236,10 @@ def forward(params: NetworkParams, input_batch: np.ndarray) -> ForwardPass:
     hidden = []
     a = x
     for W, b in zip(params.weights, params.biases):
-        a = _sigmoid(a @ W + b)
+        a = _sigmoid(_affine(a, W, b))
         hidden.append(a)
     log_posts = [
-        _log_softmax(a @ W + b)
+        _log_softmax(_affine(a, W, b))
         for W, b in zip(params.head_weights, params.head_biases)
     ]
     return ForwardPass(hidden=hidden, head_log_posteriors=log_posts)
@@ -260,7 +291,7 @@ def backward(
     arch = params.arch
     if task_weights is None:
         task_weights = (1.0 / len(arch.output_heads),) * len(arch.output_heads)
-    x = np.atleast_2d(np.asarray(batch.inputs, dtype=np.float64))
+    x = _as_float(batch.inputs)
     fp = forward(params, x)
     m = x.shape[0]
     last = fp.hidden[-1] if fp.hidden else x
@@ -285,7 +316,8 @@ def backward(
         below = fp.hidden[layer - 1] if layer > 0 else x
         g_w[layer] = below.T @ delta
         g_b[layer] = delta.sum(axis=0)
-        delta = delta @ params.weights[layer].T
+        if layer > 0:  # no gradient flows into the inputs
+            delta = delta @ params.weights[layer].T
     return Gradients(g_w, g_b, g_head_w, g_head_b)
 
 
@@ -297,7 +329,8 @@ def train(
     The trace holds the full-dataset loss before training and after each
     epoch, evaluated ``minibatch_size`` rows at a time.  Minibatch order is
     drawn from ``config.shuffle_seed``, parameter initialization from
-    ``config.init_seed``; reruns are bit-identical.
+    ``config.init_seed``; reruns are bit-identical.  The parameters are cast
+    to the inputs' dtype, so float32 inputs train in float32.
     """
     if dataset.num_rows == 0:
         raise DataError("training dataset is empty")
@@ -308,7 +341,7 @@ def train(
     if len(task_weights) != len(arch.output_heads):
         raise DataError("task_weights must have one entry per head")
 
-    params = init_network(arch, config.init_seed)
+    params = init_network(arch, config.init_seed).astype(_as_float(dataset.inputs[:1]).dtype)
     label_order = [dataset.labels[name] for name, _ in arch.output_heads]
     n, step = dataset.num_rows, config.minibatch_size
 
@@ -336,14 +369,12 @@ def train(
                 labels={name: vec[sel] for name, vec in dataset.labels.items()},
             )
             grads = backward(params, batch, task_weights)
-            for W, g in zip(params.weights, grads.weights):
-                W -= lr * g
-            for b, g in zip(params.biases, grads.biases):
-                b -= lr * g
-            for W, g in zip(params.head_weights, grads.head_weights):
-                W -= lr * g
-            for b, g in zip(params.head_biases, grads.head_biases):
-                b -= lr * g
+            for p, g in zip(
+                params.weights + params.biases + params.head_weights + params.head_biases,
+                grads.weights + grads.biases + grads.head_weights + grads.head_biases,
+            ):
+                g *= lr
+                p -= g
         trace.append(full_loss())
     return params, trace
 
@@ -351,14 +382,17 @@ def train(
 def extract_deep_features(
     params: NetworkParams, inputs: np.ndarray, layer: str = "L2"
 ) -> np.ndarray:
-    """Post-sigmoid activations of the named hidden layer for each input row."""
+    """Post-sigmoid activations of the named hidden layer for each input row.
+
+    Computed in the dtype of the input and the parameters, like ``forward``.
+    """
     idx = params.arch.layer_index(layer)
-    x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    x = _as_float(inputs)
     if x.shape[1] != params.arch.input_dim:
         raise DimensionMismatch(
             f"input dim {x.shape[1]}, network expects {params.arch.input_dim}"
         )
     a = x
     for W, b in zip(params.weights[: idx + 1], params.biases[: idx + 1]):
-        a = _sigmoid(a @ W + b)
+        a = _sigmoid(_affine(a, W, b))
     return a

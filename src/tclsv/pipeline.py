@@ -140,7 +140,10 @@ def run_make_labels(manifest_path, config: ExperimentConfig, out_dir) -> labelin
 def _build_training_dataset(
     entries: list[ManifestEntry], config: ExperimentConfig, out_dir: Path
 ) -> tuple[network.LabeledDataset, network.NetworkArch]:
-    """Context-stacked dnn-train frames plus per-head labels per config.dnn.targets."""
+    """Context-stacked dnn-train frames plus per-head labels per config.dnn.targets.
+
+    The frames are cast to float32 once, here, so the network trains in float32.
+    """
     train_entries = by_split(entries, "dnn-train")
     if not train_entries:
         raise DataError("manifest has no usable dnn-train utterances")
@@ -169,7 +172,7 @@ def _build_training_dataset(
                     f"{entry.utterance_id}: label {int(vec.max())} out of range for"
                     f" {config.tcl.num_classes} classes"
                 )
-            utterances.append((feats.frames, len(vec)))
+            utterances.append((feats.frames.astype(np.float32), len(vec)))
             label_parts.append(vec)
         if not utterances:
             raise DataError("no labeled training frames; check labels.tsv")
@@ -186,7 +189,7 @@ def _build_training_dataset(
         speaker_parts, phrase_parts = [], []
         for entry in train_entries:
             feats = _load_features(out_dir, entry)
-            utterances.append((feats.frames, feats.num_frames))
+            utterances.append((feats.frames.astype(np.float32), feats.num_frames))
             speaker_parts.append(np.full(feats.num_frames, speaker_index[entry.speaker_id]))
             if want_phrase:
                 phrase_parts.append(np.full(feats.num_frames, phrase_index[entry.phrase_id]))
@@ -224,6 +227,8 @@ def run_train_dnn(
 def run_extract_bn(manifest_path, config: ExperimentConfig, out_dir) -> pca.PcaModel:
     """Deep features at the configured layer -> per-utterance CMVN -> PCA projection.
 
+    The network runs in float32; its outputs go back to float64 for CMVN and PCA.
+
     The projection is fitted on the pooled normalized frames of the
     ``bn.fit_split`` utterances, then applied to every utterance.
     """
@@ -231,15 +236,16 @@ def run_extract_bn(manifest_path, config: ExperimentConfig, out_dir) -> pca.PcaM
     model_path = out_dir / "dnn" / "model.tcln"
     if not model_path.exists():
         raise MissingArtifact(f"{model_path}: run train-dnn first")
-    params = storage.read_network(model_path)
+    params = storage.read_network(model_path).astype(np.float32)
     entries = _usable(read_manifest(manifest_path), out_dir)
     left, right = config.dnn.context_left, config.dnn.context_right
 
     def normalized(entry: ManifestEntry) -> np.ndarray:
-        feats = _load_features(out_dir, entry)
+        frames = _load_features(out_dir, entry).frames.astype(np.float32)
         deep = network.extract_deep_features(
-            params, network.stack_context(feats, left, right), config.bn.layer
+            params, network.stack_context(frames, left, right), config.bn.layer
         )
+        deep = deep.astype(np.float64)
         return cmvn(FeatureMatrix(frames=deep, utterance_id=entry.utterance_id)).frames
 
     # Only the fit utterances' deep features are held at once; every other

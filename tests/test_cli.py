@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tclsv import cli, gmm, labeling, pipeline, storage
+from tclsv import cli, gmm, labeling, network, pipeline, storage
 from tclsv.config import load_config
 from tclsv.manifest import read_manifest
 from tclsv.synthcorpus import CorpusSpec, generate_corpus
@@ -320,3 +320,38 @@ def test_make_labels_reads_archive_headers_only(tiny_corpus, config_path, tmp_pa
         expected, labeling.labels_by_utterance(labeling.label_utterances(utterances, config.tcl_config()))
     )
     assert (out / "labels" / "labels.tsv").read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("targets", ["tcl", "speaker"])
+def test_dnn_stages_compute_in_float32(tiny_corpus, config_path, tmp_path, monkeypatch, targets):
+    manifest, _ = tiny_corpus
+    out = tmp_path / "run"
+    for stage in ("extract-features", "make-labels"):
+        assert run_cli(stage, "--manifest", manifest, "--config", config_path, "--out", out) == 0
+    config = load_config(config_path).resolved(None)
+    config = replace(config, dnn=replace(config.dnn, targets=targets))
+    dtypes = set()
+    real_backward, real_extract = network.backward, network.extract_deep_features
+
+    def checked_backward(params, batch, task_weights=None):
+        grads = real_backward(params, batch, task_weights)
+        for arrays in (params.weights, params.biases, grads.weights, grads.head_biases):
+            dtypes.update(a.dtype for a in arrays)
+        return grads
+
+    def checked_extract(params, inputs, layer="L2"):
+        deep = real_extract(params, inputs, layer)
+        dtypes.update(a.dtype for a in (inputs, deep, *params.weights, *params.biases))
+        return deep
+
+    monkeypatch.setattr(network, "backward", checked_backward)
+    monkeypatch.setattr(network, "extract_deep_features", checked_extract)
+    params, _ = pipeline.run_train_dnn(manifest, config, out)
+    pipeline.run_extract_bn(manifest, config, out)
+    assert dtypes == {np.dtype(np.float32)}
+
+    # the model file keeps its float64 format; the upcast loses nothing
+    stored = storage.read_network(out / "dnn" / "model.tcln")
+    for got, trained in zip(stored.weights + stored.head_biases, params.weights + params.head_biases):
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, trained)

@@ -141,9 +141,16 @@ def test_sigmoid_bitwise_equal_to_masked_formula():
     blocks = [rng.standard_normal((64, 33)) * scale for scale in (1, 10, 40, 200, 800)]
     extremes = np.array([0.0, -0.0, 745.0, -745.0, 1e-300, -1e-300, 709.8, -709.8,
                          5e-324, -5e-324, np.inf, -np.inf])
-    for z in blocks + [extremes, extremes.reshape(3, 4)]:
+    # float32 exp overflows above 88.72 and underflows to 0 below -103.98
+    extremes32 = np.array([0.0, -0.0, 88.72, -88.72, 88.73, -88.73, 103.97, -103.97,
+                           103.98, -103.98, 1e-45, -1e-45, 745.0, -745.0, np.inf, -np.inf,
+                           np.nan, -np.nan], dtype=np.float32)
+    cases = blocks + [extremes, extremes.reshape(3, 4), np.array([np.nan, -np.nan])]
+    cases += [block.astype(np.float32) for block in blocks] + [extremes32, extremes32.reshape(3, 6)]
+    for z in cases:
         got = _sigmoid(z)
         assert got.shape == z.shape
+        assert got.dtype == z.dtype
         np.testing.assert_array_equal(got, masked(z))
 
 
@@ -460,3 +467,189 @@ def test_extract_unknown_layer():
     arch = NetworkArch(input_dim=2, hidden_layers=(3,), output_heads=(("y", 2),))
     with pytest.raises(UnknownLayer):
         extract_deep_features(init_network(arch, 0), np.zeros((1, 2)), "L2")
+
+
+# --- dtype of the compute path; float64 results against reference copies of the plain loops ---
+
+
+def reference_sigmoid(z):
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.divide(np.where(z >= 0, 1.0, e), d, out=d)
+
+
+def reference_forward(params, input_batch):
+    x = np.atleast_2d(np.asarray(input_batch, dtype=np.float64))
+    hidden = []
+    a = x
+    for W, b in zip(params.weights, params.biases):
+        a = reference_sigmoid(a @ W + b)
+        hidden.append(a)
+    log_posts = [
+        network._log_softmax(a @ W + b)
+        for W, b in zip(params.head_weights, params.head_biases)
+    ]
+    return network.ForwardPass(hidden=hidden, head_log_posteriors=log_posts)
+
+
+def reference_backward(params, batch, task_weights):
+    arch = params.arch
+    x = np.atleast_2d(np.asarray(batch.inputs, dtype=np.float64))
+    fp = reference_forward(params, x)
+    m = x.shape[0]
+    last = fp.hidden[-1] if fp.hidden else x
+
+    g_head_w, g_head_b = [], []
+    delta_into_hidden = np.zeros_like(last)
+    for h, (name, _) in enumerate(arch.output_heads):
+        y = batch.labels[name]
+        post = np.exp(fp.head_log_posteriors[h])
+        post[np.arange(m), y] -= 1.0
+        delta = post * (task_weights[h] / m)
+        g_head_w.append(last.T @ delta)
+        g_head_b.append(delta.sum(axis=0))
+        delta_into_hidden += delta @ params.head_weights[h].T
+
+    g_w = [None] * len(params.weights)
+    g_b = [None] * len(params.biases)
+    delta = delta_into_hidden
+    for layer in range(len(params.weights) - 1, -1, -1):
+        a = fp.hidden[layer]
+        delta = delta * a * (1.0 - a)
+        below = fp.hidden[layer - 1] if layer > 0 else x
+        g_w[layer] = below.T @ delta
+        g_b[layer] = delta.sum(axis=0)
+        delta = delta @ params.weights[layer].T
+    return Gradients(g_w, g_b, g_head_w, g_head_b)
+
+
+def reference_train(dataset, arch, config):
+    task_weights = config.task_weights
+    params = init_network(arch, config.init_seed)
+    label_order = [dataset.labels[name] for name, _ in arch.output_heads]
+    n, step = dataset.num_rows, config.minibatch_size
+
+    def full_loss():
+        picked = [np.empty(n) for _ in label_order]
+        for start in range(0, n, step):
+            rows = slice(start, start + step)
+            fp = reference_forward(params, dataset.inputs[rows])
+            parts = network._picked_log_posteriors(fp, [y[rows] for y in label_order])
+            for vec, part in zip(picked, parts):
+                vec[rows] = part
+        return network._weighted_mean_loss(picked, task_weights)
+
+    trace = [full_loss()]
+    rng = np.random.default_rng(config.shuffle_seed)
+    lr = config.learning_rate
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, step):
+            sel = order[start : start + step]
+            batch = LabeledDataset(
+                inputs=dataset.inputs[sel],
+                labels={name: vec[sel] for name, vec in dataset.labels.items()},
+            )
+            grads = reference_backward(params, batch, task_weights)
+            for W, g in zip(params.weights, grads.weights):
+                W -= lr * g
+            for b, g in zip(params.biases, grads.biases):
+                b -= lr * g
+            for W, g in zip(params.head_weights, grads.head_weights):
+                W -= lr * g
+            for b, g in zip(params.head_biases, grads.head_biases):
+                b -= lr * g
+        trace.append(full_loss())
+    return params, trace
+
+
+def all_arrays(obj):
+    return obj.weights + obj.biases + obj.head_weights + obj.head_biases
+
+
+def test_float64_gradients_equal_previous_backward():
+    arch = NetworkArch(input_dim=7, hidden_layers=(9, 6, 5), output_heads=(("a", 4), ("b", 3)))
+    params = init_network(arch, seed=41)
+    rng = np.random.default_rng(42)
+    for b in params.biases + params.head_biases:
+        b[:] = rng.normal(0.0, 0.5, b.shape)
+    batch = LabeledDataset(
+        inputs=rng.standard_normal((33, 7)),
+        labels={"a": rng.integers(0, 4, 33), "b": rng.integers(0, 3, 33)},
+    )
+    got = backward(params, batch, (0.3, 0.7))
+    want = reference_backward(params, batch, (0.3, 0.7))
+    for g, w in zip(all_arrays(got), all_arrays(want)):
+        assert g.dtype == np.float64
+        np.testing.assert_array_equal(g, w)
+
+
+def test_float64_training_equals_previous_trainer():
+    rng = np.random.default_rng(43)
+    utterances = [(rng.standard_normal((n, 4)), k) for n, k in ((40, 40), (3, 3), (31, 20))]
+    view = context_windows(utterances, left=2, right=1)
+    labels = {"a": rng.integers(0, 5, len(view)), "b": rng.integers(0, 2, len(view))}
+    arch = NetworkArch(input_dim=16, hidden_layers=(12, 8), output_heads=(("a", 5), ("b", 2)))
+    config = TrainConfig(learning_rate=0.3, epochs=3, minibatch_size=10,
+                         init_seed=4, shuffle_seed=5, task_weights=(0.6, 0.4))
+    dataset = LabeledDataset(inputs=view, labels=labels)
+    params, trace = train(dataset, arch, config)
+    want_params, want_trace = reference_train(dataset, arch, config)
+    assert trace == want_trace
+    for got, want in zip(all_arrays(params), all_arrays(want_params)):
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+
+
+def test_float32_training_stays_float32_and_is_deterministic(monkeypatch):
+    real_forward, real_backward = network.forward, network.backward
+    seen = []
+
+    def checked_forward(params, batch):
+        fp = real_forward(params, batch)
+        seen.extend(fp.hidden + fp.head_log_posteriors)
+        return fp
+
+    def checked_backward(params, batch, task_weights=None):
+        grads = real_backward(params, batch, task_weights)
+        seen.extend(all_arrays(params) + all_arrays(grads))
+        return grads
+
+    monkeypatch.setattr(network, "forward", checked_forward)
+    monkeypatch.setattr(network, "backward", checked_backward)
+    rng = np.random.default_rng(44)
+    frames = [(rng.standard_normal((n, 5)).astype(np.float32), n) for n in (30, 17, 9)]
+    view = context_windows(frames, left=1, right=1)
+    labels = {"a": rng.integers(0, 3, len(view)), "b": rng.integers(0, 4, len(view))}
+    arch = NetworkArch(input_dim=15, hidden_layers=(16, 8), output_heads=(("a", 3), ("b", 4)))
+    config = TrainConfig(learning_rate=0.2, epochs=2, minibatch_size=8,
+                         init_seed=6, shuffle_seed=7, task_weights=(0.5, 0.5))
+    dataset = LabeledDataset(inputs=view, labels=labels)
+    p1, t1 = train(dataset, arch, config)
+    assert seen and {a.dtype for a in seen} == {np.dtype(np.float32)}
+    assert {a.dtype for a in all_arrays(p1)} == {np.dtype(np.float32)}
+    p2, t2 = train(dataset, arch, config)
+    assert t1 == t2 and t1[-1] < t1[0]
+    for a, b in zip(all_arrays(p1), all_arrays(p2)):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_float32_extraction_matches_float64_on_paper_architecture():
+    arch = NetworkArch(input_dim=627, output_heads=(("tcl", 10),))
+    params = init_network(arch, seed=45)
+    x = np.random.default_rng(46).standard_normal((300, 627))
+    want = extract_deep_features(params, x, "L2")
+    got = extract_deep_features(params.astype(np.float32), x.astype(np.float32), "L2")
+    assert want.dtype == np.float64 and got.dtype == np.float32
+    assert np.max(np.abs(got - want)) <= 1e-4
+
+
+def test_params_astype_shares_arrays_already_in_dtype():
+    arch = NetworkArch(input_dim=3, hidden_layers=(4,), output_heads=(("y", 2),))
+    params = init_network(arch, seed=47)
+    assert all(a is b for a, b in zip(all_arrays(params.astype(np.float64)), all_arrays(params)))
+    single = params.astype(np.float32)
+    assert single.arch == arch and single.rng_seed == 47
+    for a, b in zip(all_arrays(single), all_arrays(params)):
+        assert a.dtype == np.float32
+        np.testing.assert_array_equal(a, b.astype(np.float32))

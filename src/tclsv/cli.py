@@ -15,7 +15,6 @@ from pathlib import Path
 from . import labeling, metrics, pipeline
 from .config import load_config
 from .errors import DataError
-from .synthcorpus import CorpusSpec, generate_corpus
 
 STAGES = (
     ("extract-features", "compute frontend features for every manifest entry"),
@@ -65,6 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "make-corpus":
+        from .synthcorpus import CorpusSpec, generate_corpus  # the only stage that needs scipy
+
         spec = CorpusSpec(num_speakers=args.speakers, takes_per_phrase=args.takes, seed=args.seed)
         manifest_path, trials_path = generate_corpus(args.out, spec)
         print(f"wrote {manifest_path} and {trials_path}")

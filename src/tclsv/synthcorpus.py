@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.signal
 
 from .frontend import AudioSignal, write_wav
 from .manifest import ManifestEntry, write_manifest
@@ -61,6 +60,10 @@ def speaker_voice(index: int) -> SpeakerVoice:
 
 
 def _resonator(noise: np.ndarray, freq_hz: float, bandwidth_hz: float, rate: int) -> np.ndarray:
+    # scipy is imported here, not at module level, so that only ``make-corpus``
+    # pays its start-up; lfilter keeps the corpus bytes those of earlier releases.
+    import scipy.signal
+
     r = np.exp(-np.pi * bandwidth_hz / rate)
     theta = 2.0 * np.pi * freq_hz / rate
     filtered = scipy.signal.lfilter([1.0 - r], [1.0, -2.0 * r * np.cos(theta), r * r], noise)

@@ -2,13 +2,18 @@
 and rerun determinism on a tiny synthetic corpus.
 """
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tclsv
 from tclsv import cli, gmm, labeling, network, pipeline, storage
 from tclsv.config import load_config
 from tclsv.manifest import read_manifest
@@ -148,6 +153,42 @@ def test_make_corpus_layout(tmp_path):
     assert (tmp_path / "c" / "trials.tsv").exists()
     wavs = list((tmp_path / "c" / "wavs").glob("*.wav"))
     assert len(wavs) == 2 * 5 * 2  # speakers x phrases x takes
+
+
+# SHA-256 of the corpus below as written before scipy became a lazy import of
+# make-corpus; every benchmark corpus is generated by the same code.
+PINNED_CORPUS_SHA256 = "72ef9b59862c1b913c5c069a7ebb06f01e90f2d6b13edeec0b05fa371caa1bfe"
+
+
+def test_make_corpus_bytes_are_pinned(tmp_path):
+    out = tmp_path / "c"
+    assert run_cli("make-corpus", "--out", out, "--speakers", 2, "--takes", 2, "--seed", 3) == 0
+    wavs = sorted(f"wavs/{p.name}" for p in (out / "wavs").glob("*.wav"))
+    digest = hashlib.sha256()
+    for rel in ["manifest.tsv", "trials.tsv", *wavs]:
+        digest.update(rel.encode() + b"\0" + (out / rel).read_bytes())
+    assert digest.hexdigest() == PINNED_CORPUS_SHA256
+
+
+def test_stages_never_import_scipy(tiny_corpus, config_path, tmp_path):
+    # scipy costs most of a process's start-up and only make-corpus uses it.
+    manifest, trials = tiny_corpus
+    script = (
+        "import sys\n"
+        "from tclsv import cli\n"
+        "assert 'scipy' not in sys.modules, 'import'\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy' not in sys.modules, 'run'\n"
+    )
+    src = str(Path(tclsv.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["run", "--manifest", manifest, "--trials", trials, "--config", config_path, "--out", tmp_path / "run"]
+    result = subprocess.run(
+        [sys.executable, "-c", script, *map(str, argv)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 # --- stage behavior ---

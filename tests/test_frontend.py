@@ -18,6 +18,7 @@ from tclsv.frontend import (
     apply_vad,
     cmvn,
     compute_mfcc,
+    dct_matrix,
     extract_features,
     frame_signal,
     mel_filterbank,
@@ -125,6 +126,16 @@ def test_mel_filterbank_matches_formula_oracle():
 # --- MFCC ---
 
 
+def cosine_sum_dct(x: np.ndarray) -> np.ndarray:
+    """Orthonormal DCT-II of a vector by its cosine-sum definition."""
+    N = len(x)
+    out = np.empty(N)
+    for k in range(N):
+        scale = np.sqrt(1.0 / N) if k == 0 else np.sqrt(2.0 / N)
+        out[k] = scale * sum(x[n] * np.cos(np.pi * (2 * n + 1) * k / (2 * N)) for n in range(N))
+    return out
+
+
 def test_mfcc_matches_direct_evaluation_oracle():
     """Whole MFCC stage vs an explicit-formula oracle (direct DFT, literal
     triangle weights, cosine-sum DCT) on a 1 kHz tone, to 1e-6."""
@@ -145,13 +156,34 @@ def test_mfcc_matches_direct_evaluation_oracle():
                 acc += frame[n] * np.exp(-2j * np.pi * k * n / n_fft)
             spectrum[k] = abs(acc)
         log_mel = np.log(np.maximum(fbank @ spectrum, LOG_FLOOR))
-        # orthonormal DCT-II by the cosine-sum definition
-        N = num_filters
-        ceps = np.empty(N)
-        for k in range(N):
-            scale = np.sqrt(1.0 / N) if k == 0 else np.sqrt(2.0 / N)
-            ceps[k] = scale * np.sum(log_mel * np.cos(np.pi * (2 * np.arange(N) + 1) * k / (2 * N)))
-        np.testing.assert_allclose(got.frames[f], ceps[1:20], atol=1e-6)
+        np.testing.assert_allclose(got.frames[f], cosine_sum_dct(log_mel)[1:20], atol=1e-6)
+
+
+@pytest.mark.parametrize("n", [2, 20, 24, 40])
+def test_dct_matrix_matches_cosine_sum_definition(n):
+    basis = dct_matrix(n)
+    assert basis.shape == (n, n)
+    np.testing.assert_allclose(basis.T @ basis, np.eye(n), atol=1e-12)
+    x = np.random.default_rng(n).standard_normal((3, n)) * 5.0
+    for row in range(3):
+        np.testing.assert_allclose(x[row] @ basis, cosine_sum_dct(x[row]), atol=1e-12)
+
+
+def test_mfcc_dct_follows_num_mel_filters():
+    # the cached DCT basis is keyed by the filter count: mixing counts in one
+    # process must give each config its own cepstra
+    signal = noise_signal(seconds=0.1, seed=6)
+    for num_filters, num_ceps in ((24, 19), (40, 13), (20, 12), (24, 19)):
+        config = FrontendConfig(num_mel_filters=num_filters, num_static_ceps=num_ceps)
+        windowed = frame_signal(signal, config)
+        got = compute_mfcc(windowed, config)
+        assert got.dim == num_ceps
+
+        spectrum = np.abs(np.fft.rfft(windowed.frames, n=512, axis=1))
+        log_mel = np.log(np.maximum(spectrum @ mel_filterbank(num_filters, 512, RATE).T, LOG_FLOOR))
+        log_mel = apply_rasta(log_mel)
+        for f in (0, got.num_frames - 1):
+            np.testing.assert_allclose(got.frames[f], cosine_sum_dct(log_mel[f])[1 : num_ceps + 1], atol=1e-6)
 
 
 def test_mfcc_keeps_c1_to_c19():
@@ -200,21 +232,23 @@ def test_mfcc_amplitude_scale_invariance_after_cmvn():
 
 
 def test_rasta_matches_difference_equation_oracle():
+    # lengths below, at and across the RASTA_BLOCK (64) boundaries
     rng = np.random.default_rng(11)
-    x = rng.standard_normal((40, 3))
-    got = apply_rasta(x)
+    for num_frames in (1, 2, 5, 40, 63, 64, 65, 129, 1000):
+        x = rng.standard_normal((num_frames, 3))
+        got = apply_rasta(x)
 
-    y = np.zeros_like(x)
-    for col in range(x.shape[1]):
-        for t in range(x.shape[0]):
-            acc = 0.0
-            for i, b in enumerate([0.2, 0.1, 0.0, -0.1, -0.2]):
-                if t - i >= 0:
-                    acc += b * x[t - i, col]
-            if t - 1 >= 0:
-                acc += 0.98 * y[t - 1, col]
-            y[t, col] = acc
-    np.testing.assert_allclose(got, y, atol=1e-10)
+        y = np.zeros_like(x)
+        for col in range(x.shape[1]):
+            for t in range(x.shape[0]):
+                acc = 0.0
+                for i, b in enumerate([0.2, 0.1, 0.0, -0.1, -0.2]):
+                    if t - i >= 0:
+                        acc += b * x[t - i, col]
+                if t - 1 >= 0:
+                    acc += 0.98 * y[t - 1, col]
+                y[t, col] = acc
+        np.testing.assert_allclose(got, y, atol=1e-10, err_msg=f"T={num_frames}")
 
 
 def test_rasta_rejects_constant_trajectories():
@@ -400,6 +434,39 @@ def test_extract_features_shape_and_normalization():
     assert feats.num_frames > 1
     np.testing.assert_allclose(feats.frames.mean(axis=0), 0.0, atol=1e-6)
     np.testing.assert_allclose(feats.frames.var(axis=0), 1.0, atol=1e-4)
+
+
+def degenerate_signal(kind: str, rate: int, level: float, seed: int) -> AudioSignal:
+    frame_len = int(round(20.0 * rate / 1000.0))
+    n = frame_len if kind == "one-frame" else int(0.3 * rate)
+    if kind == "silence":
+        samples = np.zeros(n)
+    elif kind == "dc":
+        samples = np.full(n, level)
+    elif kind == "clipped":
+        samples = np.clip(50.0 * np.random.default_rng(seed).standard_normal(n), -1.0, 1.0)
+    else:  # one frame of noise at the given level
+        samples = level * np.random.default_rng(seed).standard_normal(n)
+    return AudioSignal(samples=samples, sample_rate_hz=rate)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    kind=st.sampled_from(["silence", "dc", "clipped", "one-frame"]),
+    rate=st.sampled_from([8000, 16000, 48000]),
+    level=st.floats(min_value=-1.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**31),
+    rasta=st.booleans(),
+)
+def test_extract_features_degenerate_audio_is_finite_or_data_error(kind, rate, level, seed, rasta):
+    signal = degenerate_signal(kind, rate, level, seed)
+    try:
+        feats = extract_features(signal, FrontendConfig(rasta_enabled=rasta))
+    except DataError:
+        return
+    assert feats.dim == 57
+    assert feats.num_frames >= 1
+    assert np.all(np.isfinite(feats.frames))
 
 
 def test_extract_features_deterministic():

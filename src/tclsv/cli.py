@@ -84,7 +84,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         print("frames per class: " + " ".join(str(counts[c]) for c in sorted(counts)))
     elif args.command == "train-dnn":
         _, trace = pipeline.run_train_dnn(args.manifest, config, out)
-        print(f"training loss {trace[0]:.6f} -> {trace[-1]:.6f} over {len(trace) - 1} epochs")
+        print(f"training loss {pipeline.loss_trace_summary(trace)}")
     elif args.command == "extract-bn":
         projection = pipeline.run_extract_bn(args.manifest, config, out)
         print(f"projection {projection.input_dim} -> {projection.output_dim} dims")

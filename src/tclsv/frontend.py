@@ -9,7 +9,8 @@ Only numpy is needed: the DCT-II is a product with a cached orthonormal basis
 matrix, and the RASTA IIR runs as a vectorised FIR part plus its one-pole
 recurrence solved a block of frames at a time.  Neither is bit-identical to
 ``scipy.fft.dct`` / ``scipy.signal.lfilter``; both agree with them to
-rounding error (about 1e-15 relative).
+rounding error (about 1e-15 relative).  The mel filterbank is cached too, so
+it is built once per configuration rather than once per utterance.
 """
 
 from __future__ import annotations
@@ -178,8 +179,12 @@ def _mel_inv(mel: np.ndarray | float) -> np.ndarray | float:
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@cache
 def mel_filterbank(num_filters: int, n_fft: int, sample_rate_hz: int) -> np.ndarray:
-    """Triangular mel filterbank spanning 0 Hz to Nyquist; num_filters x (n_fft//2+1)."""
+    """Triangular mel filterbank spanning 0 Hz to Nyquist.
+
+    A cached, read-only num_filters x (n_fft//2+1) matrix.
+    """
     bin_freqs = np.arange(n_fft // 2 + 1) * (sample_rate_hz / n_fft)
     edges_hz = _mel_inv(np.linspace(0.0, _mel(sample_rate_hz / 2.0), num_filters + 2))
     weights = np.zeros((num_filters, len(bin_freqs)))
@@ -188,6 +193,7 @@ def mel_filterbank(num_filters: int, n_fft: int, sample_rate_hz: int) -> np.ndar
         rising = (bin_freqs - lo) / (mid - lo)
         falling = (hi - bin_freqs) / (hi - mid)
         weights[m] = np.maximum(0.0, np.minimum(rising, falling))
+    weights.flags.writeable = False
     return weights
 
 

@@ -142,6 +142,9 @@ class Gradients:
     biases: list[np.ndarray]
     head_weights: list[np.ndarray]
     head_biases: list[np.ndarray]
+    # Per head, each batch row's log posterior of its true class, taken from
+    # the forward pass the gradients were computed from.
+    picked_log_posteriors: list[np.ndarray] = field(default_factory=list)
 
 
 def _context_index(num_frames: int, left: int, right: int) -> np.ndarray:
@@ -296,10 +299,12 @@ def backward(
     m = x.shape[0]
     last = fp.hidden[-1] if fp.hidden else x
 
+    labels = [batch.labels[name] for name, _ in arch.output_heads]
+    picked = _picked_log_posteriors(fp, labels)
+
     g_head_w, g_head_b = [], []
     delta_into_hidden = np.zeros_like(last)
-    for h, (name, _) in enumerate(arch.output_heads):
-        y = batch.labels[name]
+    for h, y in enumerate(labels):
         post = np.exp(fp.head_log_posteriors[h])
         post[np.arange(m), y] -= 1.0
         delta = post * (task_weights[h] / m)
@@ -318,7 +323,7 @@ def backward(
         g_b[layer] = delta.sum(axis=0)
         if layer > 0:  # no gradient flows into the inputs
             delta = delta @ params.weights[layer].T
-    return Gradients(g_w, g_b, g_head_w, g_head_b)
+    return Gradients(g_w, g_b, g_head_w, g_head_b, picked)
 
 
 def train(
@@ -326,11 +331,14 @@ def train(
 ) -> tuple[NetworkParams, list[float]]:
     """Plain minibatch SGD; returns the trained parameters and the loss trace.
 
-    The trace holds the full-dataset loss before training and after each
-    epoch, evaluated ``minibatch_size`` rows at a time.  Minibatch order is
-    drawn from ``config.shuffle_seed``, parameter initialization from
-    ``config.init_seed``; reruns are bit-identical.  The parameters are cast
-    to the inputs' dtype, so float32 inputs train in float32.
+    The trace has one entry per epoch: the weighted mean, over every training
+    row, of the row's negative log posterior of its true class, as computed by
+    the forward pass of that row's minibatch in that epoch, before the
+    minibatch's update.  It costs no forward pass beyond the ones SGD makes.
+    Minibatch order is drawn from ``config.shuffle_seed``, parameter
+    initialization from ``config.init_seed``; reruns are bit-identical.  The
+    parameters are cast to the inputs' dtype, so float32 inputs train in
+    float32.
     """
     if dataset.num_rows == 0:
         raise DataError("training dataset is empty")
@@ -342,22 +350,11 @@ def train(
         raise DataError("task_weights must have one entry per head")
 
     params = init_network(arch, config.init_seed).astype(_as_float(dataset.inputs[:1]).dtype)
-    label_order = [dataset.labels[name] for name, _ in arch.output_heads]
     n, step = dataset.num_rows, config.minibatch_size
-
-    def full_loss() -> float:
-        # One minibatch of activations at a time; the mean is still taken
-        # over the whole vector, so the value matches one full-batch pass.
-        picked = [np.empty(n) for _ in label_order]
-        for start in range(0, n, step):
-            rows = slice(start, start + step)
-            fp = forward(params, dataset.inputs[rows])
-            parts = _picked_log_posteriors(fp, [y[rows] for y in label_order])
-            for vec, part in zip(picked, parts):
-                vec[rows] = part
-        return _weighted_mean_loss(picked, task_weights)
-
-    trace = [full_loss()]
+    # Indexed by dataset row, not by shuffled position, so the epoch's mean is
+    # taken in the same order as one full-batch pass would take it.
+    picked = [np.empty(n) for _ in arch.output_heads]
+    trace = []
     rng = np.random.default_rng(config.shuffle_seed)
     lr = config.learning_rate
     for _ in range(config.epochs):
@@ -369,13 +366,15 @@ def train(
                 labels={name: vec[sel] for name, vec in dataset.labels.items()},
             )
             grads = backward(params, batch, task_weights)
+            for vec, part in zip(picked, grads.picked_log_posteriors):
+                vec[sel] = part
             for p, g in zip(
                 params.weights + params.biases + params.head_weights + params.head_biases,
                 grads.weights + grads.biases + grads.head_weights + grads.head_biases,
             ):
                 g *= lr
                 p -= g
-        trace.append(full_loss())
+        trace.append(_weighted_mean_loss(picked, task_weights))
     return params, trace
 
 

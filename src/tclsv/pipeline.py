@@ -208,6 +208,13 @@ def _build_training_dataset(
     return network.LabeledDataset(inputs=inputs, labels=labels), arch
 
 
+def loss_trace_summary(trace: list[float]) -> str:
+    """The first and last epoch's mean training loss, and the number of epochs."""
+    if len(trace) == 1:
+        return f"{trace[0]:.6f} over 1 epoch"
+    return f"{trace[0]:.6f} -> {trace[-1]:.6f} over {len(trace)} epochs"
+
+
 def run_train_dnn(
     manifest_path, config: ExperimentConfig, out_dir
 ) -> tuple[network.NetworkParams, list[float]]:
@@ -219,7 +226,7 @@ def run_train_dnn(
     dnn_dir.mkdir(parents=True, exist_ok=True)
     storage.write_network(dnn_dir / "model.tcln", params)
     storage.atomic_write_text(dnn_dir / "loss_trace.txt", "".join(f"{v:.12g}\n" for v in trace))
-    logger.info("dnn loss %.6f -> %.6f over %d epochs", trace[0], trace[-1], len(trace) - 1)
+    logger.info("dnn loss %s", loss_trace_summary(trace))
     _snapshot(config, out_dir, "train-dnn")
     return params, trace
 

@@ -4,6 +4,7 @@ and rerun determinism on a tiny synthetic corpus.
 
 import hashlib
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import tclsv
-from tclsv import cli, gmm, labeling, network, pipeline, storage
+from tclsv import cli, frontend, gmm, labeling, network, pipeline, storage
 from tclsv.config import load_config
 from tclsv.manifest import read_manifest
 from tclsv.synthcorpus import CorpusSpec, generate_corpus
@@ -208,6 +209,20 @@ def test_extract_features_writes_archives_and_snapshot(tiny_corpus, config_path,
     assert snapshot["tcl"]["shuffle_seed"] == 11 + 101  # resolved before the snapshot
 
 
+def test_feature_archives_do_not_depend_on_the_filterbank_cache(tiny_corpus, config_path, tmp_path, monkeypatch):
+    manifest, _ = tiny_corpus
+    cached, fresh = tmp_path / "cached", tmp_path / "fresh"
+    assert run_cli("extract-features", "--manifest", manifest, "--config", config_path, "--out", cached) == 0
+    # rebuild the filterbank for every utterance, as before it was cached
+    monkeypatch.setattr(frontend, "mel_filterbank", frontend.mel_filterbank.__wrapped__)
+    assert run_cli("extract-features", "--manifest", manifest, "--config", config_path, "--out", fresh) == 0
+    archives = sorted(p.name for p in (cached / "features").glob("*.tclf"))
+    assert len(archives) == 3 * 5 * 2
+    assert archives == sorted(p.name for p in (fresh / "features").glob("*.tclf"))
+    for name in archives:
+        assert (cached / "features" / name).read_bytes() == (fresh / "features" / name).read_bytes(), name
+
+
 def test_corrupt_wav_is_isolated(tmp_path, config_path, capsys):
     corpus = tmp_path / "corpus"
     manifest_path, _ = generate_corpus(corpus, CorpusSpec(num_speakers=2, takes_per_phrase=2, seed=3))
@@ -277,6 +292,26 @@ def test_rerun_is_byte_identical(tiny_corpus, config_path, tmp_path, capsys):
         assert path_a.read_bytes() == path_b.read_bytes(), path_a
         compared += 1
     assert compared > 10
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_loss_trace_has_one_line_per_epoch(tiny_corpus, tmp_path, capsys, caplog, epochs):
+    manifest, _ = tiny_corpus
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({**TINY_CONFIG, "dnn": {**TINY_CONFIG["dnn"], "epochs": epochs}}),
+                           encoding="utf-8")
+    out = tmp_path / "run"
+    for stage in ("extract-features", "make-labels"):
+        assert run_cli(stage, "--manifest", manifest, "--config", config_path, "--out", out) == 0
+    capsys.readouterr()
+    caplog.set_level(logging.INFO, logger="tclsv.pipeline")
+    assert run_cli("train-dnn", "--manifest", manifest, "--config", config_path, "--out", out) == 0
+    lines = (out / "dnn" / "loss_trace.txt").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == epochs
+    first, last = (f"{float(v):.6f}" for v in (lines[0], lines[-1]))
+    want = f"{first} over 1 epoch" if epochs == 1 else f"{first} -> {last} over {epochs} epochs"
+    assert capsys.readouterr().out == f"training loss {want}\n"
+    assert f"dnn loss {want}" in caplog.messages
 
 
 def test_seed_override_changes_models(tiny_corpus, config_path, tmp_path, capsys):

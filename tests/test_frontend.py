@@ -123,6 +123,21 @@ def test_mel_filterbank_matches_formula_oracle():
             assert fbank[m, j] == pytest.approx(expected, abs=1e-12)
 
 
+def test_mel_filterbank_is_cached_read_only_and_equal_to_a_fresh_build():
+    fbank = mel_filterbank(24, 512, RATE)
+    assert mel_filterbank(24, 512, RATE) is fbank
+    assert not fbank.flags.writeable
+    with pytest.raises(ValueError):
+        fbank[0, 0] = 1.0
+    fresh = mel_filterbank.__wrapped__(24, 512, RATE)
+    assert fresh is not fbank
+    assert np.array_equal(fbank, fresh)
+    # each key gets its own matrix
+    assert mel_filterbank(40, 512, RATE).shape == (40, 257)
+    assert mel_filterbank(24, 1024, RATE).shape == (24, 513)
+    assert not np.array_equal(mel_filterbank(24, 512, 2 * RATE), fbank)
+
+
 # --- MFCC ---
 
 

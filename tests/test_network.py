@@ -2,6 +2,8 @@
 a central finite-difference oracle, and trainer behavior on toy data.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -342,7 +344,7 @@ def test_training_reduces_loss_on_separable_data():
     arch = NetworkArch(input_dim=2, hidden_layers=(8,), output_heads=(("y", 2),))
     config = TrainConfig(learning_rate=0.5, epochs=10, minibatch_size=16, init_seed=1, shuffle_seed=2)
     params, trace = train(separable_dataset(), arch, config)
-    assert len(trace) == 11
+    assert len(trace) == 10
     assert trace[-1] < trace[0]
     fp = forward(params, separable_dataset().inputs)
     accuracy = np.mean(fp.head_posteriors[0].argmax(axis=1) == separable_dataset().labels["y"])
@@ -352,11 +354,15 @@ def test_training_reduces_loss_on_separable_data():
 def test_training_zero_learning_rate_keeps_parameters():
     arch = NetworkArch(input_dim=2, hidden_layers=(4,), output_heads=(("y", 2),))
     config = TrainConfig(learning_rate=0.0, epochs=3, minibatch_size=8, init_seed=5)
-    params, trace = train(separable_dataset(20), arch, config)
+    data = separable_dataset(20)
+    params, trace = train(data, arch, config)
     fresh = init_network(arch, seed=5)
     for got, want in zip(params.weights + params.head_weights, fresh.weights + fresh.head_weights):
         assert np.array_equal(got, want)
-    assert trace[0] == trace[-1]
+    # every epoch's trace entry is the full-batch loss of the initial parameters,
+    # bit for bit: the minibatch values are scattered back into row order
+    full_batch = _loss_from_log(forward(fresh, data.inputs), [data.labels["y"]], config.task_weights)
+    assert trace == [full_batch] * config.epochs
 
 
 def test_training_is_bit_deterministic():
@@ -388,14 +394,18 @@ def test_training_loss_trace_forwards_one_minibatch_at_a_time(monkeypatch):
         return real_forward(params, batch)
 
     monkeypatch.setattr(network, "forward", recording_forward)
-    params, trace = train(LabeledDataset(inputs=x, labels=labels), arch, config)
+    dataset = LabeledDataset(inputs=x, labels=labels)
+    _, trace = train(dataset, arch, config)
     assert max(rows_seen) == minibatch
-    assert sum(rows_seen) == 3 * n + 2 * n  # three loss passes, two epochs of SGD
+    assert sum(rows_seen) == config.epochs * n  # the SGD passes only, no loss passes
+    assert len(trace) == config.epochs
 
+    # two heads, unequal task weights, a short last minibatch: with no updates
+    # each entry still equals one full-batch pass
+    _, flat = train(dataset, arch, replace(config, learning_rate=0.0))
     heads = [labels["a"], labels["b"]]
     initial = init_network(arch, config.init_seed)
-    assert trace[0] == _loss_from_log(real_forward(initial, x), heads, config.task_weights)
-    assert trace[-1] == _loss_from_log(real_forward(params, x), heads, config.task_weights)
+    assert flat == [_loss_from_log(real_forward(initial, x), heads, config.task_weights)] * config.epochs
 
 
 def test_training_on_context_windows_matches_stacked_matrix(monkeypatch):
@@ -528,18 +538,8 @@ def reference_train(dataset, arch, config):
     params = init_network(arch, config.init_seed)
     label_order = [dataset.labels[name] for name, _ in arch.output_heads]
     n, step = dataset.num_rows, config.minibatch_size
-
-    def full_loss():
-        picked = [np.empty(n) for _ in label_order]
-        for start in range(0, n, step):
-            rows = slice(start, start + step)
-            fp = reference_forward(params, dataset.inputs[rows])
-            parts = network._picked_log_posteriors(fp, [y[rows] for y in label_order])
-            for vec, part in zip(picked, parts):
-                vec[rows] = part
-        return network._weighted_mean_loss(picked, task_weights)
-
-    trace = [full_loss()]
+    picked = [np.empty(n) for _ in label_order]
+    trace = []
     rng = np.random.default_rng(config.shuffle_seed)
     lr = config.learning_rate
     for _ in range(config.epochs):
@@ -550,6 +550,10 @@ def reference_train(dataset, arch, config):
                 inputs=dataset.inputs[sel],
                 labels={name: vec[sel] for name, vec in dataset.labels.items()},
             )
+            # each row's log posterior of its true class, before this minibatch's update
+            fp = reference_forward(params, batch.inputs)
+            for vec, y, log_post in zip(picked, label_order, fp.head_log_posteriors):
+                vec[sel] = log_post[np.arange(len(sel)), y[sel]]
             grads = reference_backward(params, batch, task_weights)
             for W, g in zip(params.weights, grads.weights):
                 W -= lr * g
@@ -559,7 +563,10 @@ def reference_train(dataset, arch, config):
                 W -= lr * g
             for b, g in zip(params.head_biases, grads.head_biases):
                 b -= lr * g
-        trace.append(full_loss())
+        total = 0.0
+        for vec, w in zip(picked, task_weights):
+            total += w * float(-np.mean(vec))
+        trace.append(total)
     return params, trace
 
 

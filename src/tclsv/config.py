@@ -1,44 +1,36 @@
 """Experiment configuration: one JSON tree covering every pipeline stage.
 
 Any subset of keys may appear in a config file; missing values take the
-defaults below.  Seeds left as null are derived from the master seed so a
-single ``--seed`` reproduces the whole experiment.  The resolved tree is
-serialized next to every artifact for provenance.
+defaults below.  Each section is a frozen dataclass, defined in the module
+that reads it, that checks its own values.  Seeds left as null are derived
+from the master seed so a single ``--seed`` reproduces the whole experiment.
+The resolved tree is serialized next to every artifact for provenance.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import storage
 from .errors import DataError
 from .frontend import FrontendConfig
-from .gmm import MapConfig
+from .gmm import BackendConfig
 from .labeling import TclConfig
 from .manifest import SPLITS
 from .metrics import DcfParams
-from .network import NetworkArch, TrainConfig
-
-DNN_TARGETS = ("tcl", "speaker", "speaker+phrase")
+from .network import DnnConfig, NetworkArch
 
 
-@dataclass(frozen=True)
-class DnnConfig:
-    targets: str = "tcl"
-    hidden_layers: tuple[int, ...] = (1024,) * 6
-    context_left: int = 5
-    context_right: int = 5
-    learning_rate: float = 0.008
-    epochs: int = 20
-    minibatch_size: int = 256
-    init_seed: int | None = None
-    shuffle_seed: int | None = None
-
-    def __post_init__(self):
-        if self.targets not in DNN_TARGETS:
-            raise DataError(f"dnn.targets must be one of {DNN_TARGETS}")
+# (section, key, offset from the master seed) of every seed left to derive
+_DERIVED_SEEDS = (
+    ("tcl", "shuffle_seed", 101),
+    ("dnn", "init_seed", 201),
+    ("dnn", "shuffle_seed", 202),
+    ("backend", "init_seed", 301),
+)
 
 
 @dataclass(frozen=True)
@@ -47,121 +39,86 @@ class BnConfig:
     pca_dim: int = 57
     fit_split: str = "ubm-train"
 
-
-@dataclass(frozen=True)
-class BackendConfig:
-    feature_source: str = "bn"
-    num_mixtures: int = 512
-    em_iterations: int = 10
-    init_seed: int | None = None
-    relevance_factor: float = 10.0
-    map_iterations: int = 3
-
     def __post_init__(self):
-        if self.feature_source not in ("bn", "mfcc"):
-            raise DataError("backend.feature_source must be 'bn' or 'mfcc'")
-
-
-@dataclass(frozen=True)
-class TclSection:
-    mode: str = "utterance"
-    num_classes: int = 10
-    frames_per_segment: int = 6
-    shuffle_seed: int | None = None
+        if self.fit_split not in SPLITS:
+            raise DataError(f"bn.fit_split must be one of {SPLITS}, got {self.fit_split!r}")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     seed: int = 1234
     frontend: FrontendConfig = field(default_factory=FrontendConfig)
-    tcl: TclSection = field(default_factory=TclSection)
+    tcl: TclConfig = field(default_factory=TclConfig)
     dnn: DnnConfig = field(default_factory=DnnConfig)
     bn: BnConfig = field(default_factory=BnConfig)
     backend: BackendConfig = field(default_factory=BackendConfig)
     dcf: DcfParams = field(default_factory=DcfParams)
 
     def __post_init__(self):
-        # Fail at load time, not several stages in: build what the stages build
-        # so their own checks run now.  The head is a placeholder.
+        # Each section checks its own values; these checks span sections.
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise DataError(f"seed must be an integer, got {self.seed!r}")
-        self.tcl_config()
-        self.train_config(1)
-        self.map_config()
         layer = NetworkArch(
             input_dim=1, hidden_layers=self.dnn.hidden_layers, output_heads=(("tcl", 1),)
         ).layer_index(self.bn.layer)
-        if self.dnn.context_left < 0 or self.dnn.context_right < 0:
-            raise DataError("dnn.context_left and dnn.context_right must be >= 0")
         width = self.dnn.hidden_layers[layer]
         if not 1 <= self.bn.pca_dim <= width:
             raise DataError(
                 f"bn.pca_dim must be in 1..{width}, the width of {self.bn.layer},"
                 f" got {self.bn.pca_dim}"
             )
-        if self.bn.fit_split not in SPLITS:
-            raise DataError(f"bn.fit_split must be one of {SPLITS}, got {self.bn.fit_split!r}")
-        if self.backend.num_mixtures < 1:
-            raise DataError("backend.num_mixtures must be >= 1")
-        if self.backend.em_iterations < 0:
-            raise DataError("backend.em_iterations must be >= 0")
 
     def resolved(self, seed_override: int | None = None) -> "ExperimentConfig":
-        """Fill derived seeds from the master seed; apply a CLI seed override."""
+        """Fill derived seeds from the master seed; apply a CLI seed override.
+
+        Raises :class:`DataError` if any stage seed resolves below 0.
+        """
         seed = self.seed if seed_override is None else seed_override
-        tcl = self.tcl
-        if tcl.shuffle_seed is None:
-            tcl = replace(tcl, shuffle_seed=seed + 101)
-        dnn = self.dnn
-        if dnn.init_seed is None:
-            dnn = replace(dnn, init_seed=seed + 201)
-        if dnn.shuffle_seed is None:
-            dnn = replace(dnn, shuffle_seed=seed + 202)
-        backend = self.backend
-        if backend.init_seed is None:
-            backend = replace(backend, init_seed=seed + 301)
-        return replace(self, seed=seed, tcl=tcl, dnn=dnn, backend=backend)
-
-    def tcl_config(self) -> TclConfig:
-        return TclConfig(
-            num_classes=self.tcl.num_classes,
-            frames_per_segment=self.tcl.frames_per_segment,
-            mode=self.tcl.mode,
-            shuffle_seed=self.tcl.shuffle_seed or 0,
-        )
-
-    def train_config(self, num_heads: int) -> TrainConfig:
-        weights = (1.0,) if num_heads == 1 else (1.0 / num_heads,) * num_heads
-        return TrainConfig(
-            learning_rate=self.dnn.learning_rate,
-            epochs=self.dnn.epochs,
-            minibatch_size=self.dnn.minibatch_size,
-            shuffle_seed=self.dnn.shuffle_seed or 0,
-            init_seed=self.dnn.init_seed or 0,
-            task_weights=weights,
-        )
-
-    def map_config(self) -> MapConfig:
-        return MapConfig(
-            relevance_factor=self.backend.relevance_factor,
-            iterations=self.backend.map_iterations,
-        )
+        sections = {"tcl": self.tcl, "dnn": self.dnn, "backend": self.backend}
+        for name, key, offset in _DERIVED_SEEDS:
+            value = getattr(sections[name], key)
+            if value is None:
+                value = seed + offset
+            if value < 0:
+                raise DataError(
+                    f"{name}.{key} resolves to {value} (master seed {seed}); seeds must be >= 0"
+                )
+            sections[name] = replace(sections[name], **{key: value})
+        return replace(self, seed=seed, **sections)
 
     def to_json(self) -> str:
         """Canonical JSON; identical configs serialize to identical bytes."""
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
-def _build(section_cls, data: dict, path: str):
-    known = {f.name for f in section_cls.__dataclass_fields__.values()}
-    bad = set(data) - known
+# The JSON values a field accepts, and how to name them, by the type of its default.
+_ACCEPTED = {
+    bool: ((bool,), "true or false"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a finite number"),
+    str: ((str,), "a string"),
+    type(None): ((int, type(None)), "an integer or null"),
+}
+
+
+def _build(section_cls, data: dict, section: str):
+    defaults = {f.name: f.default for f in fields(section_cls)}
+    bad = set(data) - set(defaults)
     if bad:
-        raise DataError(f"config: unknown keys {sorted(bad)} in {path!r}")
+        raise DataError(f"config: unknown keys {sorted(bad)} in {section!r}")
     converted = {}
     for key, value in data.items():
-        if isinstance(value, list):
-            value = tuple(value)
-        converted[key] = value
+        default = defaults[key]
+        if isinstance(default, tuple):
+            ok = type(value) is list and all(type(v) is int for v in value)
+            kind = "a list of integers"
+        else:
+            types, kind = _ACCEPTED[type(default)]
+            # Python's json reads NaN and Infinity, which JSON itself does not have
+            ok = type(value) in types and (type(value) is not float or math.isfinite(value))
+        if not ok:
+            raise DataError(f"config: {section}.{key} must be {kind}, got {value!r}")
+        converted[key] = tuple(value) if isinstance(value, list) else value
     return section_cls(**converted)
 
 
@@ -180,7 +137,7 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
         raise DataError(f"{path}: config root must be an object")
     sections = {
         "frontend": FrontendConfig,
-        "tcl": TclSection,
+        "tcl": TclConfig,
         "dnn": DnnConfig,
         "bn": BnConfig,
         "backend": BackendConfig,

@@ -70,15 +70,27 @@ class GmmModel:
 
 
 @dataclass(frozen=True)
-class MapConfig:
+class BackendConfig:
+    """The ``backend`` config section; a ``None`` seed reads as 0."""
+
+    feature_source: str = "bn"
+    num_mixtures: int = 512
+    em_iterations: int = 10
+    init_seed: int | None = None
     relevance_factor: float = 10.0
-    iterations: int = 3
+    map_iterations: int = 3
 
     def __post_init__(self):
+        if self.feature_source not in ("bn", "mfcc"):
+            raise DataError("backend.feature_source must be 'bn' or 'mfcc'")
+        if self.num_mixtures < 1:
+            raise DataError("backend.num_mixtures must be >= 1")
+        if self.em_iterations < 0:
+            raise DataError("backend.em_iterations must be >= 0")
         if self.relevance_factor <= 0:
-            raise DataError("relevance_factor must be positive")
-        if self.iterations < 1:
-            raise DataError("iterations must be >= 1")
+            raise DataError("backend.relevance_factor must be positive")
+        if self.map_iterations < 1:
+            raise DataError("backend.map_iterations must be >= 1")
 
 
 def _as_frames(data) -> np.ndarray:
@@ -245,13 +257,15 @@ def train_ubm(
     return model, trace
 
 
-def map_adapt(ubm: GmmModel, enrollment_data, config: MapConfig) -> GmmModel:
+def map_adapt(ubm: GmmModel, enrollment_data, config: BackendConfig) -> GmmModel:
     """Mean-only MAP adaptation of a UBM toward enrollment data.
 
-    Each iteration recomputes responsibilities against the partially adapted
-    model, then shifts mean_k toward the data mean E_k with data-dependent
-    weight alpha_k = n_k / (n_k + relevance_factor).  Weights and variances
-    are untouched.
+    Of ``config`` only ``map_iterations`` and ``relevance_factor`` are read.
+    Each of the ``map_iterations`` iterations recomputes responsibilities
+    against the partially adapted model, then shifts mean_k toward the data
+    mean E_k with data-dependent weight
+    alpha_k = n_k / (n_k + relevance_factor).  Weights and variances are
+    untouched.
     """
     x = _as_frames(enrollment_data)
     if x.shape[0] == 0:
@@ -259,7 +273,7 @@ def map_adapt(ubm: GmmModel, enrollment_data, config: MapConfig) -> GmmModel:
     if x.shape[1] != ubm.dim:
         raise DimensionMismatch(f"frames have dim {x.shape[1]}, UBM expects {ubm.dim}")
     means = ubm.means.copy()
-    for _ in range(config.iterations):
+    for _ in range(config.map_iterations):
         model = GmmModel(ubm.weights, means, ubm.variances)
         resp = responsibilities(model, x)
         occupancy = resp.sum(axis=0)

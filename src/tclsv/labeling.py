@@ -23,16 +23,18 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class TclConfig:
+    """The ``tcl`` config section.  A ``None`` seed reads as 0."""
+
     num_classes: int = 10
     frames_per_segment: int = 6
     mode: str = "utterance"
-    shuffle_seed: int = 0
+    shuffle_seed: int | None = None
 
     def __post_init__(self):
         if self.num_classes < 2:
-            raise DataError("num_classes must be >= 2")
+            raise DataError("tcl.num_classes must be >= 2")
         if self.frames_per_segment < 1:
-            raise DataError("frames_per_segment must be >= 1")
+            raise DataError("tcl.frames_per_segment must be >= 1")
         if self.mode not in ("stream", "utterance"):
             raise DataError(f"unknown TCL mode {self.mode!r}")
 
@@ -82,7 +84,7 @@ def assign_stream_labels(utterances: list[Utterance], config: TclConfig) -> Labe
     if total < d:
         raise InsufficientFrames(f"stream has {total} frames, need at least {d}")
 
-    order = np.random.default_rng(config.shuffle_seed).permutation(len(utterances))
+    order = np.random.default_rng(config.shuffle_seed or 0).permutation(len(utterances))
     num_labeled = (total // d) * d
 
     segment_index = np.arange(num_labeled) // d

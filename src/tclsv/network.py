@@ -65,22 +65,34 @@ class NetworkParams:
         )
 
 
+DNN_TARGETS = ("tcl", "speaker", "speaker+phrase")
+
+
 @dataclass(frozen=True)
-class TrainConfig:
+class DnnConfig:
+    """The ``dnn`` config section; ``None`` seeds read as 0."""
+
+    targets: str = "tcl"
+    hidden_layers: tuple[int, ...] = (1024,) * 6
+    context_left: int = 5
+    context_right: int = 5
     learning_rate: float = 0.008
     epochs: int = 20
     minibatch_size: int = 256
-    shuffle_seed: int = 0
-    init_seed: int = 0
-    task_weights: tuple[float, ...] = (1.0,)
+    init_seed: int | None = None
+    shuffle_seed: int | None = None
 
     def __post_init__(self):
+        if self.targets not in DNN_TARGETS:
+            raise DataError(f"dnn.targets must be one of {DNN_TARGETS}")
+        if any(w <= 0 for w in self.hidden_layers):
+            raise DataError("dnn.hidden_layers: all layer widths must be positive")
+        if self.context_left < 0 or self.context_right < 0:
+            raise DataError("dnn.context_left and dnn.context_right must be >= 0")
         if self.learning_rate < 0:
-            raise DataError("learning_rate must be non-negative")
+            raise DataError("dnn.learning_rate must be non-negative")
         if self.epochs < 1 or self.minibatch_size < 1:
-            raise DataError("epochs and minibatch_size must be positive")
-        if abs(sum(self.task_weights) - 1.0) > 1e-9:
-            raise DataError("task_weights must sum to 1")
+            raise DataError("dnn.epochs and dnn.minibatch_size must be positive")
 
 
 class ContextWindows:
@@ -327,35 +339,46 @@ def backward(
 
 
 def train(
-    dataset: LabeledDataset, arch: NetworkArch, config: TrainConfig
+    dataset: LabeledDataset,
+    arch: NetworkArch,
+    config: DnnConfig,
+    task_weights: tuple[float, ...] | None = None,
 ) -> tuple[NetworkParams, list[float]]:
     """Plain minibatch SGD; returns the trained parameters and the loss trace.
+
+    Of ``config`` only the SGD settings and seeds are read; the layers come
+    from ``arch``.  ``task_weights`` has one weight per head, summing to 1;
+    ``None`` weighs the heads equally.
 
     The trace has one entry per epoch: the weighted mean, over every training
     row, of the row's negative log posterior of its true class, as computed by
     the forward pass of that row's minibatch in that epoch, before the
     minibatch's update.  It costs no forward pass beyond the ones SGD makes.
     Minibatch order is drawn from ``config.shuffle_seed``, parameter
-    initialization from ``config.init_seed``; reruns are bit-identical.  The
-    parameters are cast to the inputs' dtype, so float32 inputs train in
-    float32.
+    initialization from ``config.init_seed`` (``None`` reads as 0); reruns
+    are bit-identical.  The parameters are cast to the inputs' dtype, so
+    float32 inputs train in float32.
     """
     if dataset.num_rows == 0:
         raise DataError("training dataset is empty")
     for name, _ in arch.output_heads:
         if name not in dataset.labels:
             raise DataError(f"dataset has no labels for head {name!r}")
-    task_weights = config.task_weights
-    if len(task_weights) != len(arch.output_heads):
+    num_heads = len(arch.output_heads)
+    if task_weights is None:
+        task_weights = (1.0 / num_heads,) * num_heads
+    if len(task_weights) != num_heads:
         raise DataError("task_weights must have one entry per head")
+    if abs(sum(task_weights) - 1.0) > 1e-9:
+        raise DataError("task_weights must sum to 1")
 
-    params = init_network(arch, config.init_seed).astype(_as_float(dataset.inputs[:1]).dtype)
+    params = init_network(arch, config.init_seed or 0).astype(_as_float(dataset.inputs[:1]).dtype)
     n, step = dataset.num_rows, config.minibatch_size
     # Indexed by dataset row, not by shuffled position, so the epoch's mean is
     # taken in the same order as one full-batch pass would take it.
     picked = [np.empty(n) for _ in arch.output_heads]
     trace = []
-    rng = np.random.default_rng(config.shuffle_seed)
+    rng = np.random.default_rng(config.shuffle_seed or 0)
     lr = config.learning_rate
     for _ in range(config.epochs):
         order = rng.permutation(n)

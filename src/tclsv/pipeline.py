@@ -127,7 +127,7 @@ def run_make_labels(manifest_path, config: ExperimentConfig, out_dir) -> labelin
     for e in train_entries:
         num_frames, _ = storage.read_feature_shape(_feature_path(out_dir, e))
         utterances.append(labeling.FrameCount(e.utterance_id, num_frames))
-    labeled = labeling.label_utterances(utterances, config.tcl_config())
+    labeled = labeling.label_utterances(utterances, config.tcl)
     labels_dir = out_dir / "labels"
     labels_dir.mkdir(parents=True, exist_ok=True)
     labeling.write_label_archive(
@@ -221,7 +221,7 @@ def run_train_dnn(
     out_dir = Path(out_dir)
     entries = _usable(read_manifest(manifest_path), out_dir)
     dataset, arch = _build_training_dataset(entries, config, out_dir)
-    params, trace = network.train(dataset, arch, config.train_config(len(arch.output_heads)))
+    params, trace = network.train(dataset, arch, config.dnn)
     dnn_dir = out_dir / "dnn"
     dnn_dir.mkdir(parents=True, exist_ok=True)
     storage.write_network(dnn_dir / "model.tcln", params)
@@ -325,7 +325,7 @@ def run_enroll(manifest_path, config: ExperimentConfig, out_dir) -> list[str]:
                 if e.speaker_id == speaker
             ]
         )
-        adapted = gmm.map_adapt(ubm, frames, config.map_config())
+        adapted = gmm.map_adapt(ubm, frames, config.backend)
         storage.write_gmm(models_dir / f"{speaker}.tclg", adapted)
     _snapshot(config, out_dir, "enroll")
     return speakers

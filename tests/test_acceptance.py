@@ -16,7 +16,7 @@ import pytest
 
 from tclsv import cli
 from tclsv.frontend import FeatureMatrix
-from tclsv.gmm import GmmModel, MapConfig, map_adapt, score_llr, train_ubm
+from tclsv.gmm import BackendConfig, GmmModel, map_adapt, score_llr, train_ubm
 from tclsv.labeling import TclConfig, assign_stream_labels, assign_utterance_labels
 from tclsv.metrics import DcfParams, compute_eer, compute_error_curve, compute_mindcf
 from tclsv.network import (
@@ -140,7 +140,7 @@ def test_criterion_3_map_adaptation_limits():
         [rng.normal(0.0, 1.0, (400, 2)), rng.normal(6.0, 1.0, (400, 2))]
     )
     ubm, _ = train_ubm(data, 2, em_iterations=5, seed=0)
-    adapted = map_adapt(ubm, data[:150] + 2.5, MapConfig(relevance_factor=1e12, iterations=3))
+    adapted = map_adapt(ubm, data[:150] + 2.5, BackendConfig(relevance_factor=1e12, map_iterations=3))
     drift = float(np.max(np.abs(adapted.means - ubm.means)))
 
     enroll = rng.standard_normal((64, 3)) + 4.0
@@ -148,7 +148,7 @@ def test_criterion_3_map_adaptation_limits():
         weights=np.array([1.0]), means=np.zeros((1, 3)), variances=np.ones((1, 3))
     )
     # single component: every frame's occupancy is 1, so n = 64 = r and alpha = 1/2
-    midpoint = map_adapt(prior, enroll, MapConfig(relevance_factor=64.0, iterations=1))
+    midpoint = map_adapt(prior, enroll, BackendConfig(relevance_factor=64.0, map_iterations=1))
     err = float(np.max(np.abs(midpoint.means[0] - 0.5 * (enroll.mean(axis=0) + prior.means[0]))))
     _report(
         3,
@@ -168,7 +168,7 @@ def test_criterion_4_llr_identity_and_permutation_invariance():
     utt = rng.standard_normal((50, 3))
     self_score = score_llr(ubm, ubm, utt)
 
-    target = map_adapt(ubm, data[:200] + 1.0, MapConfig())
+    target = map_adapt(ubm, data[:200] + 1.0, BackendConfig())
     base = score_llr(target, ubm, utt)
     worst = 0.0
     for i in range(5):

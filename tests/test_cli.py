@@ -123,6 +123,16 @@ def test_invalid_value_stops_run_before_any_stage(tiny_corpus, tmp_path, capsys)
     assert not out.exists()
 
 
+def test_negative_resolved_seed_exits_2_before_any_stage(tiny_corpus, config_path, tmp_path, capsys):
+    manifest, trials = tiny_corpus
+    out = tmp_path / "run"
+    code = run_cli("run", "--manifest", manifest, "--trials", trials, "--config", config_path,
+                   "--out", out, "--seed", -1000)
+    assert code == 2
+    assert "tcl.shuffle_seed resolves to -899" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_before_score_exits_2(tmp_path, capsys):
     code = run_cli("evaluate", "--out", tmp_path)
     assert code == 2
@@ -190,6 +200,31 @@ def test_stages_never_import_scipy(tiny_corpus, config_path, tmp_path):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+TRACED_SPANS = (
+    *(f"pipeline.{stage}" for stage in ("extract_features", "make_labels", "train_dnn", "extract_bn",
+                                         "train_ubm", "enroll", "score", "evaluate")),
+    "network.train", "gmm.map_adapt", "labeling.label_utterances",
+)
+
+
+def test_benchmark_tracer_runs_and_sees_every_stage(tiny_corpus, config_path, tmp_path):
+    # perfbench/tracer.py wraps functions by module attribute name; a rename
+    # would break the traced benchmark without failing any other test.
+    manifest, trials = tiny_corpus
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(tclsv.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    spans = tmp_path / "spans.json"
+    argv = [root / "perfbench" / "tracer.py", spans, "run", "--manifest", manifest, "--trials", trials,
+            "--config", config_path, "--out", tmp_path / "run"]
+    result = subprocess.run(
+        [sys.executable, *map(str, argv)], env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    names = {span[0] for span in json.loads(spans.read_text())["spans"]}
+    assert set(TRACED_SPANS) <= names, sorted(set(TRACED_SPANS) - names)
 
 
 # --- stage behavior ---
@@ -393,7 +428,7 @@ def test_make_labels_reads_archive_headers_only(tiny_corpus, config_path, tmp_pa
                   for e in entries]
     expected = tmp_path / "expected.tsv"
     labeling.write_label_archive(
-        expected, labeling.labels_by_utterance(labeling.label_utterances(utterances, config.tcl_config()))
+        expected, labeling.labels_by_utterance(labeling.label_utterances(utterances, config.tcl))
     )
     assert (out / "labels" / "labels.tsv").read_bytes() == expected.read_bytes()
 

@@ -1,17 +1,14 @@
 """Configuration loading, seed derivation, and snapshot serialization tests."""
 
+import hashlib
 import json
 
 import pytest
 
-from tclsv.config import (
-    BackendConfig,
-    DnnConfig,
-    ExperimentConfig,
-    load_config,
-    write_snapshot,
-)
+from tclsv.config import ExperimentConfig, load_config, write_snapshot
 from tclsv.errors import DataError
+from tclsv.gmm import BackendConfig
+from tclsv.network import DnnConfig
 
 
 def test_none_path_gives_defaults():
@@ -111,6 +108,22 @@ def test_backend_source_validated():
         ({"dnn": {"context_right": -1}}, "context_right"),
         ({"bn": {"pca_dim": 0}}, "pca_dim"),
         ({"dnn": {"hidden_layers": [64, 32]}, "bn": {"layer": "L2", "pca_dim": 33}}, r"1\.\.32"),
+        # wrong JSON types, named by section.key
+        ({"dnn": {"epochs": 1.5}}, r"dnn\.epochs must be an integer"),
+        ({"dnn": {"epochs": True}}, r"dnn\.epochs must be an integer"),
+        ({"backend": {"num_mixtures": 2.5}}, r"backend\.num_mixtures must be an integer"),
+        ({"tcl": {"num_classes": 4.5}}, r"tcl\.num_classes must be an integer"),
+        ({"dnn": {"hidden_layers": 64}}, r"dnn\.hidden_layers must be a list of integers"),
+        ({"dnn": {"hidden_layers": [64, 32.0]}}, r"dnn\.hidden_layers must be a list of integers"),
+        ({"bn": {"layer": 2}}, r"bn\.layer must be a string"),
+        ({"dnn": {"learning_rate": "x"}}, r"dnn\.learning_rate must be a finite number"),
+        ({"dnn": {"learning_rate": False}}, r"dnn\.learning_rate must be a finite number"),
+        ({"dnn": {"learning_rate": float("nan")}}, r"dnn\.learning_rate must be a finite number"),
+        ({"backend": {"relevance_factor": float("inf")}}, r"backend\.relevance_factor must be a finite"),
+        ({"frontend": {"rasta_enabled": "no"}}, r"frontend\.rasta_enabled must be true or false"),
+        ({"frontend": {"rasta_enabled": 0}}, r"frontend\.rasta_enabled must be true or false"),
+        ({"dnn": {"init_seed": 1.5}}, r"dnn\.init_seed must be an integer or null"),
+        ({"tcl": {"shuffle_seed": "7"}}, r"tcl\.shuffle_seed must be an integer or null"),
     ],
 )
 def test_invalid_values_rejected_at_load(tmp_path, data, message):
@@ -156,18 +169,51 @@ def test_resolved_is_idempotent():
     assert once.resolved() == once
 
 
-def test_section_adapters():
-    config = ExperimentConfig(seed=0).resolved()
-    tcl = config.tcl_config()
-    assert tcl.num_classes == config.tcl.num_classes
-    assert tcl.shuffle_seed == config.tcl.shuffle_seed
-    train = config.train_config(num_heads=1)
-    assert train.task_weights == (1.0,)
-    train2 = config.train_config(num_heads=2)
-    assert train2.task_weights == (0.5, 0.5)
-    map_cfg = config.map_config()
-    assert map_cfg.relevance_factor == config.backend.relevance_factor
-    assert map_cfg.iterations == config.backend.map_iterations
+@pytest.mark.parametrize(
+    "data, override, message",
+    [
+        ({"seed": 3}, -1000, r"tcl\.shuffle_seed resolves to -899"),
+        ({"seed": 3, "tcl": {"shuffle_seed": 0}}, -250, r"dnn\.init_seed resolves to -49"),
+        ({"seed": 3, "backend": {"init_seed": -1}}, None, r"backend\.init_seed resolves to -1"),
+    ],
+)
+def test_negative_resolved_seed_rejected(tmp_path, data, override, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(DataError, match=message):
+        load_config(path).resolved(override)
+
+
+def test_small_negative_master_seed_still_resolves():
+    config = ExperimentConfig().resolved(-50)
+    assert config.seed == -50
+    assert config.tcl.shuffle_seed == 51
+    assert config.backend.init_seed == 251
+
+
+# SHA-256 of to_json() for the two configs below, as the snapshots of
+# config/<stage>.json hold them; a change here changes every run directory.
+PINNED_DEFAULTS_SHA256 = "63bf02fd9c30c263b5b0cc43863e0d017787065e88eef0b2a29de830f0a9d26e"
+PINNED_EVERY_SECTION_SHA256 = "f6f02417be6828b8657699eb6bf046cbe2316136beea14a098102f74d114dfc8"
+EVERY_SECTION = {
+    "seed": 5,
+    "frontend": {"vad_threshold_db": 25.0, "rasta_enabled": False},
+    "tcl": {"mode": "stream", "num_classes": 15, "frames_per_segment": 4, "shuffle_seed": None},
+    "dnn": {"hidden_layers": [64, 64], "epochs": 3, "learning_rate": 0.05, "init_seed": 9},
+    "bn": {"layer": "L1", "pca_dim": 12},
+    "backend": {"num_mixtures": 8, "relevance_factor": 16, "map_iterations": 2},
+    "dcf": {"p_target": 0.05},
+}
+
+
+def test_snapshot_bytes_are_pinned(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(EVERY_SECTION), encoding="utf-8")
+    for config, pinned in [
+        (load_config(None).resolved(None), PINNED_DEFAULTS_SHA256),
+        (load_config(path).resolved(None), PINNED_EVERY_SECTION_SHA256),
+    ]:
+        assert hashlib.sha256(config.to_json().encode()).hexdigest() == pinned
 
 
 def test_to_json_is_canonical(tmp_path):

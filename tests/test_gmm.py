@@ -15,8 +15,8 @@ from tclsv.errors import (
 )
 from tclsv.gmm import (
     VARIANCE_FLOOR_FRACTION,
+    BackendConfig,
     GmmModel,
-    MapConfig,
     _exp_inplace,
     _row_logsumexp,
     em_step,
@@ -207,7 +207,7 @@ def test_em_step_rejects_empty_data():
 def test_map_infinite_relevance_keeps_means():
     x = two_cluster_data(seed=11)
     ubm, _ = train_ubm(x, 2, em_iterations=5, seed=0)
-    adapted = map_adapt(ubm, x[:100] + 3.0, MapConfig(relevance_factor=1e12, iterations=3))
+    adapted = map_adapt(ubm, x[:100] + 3.0, BackendConfig(relevance_factor=1e12, map_iterations=3))
     assert np.max(np.abs(adapted.means - ubm.means)) <= 1e-9
 
 
@@ -218,7 +218,7 @@ def test_map_single_component_equal_occupancy_is_midpoint():
         weights=np.array([1.0]), means=np.zeros((1, 3)), variances=np.ones((1, 3))
     )
     # single component: n = 64 frames; r = n gives alpha exactly 1/2
-    adapted = map_adapt(ubm, x, MapConfig(relevance_factor=64.0, iterations=1))
+    adapted = map_adapt(ubm, x, BackendConfig(relevance_factor=64.0, map_iterations=1))
     expected = 0.5 * x.mean(axis=0) + 0.5 * ubm.means[0]
     np.testing.assert_allclose(adapted.means[0], expected, atol=1e-12)
 
@@ -229,14 +229,14 @@ def test_map_abundant_data_approaches_enrollment_mean():
     ubm = GmmModel(
         weights=np.array([1.0]), means=np.zeros((1, 1)), variances=np.ones((1, 1))
     )
-    adapted = map_adapt(ubm, x, MapConfig(relevance_factor=10.0, iterations=3))
+    adapted = map_adapt(ubm, x, BackendConfig(relevance_factor=10.0, map_iterations=3))
     assert abs(adapted.means[0, 0] - x.mean()) / abs(x.mean()) < 0.01
 
 
 def test_map_preserves_weights_and_variances_exactly():
     x = two_cluster_data(seed=14)
     ubm, _ = train_ubm(x, 4, em_iterations=5, seed=2)
-    adapted = map_adapt(ubm, x[:50], MapConfig())
+    adapted = map_adapt(ubm, x[:50], BackendConfig())
     assert np.array_equal(adapted.weights, ubm.weights)
     assert np.array_equal(adapted.variances, ubm.variances)
     assert not np.array_equal(adapted.means, ubm.means)
@@ -245,14 +245,18 @@ def test_map_preserves_weights_and_variances_exactly():
 def test_map_empty_enrollment():
     ubm = GmmModel(weights=np.array([1.0]), means=np.zeros((1, 2)), variances=np.ones((1, 2)))
     with pytest.raises(EmptyEnrollment):
-        map_adapt(ubm, np.zeros((0, 2)), MapConfig())
+        map_adapt(ubm, np.zeros((0, 2)), BackendConfig())
 
 
-def test_map_config_validation():
-    with pytest.raises(DataError):
-        MapConfig(relevance_factor=0.0)
-    with pytest.raises(DataError):
-        MapConfig(iterations=0)
+def test_backend_config_validation():
+    with pytest.raises(DataError, match="relevance_factor"):
+        BackendConfig(relevance_factor=0.0)
+    with pytest.raises(DataError, match="map_iterations"):
+        BackendConfig(map_iterations=0)
+    with pytest.raises(DataError, match="num_mixtures"):
+        BackendConfig(num_mixtures=0)
+    with pytest.raises(DataError, match="em_iterations"):
+        BackendConfig(em_iterations=-1)
 
 
 # --- LLR scoring ---
@@ -267,7 +271,7 @@ def test_llr_identical_models_is_exactly_zero():
 def test_llr_single_frame_is_plain_difference():
     x = two_cluster_data(seed=16)
     ubm, _ = train_ubm(x, 2, em_iterations=3, seed=0)
-    target = map_adapt(ubm, x[:200], MapConfig())
+    target = map_adapt(ubm, x[:200], BackendConfig())
     frame = x[7:8]
     expected = log_likelihood(target, frame[0]) - log_likelihood(ubm, frame[0])
     assert score_llr(target, ubm, frame) == pytest.approx(expected, abs=1e-12)
@@ -277,7 +281,7 @@ def test_llr_invariant_under_duplication_and_permutation():
     rng = np.random.default_rng(17)
     x = two_cluster_data(seed=18)
     ubm, _ = train_ubm(x, 2, em_iterations=3, seed=0)
-    target = map_adapt(ubm, x[:200], MapConfig())
+    target = map_adapt(ubm, x[:200], BackendConfig())
     utt = x[300:340]
     base = score_llr(target, ubm, utt)
     assert score_llr(target, ubm, np.vstack([utt, utt])) == pytest.approx(base, abs=1e-12)

@@ -13,8 +13,8 @@ from tclsv.network import (
     Gradients,
     LabeledDataset,
     NetworkArch,
+    DnnConfig,
     NetworkParams,
-    TrainConfig,
     _loss_from_log,
     _sigmoid,
     backward,
@@ -342,7 +342,7 @@ def separable_dataset(n=100, seed=0):
 
 def test_training_reduces_loss_on_separable_data():
     arch = NetworkArch(input_dim=2, hidden_layers=(8,), output_heads=(("y", 2),))
-    config = TrainConfig(learning_rate=0.5, epochs=10, minibatch_size=16, init_seed=1, shuffle_seed=2)
+    config = DnnConfig(learning_rate=0.5, epochs=10, minibatch_size=16, init_seed=1, shuffle_seed=2)
     params, trace = train(separable_dataset(), arch, config)
     assert len(trace) == 10
     assert trace[-1] < trace[0]
@@ -353,7 +353,7 @@ def test_training_reduces_loss_on_separable_data():
 
 def test_training_zero_learning_rate_keeps_parameters():
     arch = NetworkArch(input_dim=2, hidden_layers=(4,), output_heads=(("y", 2),))
-    config = TrainConfig(learning_rate=0.0, epochs=3, minibatch_size=8, init_seed=5)
+    config = DnnConfig(learning_rate=0.0, epochs=3, minibatch_size=8, init_seed=5)
     data = separable_dataset(20)
     params, trace = train(data, arch, config)
     fresh = init_network(arch, seed=5)
@@ -361,13 +361,13 @@ def test_training_zero_learning_rate_keeps_parameters():
         assert np.array_equal(got, want)
     # every epoch's trace entry is the full-batch loss of the initial parameters,
     # bit for bit: the minibatch values are scattered back into row order
-    full_batch = _loss_from_log(forward(fresh, data.inputs), [data.labels["y"]], config.task_weights)
+    full_batch = _loss_from_log(forward(fresh, data.inputs), [data.labels["y"]], (1.0,))
     assert trace == [full_batch] * config.epochs
 
 
 def test_training_is_bit_deterministic():
     arch = NetworkArch(input_dim=2, hidden_layers=(6,), output_heads=(("y", 2),))
-    config = TrainConfig(learning_rate=0.2, epochs=4, minibatch_size=8, init_seed=3, shuffle_seed=4)
+    config = DnnConfig(learning_rate=0.2, epochs=4, minibatch_size=8, init_seed=3, shuffle_seed=4)
     p1, t1 = train(separable_dataset(40), arch, config)
     p2, t2 = train(separable_dataset(40), arch, config)
     assert t1 == t2
@@ -384,8 +384,8 @@ def test_training_loss_trace_forwards_one_minibatch_at_a_time(monkeypatch):
     x = rng.standard_normal((n, 10))
     labels = {"a": rng.integers(0, 4, n), "b": rng.integers(0, 3, n)}
     arch = NetworkArch(input_dim=10, hidden_layers=(32, 16), output_heads=(("a", 4), ("b", 3)))
-    config = TrainConfig(learning_rate=0.1, epochs=2, minibatch_size=minibatch,
-                         init_seed=2, shuffle_seed=3, task_weights=(0.3, 0.7))
+    config = DnnConfig(learning_rate=0.1, epochs=2, minibatch_size=minibatch, init_seed=2, shuffle_seed=3)
+    weights = (0.3, 0.7)
     real_forward = network.forward
     rows_seen = []
 
@@ -395,17 +395,17 @@ def test_training_loss_trace_forwards_one_minibatch_at_a_time(monkeypatch):
 
     monkeypatch.setattr(network, "forward", recording_forward)
     dataset = LabeledDataset(inputs=x, labels=labels)
-    _, trace = train(dataset, arch, config)
+    _, trace = train(dataset, arch, config, weights)
     assert max(rows_seen) == minibatch
     assert sum(rows_seen) == config.epochs * n  # the SGD passes only, no loss passes
     assert len(trace) == config.epochs
 
     # two heads, unequal task weights, a short last minibatch: with no updates
     # each entry still equals one full-batch pass
-    _, flat = train(dataset, arch, replace(config, learning_rate=0.0))
+    _, flat = train(dataset, arch, replace(config, learning_rate=0.0), weights)
     heads = [labels["a"], labels["b"]]
     initial = init_network(arch, config.init_seed)
-    assert flat == [_loss_from_log(real_forward(initial, x), heads, config.task_weights)] * config.epochs
+    assert flat == [_loss_from_log(real_forward(initial, x), heads, weights)] * config.epochs
 
 
 def test_training_on_context_windows_matches_stacked_matrix(monkeypatch):
@@ -422,7 +422,7 @@ def test_training_on_context_windows_matches_stacked_matrix(monkeypatch):
     stacked = view[:]
     y = {"y": rng.integers(0, 3, len(view))}
     arch = NetworkArch(input_dim=16, hidden_layers=(8,), output_heads=(("y", 3),))
-    config = TrainConfig(learning_rate=0.2, epochs=2, minibatch_size=8, init_seed=1, shuffle_seed=6)
+    config = DnnConfig(learning_rate=0.2, epochs=2, minibatch_size=8, init_seed=1, shuffle_seed=6)
     p1, t1 = train(LabeledDataset(inputs=view, labels=y), arch, config)
     p2, t2 = train(LabeledDataset(inputs=stacked, labels=y), arch, config)
     assert t1 == t2
@@ -433,15 +433,33 @@ def test_training_on_context_windows_matches_stacked_matrix(monkeypatch):
 def test_training_validates_inputs():
     arch = NetworkArch(input_dim=2, hidden_layers=(4,), output_heads=(("y", 2),))
     with pytest.raises(DataError):
-        train(LabeledDataset(inputs=np.zeros((0, 2)), labels={"y": np.zeros(0, dtype=int)}), arch, TrainConfig())
+        train(LabeledDataset(inputs=np.zeros((0, 2)), labels={"y": np.zeros(0, dtype=int)}), arch, DnnConfig())
     with pytest.raises(DataError):
         train(
             LabeledDataset(inputs=np.zeros((4, 2)), labels={"z": np.zeros(4, dtype=int)}),
             arch,
-            TrainConfig(),
+            DnnConfig(),
         )
-    with pytest.raises(DataError):
-        TrainConfig(task_weights=(0.5, 0.4))
+    data = separable_dataset(8)
+    with pytest.raises(DataError, match="sum to 1"):
+        train(data, arch, DnnConfig(epochs=1), task_weights=(0.9,))
+    with pytest.raises(DataError, match="one entry per head"):
+        train(data, arch, DnnConfig(epochs=1), task_weights=(0.5, 0.5))
+
+
+@pytest.mark.parametrize("heads, weights", [((("a", 3),), (1.0,)), ((("a", 3), ("b", 2)), (0.5, 0.5))])
+def test_training_default_task_weights_are_equal(heads, weights):
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((30, 4))
+    labels = {name: rng.integers(0, k, 30) for name, k in heads}
+    arch = NetworkArch(input_dim=4, hidden_layers=(6,), output_heads=heads)
+    config = DnnConfig(learning_rate=0.2, epochs=2, minibatch_size=8, init_seed=1, shuffle_seed=2)
+    dataset = LabeledDataset(inputs=x, labels=labels)
+    p1, t1 = train(dataset, arch, config, task_weights=None)
+    p2, t2 = train(dataset, arch, config, task_weights=weights)
+    assert t1 == t2
+    for a, b in zip(all_arrays(p1), all_arrays(p2)):
+        np.testing.assert_array_equal(a, b)
     with pytest.raises(DataError):
         LabeledDataset(inputs=np.zeros((3, 2)), labels={"y": np.zeros(2, dtype=int)})
 
@@ -533,8 +551,7 @@ def reference_backward(params, batch, task_weights):
     return Gradients(g_w, g_b, g_head_w, g_head_b)
 
 
-def reference_train(dataset, arch, config):
-    task_weights = config.task_weights
+def reference_train(dataset, arch, config, task_weights):
     params = init_network(arch, config.init_seed)
     label_order = [dataset.labels[name] for name, _ in arch.output_heads]
     n, step = dataset.num_rows, config.minibatch_size
@@ -597,11 +614,10 @@ def test_float64_training_equals_previous_trainer():
     view = context_windows(utterances, left=2, right=1)
     labels = {"a": rng.integers(0, 5, len(view)), "b": rng.integers(0, 2, len(view))}
     arch = NetworkArch(input_dim=16, hidden_layers=(12, 8), output_heads=(("a", 5), ("b", 2)))
-    config = TrainConfig(learning_rate=0.3, epochs=3, minibatch_size=10,
-                         init_seed=4, shuffle_seed=5, task_weights=(0.6, 0.4))
+    config = DnnConfig(learning_rate=0.3, epochs=3, minibatch_size=10, init_seed=4, shuffle_seed=5)
     dataset = LabeledDataset(inputs=view, labels=labels)
-    params, trace = train(dataset, arch, config)
-    want_params, want_trace = reference_train(dataset, arch, config)
+    params, trace = train(dataset, arch, config, (0.6, 0.4))
+    want_params, want_trace = reference_train(dataset, arch, config, (0.6, 0.4))
     assert trace == want_trace
     for got, want in zip(all_arrays(params), all_arrays(want_params)):
         assert got.dtype == np.float64
@@ -629,8 +645,7 @@ def test_float32_training_stays_float32_and_is_deterministic(monkeypatch):
     view = context_windows(frames, left=1, right=1)
     labels = {"a": rng.integers(0, 3, len(view)), "b": rng.integers(0, 4, len(view))}
     arch = NetworkArch(input_dim=15, hidden_layers=(16, 8), output_heads=(("a", 3), ("b", 4)))
-    config = TrainConfig(learning_rate=0.2, epochs=2, minibatch_size=8,
-                         init_seed=6, shuffle_seed=7, task_weights=(0.5, 0.5))
+    config = DnnConfig(learning_rate=0.2, epochs=2, minibatch_size=8, init_seed=6, shuffle_seed=7)
     dataset = LabeledDataset(inputs=view, labels=labels)
     p1, t1 = train(dataset, arch, config)
     assert seen and {a.dtype for a in seen} == {np.dtype(np.float32)}

@@ -13,7 +13,7 @@ import traceback
 from pathlib import Path
 
 from . import labeling, metrics, pipeline
-from .config import load_config
+from .config import ExperimentConfig, load_config
 from .errors import DataError
 
 STAGES = (
@@ -25,8 +25,10 @@ STAGES = (
     ("enroll", "MAP-adapt one model per enrolled speaker"),
     ("score", "score a trial list against the enrolled models"),
     ("evaluate", "compute EER/minDCF per trial type from scores"),
-    ("run", "all stages in order"),
+    ("run", "all stages in order; an MFCC backend skips make-labels, train-dnn and extract-bn"),
 )
+# what only the bottleneck backend reads
+DNN_STAGES = ("make-labels", "train-dnn", "extract-bn")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,37 +75,43 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     config = load_config(args.config).resolved(args.seed)
     out = Path(args.out)
+    stages = [args.command]
+    if args.command == "run":
+        skipped = ("run", *DNN_STAGES) if config.backend.feature_source == "mfcc" else ("run",)
+        stages = [name for name, _ in STAGES if name not in skipped]
+    for stage in stages:
+        _run_stage(stage, args, config, out)
+    return 0
 
-    if args.command == "extract-features":
+
+def _run_stage(stage: str, args: argparse.Namespace, config: ExperimentConfig, out: Path) -> None:
+    """Run one stage and print its summary."""
+    if stage == "extract-features":
         failures = pipeline.run_extract_features(args.manifest, config, out)
         print(f"feature extraction finished with {len(failures)} failure(s)")
-    elif args.command == "make-labels":
+    elif stage == "make-labels":
         labeled = pipeline.run_make_labels(args.manifest, config, out)
         counts = labeling.summarize_label_distribution(labeled, config.tcl.num_classes)
         print(f"labeled {len(labeled.labels)} frames over {len(labeled.utterance_ids)} utterances")
         print("frames per class: " + " ".join(str(counts[c]) for c in sorted(counts)))
-    elif args.command == "train-dnn":
+    elif stage == "train-dnn":
         _, trace = pipeline.run_train_dnn(args.manifest, config, out)
         print(f"training loss {pipeline.loss_trace_summary(trace)}")
-    elif args.command == "extract-bn":
+    elif stage == "extract-bn":
         projection = pipeline.run_extract_bn(args.manifest, config, out)
         print(f"projection {projection.input_dim} -> {projection.output_dim} dims")
-    elif args.command == "train-ubm":
+    elif stage == "train-ubm":
         _, trace = pipeline.run_train_ubm(args.manifest, config, out)
         print(f"UBM log-likelihood {trace[0]:.6g} -> {trace[-1]:.6g}")
-    elif args.command == "enroll":
+    elif stage == "enroll":
         speakers = pipeline.run_enroll(args.manifest, config, out)
         print(f"enrolled {len(speakers)} speaker(s)")
-    elif args.command == "score":
+    elif stage == "score":
         score_set = pipeline.run_score(args.manifest, config, out, args.trials)
         print(f"scored {len(score_set.trials)} trial(s) -> {out / 'scores' / 'scores.tsv'}")
-    elif args.command == "evaluate":
+    elif stage == "evaluate":
         report = pipeline.run_evaluate(config, out)
         print(metrics.format_report(report))
-    elif args.command == "run":
-        report = pipeline.run_pipeline(args.manifest, config, out, args.trials)
-        print(metrics.format_report(report))
-    return 0
 
 
 def main(argv=None) -> int:

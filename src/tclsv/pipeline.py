@@ -33,15 +33,32 @@ from .metrics import TrialScoreSet
 
 logger = logging.getLogger(__name__)
 
+_FAILURES = Path("features", "failures.tsv")
+
+
+def _output_dir(out_dir: Path, name: str) -> Path:
+    path = out_dir / name
+    path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def _require(path: Path, stage: str) -> Path:
+    """``path`` if the upstream ``stage`` has written it, else MissingArtifact."""
+    if not path.exists():
+        raise MissingArtifact(f"{path}: run {stage} first")
+    return path
+
+
+def _write_trace(path: Path, values: list[float]) -> None:
+    storage.atomic_write_text(path, "".join(f"{v:.12g}\n" for v in values))
+
 
 def _snapshot(config: ExperimentConfig, out_dir: Path, stage: str) -> None:
-    cfg_dir = out_dir / "config"
-    cfg_dir.mkdir(parents=True, exist_ok=True)
-    write_snapshot(cfg_dir / f"{stage}.json", config)
+    write_snapshot(_output_dir(out_dir, "config") / f"{stage}.json", config)
 
 
 def _failed_ids(out_dir: Path) -> set[str]:
-    path = out_dir / "features" / "failures.tsv"
+    path = out_dir / _FAILURES
     if not path.exists():
         return set()
     return {
@@ -51,13 +68,24 @@ def _failed_ids(out_dir: Path) -> set[str]:
     }
 
 
-def _usable(entries: list[ManifestEntry], out_dir: Path) -> list[ManifestEntry]:
-    """Manifest entries whose feature extraction did not fail."""
+def _usable(
+    entries: list[ManifestEntry], out_dir: Path, split: str | None = None
+) -> list[ManifestEntry]:
+    """The entries (of ``split`` when given) whose feature extraction did not fail.
+
+    The dropped entries get one warning between them.  An empty ``split``
+    raises DataError.
+    """
+    if split is not None:
+        entries = by_split(entries, split)
     failed = _failed_ids(out_dir)
     kept = [e for e in entries if e.utterance_id not in failed]
-    for e in entries:
-        if e.utterance_id in failed:
-            logger.warning("skipping %s: feature extraction failed", e.utterance_id)
+    if len(kept) < len(entries):
+        logger.warning(
+            "skipping %d utterance(s) listed in %s", len(entries) - len(kept), out_dir / _FAILURES
+        )
+    if not kept and split is not None:
+        raise DataError(f"manifest has no usable {split} utterances")
     return kept
 
 
@@ -91,8 +119,7 @@ def run_extract_features(
     """
     out_dir = Path(out_dir)
     entries = read_manifest(manifest_path)
-    feat_dir = out_dir / "features"
-    feat_dir.mkdir(parents=True, exist_ok=True)
+    feat_dir = _output_dir(out_dir, "features")
     if not entries:
         warnings.warn("manifest has no entries; nothing to extract")
 
@@ -106,7 +133,7 @@ def run_extract_features(
             failures.append((entry.utterance_id, str(exc)))
     failures.sort()
     storage.atomic_write_text(
-        feat_dir / "failures.tsv",
+        out_dir / _FAILURES,
         "".join(f"{utt}\t{msg}\n" for utt, msg in failures),
     )
     for utt, msg in failures:
@@ -118,43 +145,33 @@ def run_extract_features(
 def run_make_labels(manifest_path, config: ExperimentConfig, out_dir) -> labeling.LabeledFrames:
     """Assign time-contrastive labels to the dnn-train split."""
     out_dir = Path(out_dir)
-    entries = _usable(read_manifest(manifest_path), out_dir)
-    train_entries = by_split(entries, "dnn-train")
-    if not train_entries:
-        raise DataError("manifest has no usable dnn-train utterances")
     # labels depend only on frame counts, which the archive headers hold
     utterances = []
-    for e in train_entries:
+    for e in _usable(read_manifest(manifest_path), out_dir, "dnn-train"):
         num_frames, _ = storage.read_feature_shape(_feature_path(out_dir, e))
         utterances.append(labeling.FrameCount(e.utterance_id, num_frames))
     labeled = labeling.label_utterances(utterances, config.tcl)
-    labels_dir = out_dir / "labels"
-    labels_dir.mkdir(parents=True, exist_ok=True)
     labeling.write_label_archive(
-        labels_dir / "labels.tsv", labeling.labels_by_utterance(labeled)
+        _output_dir(out_dir, "labels") / "labels.tsv", labeling.labels_by_utterance(labeled)
     )
     _snapshot(config, out_dir, "make-labels")
     return labeled
 
 
 def _build_training_dataset(
-    entries: list[ManifestEntry], config: ExperimentConfig, out_dir: Path
+    train_entries: list[ManifestEntry], config: ExperimentConfig, out_dir: Path
 ) -> tuple[network.LabeledDataset, network.NetworkArch]:
-    """Context-stacked dnn-train frames plus per-head labels per config.dnn.targets.
+    """Context-stacked frames of the dnn-train entries plus per-head labels per config.dnn.targets.
 
     The frames are cast to float32 once, here, so the network trains in float32.
     """
-    train_entries = by_split(entries, "dnn-train")
-    if not train_entries:
-        raise DataError("manifest has no usable dnn-train utterances")
     left, right = config.dnn.context_left, config.dnn.context_right
 
     utterances: list[tuple[np.ndarray, int]] = []  # (frames, rows kept)
     if config.dnn.targets == "tcl":
-        archive_path = out_dir / "labels" / "labels.tsv"
-        if not archive_path.exists():
-            raise MissingArtifact(f"{archive_path}: run make-labels first")
-        archived = labeling.read_label_archive(archive_path)
+        archived = labeling.read_label_archive(
+            _require(out_dir / "labels" / "labels.tsv", "make-labels")
+        )
         label_parts = []
         for entry in train_entries:
             vec = archived.get(entry.utterance_id)
@@ -219,13 +236,12 @@ def run_train_dnn(
     manifest_path, config: ExperimentConfig, out_dir
 ) -> tuple[network.NetworkParams, list[float]]:
     out_dir = Path(out_dir)
-    entries = _usable(read_manifest(manifest_path), out_dir)
+    entries = _usable(read_manifest(manifest_path), out_dir, "dnn-train")
     dataset, arch = _build_training_dataset(entries, config, out_dir)
     params, trace = network.train(dataset, arch, config.dnn)
-    dnn_dir = out_dir / "dnn"
-    dnn_dir.mkdir(parents=True, exist_ok=True)
+    dnn_dir = _output_dir(out_dir, "dnn")
     storage.write_network(dnn_dir / "model.tcln", params)
-    storage.atomic_write_text(dnn_dir / "loss_trace.txt", "".join(f"{v:.12g}\n" for v in trace))
+    _write_trace(dnn_dir / "loss_trace.txt", trace)
     logger.info("dnn loss %s", loss_trace_summary(trace))
     _snapshot(config, out_dir, "train-dnn")
     return params, trace
@@ -240,10 +256,8 @@ def run_extract_bn(manifest_path, config: ExperimentConfig, out_dir) -> pca.PcaM
     ``bn.fit_split`` utterances, then applied to every utterance.
     """
     out_dir = Path(out_dir)
-    model_path = out_dir / "dnn" / "model.tcln"
-    if not model_path.exists():
-        raise MissingArtifact(f"{model_path}: run train-dnn first")
-    params = storage.read_network(model_path).astype(np.float32)
+    params = storage.read_network(_require(out_dir / "dnn" / "model.tcln", "train-dnn"))
+    params = params.astype(np.float32)
     entries = _usable(read_manifest(manifest_path), out_dir)
     left, right = config.dnn.context_left, config.dnn.context_right
 
@@ -257,14 +271,11 @@ def run_extract_bn(manifest_path, config: ExperimentConfig, out_dir) -> pca.PcaM
 
     # Only the fit utterances' deep features are held at once; every other
     # utterance is computed, projected and written on its own.
-    fit_entries = by_split(entries, config.bn.fit_split)
-    if not fit_entries:
-        raise DataError(f"manifest has no usable {config.bn.fit_split!r} utterances to fit PCA")
+    fit_entries = _usable(entries, out_dir, config.bn.fit_split)
     fitted = {e.utterance_id: normalized(e) for e in fit_entries}
     projection = pca.fit_pca(np.vstack(list(fitted.values())), config.bn.pca_dim)
 
-    bn_dir = out_dir / "bn"
-    bn_dir.mkdir(parents=True, exist_ok=True)
+    bn_dir = _output_dir(out_dir, "bn")
     storage.write_pca(bn_dir / "pca.tclp", projection)
     for entry in entries:
         deep = fitted.pop(entry.utterance_id, None)
@@ -282,10 +293,7 @@ def run_train_ubm(
     manifest_path, config: ExperimentConfig, out_dir
 ) -> tuple[gmm.GmmModel, list[float]]:
     out_dir = Path(out_dir)
-    entries = _usable(read_manifest(manifest_path), out_dir)
-    ubm_entries = by_split(entries, "ubm-train")
-    if not ubm_entries:
-        raise DataError("manifest has no usable ubm-train utterances")
+    ubm_entries = _usable(read_manifest(manifest_path), out_dir, "ubm-train")
     subdir = _backend_subdir(config)
     frames = np.vstack([_load_features(out_dir, e, subdir).frames for e in ubm_entries])
     model, trace = gmm.train_ubm(
@@ -294,10 +302,9 @@ def run_train_ubm(
         config.backend.em_iterations,
         seed=config.backend.init_seed or 0,
     )
-    ubm_dir = out_dir / "ubm"
-    ubm_dir.mkdir(parents=True, exist_ok=True)
+    ubm_dir = _output_dir(out_dir, "ubm")
     storage.write_gmm(ubm_dir / "ubm.tclg", model)
-    storage.atomic_write_text(ubm_dir / "ll_trace.txt", "".join(f"{v:.12g}\n" for v in trace))
+    _write_trace(ubm_dir / "ll_trace.txt", trace)
     _snapshot(config, out_dir, "train-ubm")
     return model, trace
 
@@ -305,17 +312,10 @@ def run_train_ubm(
 def run_enroll(manifest_path, config: ExperimentConfig, out_dir) -> list[str]:
     """MAP-adapt one model per speaker from their pooled enrollment utterances."""
     out_dir = Path(out_dir)
-    ubm_path = out_dir / "ubm" / "ubm.tclg"
-    if not ubm_path.exists():
-        raise MissingArtifact(f"{ubm_path}: run train-ubm first")
-    ubm = storage.read_gmm(ubm_path)
-    entries = _usable(read_manifest(manifest_path), out_dir)
-    enroll_entries = by_split(entries, "enroll")
-    if not enroll_entries:
-        raise DataError("manifest has no usable enroll utterances")
+    ubm = storage.read_gmm(_require(out_dir / "ubm" / "ubm.tclg", "train-ubm"))
+    enroll_entries = _usable(read_manifest(manifest_path), out_dir, "enroll")
     subdir = _backend_subdir(config)
-    models_dir = out_dir / "models"
-    models_dir.mkdir(parents=True, exist_ok=True)
+    models_dir = _output_dir(out_dir, "models")
     speakers = sorted({e.speaker_id for e in enroll_entries})
     for speaker in speakers:
         frames = np.vstack(
@@ -331,12 +331,25 @@ def run_enroll(manifest_path, config: ExperimentConfig, out_dir) -> list[str]:
     return speakers
 
 
+def _missing_model(
+    model_id: str, model_path: Path, entries: list[ManifestEntry], out_dir: Path
+) -> DataError:
+    """Why ``model_id`` has no model: no enroll rows, all of them failed, or enroll has not run."""
+    message = f"no enrolled model for {model_id!r}"
+    enroll_ids = {e.utterance_id for e in by_split(entries, "enroll") if e.speaker_id == model_id}
+    if not enroll_ids:
+        return DataError(f"{message}: the manifest has no enroll utterance for it")
+    if enroll_ids <= _failed_ids(out_dir):
+        return DataError(
+            f"{message}: all {len(enroll_ids)} of its enroll utterance(s) are listed in"
+            f" {out_dir / _FAILURES}"
+        )
+    return MissingArtifact(f"{message} ({model_path}); run enroll first")
+
+
 def run_score(manifest_path, config: ExperimentConfig, out_dir, trials_path) -> TrialScoreSet:
     out_dir = Path(out_dir)
-    ubm_path = out_dir / "ubm" / "ubm.tclg"
-    if not ubm_path.exists():
-        raise MissingArtifact(f"{ubm_path}: run train-ubm first")
-    ubm = storage.read_gmm(ubm_path)
+    ubm = storage.read_gmm(_require(out_dir / "ubm" / "ubm.tclg", "train-ubm"))
     entries = read_manifest(manifest_path)
     by_id = {e.utterance_id: e for e in entries}
     trials = metrics.read_trials(trials_path)
@@ -351,9 +364,7 @@ def run_score(manifest_path, config: ExperimentConfig, out_dir, trials_path) -> 
         if trial.model_id not in model_cache:
             model_path = out_dir / "models" / f"{trial.model_id}.tclg"
             if not model_path.exists():
-                raise MissingArtifact(
-                    f"no enrolled model for {trial.model_id!r} ({model_path}); run enroll first"
-                )
+                raise _missing_model(trial.model_id, model_path, entries, out_dir)
             model_cache[trial.model_id] = storage.read_gmm(model_path)
         if trial.test_utterance_id not in test_cache:
             entry = by_id.get(trial.test_utterance_id)
@@ -370,22 +381,16 @@ def run_score(manifest_path, config: ExperimentConfig, out_dir, trials_path) -> 
         # the same arithmetic as gmm.score_llr, with the UBM term reused
         scores[i] = float(np.mean(gmm.log_likelihoods(model_cache[trial.model_id], x) - ubm_ll))
     score_set = TrialScoreSet(trials=trials, scores=scores)
-    scores_dir = out_dir / "scores"
-    scores_dir.mkdir(parents=True, exist_ok=True)
-    metrics.write_scores(scores_dir / "scores.tsv", score_set)
+    metrics.write_scores(_output_dir(out_dir, "scores") / "scores.tsv", score_set)
     _snapshot(config, out_dir, "score")
     return score_set
 
 
 def run_evaluate(config: ExperimentConfig, out_dir) -> metrics.EvaluationReport:
     out_dir = Path(out_dir)
-    scores_path = out_dir / "scores" / "scores.tsv"
-    if not scores_path.exists():
-        raise MissingArtifact(f"{scores_path}: run score first")
-    score_set = metrics.read_scores(scores_path)
+    score_set = metrics.read_scores(_require(out_dir / "scores" / "scores.tsv", "score"))
     report = metrics.evaluate(score_set, config.dcf)
-    report_dir = out_dir / "report"
-    report_dir.mkdir(parents=True, exist_ok=True)
+    report_dir = _output_dir(out_dir, "report")
     storage.atomic_write_text(report_dir / "report.txt", metrics.format_report(report) + "\n")
     storage.atomic_write_text(
         report_dir / "report.json",
@@ -393,17 +398,3 @@ def run_evaluate(config: ExperimentConfig, out_dir) -> metrics.EvaluationReport:
     )
     _snapshot(config, out_dir, "evaluate")
     return report
-
-
-def run_pipeline(
-    manifest_path, config: ExperimentConfig, out_dir, trials_path
-) -> metrics.EvaluationReport:
-    """All stages in order; convenience wrapper used by tests and smoke runs."""
-    run_extract_features(manifest_path, config, out_dir)
-    run_make_labels(manifest_path, config, out_dir)
-    run_train_dnn(manifest_path, config, out_dir)
-    run_extract_bn(manifest_path, config, out_dir)
-    run_train_ubm(manifest_path, config, out_dir)
-    run_enroll(manifest_path, config, out_dir)
-    run_score(manifest_path, config, out_dir, trials_path)
-    return run_evaluate(config, out_dir)

@@ -17,7 +17,7 @@ import pytest
 import tclsv
 from tclsv import cli, frontend, gmm, labeling, network, pipeline, storage
 from tclsv.config import load_config
-from tclsv.manifest import read_manifest
+from tclsv.manifest import read_manifest, write_manifest
 from tclsv.synthcorpus import CorpusSpec, generate_corpus
 
 TINY_CONFIG = {
@@ -28,6 +28,7 @@ TINY_CONFIG = {
     "bn": {"layer": "L1", "pca_dim": 8},
     "backend": {"num_mixtures": 4, "em_iterations": 3},
 }
+MFCC_CONFIG = {**TINY_CONFIG, "backend": {**TINY_CONFIG["backend"], "feature_source": "mfcc"}}
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +48,34 @@ def config_path(tmp_path):
 
 def run_cli(*argv):
     return cli.main([str(a) for a in argv])
+
+
+def run_stages(stages, manifest, trials, config_path, out, capsys):
+    """Run each subcommand in turn, asserting exit 0; returns their stdout lines."""
+    capsys.readouterr()
+    for stage in stages:
+        argv = [stage, "--config", config_path, "--out", out]
+        if stage != "evaluate":
+            argv += ["--manifest", manifest]
+        if stage in ("score", "run"):
+            argv += ["--trials", trials]
+        assert run_cli(*argv) == 0, stage
+    return capsys.readouterr().out.splitlines()
+
+
+def break_wavs(manifest, utterance_ids, tmp_path):
+    """A copy of ``manifest`` whose listed utterances point at garbage WAVs."""
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    entries = []
+    for e in read_manifest(manifest):
+        if e.utterance_id in utterance_ids:
+            e = replace(e, wav_path=broken / e.wav_path.name)
+            e.wav_path.write_bytes(b"this is not a wav file")
+        entries.append(e)
+    path = tmp_path / "manifest.tsv"
+    write_manifest(path, entries)
+    return path
 
 
 # --- usage errors (exit 1) ---
@@ -294,21 +323,50 @@ def test_full_run_and_report(tiny_corpus, config_path, tmp_path, capsys):
             "train-ubm", "enroll", "score", "evaluate"} <= stages
 
 
-def test_staged_run_matches_single_run(tiny_corpus, config_path, tmp_path, capsys):
+def assert_run_matches_stages(stages, tiny_corpus, config_path, tmp_path, capsys):
+    """``run`` prints the stages' lines in order and writes their scores and report."""
     manifest, trials = tiny_corpus
     whole = tmp_path / "whole"
     staged = tmp_path / "staged"
-    assert run_cli("run", "--manifest", manifest, "--trials", trials,
-                   "--config", config_path, "--out", whole, "--deterministic") == 0
-    for stage in ("extract-features", "make-labels", "train-dnn", "extract-bn",
-                  "train-ubm", "enroll"):
-        assert run_cli(stage, "--manifest", manifest, "--config", config_path,
-                       "--out", staged, "--deterministic") == 0
-    assert run_cli("score", "--manifest", manifest, "--trials", trials,
-                   "--config", config_path, "--out", staged, "--deterministic") == 0
-    assert run_cli("evaluate", "--config", config_path, "--out", staged, "--deterministic") == 0
+    run_lines = run_stages(["run"], manifest, trials, config_path, whole, capsys)
+    staged_lines = run_stages(stages, manifest, trials, config_path, staged, capsys)
+    # only the --out path in the score line differs
+    assert [line.replace(str(whole), str(staged)) for line in run_lines] == staged_lines
     assert (staged / "scores" / "scores.tsv").read_bytes() == (whole / "scores" / "scores.tsv").read_bytes()
     assert (staged / "report" / "report.json").read_bytes() == (whole / "report" / "report.json").read_bytes()
+    return whole
+
+
+def test_staged_run_matches_single_run(tiny_corpus, config_path, tmp_path, capsys):
+    stages = ("extract-features", "make-labels", "train-dnn", "extract-bn",
+              "train-ubm", "enroll", "score", "evaluate")
+    assert_run_matches_stages(stages, tiny_corpus, config_path, tmp_path, capsys)
+
+
+def test_mfcc_run_skips_the_dnn_stages(tiny_corpus, tmp_path, capsys):
+    config_path = tmp_path / "mfcc.json"
+    config_path.write_text(json.dumps(MFCC_CONFIG), encoding="utf-8")
+    stages = ("extract-features", "train-ubm", "enroll", "score", "evaluate")
+    whole = assert_run_matches_stages(stages, tiny_corpus, config_path, tmp_path, capsys)
+    for sub in ("labels", "dnn", "bn"):
+        assert not (whole / sub).exists(), sub
+    assert {p.stem for p in (whole / "config").glob("*.json")} == set(stages)
+
+
+def test_each_stage_warns_once_about_failed_utterances(tiny_corpus, config_path, tmp_path, capsys, caplog):
+    manifest, trials = tiny_corpus
+    # one dnn-train and one ubm-train utterance; enroll and test stay whole
+    manifest = break_wavs(manifest, {"s00_p0_t0", "s00_p2_t0"}, tmp_path)
+    out = tmp_path / "run"
+    caplog.set_level(logging.WARNING, logger="tclsv.pipeline")
+    run_stages(["run"], manifest, trials, config_path, out, capsys)
+    failures = out / "features" / "failures.tsv"
+    warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert [m.split(":")[0] for m in warned[:2]] == [
+        "extraction failed for s00_p0_t0", "extraction failed for s00_p2_t0"
+    ]
+    # make-labels, train-dnn, extract-bn (every split), train-ubm; enroll reads neither
+    assert warned[2:] == [f"skipping {n} utterance(s) listed in {failures}" for n in (1, 1, 2, 1)]
 
 
 def test_rerun_is_byte_identical(tiny_corpus, config_path, tmp_path, capsys):
@@ -361,18 +419,33 @@ def test_seed_override_changes_models(tiny_corpus, config_path, tmp_path, capsys
     assert outs[1] != outs[2]
 
 
-def test_score_missing_model_names_it(tiny_corpus, config_path, tmp_path, capsys):
+@pytest.mark.parametrize("cause", ["not-enrolled", "no-enroll-row", "enroll-failed"])
+def test_score_missing_model_names_it(tiny_corpus, config_path, tmp_path, capsys, cause):
     manifest, trials = tiny_corpus
+    stages = ["extract-features", "make-labels", "train-dnn", "extract-bn", "train-ubm", "enroll"]
+    if cause == "not-enrolled":
+        stages.remove("enroll")
+    elif cause == "no-enroll-row":
+        entries = [e for e in read_manifest(manifest) if e.utterance_id != "s00_p3_t0"]
+        manifest = tmp_path / "manifest.tsv"
+        write_manifest(manifest, entries)
+    else:
+        manifest = break_wavs(manifest, {"s00_p3_t0"}, tmp_path)
     out = tmp_path / "run"
-    for stage in ("extract-features", "make-labels", "train-dnn", "extract-bn", "train-ubm"):
-        assert run_cli(stage, "--manifest", manifest, "--config", config_path,
-                       "--out", out, "--deterministic") == 0
-    # skip enroll, then score: the first trial's model is missing
+    run_stages(stages, manifest, trials, config_path, out, capsys)
+    # the first trial's model is missing
     code = run_cli("score", "--manifest", manifest, "--trials", trials,
                    "--config", config_path, "--out", out, "--deterministic")
     assert code == 2
     err = capsys.readouterr().err
     assert "no enrolled model for 's00'" in err  # the offending model id is named
+    want = {
+        "not-enrolled": "run enroll first",
+        "no-enroll-row": "the manifest has no enroll utterance for it",
+        "enroll-failed": f"all 1 of its enroll utterance(s) are listed in {out / 'features' / 'failures.tsv'}",
+    }[cause]
+    assert want in err
+    assert cause == "not-enrolled" or "run enroll first" not in err
 
 
 def test_score_matches_per_trial_score_llr_bitwise(tiny_corpus, config_path, tmp_path, monkeypatch):

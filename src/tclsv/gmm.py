@@ -99,15 +99,31 @@ def _as_frames(data) -> np.ndarray:
     return np.atleast_2d(np.asarray(data, dtype=np.float64))
 
 
-def _component_log_likelihoods(model: GmmModel, x: np.ndarray) -> np.ndarray:
+def variance_term(model: GmmModel, frames) -> np.ndarray:
+    """-0.5 * x^2 . (1/sigma_k^2), shape (frames, components).
+
+    The part of each component log density that reads only the frames and the
+    variances, so models with equal variances (a UBM and its mean-only MAP
+    adaptations) can share it for the same frames.
+    """
+    inv_var = model._density_terms[0]
+    return -0.5 * (_as_frames(frames) ** 2) @ inv_var.T
+
+
+def _component_log_likelihoods(
+    model: GmmModel, x: np.ndarray, var_term: np.ndarray | None = None
+) -> np.ndarray:
     """log w_k + log N(x; mu_k, diag sigma_k^2), shape (frames, components).
 
     Built in place as quad + (log w + const); addition commutes bit for bit,
-    so this equals log w + const + quad.
+    so this equals log w + const + quad.  ``var_term`` is
+    ``variance_term(model, x)``, computed here when not given.
     """
-    inv_var, offset, scaled_means = model._density_terms
+    _, offset, scaled_means = model._density_terms
+    if var_term is None:
+        var_term = variance_term(model, x)
     comp = x @ scaled_means
-    comp += -0.5 * (x**2) @ inv_var.T
+    comp += var_term
     comp += offset
     return comp
 
@@ -141,12 +157,16 @@ def _row_logsumexp(comp: np.ndarray) -> np.ndarray:
     return peak + np.log(terms.sum(axis=1, keepdims=True))
 
 
-def log_likelihoods(model: GmmModel, frames) -> np.ndarray:
-    """Per-frame mixture log density via log-sum-exp over components."""
+def log_likelihoods(model: GmmModel, frames, var_term: np.ndarray | None = None) -> np.ndarray:
+    """Per-frame mixture log density via log-sum-exp over components.
+
+    ``var_term``, when given, is ``variance_term`` of these frames under a
+    model with the same variances as ``model``.
+    """
     x = _as_frames(frames)
     if x.shape[1] != model.dim:
         raise DimensionMismatch(f"frames have dim {x.shape[1]}, model expects {model.dim}")
-    return _row_logsumexp(_component_log_likelihoods(model, x)).ravel()
+    return _row_logsumexp(_component_log_likelihoods(model, x, var_term)).ravel()
 
 
 def log_likelihood(model: GmmModel, frame) -> float:
@@ -154,9 +174,12 @@ def log_likelihood(model: GmmModel, frame) -> float:
     return float(log_likelihoods(model, frame)[0])
 
 
-def responsibilities(model: GmmModel, frames) -> np.ndarray:
-    """Posterior component probabilities per frame; rows sum to 1."""
-    comp = _component_log_likelihoods(model, _as_frames(frames))
+def responsibilities(model: GmmModel, frames, var_term: np.ndarray | None = None) -> np.ndarray:
+    """Posterior component probabilities per frame; rows sum to 1.
+
+    ``var_term`` is as for ``log_likelihoods``.
+    """
+    comp = _component_log_likelihoods(model, _as_frames(frames), var_term)
     comp -= comp.max(axis=1, keepdims=True)
     post = _exp_inplace(comp)
     post /= post.sum(axis=1, keepdims=True)
@@ -273,9 +296,10 @@ def map_adapt(ubm: GmmModel, enrollment_data, config: BackendConfig) -> GmmModel
     if x.shape[1] != ubm.dim:
         raise DimensionMismatch(f"frames have dim {x.shape[1]}, UBM expects {ubm.dim}")
     means = ubm.means.copy()
+    var_term = variance_term(ubm, x)  # every iteration's model has the UBM's variances
     for _ in range(config.map_iterations):
         model = GmmModel(ubm.weights, means, ubm.variances)
-        resp = responsibilities(model, x)
+        resp = responsibilities(model, x, var_term)
         occupancy = resp.sum(axis=0)
         safe = np.maximum(occupancy, 1e-300)
         data_means = (resp.T @ x) / safe[:, None]

@@ -7,7 +7,7 @@ run directory documents exactly how it was produced:
     features/   per-utterance feature archives + failures.tsv
     labels/     labels.tsv
     dnn/        model.tcln + loss_trace.txt
-    bn/         pca.tclp + per-utterance bottleneck archives
+    bn/         pca.tclp + bottleneck archives for every split but dnn-train
     ubm/        ubm.tclg + ll_trace.txt
     models/     one adapted GMM per enrolled speaker
     scores/     scores.tsv
@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import logging
 import warnings
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,11 @@ logger = logging.getLogger(__name__)
 
 _FAILURES = Path("features", "failures.tsv")
 
+# Context-stacked rows per network call in extract-bn.  Whole utterances are
+# batched up to this many rows: 1,024 was the fastest size measured (2-core
+# x86-64, OpenBLAS 0.3.31), and its float32 batch stays a few MB.
+BN_BATCH_ROWS = 1024
+
 
 def _output_dir(out_dir: Path, name: str) -> Path:
     path = out_dir / name
@@ -47,6 +53,12 @@ def _require(path: Path, stage: str) -> Path:
     if not path.exists():
         raise MissingArtifact(f"{path}: run {stage} first")
     return path
+
+
+def _check_finite(values: np.ndarray, stage: str, utterance_id: str, what: str) -> None:
+    """DataError naming ``stage`` and the utterance unless ``values`` are all finite."""
+    if not np.isfinite(values).all():
+        raise DataError(f"{stage}: {utterance_id!r}: non-finite {what}")
 
 
 def _write_trace(path: Path, values: list[float]) -> None:
@@ -247,44 +259,97 @@ def run_train_dnn(
     return params, trace
 
 
+def _normalized_deep_features(
+    params: network.NetworkParams,
+    entries: list[ManifestEntry],
+    config: ExperimentConfig,
+    out_dir: Path,
+) -> Iterator[tuple[ManifestEntry, np.ndarray]]:
+    """(entry, CMVN'd float64 deep features) for each entry, in order.
+
+    The network sees batches of whole utterances of up to ``BN_BATCH_ROWS``
+    rows, gathered from a lazy ``network.context_windows``; an utterance
+    longer than that is split into near-equal pieces.  A GEMM computes each
+    row from that row alone, so every row gets the bits that extracting its
+    utterance on its own gives; the one exception is a one-frame utterance,
+    which numpy alone would compute with GEMV.
+    """
+    left, right = config.dnn.context_left, config.dnn.context_right
+
+    def batches() -> Iterator[list[tuple[ManifestEntry, np.ndarray]]]:
+        batch, rows = [], 0
+        for entry in entries:
+            frames = _load_features(out_dir, entry).frames.astype(np.float32)
+            if batch and rows + len(frames) > BN_BATCH_ROWS:
+                yield batch
+                batch, rows = [], 0
+            batch.append((entry, frames))
+            rows += len(frames)
+        if batch:
+            yield batch
+
+    for batch in batches():
+        windows = network.context_windows([(f, len(f)) for _, f in batch], left, right)
+        pieces = -(-len(windows) // BN_BATCH_ROWS)
+        bounds = [len(windows) * i // pieces for i in range(pieces + 1)]
+        parts = [
+            network.extract_deep_features(params, windows[a:b], config.bn.layer)
+            for a, b in zip(bounds[:-1], bounds[1:])
+        ]
+        deep = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        start = 0
+        for entry, frames in batch:
+            utt = deep[start : start + len(frames)]
+            start += len(frames)
+            _check_finite(utt, "extract-bn", entry.utterance_id, f"layer {config.bn.layer} outputs")
+            feats = FeatureMatrix(frames=utt.astype(np.float64), utterance_id=entry.utterance_id)
+            yield entry, cmvn(feats).frames
+
+
 def run_extract_bn(manifest_path, config: ExperimentConfig, out_dir) -> pca.PcaModel:
     """Deep features at the configured layer -> per-utterance CMVN -> PCA projection.
 
     The network runs in float32; its outputs go back to float64 for CMVN and PCA.
 
     The projection is fitted on the pooled normalized frames of the
-    ``bn.fit_split`` utterances, then applied to every utterance.
+    ``bn.fit_split`` utterances, then applied to every utterance except the
+    dnn-train split, which no later stage reads.  Non-finite network outputs
+    raise DataError naming the utterance before the PCA fit sees them and
+    before that utterance's archive is written.
     """
     out_dir = Path(out_dir)
     params = storage.read_network(_require(out_dir / "dnn" / "model.tcln", "train-dnn"))
     params = params.astype(np.float32)
     entries = _usable(read_manifest(manifest_path), out_dir)
-    left, right = config.dnn.context_left, config.dnn.context_right
-
-    def normalized(entry: ManifestEntry) -> np.ndarray:
-        frames = _load_features(out_dir, entry).frames.astype(np.float32)
-        deep = network.extract_deep_features(
-            params, network.stack_context(frames, left, right), config.bn.layer
-        )
-        deep = deep.astype(np.float64)
-        return cmvn(FeatureMatrix(frames=deep, utterance_id=entry.utterance_id)).frames
-
-    # Only the fit utterances' deep features are held at once; every other
-    # utterance is computed, projected and written on its own.
     fit_entries = _usable(entries, out_dir, config.bn.fit_split)
-    fitted = {e.utterance_id: normalized(e) for e in fit_entries}
-    projection = pca.fit_pca(np.vstack(list(fitted.values())), config.bn.pca_dim)
+
+    # The fit split's normalized deep features, pooled in manifest order into
+    # one matrix sized from the archive headers.
+    offsets = np.cumsum(
+        [0] + [storage.read_feature_shape(_feature_path(out_dir, e))[0] for e in fit_entries]
+    )
+    width = params.arch.hidden_layers[params.arch.layer_index(config.bn.layer)]
+    pooled = np.empty((offsets[-1], width))
+    for i, (_, deep) in enumerate(_normalized_deep_features(params, fit_entries, config, out_dir)):
+        pooled[offsets[i] : offsets[i + 1]] = deep
+    projection = pca.fit_pca(pooled, config.bn.pca_dim)
 
     bn_dir = _output_dir(out_dir, "bn")
     storage.write_pca(bn_dir / "pca.tclp", projection)
-    for entry in entries:
-        deep = fitted.pop(entry.utterance_id, None)
-        if deep is None:
-            deep = normalized(entry)
+
+    def write(entry: ManifestEntry, deep: np.ndarray) -> None:
         storage.write_feature_archive(
             bn_dir / f"{entry.utterance_id}.tclf",
             FeatureMatrix(frames=pca.project(projection, deep), utterance_id=entry.utterance_id),
         )
+
+    if config.bn.fit_split != "dnn-train":
+        for i, entry in enumerate(fit_entries):
+            write(entry, pooled[offsets[i] : offsets[i + 1]])
+    del pooled
+    rest = [e for e in entries if e.split not in ("dnn-train", config.bn.fit_split)]
+    for entry, deep in _normalized_deep_features(params, rest, config, out_dir):
+        write(entry, deep)
     _snapshot(config, out_dir, "extract-bn")
     return projection
 
@@ -295,7 +360,12 @@ def run_train_ubm(
     out_dir = Path(out_dir)
     ubm_entries = _usable(read_manifest(manifest_path), out_dir, "ubm-train")
     subdir = _backend_subdir(config)
-    frames = np.vstack([_load_features(out_dir, e, subdir).frames for e in ubm_entries])
+    parts = []
+    for entry in ubm_entries:
+        parts.append(_load_features(out_dir, entry, subdir).frames)
+        _check_finite(parts[-1], "train-ubm", entry.utterance_id, f"frames in {subdir}/")
+    frames = np.vstack(parts)
+    del parts
     model, trace = gmm.train_ubm(
         frames,
         config.backend.num_mixtures,
@@ -348,6 +418,13 @@ def _missing_model(
 
 
 def run_score(manifest_path, config: ExperimentConfig, out_dir, trials_path) -> TrialScoreSet:
+    """The average per-frame LLR of each trial, written in trial order.
+
+    Trials are scored one test utterance at a time.  The UBM is evaluated once
+    per test utterance, and the frames' variance term once per test utterance
+    for the UBM and every model with the UBM's variances (mean-only MAP keeps
+    them), so only one utterance's frames and terms are held at a time.
+    """
     out_dir = Path(out_dir)
     ubm = storage.read_gmm(_require(out_dir / "ubm" / "ubm.tclg", "train-ubm"))
     entries = read_manifest(manifest_path)
@@ -355,31 +432,40 @@ def run_score(manifest_path, config: ExperimentConfig, out_dir, trials_path) -> 
     trials = metrics.read_trials(trials_path)
     subdir = _backend_subdir(config)
 
-    model_cache: dict[str, gmm.GmmModel] = {}
-    # Per test utterance: its frames and the UBM log-likelihood of each frame,
-    # so the UBM is evaluated once per utterance rather than once per trial.
-    test_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    scores = np.empty(len(trials))
+    by_test: dict[str, list[int]] = {}
     for i, trial in enumerate(trials):
-        if trial.model_id not in model_cache:
-            model_path = out_dir / "models" / f"{trial.model_id}.tclg"
-            if not model_path.exists():
-                raise _missing_model(trial.model_id, model_path, entries, out_dir)
-            model_cache[trial.model_id] = storage.read_gmm(model_path)
-        if trial.test_utterance_id not in test_cache:
-            entry = by_id.get(trial.test_utterance_id)
-            if entry is None:
-                raise DataError(
-                    f"trial references utterance {trial.test_utterance_id!r}"
-                    f" which is not in the manifest"
-                )
-            x = _load_features(out_dir, entry, subdir).frames
-            if x.shape[0] == 0:
-                raise EmptyUtterance(f"{entry.utterance_id}: utterance has no frames")
-            test_cache[trial.test_utterance_id] = (x, gmm.log_likelihoods(ubm, x))
-        x, ubm_ll = test_cache[trial.test_utterance_id]
-        # the same arithmetic as gmm.score_llr, with the UBM term reused
-        scores[i] = float(np.mean(gmm.log_likelihoods(model_cache[trial.model_id], x) - ubm_ll))
+        by_test.setdefault(trial.test_utterance_id, []).append(i)
+    for utt in by_test:
+        entry = by_id.get(utt)
+        if entry is None:
+            raise DataError(f"trial references utterance {utt!r} which is not in the manifest")
+        if entry.split == "dnn-train":
+            raise DataError(
+                f"trial tests utterance {utt!r} of the dnn-train split;"
+                f" pass-phrases that trained the network cannot be scored"
+            )
+
+    # model id -> (model, whether it shares the UBM's variances)
+    model_cache: dict[str, tuple[gmm.GmmModel, bool]] = {}
+    scores = np.empty(len(trials))
+    for utt, indices in by_test.items():
+        x = _load_features(out_dir, by_id[utt], subdir).frames
+        if x.shape[0] == 0:
+            raise EmptyUtterance(f"{utt}: utterance has no frames")
+        var_term = gmm.variance_term(ubm, x)
+        ubm_ll = gmm.log_likelihoods(ubm, x, var_term)
+        for i in indices:
+            model_id = trials[i].model_id
+            if model_id not in model_cache:
+                model_path = out_dir / "models" / f"{model_id}.tclg"
+                if not model_path.exists():
+                    raise _missing_model(model_id, model_path, entries, out_dir)
+                model = storage.read_gmm(model_path)
+                model_cache[model_id] = (model, np.array_equal(model.variances, ubm.variances))
+            model, shared = model_cache[model_id]
+            # the same arithmetic as gmm.score_llr, with the UBM terms reused
+            ll = gmm.log_likelihoods(model, x, var_term if shared else None)
+            scores[i] = float(np.mean(ll - ubm_ll))
     score_set = TrialScoreSet(trials=trials, scores=scores)
     metrics.write_scores(_output_dir(out_dir, "scores") / "scores.tsv", score_set)
     _snapshot(config, out_dir, "score")

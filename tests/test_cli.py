@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import tclsv
-from tclsv import cli, frontend, gmm, labeling, network, pipeline, storage
+from tclsv import cli, frontend, gmm, labeling, network, pca, pipeline, storage
 from tclsv.config import load_config
 from tclsv.manifest import read_manifest, write_manifest
 from tclsv.synthcorpus import CorpusSpec, generate_corpus
@@ -353,6 +353,21 @@ def test_mfcc_run_skips_the_dnn_stages(tiny_corpus, tmp_path, capsys):
     assert {p.stem for p in (whole / "config").glob("*.json")} == set(stages)
 
 
+def test_run_writes_only_archives_a_later_stage_reads(tiny_corpus, config_path, tmp_path, capsys, monkeypatch):
+    manifest, trials = tiny_corpus
+    out = tmp_path / "run"
+    read = set()
+    real_read = storage.read_feature_archive
+    monkeypatch.setattr(storage, "read_feature_archive",
+                        lambda path, *a, **k: read.add(Path(path).resolve()) or real_read(path, *a, **k))
+    run_stages(["run"], manifest, trials, config_path, out, capsys)
+    written = {p.resolve() for sub in ("features", "bn") for p in (out / sub).glob("*.tclf")}
+    assert len(written) > len(read_manifest(manifest))
+    assert written == read
+    dnn_train = {e.utterance_id for e in read_manifest(manifest) if e.split == "dnn-train"}
+    assert {p.stem for p in (out / "bn").glob("*.tclf")}.isdisjoint(dnn_train)
+
+
 def test_each_stage_warns_once_about_failed_utterances(tiny_corpus, config_path, tmp_path, capsys, caplog):
     manifest, trials = tiny_corpus
     # one dnn-train and one ubm-train utterance; enroll and test stay whole
@@ -458,9 +473,9 @@ def test_score_matches_per_trial_score_llr_bitwise(tiny_corpus, config_path, tmp
     real_log_likelihoods = gmm.log_likelihoods
     calls = []
 
-    def counting(model, frames):
+    def counting(model, frames, var_term=None):
         calls.append(model)
-        return real_log_likelihoods(model, frames)
+        return real_log_likelihoods(model, frames, var_term)
 
     monkeypatch.setattr(gmm, "log_likelihoods", counting)
     score_set = pipeline.run_score(manifest, load_config(config_path).resolved(None), out, trials)
@@ -539,3 +554,139 @@ def test_dnn_stages_compute_in_float32(tiny_corpus, config_path, tmp_path, monke
     for got, trained in zip(stored.weights + stored.head_biases, params.weights + params.head_biases):
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got, trained)
+
+
+UP_TO_ENROLL = ["extract-features", "make-labels", "train-dnn", "extract-bn", "train-ubm", "enroll"]
+
+
+def run_through(stage, tiny_corpus, config_path, out, capsys):
+    """Run the stages up to and including ``stage``, asserting exit 0."""
+    manifest, trials = tiny_corpus
+    run_stages(UP_TO_ENROLL[: UP_TO_ENROLL.index(stage) + 1], manifest, trials, config_path, out, capsys)
+
+
+# the default batches several utterances per call; 40 rows splits each utterance
+@pytest.mark.parametrize("batch_rows, batched", [(pipeline.BN_BATCH_ROWS, True), (40, False)])
+def test_extract_bn_matches_per_utterance_reference(
+    tiny_corpus, config_path, tmp_path, capsys, monkeypatch, batch_rows, batched
+):
+    manifest, _ = tiny_corpus
+    out = tmp_path / "run"
+    run_through("train-dnn", tiny_corpus, config_path, out, capsys)
+    config = load_config(config_path).resolved(None)
+    monkeypatch.setattr(pipeline, "BN_BATCH_ROWS", batch_rows)
+    rows_seen = []
+    real_extract = network.extract_deep_features
+
+    def counting(params, inputs, layer="L2"):
+        rows_seen.append(len(inputs))
+        return real_extract(params, inputs, layer)
+
+    monkeypatch.setattr(network, "extract_deep_features", counting)
+    projection = pipeline.run_extract_bn(manifest, config, out)
+    monkeypatch.setattr(network, "extract_deep_features", real_extract)
+
+    entries = read_manifest(manifest)
+    params = storage.read_network(out / "dnn" / "model.tcln").astype(np.float32)
+
+    def reference(entry):
+        frames = storage.read_feature_archive(out / "features" / f"{entry.utterance_id}.tclf").frames
+        context = network.stack_context(frames.astype(np.float32), config.dnn.context_left,
+                                        config.dnn.context_right)
+        deep = real_extract(params, context, config.bn.layer).astype(np.float64)
+        return frontend.cmvn(frontend.FeatureMatrix(frames=deep)).frames
+
+    fit = np.vstack([reference(e) for e in entries if e.split == config.bn.fit_split])
+    want = pca.fit_pca(fit, config.bn.pca_dim)
+    for got_array, want_array in zip(
+        (projection.mean, projection.basis, projection.eigenvalues), (want.mean, want.basis, want.eigenvalues)
+    ):
+        assert np.array_equal(got_array, want_array)
+    kept = [e for e in entries if e.split != "dnn-train"]
+    assert sorted(p.stem for p in (out / "bn").glob("*.tclf")) == sorted(e.utterance_id for e in kept)
+    for entry in kept:
+        got = storage.read_feature_archive(out / "bn" / f"{entry.utterance_id}.tclf").frames
+        assert np.array_equal(got, pca.project(want, reference(entry))), entry.utterance_id
+
+    # every kept utterance goes through the network once, in calls of at most batch_rows rows
+    assert max(rows_seen) <= batch_rows
+    total = sum(storage.read_feature_shape(out / "features" / f"{e.utterance_id}.tclf")[0] for e in kept)
+    assert sum(rows_seen) == total
+    if batched:
+        assert len(rows_seen) < len(kept)
+    else:
+        assert len(rows_seen) > len(kept)
+
+
+def test_extract_bn_rejects_non_finite_deep_features(tiny_corpus, config_path, tmp_path, capsys):
+    manifest, _ = tiny_corpus
+    out = tmp_path / "run"
+    run_through("train-dnn", tiny_corpus, config_path, out, capsys)
+    params = storage.read_network(out / "dnn" / "model.tcln")
+    params.weights[0][0, 0] = np.nan
+    storage.write_network(out / "dnn" / "model.tcln", params)
+    assert run_cli("extract-bn", "--manifest", manifest, "--config", config_path, "--out", out) == 2
+    first_fit = next(e for e in read_manifest(manifest) if e.split == "ubm-train").utterance_id
+    err = capsys.readouterr().err
+    assert "extract-bn" in err and repr(first_fit) in err and "non-finite" in err
+    # raised before the PCA fit and before any archive
+    assert not (out / "bn").exists()
+
+
+def test_train_ubm_rejects_non_finite_frames(tiny_corpus, config_path, tmp_path, capsys):
+    manifest, _ = tiny_corpus
+    out = tmp_path / "run"
+    run_through("extract-bn", tiny_corpus, config_path, out, capsys)
+    victim = [e for e in read_manifest(manifest) if e.split == "ubm-train"][1].utterance_id
+    path = out / "bn" / f"{victim}.tclf"
+    feats = storage.read_feature_archive(path)
+    feats.frames[3, 2] = np.nan
+    storage.write_feature_archive(path, feats)
+    assert run_cli("train-ubm", "--manifest", manifest, "--config", config_path, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "train-ubm" in err and repr(victim) in err and "non-finite" in err
+    assert not (out / "ubm").exists()
+
+
+@pytest.mark.parametrize("backend", ["bn", "mfcc"])
+def test_score_rejects_a_dnn_train_test_utterance(tiny_corpus, tmp_path, capsys, backend):
+    manifest, trials = tiny_corpus
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(TINY_CONFIG if backend == "bn" else MFCC_CONFIG), encoding="utf-8")
+    out = tmp_path / "run"
+    stages = [s for s in UP_TO_ENROLL if backend == "bn" or s not in cli.DNN_STAGES]
+    run_stages(stages, manifest, trials, config_path, out, capsys)
+    victim = next(e for e in read_manifest(manifest) if e.split == "dnn-train").utterance_id
+    lines = trials.read_text(encoding="utf-8").splitlines()
+    model_id, _, kind = lines[-1].split("\t")
+    bad_trials = tmp_path / "trials.tsv"
+    bad_trials.write_text("\n".join(lines + [f"{model_id}\t{victim}\t{kind}"]) + "\n", encoding="utf-8")
+    code = run_cli("score", "--manifest", manifest, "--trials", bad_trials,
+                   "--config", config_path, "--out", out)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert repr(victim) in err and "dnn-train" in err
+    assert not (out / "scores").exists()
+
+
+def test_score_uses_its_own_variance_term_for_a_model_with_other_variances(
+    tiny_corpus, config_path, tmp_path, capsys
+):
+    manifest, trials = tiny_corpus
+    out = tmp_path / "run"
+    run_through("enroll", tiny_corpus, config_path, out, capsys)
+    path = out / "models" / "s01.tclg"
+    model = storage.read_gmm(path)
+    storage.write_gmm(path, gmm.GmmModel(model.weights, model.means, model.variances * 1.5))
+    score_set = pipeline.run_score(manifest, load_config(config_path).resolved(None), out, trials)
+    ubm = storage.read_gmm(out / "ubm" / "ubm.tclg")
+    expected = [
+        gmm.score_llr(
+            storage.read_gmm(out / "models" / f"{t.model_id}.tclg"),
+            ubm,
+            storage.read_feature_archive(out / "bn" / f"{t.test_utterance_id}.tclf"),
+        )
+        for t in score_set.trials
+    ]
+    assert "s01" in {t.model_id for t in score_set.trials}
+    assert np.array_equal(score_set.scores, np.array(expected))

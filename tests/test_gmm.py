@@ -27,6 +27,7 @@ from tclsv.gmm import (
     responsibilities,
     score_llr,
     train_ubm,
+    variance_term,
 )
 
 
@@ -493,3 +494,35 @@ def test_model_scored_twice_gives_identical_results():
     log_likelihoods(model, other)
     assert np.array_equal(log_likelihoods(model, x), first)
     assert np.array_equal(responsibilities(model, x), responsibilities(model, x))
+
+
+def ref_map_adapt(ubm, x, config):
+    means = ubm.means.copy()
+    for _ in range(config.map_iterations):
+        resp = ref_responsibilities(GmmModel(ubm.weights, means, ubm.variances), x)
+        occupancy = resp.sum(axis=0)
+        data_means = (resp.T @ x) / np.maximum(occupancy, 1e-300)[:, None]
+        alpha = occupancy / (occupancy + config.relevance_factor)
+        means = alpha[:, None] * data_means + (1.0 - alpha[:, None]) * means
+    return GmmModel(ubm.weights.copy(), means, ubm.variances.copy())
+
+
+def test_map_adapt_equals_plain_iterations():
+    ubm = spread_model(37, zero_weight=False)
+    x = np.random.default_rng(38).uniform(-70.0, 70.0, (300, 3))
+    config = BackendConfig(map_iterations=3, relevance_factor=4.0)
+    assert_models_equal(map_adapt(ubm, x, config), ref_map_adapt(ubm, x, config))
+
+
+def test_variance_term_is_shared_by_models_with_equal_variances():
+    ubm = spread_model(39, zero_weight=False)
+    rng = np.random.default_rng(40)
+    x = rng.uniform(-70.0, 70.0, (200, 3))
+    adapted = map_adapt(ubm, rng.uniform(-70.0, 70.0, (100, 3)), BackendConfig())
+    term = variance_term(ubm, x)
+    assert term.shape == (200, ubm.num_components)
+    for model in (ubm, adapted):
+        want = ref_row_logsumexp(ref_component_log_likelihoods(model, x)).ravel()
+        assert np.array_equal(log_likelihoods(model, x, term), want)
+        assert np.array_equal(log_likelihoods(model, x), want)
+        assert np.array_equal(responsibilities(model, x, term), ref_responsibilities(model, x))

@@ -25,7 +25,7 @@ STAGES = (
     ("enroll", "MAP-adapt one model per enrolled speaker"),
     ("score", "score a trial list against the enrolled models"),
     ("evaluate", "compute EER/minDCF per trial type from scores"),
-    ("run", "all stages in order; an MFCC backend skips make-labels, train-dnn and extract-bn"),
+    ("run", "all stages in order, less make-labels without a tcl head and the DNN stages for MFCC"),
 )
 # what only the bottleneck backend reads
 DNN_STAGES = ("make-labels", "train-dnn", "extract-bn")
@@ -78,6 +78,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     stages = [args.command]
     if args.command == "run":
         skipped = ("run", *DNN_STAGES) if config.backend.feature_source == "mfcc" else ("run",)
+        if "tcl" not in config.dnn.targets.split("+"):
+            skipped += ("make-labels",)  # only the tcl head reads labels.tsv
         stages = [name for name, _ in STAGES if name not in skipped]
     for stage in stages:
         _run_stage(stage, args, config, out)

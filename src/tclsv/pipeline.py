@@ -5,7 +5,7 @@ outputs there and drops a resolved-config snapshot next to them, so a finished
 run directory documents exactly how it was produced:
 
     features/   per-utterance feature archives + failures.tsv
-    labels/     labels.tsv
+    labels/     labels.tsv, for a dnn.targets with the tcl head
     dnn/        model.tcln + loss_trace.txt
     bn/         pca.tclp + bottleneck archives for every split but dnn-train
     ubm/        ubm.tclg + ll_trace.txt
@@ -17,6 +17,7 @@ run directory documents exactly how it was produced:
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import warnings
@@ -173,67 +174,62 @@ def run_make_labels(manifest_path, config: ExperimentConfig, out_dir) -> labelin
 def _build_training_dataset(
     train_entries: list[ManifestEntry], config: ExperimentConfig, out_dir: Path
 ) -> tuple[network.LabeledDataset, network.NetworkArch]:
-    """Context-stacked frames of the dnn-train entries plus per-head labels per config.dnn.targets.
+    """Context-stacked frames of the dnn-train entries plus labels for each dnn.targets head.
 
-    The frames are cast to float32 once, here, so the network trains in float32.
+    Each head maps an utterance id to its frame labels: ``tcl`` to its vector
+    in labels.tsv, ``speaker`` and ``phrase`` to the sorted index of the
+    entry's ``<head>_id``, repeated over its frames (counted from the archive
+    headers).  Utterances some head has no labels for are skipped.  The frames
+    are cast to float32 once, here, so the network trains in float32.
     """
-    left, right = config.dnn.context_left, config.dnn.context_right
+    targets = config.dnn.targets
+    num_classes, tables = {}, {}  # per head: number of classes, utterance id -> labels
+    num_frames = functools.cache(lambda e: storage.read_feature_shape(_feature_path(out_dir, e))[0])
+    for head in targets.split("+"):
+        if head == "tcl":
+            labels_path = _require(out_dir / "labels" / "labels.tsv", "make-labels")
+            num_classes[head] = config.tcl.num_classes
+            tables[head] = labeling.read_label_archive(labels_path)
+            continue
+        ids = [getattr(e, f"{head}_id") for e in train_entries]
+        if None in ids:
+            raise DataError(f"dnn.targets {targets!r} needs {head}_id on every dnn-train row")
+        index = {v: i for i, v in enumerate(sorted(set(ids)))}
+        num_classes[head], tables[head] = len(index), {
+            e.utterance_id: np.full(num_frames(e), index[v]) for e, v in zip(train_entries, ids)
+        }
 
     utterances: list[tuple[np.ndarray, int]] = []  # (frames, rows kept)
-    if config.dnn.targets == "tcl":
-        archived = labeling.read_label_archive(
-            _require(out_dir / "labels" / "labels.tsv", "make-labels")
-        )
-        label_parts = []
-        for entry in train_entries:
-            vec = archived.get(entry.utterance_id)
-            if vec is None or len(vec) == 0:
-                continue  # skipped as too short, or truncated away in stream mode
-            feats = _load_features(out_dir, entry)
+    parts: dict[str, list[np.ndarray]] = {head: [] for head in tables}
+    for entry in train_entries:
+        vecs = {head: table.get(entry.utterance_id) for head, table in tables.items()}
+        if any(vec is None or len(vec) == 0 for vec in vecs.values()):
+            continue  # skipped as too short, or truncated away in stream mode
+        feats = _load_features(out_dir, entry)
+        for head, vec in vecs.items():
             # stream mode may label only a prefix; anything else must match exactly
             too_long = len(vec) > feats.num_frames
             if too_long or (config.tcl.mode == "utterance" and len(vec) != feats.num_frames):
                 raise DimensionMismatch(
                     f"{entry.utterance_id}: {len(vec)} labels for {feats.num_frames} frames"
                 )
-            if int(vec.max()) >= config.tcl.num_classes:
+            if vec.max() >= num_classes[head]:
                 raise DataError(
-                    f"{entry.utterance_id}: label {int(vec.max())} out of range for"
-                    f" {config.tcl.num_classes} classes"
+                    f"{entry.utterance_id}: label {vec.max()} out of range for"
+                    f" {num_classes[head]} classes"
                 )
-            utterances.append((feats.frames.astype(np.float32), len(vec)))
-            label_parts.append(vec)
-        if not utterances:
-            raise DataError("no labeled training frames; check labels.tsv")
-        labels = {"tcl": np.concatenate(label_parts)}
-        heads = (("tcl", config.tcl.num_classes),)
-    else:
-        speakers = sorted({e.speaker_id for e in train_entries})
-        speaker_index = {s: i for i, s in enumerate(speakers)}
-        want_phrase = config.dnn.targets == "speaker+phrase"
-        if want_phrase and any(e.phrase_id is None for e in train_entries):
-            raise DataError("dnn.targets 'speaker+phrase' needs phrase_id on every dnn-train row")
-        phrases = sorted({e.phrase_id for e in train_entries}) if want_phrase else []
-        phrase_index = {p: i for i, p in enumerate(phrases)}
-        speaker_parts, phrase_parts = [], []
-        for entry in train_entries:
-            feats = _load_features(out_dir, entry)
-            utterances.append((feats.frames.astype(np.float32), feats.num_frames))
-            speaker_parts.append(np.full(feats.num_frames, speaker_index[entry.speaker_id]))
-            if want_phrase:
-                phrase_parts.append(np.full(feats.num_frames, phrase_index[entry.phrase_id]))
-        labels = {"speaker": np.concatenate(speaker_parts)}
-        heads = (("speaker", len(speakers)),)
-        if want_phrase:
-            labels["phrase"] = np.concatenate(phrase_parts)
-            heads += (("phrase", len(phrases)),)
+            parts[head].append(vec)
+        utterances.append((feats.frames.astype(np.float32), len(vec)))  # every head labels these rows
+    if not utterances:
+        raise DataError("no labeled training frames; check labels.tsv")
 
-    inputs = network.context_windows(utterances, left, right)
+    inputs = network.context_windows(utterances, config.dnn.context_left, config.dnn.context_right)
     arch = network.NetworkArch(
         input_dim=inputs.shape[1],
         hidden_layers=config.dnn.hidden_layers,
-        output_heads=heads,
+        output_heads=tuple(num_classes.items()),
     )
+    labels = {head: np.concatenate(vecs) for head, vecs in parts.items()}
     return network.LabeledDataset(inputs=inputs, labels=labels), arch
 
 
@@ -320,7 +316,8 @@ def run_extract_bn(manifest_path, config: ExperimentConfig, out_dir) -> pca.PcaM
     out_dir = Path(out_dir)
     params = storage.read_network(_require(out_dir / "dnn" / "model.tcln", "train-dnn"))
     params = params.astype(np.float32)
-    entries = _usable(read_manifest(manifest_path), out_dir)
+    skip = () if config.bn.fit_split == "dnn-train" else ("dnn-train",)  # no later stage reads it
+    entries = _usable([e for e in read_manifest(manifest_path) if e.split not in skip], out_dir)
     fit_entries = _usable(entries, out_dir, config.bn.fit_split)
 
     # The fit split's normalized deep features, pooled in manifest order into
@@ -347,7 +344,7 @@ def run_extract_bn(manifest_path, config: ExperimentConfig, out_dir) -> pca.PcaM
         for i, entry in enumerate(fit_entries):
             write(entry, pooled[offsets[i] : offsets[i + 1]])
     del pooled
-    rest = [e for e in entries if e.split not in ("dnn-train", config.bn.fit_split)]
+    rest = [e for e in entries if e.split != config.bn.fit_split]
     for entry, deep in _normalized_deep_features(params, rest, config, out_dir):
         write(entry, deep)
     _snapshot(config, out_dir, "extract-bn")

@@ -16,8 +16,9 @@ import pytest
 
 import tclsv
 from tclsv import cli, frontend, gmm, labeling, network, pca, pipeline, storage
-from tclsv.config import load_config
-from tclsv.manifest import read_manifest, write_manifest
+from tclsv.config import ExperimentConfig, load_config
+from tclsv.errors import DataError, DimensionMismatch
+from tclsv.manifest import ManifestEntry, read_manifest, write_manifest
 from tclsv.synthcorpus import CorpusSpec, generate_corpus
 
 TINY_CONFIG = {
@@ -29,6 +30,7 @@ TINY_CONFIG = {
     "backend": {"num_mixtures": 4, "em_iterations": 3},
 }
 MFCC_CONFIG = {**TINY_CONFIG, "backend": {**TINY_CONFIG["backend"], "feature_source": "mfcc"}}
+SPEAKER_CONFIG = {**TINY_CONFIG, "dnn": {**TINY_CONFIG["dnn"], "targets": "speaker"}}
 
 
 @pytest.fixture(scope="module")
@@ -343,12 +345,17 @@ def test_staged_run_matches_single_run(tiny_corpus, config_path, tmp_path, capsy
     assert_run_matches_stages(stages, tiny_corpus, config_path, tmp_path, capsys)
 
 
-def test_mfcc_run_skips_the_dnn_stages(tiny_corpus, tmp_path, capsys):
-    config_path = tmp_path / "mfcc.json"
-    config_path.write_text(json.dumps(MFCC_CONFIG), encoding="utf-8")
-    stages = ("extract-features", "train-ubm", "enroll", "score", "evaluate")
+@pytest.mark.parametrize("config, stages, absent", [
+    (MFCC_CONFIG, ("extract-features", "train-ubm", "enroll", "score", "evaluate"), ("labels", "dnn", "bn")),
+    # only the tcl head reads labels/
+    (SPEAKER_CONFIG, ("extract-features", "train-dnn", "extract-bn", "train-ubm", "enroll", "score",
+                      "evaluate"), ("labels",)),
+], ids=["mfcc", "speaker"])
+def test_run_skips_the_stages_nothing_reads(tiny_corpus, tmp_path, capsys, config, stages, absent):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
     whole = assert_run_matches_stages(stages, tiny_corpus, config_path, tmp_path, capsys)
-    for sub in ("labels", "dnn", "bn"):
+    for sub in absent:
         assert not (whole / sub).exists(), sub
     assert {p.stem for p in (whole / "config").glob("*.json")} == set(stages)
 
@@ -380,8 +387,8 @@ def test_each_stage_warns_once_about_failed_utterances(tiny_corpus, config_path,
     assert [m.split(":")[0] for m in warned[:2]] == [
         "extraction failed for s00_p0_t0", "extraction failed for s00_p2_t0"
     ]
-    # make-labels, train-dnn, extract-bn (every split), train-ubm; enroll reads neither
-    assert warned[2:] == [f"skipping {n} utterance(s) listed in {failures}" for n in (1, 1, 2, 1)]
+    # make-labels, train-dnn, extract-bn (not dnn-train), train-ubm; enroll reads neither
+    assert warned[2:] == [f"skipping {n} utterance(s) listed in {failures}" for n in (1, 1, 1, 1)]
 
 
 def test_rerun_is_byte_identical(tiny_corpus, config_path, tmp_path, capsys):
@@ -554,6 +561,167 @@ def test_dnn_stages_compute_in_float32(tiny_corpus, config_path, tmp_path, monke
     for got, trained in zip(stored.weights + stored.head_biases, params.weights + params.head_biases):
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got, trained)
+
+
+# --- the DNN training set ---
+
+# The builder as it was before one label path served every head, kept verbatim
+# (renamed) as the reference for the current one.
+_require, _load_features = pipeline._require, pipeline._load_features
+
+
+def reference_build_training_dataset(
+    train_entries: list[ManifestEntry], config: ExperimentConfig, out_dir: Path
+) -> tuple[network.LabeledDataset, network.NetworkArch]:
+    """Context-stacked frames of the dnn-train entries plus per-head labels per config.dnn.targets.
+
+    The frames are cast to float32 once, here, so the network trains in float32.
+    """
+    left, right = config.dnn.context_left, config.dnn.context_right
+
+    utterances: list[tuple[np.ndarray, int]] = []  # (frames, rows kept)
+    if config.dnn.targets == "tcl":
+        archived = labeling.read_label_archive(
+            _require(out_dir / "labels" / "labels.tsv", "make-labels")
+        )
+        label_parts = []
+        for entry in train_entries:
+            vec = archived.get(entry.utterance_id)
+            if vec is None or len(vec) == 0:
+                continue  # skipped as too short, or truncated away in stream mode
+            feats = _load_features(out_dir, entry)
+            # stream mode may label only a prefix; anything else must match exactly
+            too_long = len(vec) > feats.num_frames
+            if too_long or (config.tcl.mode == "utterance" and len(vec) != feats.num_frames):
+                raise DimensionMismatch(
+                    f"{entry.utterance_id}: {len(vec)} labels for {feats.num_frames} frames"
+                )
+            if int(vec.max()) >= config.tcl.num_classes:
+                raise DataError(
+                    f"{entry.utterance_id}: label {int(vec.max())} out of range for"
+                    f" {config.tcl.num_classes} classes"
+                )
+            utterances.append((feats.frames.astype(np.float32), len(vec)))
+            label_parts.append(vec)
+        if not utterances:
+            raise DataError("no labeled training frames; check labels.tsv")
+        labels = {"tcl": np.concatenate(label_parts)}
+        heads = (("tcl", config.tcl.num_classes),)
+    else:
+        speakers = sorted({e.speaker_id for e in train_entries})
+        speaker_index = {s: i for i, s in enumerate(speakers)}
+        want_phrase = config.dnn.targets == "speaker+phrase"
+        if want_phrase and any(e.phrase_id is None for e in train_entries):
+            raise DataError("dnn.targets 'speaker+phrase' needs phrase_id on every dnn-train row")
+        phrases = sorted({e.phrase_id for e in train_entries}) if want_phrase else []
+        phrase_index = {p: i for i, p in enumerate(phrases)}
+        speaker_parts, phrase_parts = [], []
+        for entry in train_entries:
+            feats = _load_features(out_dir, entry)
+            utterances.append((feats.frames.astype(np.float32), feats.num_frames))
+            speaker_parts.append(np.full(feats.num_frames, speaker_index[entry.speaker_id]))
+            if want_phrase:
+                phrase_parts.append(np.full(feats.num_frames, phrase_index[entry.phrase_id]))
+        labels = {"speaker": np.concatenate(speaker_parts)}
+        heads = (("speaker", len(speakers)),)
+        if want_phrase:
+            labels["phrase"] = np.concatenate(phrase_parts)
+            heads += (("phrase", len(phrases)),)
+
+    inputs = network.context_windows(utterances, left, right)
+    arch = network.NetworkArch(
+        input_dim=inputs.shape[1],
+        hidden_layers=config.dnn.hidden_layers,
+        output_heads=heads,
+    )
+    return network.LabeledDataset(inputs=inputs, labels=labels), arch
+
+
+def dnn_train_entries(manifest):
+    return [e for e in read_manifest(manifest) if e.split == "dnn-train"]
+
+
+def num_frames(out, entry):
+    return storage.read_feature_shape(out / "features" / f"{entry.utterance_id}.tclf")[0]
+
+
+@pytest.mark.parametrize("case", ["tcl-utterance", "tcl-stream", "speaker", "speaker+phrase"])
+def test_training_dataset_matches_the_reference_builder(tiny_corpus, config_path, tmp_path, case):
+    manifest, _ = tiny_corpus
+    out = tmp_path / "run"
+    assert run_cli("extract-features", "--manifest", manifest, "--config", config_path, "--out", out) == 0
+    config = load_config(config_path).resolved(None)
+    entries = dnn_train_entries(manifest)
+    labels_path = out / "labels" / "labels.tsv"
+    if case == "tcl-utterance":
+        pipeline.run_make_labels(manifest, config, out)
+        rows = labeling.read_label_archive(labels_path)
+        del rows[entries[1].utterance_id]  # skipped, as if too short to label
+        labeling.write_label_archive(labels_path, rows)
+    elif case == "tcl-stream":
+        config = replace(config, tcl=replace(config.tcl, mode="stream"))
+        rng = np.random.default_rng(3)
+        # prefixes cut short by 0, 5 or 10 frames, one empty row, one utterance without a row
+        rows = {
+            e.utterance_id: rng.integers(0, config.tcl.num_classes, num_frames(out, e) - i % 3 * 5)
+            for i, e in enumerate(entries[1:])
+        }
+        rows[entries[2].utterance_id] = np.zeros(0, dtype=np.int64)
+        labels_path.parent.mkdir()
+        labeling.write_label_archive(labels_path, rows)
+    else:
+        config = replace(config, dnn=replace(config.dnn, targets=case))
+
+    got, got_arch = pipeline._build_training_dataset(entries, config, out)
+    want, want_arch = reference_build_training_dataset(entries, config, out)
+    heads = ["tcl"] if case.startswith("tcl") else case.split("+")
+    assert [head for head, _ in got_arch.output_heads] == list(got.labels) == heads
+    assert got_arch == want_arch
+    got_inputs, want_inputs = got.inputs[:], want.inputs[:]
+    assert got_inputs.dtype == want_inputs.dtype == np.float32
+    assert np.array_equal(got_inputs, want_inputs)
+    assert list(want.labels) == heads
+    for head, want_labels in want.labels.items():
+        assert got.labels[head].dtype == want_labels.dtype, head
+        assert np.array_equal(got.labels[head], want_labels), head
+
+
+@pytest.mark.parametrize("fault", ["no-labels", "too-long", "too-short", "out-of-range", "no-phrase"])
+def test_train_dnn_rejects_bad_labels(tiny_corpus, config_path, tmp_path, capsys, fault):
+    manifest, _ = tiny_corpus
+    out = tmp_path / "run"
+    victim = dnn_train_entries(manifest)[1]
+    if fault == "no-phrase":
+        entries = [replace(e, phrase_id=None) if e == victim else e for e in read_manifest(manifest)]
+        manifest = tmp_path / "manifest.tsv"
+        write_manifest(manifest, entries)
+        config = {**TINY_CONFIG, "dnn": {**TINY_CONFIG["dnn"], "targets": "speaker+phrase"}}
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+    stages = ["extract-features"] if fault in ("no-labels", "no-phrase") else ["extract-features", "make-labels"]
+    for stage in stages:
+        assert run_cli(stage, "--manifest", manifest, "--config", config_path, "--out", out) == 0
+    labels_path = out / "labels" / "labels.tsv"
+    if fault in ("too-long", "too-short", "out-of-range"):
+        rows = labeling.read_label_archive(labels_path)
+        vec = rows[victim.utterance_id]
+        rows[victim.utterance_id] = {
+            "too-long": np.append(vec, 0),
+            "too-short": vec[:-1],
+            "out-of-range": np.r_[vec[:3], TINY_CONFIG["tcl"]["num_classes"], vec[4:]],
+        }[fault]
+        labeling.write_label_archive(labels_path, rows)
+    capsys.readouterr()
+    assert run_cli("train-dnn", "--manifest", manifest, "--config", config_path, "--out", out) == 2
+    err = capsys.readouterr().err
+    want = {
+        "no-labels": f"{labels_path}: run make-labels first",
+        "too-long": f"{victim.utterance_id}: {num_frames(out, victim) + 1} labels for",
+        "too-short": f"{victim.utterance_id}: {num_frames(out, victim) - 1} labels for",
+        "out-of-range": f"{victim.utterance_id}: label 6 out of range for 6 classes",
+        "no-phrase": "needs phrase_id on every dnn-train row",
+    }[fault]
+    assert want in err
+    assert not (out / "dnn").exists()
 
 
 UP_TO_ENROLL = ["extract-features", "make-labels", "train-dnn", "extract-bn", "train-ubm", "enroll"]

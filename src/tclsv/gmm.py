@@ -35,6 +35,14 @@ _EXP_FLOOR = -700.0
 # np.exp returns exactly 0.0 below about -745.13.
 _EXP_ZERO_BELOW = -745.2
 
+# Most rows per block in UBM training's (frames x components) passes, so that
+# they hold at most one full such matrix.  Every step in a block is row-local,
+# so a row gets the bits of a whole-matrix pass wherever BLAS computes each row
+# of a block GEMM as in the whole GEMM.  OpenBLAS 0.3.31 on x86-64 does for K
+# from 2 to 64 and K = 128, 256, 512 or 1024, but not for K = 255 or 500, say,
+# nor for 1- or 2-row blocks; so _row_blocks splits the rows near-equally.
+_ROW_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class GmmModel:
@@ -111,18 +119,22 @@ def variance_term(model: GmmModel, frames) -> np.ndarray:
 
 
 def _component_log_likelihoods(
-    model: GmmModel, x: np.ndarray, var_term: np.ndarray | None = None
+    model: GmmModel,
+    x: np.ndarray,
+    var_term: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """log w_k + log N(x; mu_k, diag sigma_k^2), shape (frames, components).
 
     Built in place as quad + (log w + const); addition commutes bit for bit,
     so this equals log w + const + quad.  ``var_term`` is
-    ``variance_term(model, x)``, computed here when not given.
+    ``variance_term(model, x)``, computed here when not given.  The result is
+    written into ``out`` when given.
     """
     _, offset, scaled_means = model._density_terms
     if var_term is None:
         var_term = variance_term(model, x)
-    comp = x @ scaled_means
+    comp = np.matmul(x, scaled_means, out=out)
     comp += var_term
     comp += offset
     return comp
@@ -131,11 +143,14 @@ def _component_log_likelihoods(
 def _exp_inplace(a: np.ndarray) -> np.ndarray:
     """``a[...] = np.exp(a)``, bit for bit, with nearly every element on the fast path.
 
-    ``a`` must be C-contiguous, so that its flat view writes through.
-    Arguments below ``_EXP_ZERO_BELOW`` give 0.0, only the thin band between
-    it and ``_EXP_FLOOR`` goes through the slow path, and every other argument
-    is clamped into the fast one.  NaN and +-inf come out as np.exp gives them.
+    ``a`` must be C-contiguous, so that its flat view writes through; other
+    input raises ValueError.  Arguments below ``_EXP_ZERO_BELOW`` give 0.0,
+    only the thin band between it and ``_EXP_FLOOR`` goes through the slow
+    path, and every other argument is clamped into the fast one.  NaN and
+    +-inf come out as np.exp gives them.
     """
+    if not a.flags.c_contiguous:
+        raise ValueError("_exp_inplace needs a C-contiguous array")
     flat = a.reshape(-1)
     low = np.flatnonzero(flat < _EXP_FLOOR)
     low_vals = flat[low]
@@ -155,6 +170,21 @@ def _row_logsumexp(comp: np.ndarray) -> np.ndarray:
     np.maximum(terms, _EXP_FLOOR, out=terms)
     np.exp(terms, out=terms)
     return peak + np.log(terms.sum(axis=1, keepdims=True))
+
+
+def _row_blocks(m: int) -> list[slice]:
+    """Near-equal slices of at most ``_ROW_BLOCK`` rows covering ``range(m)``."""
+    n = max(1, -(-m // _ROW_BLOCK))
+    bounds = [i * m // n for i in range(n + 1)]
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _total_log_likelihood(model: GmmModel, x: np.ndarray) -> float:
+    """Sum of ``log_likelihoods(model, x)``, one row block at a time."""
+    log_norm = np.empty((x.shape[0], 1))
+    for rows in _row_blocks(x.shape[0]):
+        log_norm[rows] = _row_logsumexp(_component_log_likelihoods(model, x[rows]))
+    return float(log_norm.sum())
 
 
 def log_likelihoods(model: GmmModel, frames, var_term: np.ndarray | None = None) -> np.ndarray:
@@ -200,25 +230,34 @@ def init_gmm(data, num_components: int, seed: int = 0) -> GmmModel:
 
     centers = np.empty((num_components, x.shape[1]))
     centers[0] = x[rng.integers(m)]
-    dist_sq = np.sum((x - centers[0]) ** 2, axis=1)
+    # (x - c)^2 and its row sums, in buffers reused for every center
+    diff = np.empty_like(x)
+    dist_sq, new_sq = np.empty(m), np.empty(m)
+    np.sum(np.square(np.subtract(x, centers[0], out=diff), out=diff), axis=1, out=dist_sq)
     for k in range(1, num_components):
         total = dist_sq.sum()
         if total <= 0:
             centers[k] = x[rng.integers(m)]
         else:
             centers[k] = x[rng.choice(m, p=dist_sq / total)]
-        dist_sq = np.minimum(dist_sq, np.sum((x - centers[k]) ** 2, axis=1))
+        np.sum(np.square(np.subtract(x, centers[k], out=diff), out=diff), axis=1, out=new_sq)
+        np.minimum(dist_sq, new_sq, out=dist_sq)
+    del diff
 
     x_sq = np.sum(x**2, axis=1)[:, None]
     two_x = 2.0 * x
-    dists = np.empty((m, num_components))
+    dists = np.empty((min(m, _ROW_BLOCK), num_components))
     assignment = None
     for _ in range(10):
-        # ||x||^2 - 2 x.c + ||c||^2, in one buffer
-        np.matmul(two_x, centers.T, out=dists)
-        np.subtract(x_sq, dists, out=dists)
-        dists += np.sum(centers**2, axis=1)[None, :]
-        new_assignment = dists.argmin(axis=1)
+        centers_sq = np.sum(centers**2, axis=1)[None, :]
+        new_assignment = np.empty(m, dtype=np.intp)
+        for rows in _row_blocks(m):
+            # ||x||^2 - 2 x.c + ||c||^2, in one block-sized buffer
+            d = dists[: rows.stop - rows.start]
+            np.matmul(two_x[rows], centers.T, out=d)
+            np.subtract(x_sq[rows], d, out=d)
+            d += centers_sq
+            new_assignment[rows] = d.argmin(axis=1)
         if assignment is not None and np.array_equal(new_assignment, assignment):
             break
         assignment = new_assignment
@@ -236,15 +275,22 @@ def init_gmm(data, num_components: int, seed: int = 0) -> GmmModel:
 
 
 def em_step(model: GmmModel, data) -> tuple[GmmModel, float]:
-    """One EM update; returns the new model and the pre-update total log-likelihood."""
+    """One EM update; returns the new model and the pre-update total log-likelihood.
+
+    The responsibilities are the only (frames x components) matrix held
+    whole; they are built one row block at a time.
+    """
     x = _as_frames(data)
     if x.shape[0] == 0:
         raise DataError("em_step needs at least one frame")
-    comp = _component_log_likelihoods(model, x)
-    log_norm = _row_logsumexp(comp)
+    resp = np.empty((x.shape[0], model.num_components))
+    log_norm = np.empty((x.shape[0], 1))
+    for rows in _row_blocks(x.shape[0]):
+        comp = _component_log_likelihoods(model, x[rows], out=resp[rows])
+        log_norm[rows] = _row_logsumexp(comp)
+        comp -= log_norm[rows]
+        _exp_inplace(comp)
     total_ll = float(log_norm.sum())
-    comp -= log_norm
-    resp = _exp_inplace(comp)
 
     occupancy = resp.sum(axis=0)
     safe = np.maximum(occupancy, 1e-300)
@@ -276,7 +322,7 @@ def train_ubm(
     for _ in range(em_iterations):
         model, ll = em_step(model, x)
         trace.append(ll)
-    trace.append(float(_row_logsumexp(_component_log_likelihoods(model, x)).sum()))
+    trace.append(_total_log_likelihood(model, x))
     return model, trace
 
 

@@ -27,21 +27,28 @@ class PcaModel:
         return self.basis.shape[0]
 
 
-def fit_pca(deep_features: np.ndarray, out_dim: int) -> PcaModel:
+def fit_pca(deep_features: np.ndarray, out_dim: int, *, center_in_place: bool = False) -> PcaModel:
     """Eigendecomposition of the pooled covariance (population convention).
 
     Eigenvector signs are fixed so each row's largest-magnitude entry is
     positive.  If fewer than ``out_dim`` eigenvalues are positive, the basis
     is padded with zero rows and a :class:`RankDeficientWarning` is issued.
+
+    With ``center_in_place`` the input, which must then be a float64 array,
+    is centred in place instead of copied: afterwards it holds ``x - mean``,
+    the same bits ``project`` subtracts, so ``centred @ basis.T`` equals
+    ``project(model, x)``.
     """
     x = np.asarray(deep_features, dtype=np.float64)
+    if center_in_place and x is not deep_features:
+        raise DataError("center_in_place needs a float64 array to overwrite")
     if x.ndim != 2:
         raise DataError("fit_pca expects a 2-D matrix of pooled frames")
     m, dim = x.shape
     if m <= out_dim:
         raise DataError(f"need more than {out_dim} rows to fit PCA, got {m}")
     mean = x.mean(axis=0)
-    centered = x - mean
+    centered = np.subtract(x, mean, out=x if center_in_place else None)
     cov = centered.T @ centered / m
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1][:out_dim]

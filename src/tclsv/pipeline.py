@@ -329,24 +329,25 @@ def run_extract_bn(manifest_path, config: ExperimentConfig, out_dir) -> pca.PcaM
     pooled = np.empty((offsets[-1], width))
     for i, (_, deep) in enumerate(_normalized_deep_features(params, fit_entries, config, out_dir)):
         pooled[offsets[i] : offsets[i + 1]] = deep
-    projection = pca.fit_pca(pooled, config.bn.pca_dim)
+    projection = pca.fit_pca(pooled, config.bn.pca_dim, center_in_place=True)
 
     bn_dir = _output_dir(out_dir, "bn")
     storage.write_pca(bn_dir / "pca.tclp", projection)
 
-    def write(entry: ManifestEntry, deep: np.ndarray) -> None:
+    def write(entry: ManifestEntry, bn: np.ndarray) -> None:
         storage.write_feature_archive(
             bn_dir / f"{entry.utterance_id}.tclf",
-            FeatureMatrix(frames=pca.project(projection, deep), utterance_id=entry.utterance_id),
+            FeatureMatrix(frames=bn, utterance_id=entry.utterance_id),
         )
 
     if config.bn.fit_split != "dnn-train":
+        # pooled now holds x - mean, so this is project()'s (x - mean) @ basis.T
         for i, entry in enumerate(fit_entries):
-            write(entry, pooled[offsets[i] : offsets[i + 1]])
+            write(entry, pooled[offsets[i] : offsets[i + 1]] @ projection.basis.T)
     del pooled
     rest = [e for e in entries if e.split != config.bn.fit_split]
     for entry, deep in _normalized_deep_features(params, rest, config, out_dir):
-        write(entry, deep)
+        write(entry, pca.project(projection, deep))
     _snapshot(config, out_dir, "extract-bn")
     return projection
 

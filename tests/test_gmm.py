@@ -1,10 +1,15 @@
 """GMM backend tests: closed-form single-component checks, a naive-summation
-likelihood oracle, EM monotonicity, MAP limit behavior, LLR identities, and
-bitwise equality of the kernels with reference copies of their plain formulas.
+likelihood oracle, EM monotonicity, MAP limit behavior, LLR identities,
+bitwise equality of the kernels with reference copies of their plain formulas,
+and the memory bound of UBM training.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
+
+from tclsv import gmm
 
 from tclsv.errors import (
     DataError,
@@ -18,6 +23,7 @@ from tclsv.gmm import (
     BackendConfig,
     GmmModel,
     _exp_inplace,
+    _row_blocks,
     _row_logsumexp,
     em_step,
     init_gmm,
@@ -427,6 +433,14 @@ def test_exp_inplace_equals_np_exp():
     assert np.array_equal(_exp_inplace(block.copy()), np.exp(block))
 
 
+def test_exp_inplace_rejects_non_contiguous_input():
+    a = np.array([[-1.0, -800.0], [-740.0, -2.0], [-3.0, -709.0]])
+    for view in (a.T, a[:, 1], a[::2]):
+        with pytest.raises(ValueError):
+            _exp_inplace(view)
+    assert np.array_equal(a, [[-1.0, -800.0], [-740.0, -2.0], [-3.0, -709.0]])
+
+
 def test_row_logsumexp_equals_plain_formula():
     rng = np.random.default_rng(30)
     comp = np.where(
@@ -451,10 +465,9 @@ def test_log_likelihoods_equal_plain_formula(zero_weight):
     assert np.array_equal(responsibilities(model, x), ref_responsibilities(model, x))
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero encountered in log")
-def test_em_step_equals_plain_formula_on_far_apart_clusters():
+def check_em_step_equals_plain_formula_on_far_apart_clusters(n_per):
     rng = np.random.default_rng(33)
-    x = np.vstack([rng.normal(0.0, 1.0, (500, 2)), rng.normal(0.0, 1.0, (500, 2)) + [60.0, 0.0]])
+    x = np.vstack([rng.normal(0.0, 1.0, (n_per, 2)), rng.normal(0.0, 1.0, (n_per, 2)) + [60.0, 0.0]])
     # One component per cluster, one 38 sigma beyond the nearest frame (all
     # its log-responsibilities lie in or below exp's slow band) and one so far
     # away that they all underflow to 0, leaving it empty.
@@ -479,11 +492,72 @@ def test_em_step_equals_plain_formula_on_far_apart_clusters():
     assert np.array_equal(responsibilities(start, x), ref_responsibilities(start, x))
 
 
-def test_init_gmm_equals_mask_based_lloyd():
+@pytest.mark.filterwarnings("ignore:divide by zero encountered in log")
+def test_em_step_equals_plain_formula_on_far_apart_clusters():
+    check_em_step_equals_plain_formula_on_far_apart_clusters(500)
+
+
+# UBM training runs its (frames x components) passes in row blocks; each row
+# must still get the bits of the whole-matrix formulas.  ``row_block`` None
+# keeps the real block size (2,500 rows span three blocks); a small one makes
+# many boundaries on few rows.
+@pytest.mark.filterwarnings("ignore:divide by zero encountered in log")
+@pytest.mark.parametrize("n_per, row_block", [(1250, None), (500, 64)])
+def test_em_step_equals_plain_formula_across_row_blocks(monkeypatch, n_per, row_block):
+    if row_block:
+        monkeypatch.setattr(gmm, "_ROW_BLOCK", row_block)
+    assert len(_row_blocks(2 * n_per)) > 1
+    check_em_step_equals_plain_formula_on_far_apart_clusters(n_per)
+
+
+def cluster_frames(m):
     rng = np.random.default_rng(34)
     centers = rng.uniform(-10.0, 10.0, (12, 5))
-    x = centers[rng.integers(12, size=3000)] + rng.standard_normal((3000, 5))
+    return centers[rng.integers(12, size=m)] + rng.standard_normal((m, 5))
+
+
+def test_init_gmm_equals_mask_based_lloyd():
+    x = cluster_frames(3000)
     assert_models_equal(init_gmm(x, 16, seed=3), ref_init_gmm(x, 16, seed=3))
+
+
+@pytest.mark.parametrize("m, row_block", [(1000, None), (2500, None), (3000, 100)])
+def test_init_gmm_equals_mask_based_lloyd_across_row_blocks(monkeypatch, m, row_block):
+    if row_block:
+        monkeypatch.setattr(gmm, "_ROW_BLOCK", row_block)
+    x = cluster_frames(m)
+    assert_models_equal(init_gmm(x, 16, seed=3), ref_init_gmm(x, 16, seed=3))
+
+
+def ref_train_ubm(x, num_components, em_iterations, seed):
+    model = ref_init_gmm(x, num_components, seed)
+    trace = []
+    for _ in range(em_iterations):
+        model, ll = ref_em_step(model, x)
+        trace.append(ll)
+    trace.append(float(ref_row_logsumexp(ref_component_log_likelihoods(model, x)).sum()))
+    return model, trace
+
+
+@pytest.mark.parametrize("m, row_block", [(1000, None), (2500, None), (2500, 100)])
+def test_train_ubm_equals_whole_matrix_reference(monkeypatch, m, row_block):
+    if row_block:
+        monkeypatch.setattr(gmm, "_ROW_BLOCK", row_block)
+    x = cluster_frames(m)
+    model, trace = train_ubm(x, 16, em_iterations=4, seed=3)
+    ref_model, ref_trace = ref_train_ubm(x, 16, 4, seed=3)
+    assert np.array_equal(trace, ref_trace)
+    assert_models_equal(model, ref_model)
+
+
+@pytest.mark.parametrize("m", [1, 2, 1023, 1024, 1025, 1026, 2048, 2049, 7863])
+def test_row_blocks_cover_frames_in_near_equal_blocks(m):
+    blocks = _row_blocks(m)
+    assert blocks[0].start == 0 and blocks[-1].stop == m
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    sizes = [b.stop - b.start for b in blocks]
+    assert max(sizes) <= gmm._ROW_BLOCK
+    assert max(sizes) - min(sizes) <= 1  # no 1- or 2-row sliver at the end
 
 
 def test_model_scored_twice_gives_identical_results():
@@ -526,3 +600,29 @@ def test_variance_term_is_shared_by_models_with_equal_variances():
         assert np.array_equal(log_likelihoods(model, x, term), want)
         assert np.array_equal(log_likelihoods(model, x), want)
         assert np.array_equal(responsibilities(model, x, term), ref_responsibilities(model, x))
+
+
+# --- memory bound of UBM training ---
+
+
+def traced_peak_bytes(fn) -> int:
+    """Peak of the memory traced while ``fn`` runs (numpy reports its buffers)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ubm_training_holds_at_most_one_frames_by_components_matrix():
+    m, dim, k = 4096, 8, 256
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal((m, dim)) + rng.integers(0, 20, (m, 1))
+    model = init_gmm(x[:1024], k, seed=1)
+    full, block, frames_copy = m * k * 8, gmm._ROW_BLOCK * k * 8, m * dim * 8
+    assert block * 4 == full
+    # em_step: the responsibilities, one block's temporaries, x**2 and the like
+    assert traced_peak_bytes(lambda: em_step(model, x)) < full + block + 2 * frames_copy
+    # init_gmm: one block of distances plus (frames x dim) copies
+    assert traced_peak_bytes(lambda: init_gmm(x, k, seed=1)) < block + 6 * frames_copy

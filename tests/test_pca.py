@@ -137,3 +137,30 @@ def test_fit_is_deterministic():
     assert np.array_equal(a.basis, b.basis)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert np.array_equal(a.mean, b.mean)
+
+
+def test_fit_leaves_its_input_unmodified_by_default():
+    x = np.random.default_rng(14).standard_normal((120, 7)) + 5.0
+    before = x.copy()
+    fit_pca(x, 4)
+    assert np.array_equal(x, before)
+
+
+def test_fit_centred_in_place_gives_the_same_model_and_projection():
+    x = np.random.default_rng(15).standard_normal((300, 9)) * np.arange(1.0, 10.0) + 3.0
+    original = x.copy()
+    copied = fit_pca(original, 5)
+    in_place = fit_pca(x, 5, center_in_place=True)
+    assert np.array_equal(in_place.mean, copied.mean)
+    assert np.array_equal(in_place.basis, copied.basis)
+    assert np.array_equal(in_place.eigenvalues, copied.eigenvalues)
+    assert np.array_equal(x, original - copied.mean)
+    assert np.array_equal(x @ in_place.basis.T, project(copied, original))
+    assert np.array_equal(x[10:20] @ in_place.basis.T, project(copied, original[10:20]))
+
+
+def test_fit_centred_in_place_needs_a_float64_array():
+    with pytest.raises(DataError):
+        fit_pca(np.ones((10, 3), dtype=np.float32), 2, center_in_place=True)
+    with pytest.raises(DataError):
+        fit_pca([[1.0, 2.0]] * 10, 1, center_in_place=True)

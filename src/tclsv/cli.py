@@ -13,22 +13,8 @@ import traceback
 from pathlib import Path
 
 from . import labeling, metrics, pipeline
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, load_config, write_snapshot
 from .errors import DataError
-
-STAGES = (
-    ("extract-features", "compute frontend features for every manifest entry"),
-    ("make-labels", "assign time-contrastive labels to the dnn-train split"),
-    ("train-dnn", "train the feature-extraction network"),
-    ("extract-bn", "project deep features to bottleneck features"),
-    ("train-ubm", "train the universal background model"),
-    ("enroll", "MAP-adapt one model per enrolled speaker"),
-    ("score", "score a trial list against the enrolled models"),
-    ("evaluate", "compute EER/minDCF per trial type from scores"),
-    ("run", "all stages in order, less make-labels without a tcl head and the DNN stages for MFCC"),
-)
-# what only the bottleneck backend reads
-DNN_STAGES = ("make-labels", "train-dnn", "extract-bn")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,17 +28,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tclsv", description="Text-dependent speaker verification pipeline")
     sub = parser.add_subparsers(dest="command", required=True, metavar="<subcommand>")
 
-    for name, help_text in STAGES:
+    stages = [(stage.name, stage.help) for stage in pipeline.STAGES]
+    for name, help_text in [*stages, ("run", "every stage whose output a later stage reads, in order")]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--manifest", required=name != "evaluate", help="manifest TSV")
         p.add_argument("--config", default=None, help="JSON config file (defaults when omitted)")
         p.add_argument("--out", required=True, help="run directory for artifacts")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
-        p.add_argument(
-            "--deterministic",
-            action="store_true",
-            help="accepted for compatibility; every run is single-worker and byte-identical on rerun",
-        )
         if name in ("score", "run"):
             p.add_argument("--trials", required=True, help="trial list TSV")
 
@@ -74,20 +56,14 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     config = load_config(args.config).resolved(args.seed)
-    out = Path(args.out)
-    stages = [args.command]
-    if args.command == "run":
-        skipped = ("run", *DNN_STAGES) if config.backend.feature_source == "mfcc" else ("run",)
-        if "tcl" not in config.dnn.targets.split("+"):
-            skipped += ("make-labels",)  # only the tcl head reads labels.tsv
-        stages = [name for name, _ in STAGES if name not in skipped]
+    stages = pipeline.stages_for_run(config) if args.command == "run" else [args.command]
     for stage in stages:
-        _run_stage(stage, args, config, out)
+        _run_stage(stage, args, config, Path(args.out))
     return 0
 
 
 def _run_stage(stage: str, args: argparse.Namespace, config: ExperimentConfig, out: Path) -> None:
-    """Run one stage and print its summary."""
+    """Run one stage, print its summary and snapshot the resolved config to config/<stage>.json."""
     if stage == "extract-features":
         failures = pipeline.run_extract_features(args.manifest, config, out)
         print(f"feature extraction finished with {len(failures)} failure(s)")
@@ -114,6 +90,8 @@ def _run_stage(stage: str, args: argparse.Namespace, config: ExperimentConfig, o
     elif stage == "evaluate":
         report = pipeline.run_evaluate(config, out)
         print(metrics.format_report(report))
+    (out / "config").mkdir(exist_ok=True)
+    write_snapshot(out / "config" / f"{stage}.json", config)
 
 
 def main(argv=None) -> int:

@@ -195,7 +195,10 @@ def read_label_archive(path: str | Path) -> dict[str, np.ndarray]:
         if len(parts) != 2:
             raise DataError(f"{path}:{lineno}: expected '<id>\\t<labels>'")
         utt_id, payload = parts
-        vec = np.array([int(v) for v in payload.split()], dtype=np.int64)
+        try:
+            vec = np.array([int(v) for v in payload.split()], dtype=np.int64)
+        except (ValueError, OverflowError) as exc:
+            raise DataError(f"{path}:{lineno}: labels of {utt_id!r}: {exc}") from None
         if utt_id in out:
             raise DataError(f"{path}:{lineno}: duplicate utterance id {utt_id!r}")
         out[utt_id] = vec

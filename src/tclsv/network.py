@@ -260,25 +260,9 @@ def forward(params: NetworkParams, input_batch: np.ndarray) -> ForwardPass:
     return ForwardPass(hidden=hidden, head_log_posteriors=log_posts)
 
 
-def loss(
-    posteriors: list[np.ndarray],
-    labels: list[np.ndarray],
-    task_weights: tuple[float, ...] | None = None,
-) -> float:
-    """Weighted sum over heads of the mean negative log posterior of the true class.
-
-    With no explicit weights the heads share equal weight (0.5/0.5 for the
-    two-head multi-task case).
-    """
-    if task_weights is None:
-        task_weights = (1.0 / len(posteriors),) * len(posteriors)
-    if len(task_weights) != len(posteriors):
-        raise DataError("task_weights must match the number of heads")
-    total = 0.0
-    for post, y, w in zip(posteriors, labels, task_weights):
-        rows = np.arange(len(y))
-        total += w * float(-np.mean(np.log(post[rows, y])))
-    return total
+def loss(posteriors: list[np.ndarray], labels: list[np.ndarray]) -> float:
+    """Mean over heads of the mean negative log posterior of the true class."""
+    return _mean_loss([np.log(post[np.arange(len(y)), y]) for post, y in zip(posteriors, labels)])
 
 
 def _picked_log_posteriors(fp: ForwardPass, labels: list[np.ndarray]) -> list[np.ndarray]:
@@ -286,26 +270,21 @@ def _picked_log_posteriors(fp: ForwardPass, labels: list[np.ndarray]) -> list[np
     return [lp[np.arange(len(y)), y] for lp, y in zip(fp.head_log_posteriors, labels)]
 
 
-def _weighted_mean_loss(picked: list[np.ndarray], task_weights) -> float:
-    total = 0.0
-    for vec, w in zip(picked, task_weights):
-        total += w * float(-np.mean(vec))
+def _mean_loss(picked: list[np.ndarray]) -> float:
+    """The heads' equally weighted sum of their mean negative picked log posterior."""
+    total, weight = 0.0, 1.0 / len(picked)
+    for vec in picked:
+        total += weight * float(-np.mean(vec))
     return total
 
 
-def _loss_from_log(fp: ForwardPass, labels: list[np.ndarray], task_weights) -> float:
-    return _weighted_mean_loss(_picked_log_posteriors(fp, labels), task_weights)
+def _loss_from_log(fp: ForwardPass, labels: list[np.ndarray]) -> float:
+    return _mean_loss(_picked_log_posteriors(fp, labels))
 
 
-def backward(
-    params: NetworkParams,
-    batch: LabeledDataset,
-    task_weights: tuple[float, ...] | None = None,
-) -> Gradients:
-    """Gradients of the (weighted) cross-entropy loss for one batch."""
+def backward(params: NetworkParams, batch: LabeledDataset) -> Gradients:
+    """Gradients for one batch of the cross-entropy loss, the heads weighted equally."""
     arch = params.arch
-    if task_weights is None:
-        task_weights = (1.0 / len(arch.output_heads),) * len(arch.output_heads)
     x = _as_float(batch.inputs)
     fp = forward(params, x)
     m = x.shape[0]
@@ -319,7 +298,7 @@ def backward(
     for h, y in enumerate(labels):
         post = np.exp(fp.head_log_posteriors[h])
         post[np.arange(m), y] -= 1.0
-        delta = post * (task_weights[h] / m)
+        delta = post * ((1.0 / len(labels)) / m)
         g_head_w.append(last.T @ delta)
         g_head_b.append(delta.sum(axis=0))
         delta_into_hidden += delta @ params.head_weights[h].T
@@ -339,38 +318,27 @@ def backward(
 
 
 def train(
-    dataset: LabeledDataset,
-    arch: NetworkArch,
-    config: DnnConfig,
-    task_weights: tuple[float, ...] | None = None,
+    dataset: LabeledDataset, arch: NetworkArch, config: DnnConfig
 ) -> tuple[NetworkParams, list[float]]:
     """Plain minibatch SGD; returns the trained parameters and the loss trace.
 
     Of ``config`` only the SGD settings and seeds are read; the layers come
-    from ``arch``.  ``task_weights`` has one weight per head, summing to 1;
-    ``None`` weighs the heads equally.
+    from ``arch``.  The heads weigh equally in the loss.
 
-    The trace has one entry per epoch: the weighted mean, over every training
-    row, of the row's negative log posterior of its true class, as computed by
-    the forward pass of that row's minibatch in that epoch, before the
-    minibatch's update.  It costs no forward pass beyond the ones SGD makes.
-    Minibatch order is drawn from ``config.shuffle_seed``, parameter
-    initialization from ``config.init_seed`` (``None`` reads as 0); reruns
-    are bit-identical.  The parameters are cast to the inputs' dtype, so
-    float32 inputs train in float32.
+    The trace has one entry per epoch: the mean over heads of the mean, over
+    every training row, of the row's negative log posterior of its true class,
+    as computed by the forward pass of that row's minibatch in that epoch,
+    before the minibatch's update.  It costs no forward pass beyond the ones
+    SGD makes.  Minibatch order is drawn from ``config.shuffle_seed``,
+    parameter initialization from ``config.init_seed`` (``None`` reads as 0);
+    reruns are bit-identical.  The parameters are cast to the inputs' dtype,
+    so float32 inputs train in float32.
     """
     if dataset.num_rows == 0:
         raise DataError("training dataset is empty")
     for name, _ in arch.output_heads:
         if name not in dataset.labels:
             raise DataError(f"dataset has no labels for head {name!r}")
-    num_heads = len(arch.output_heads)
-    if task_weights is None:
-        task_weights = (1.0 / num_heads,) * num_heads
-    if len(task_weights) != num_heads:
-        raise DataError("task_weights must have one entry per head")
-    if abs(sum(task_weights) - 1.0) > 1e-9:
-        raise DataError("task_weights must sum to 1")
 
     params = init_network(arch, config.init_seed or 0).astype(_as_float(dataset.inputs[:1]).dtype)
     n, step = dataset.num_rows, config.minibatch_size
@@ -388,7 +356,7 @@ def train(
                 inputs=dataset.inputs[sel],
                 labels={name: vec[sel] for name, vec in dataset.labels.items()},
             )
-            grads = backward(params, batch, task_weights)
+            grads = backward(params, batch)
             for vec, part in zip(picked, grads.picked_log_posteriors):
                 vec[sel] = part
             for p, g in zip(
@@ -397,7 +365,7 @@ def train(
             ):
                 g *= lr
                 p -= g
-        trace.append(_weighted_mean_loss(picked, task_weights))
+        trace.append(_mean_loss(picked))
     return params, trace
 
 

@@ -1,8 +1,8 @@
 """Pipeline stages behind the CLI.
 
-Each stage reads its upstream artifacts from the run directory, writes its own
-outputs there and drops a resolved-config snapshot next to them, so a finished
-run directory documents exactly how it was produced:
+Each stage reads its upstream artifacts from the run directory and writes its
+own outputs there.  ``STAGES`` declares the stages in run order, with the
+top-level entry each one writes and the entries it reads under a config:
 
     features/   per-utterance feature archives + failures.tsv
     labels/     labels.tsv, for a dnn.targets with the tcl head
@@ -12,7 +12,7 @@ run directory documents exactly how it was produced:
     models/     one adapted GMM per enrolled speaker
     scores/     scores.tsv
     report/     report.txt + report.json
-    config/     one snapshot per executed stage
+    config/     one resolved-config snapshot per executed stage, written by cli
 """
 
 from __future__ import annotations
@@ -21,13 +21,14 @@ import functools
 import json
 import logging
 import warnings
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import gmm, labeling, metrics, network, pca, storage
-from .config import ExperimentConfig, write_snapshot
+from .config import ExperimentConfig
 from .errors import DataError, DimensionMismatch, EmptyUtterance, MissingArtifact
 from .frontend import FeatureMatrix, cmvn, extract_features, read_wav
 from .manifest import ManifestEntry, by_split, read_manifest
@@ -49,10 +50,64 @@ def _output_dir(out_dir: Path, name: str) -> Path:
     return path
 
 
-def _require(path: Path, stage: str) -> Path:
-    """``path`` if the upstream ``stage`` has written it, else MissingArtifact."""
+class Stage(NamedTuple):
+    """A stage's subcommand, the run-directory entry it writes, and the entries it reads.
+
+    ``cli`` runs it as ``pipeline.run_<name>`` (``-`` as ``_``), looked up at
+    call time.  Reading features/failures.tsv counts as reading ``features``.
+    """
+
+    name: str
+    help: str
+    writes: str
+    reads: Callable[[ExperimentConfig], set[str]]
+
+
+def _backend_subdir(config: ExperimentConfig) -> str:
+    return "bn" if config.backend.feature_source == "bn" else "features"
+
+
+STAGES = (
+    Stage("extract-features", "compute frontend features for every manifest entry", "features",
+          lambda c: set()),
+    Stage("make-labels", "assign time-contrastive labels to the dnn-train split", "labels",
+          lambda c: {"features"}),
+    # only the tcl head reads labels.tsv
+    Stage("train-dnn", "train the feature-extraction network", "dnn",
+          lambda c: {"features", "labels"} if "tcl" in c.dnn.targets.split("+") else {"features"}),
+    Stage("extract-bn", "project deep features to bottleneck features", "bn",
+          lambda c: {"features", "dnn"}),
+    Stage("train-ubm", "train the universal background model", "ubm",
+          lambda c: {"features", _backend_subdir(c)}),
+    Stage("enroll", "MAP-adapt one model per enrolled speaker", "models",
+          lambda c: {"features", "ubm", _backend_subdir(c)}),
+    # and features/failures.tsv, but only to explain a missing model
+    Stage("score", "score a trial list against the enrolled models", "scores",
+          lambda c: {"ubm", "models", _backend_subdir(c)}),
+    Stage("evaluate", "compute EER/minDCF per trial type from scores", "report",
+          lambda c: {"scores"}),
+)
+
+
+def stages_for_run(config: ExperimentConfig) -> list[str]:
+    """``run``'s stage names in order: back from report/, every stage whose output a kept stage reads."""
+    needed, names = {"report"}, []
+    for stage in reversed(STAGES):
+        if stage.writes in needed:
+            names.insert(0, stage.name)
+            needed |= stage.reads(config)
+    return names
+
+
+def _producer(path: Path) -> str:
+    """The stage that writes ``path``, a file in a top-level run-directory entry."""
+    return next(stage.name for stage in STAGES if stage.writes == path.parent.name)
+
+
+def _require(path: Path) -> Path:
+    """``path`` if the stage that writes it has run, else MissingArtifact."""
     if not path.exists():
-        raise MissingArtifact(f"{path}: run {stage} first")
+        raise MissingArtifact(f"{path}: run {_producer(path)} first")
     return path
 
 
@@ -64,10 +119,6 @@ def _check_finite(values: np.ndarray, stage: str, utterance_id: str, what: str) 
 
 def _write_trace(path: Path, values: list[float]) -> None:
     storage.atomic_write_text(path, "".join(f"{v:.12g}\n" for v in values))
-
-
-def _snapshot(config: ExperimentConfig, out_dir: Path, stage: str) -> None:
-    write_snapshot(_output_dir(out_dir, "config") / f"{stage}.json", config)
 
 
 def _failed_ids(out_dir: Path) -> set[str]:
@@ -107,7 +158,7 @@ def _feature_path(out_dir: Path, entry: ManifestEntry, subdir: str = "features")
     if not path.exists():
         raise MissingArtifact(
             f"{path}: no feature archive for {entry.utterance_id!r};"
-            f" run the producing stage first or check features/failures.tsv"
+            f" run {_producer(path)} first or check features/failures.tsv"
         )
     return path
 
@@ -117,12 +168,8 @@ def _load_features(out_dir: Path, entry: ManifestEntry, subdir: str = "features"
     return storage.read_feature_archive(path, utterance_id=entry.utterance_id)
 
 
-def _backend_subdir(config: ExperimentConfig) -> str:
-    return "bn" if config.backend.feature_source == "bn" else "features"
-
-
 def run_extract_features(
-    manifest_path, config: ExperimentConfig, out_dir
+    manifest_path, config: ExperimentConfig, out_dir: Path
 ) -> list[tuple[str, str]]:
     """Extract frontend features for every manifest entry.
 
@@ -130,7 +177,6 @@ def run_extract_features(
     collected into features/failures.tsv instead of aborting the run.
     Returns the sorted failure list.
     """
-    out_dir = Path(out_dir)
     entries = read_manifest(manifest_path)
     feat_dir = _output_dir(out_dir, "features")
     if not entries:
@@ -151,13 +197,11 @@ def run_extract_features(
     )
     for utt, msg in failures:
         logger.warning("extraction failed for %s: %s", utt, msg)
-    _snapshot(config, out_dir, "extract-features")
     return failures
 
 
-def run_make_labels(manifest_path, config: ExperimentConfig, out_dir) -> labeling.LabeledFrames:
+def run_make_labels(manifest_path, config: ExperimentConfig, out_dir: Path) -> labeling.LabeledFrames:
     """Assign time-contrastive labels to the dnn-train split."""
-    out_dir = Path(out_dir)
     # labels depend only on frame counts, which the archive headers hold
     utterances = []
     for e in _usable(read_manifest(manifest_path), out_dir, "dnn-train"):
@@ -167,7 +211,6 @@ def run_make_labels(manifest_path, config: ExperimentConfig, out_dir) -> labelin
     labeling.write_label_archive(
         _output_dir(out_dir, "labels") / "labels.tsv", labeling.labels_by_utterance(labeled)
     )
-    _snapshot(config, out_dir, "make-labels")
     return labeled
 
 
@@ -187,7 +230,7 @@ def _build_training_dataset(
     num_frames = functools.cache(lambda e: storage.read_feature_shape(_feature_path(out_dir, e))[0])
     for head in targets.split("+"):
         if head == "tcl":
-            labels_path = _require(out_dir / "labels" / "labels.tsv", "make-labels")
+            labels_path = _require(out_dir / "labels" / "labels.tsv")
             num_classes[head] = config.tcl.num_classes
             tables[head] = labeling.read_label_archive(labels_path)
             continue
@@ -213,10 +256,10 @@ def _build_training_dataset(
                 raise DimensionMismatch(
                     f"{entry.utterance_id}: {len(vec)} labels for {feats.num_frames} frames"
                 )
-            if vec.max() >= num_classes[head]:
+            bad = vec[(vec < 0) | (vec >= num_classes[head])]
+            if bad.size:
                 raise DataError(
-                    f"{entry.utterance_id}: label {vec.max()} out of range for"
-                    f" {num_classes[head]} classes"
+                    f"{entry.utterance_id}: label {bad[0]} out of range for {num_classes[head]} classes"
                 )
             parts[head].append(vec)
         utterances.append((feats.frames.astype(np.float32), len(vec)))  # every head labels these rows
@@ -241,9 +284,8 @@ def loss_trace_summary(trace: list[float]) -> str:
 
 
 def run_train_dnn(
-    manifest_path, config: ExperimentConfig, out_dir
+    manifest_path, config: ExperimentConfig, out_dir: Path
 ) -> tuple[network.NetworkParams, list[float]]:
-    out_dir = Path(out_dir)
     entries = _usable(read_manifest(manifest_path), out_dir, "dnn-train")
     dataset, arch = _build_training_dataset(entries, config, out_dir)
     params, trace = network.train(dataset, arch, config.dnn)
@@ -251,7 +293,6 @@ def run_train_dnn(
     storage.write_network(dnn_dir / "model.tcln", params)
     _write_trace(dnn_dir / "loss_trace.txt", trace)
     logger.info("dnn loss %s", loss_trace_summary(trace))
-    _snapshot(config, out_dir, "train-dnn")
     return params, trace
 
 
@@ -302,7 +343,7 @@ def _normalized_deep_features(
             yield entry, cmvn(feats).frames
 
 
-def run_extract_bn(manifest_path, config: ExperimentConfig, out_dir) -> pca.PcaModel:
+def run_extract_bn(manifest_path, config: ExperimentConfig, out_dir: Path) -> pca.PcaModel:
     """Deep features at the configured layer -> per-utterance CMVN -> PCA projection.
 
     The network runs in float32; its outputs go back to float64 for CMVN and PCA.
@@ -313,8 +354,7 @@ def run_extract_bn(manifest_path, config: ExperimentConfig, out_dir) -> pca.PcaM
     raise DataError naming the utterance before the PCA fit sees them and
     before that utterance's archive is written.
     """
-    out_dir = Path(out_dir)
-    params = storage.read_network(_require(out_dir / "dnn" / "model.tcln", "train-dnn"))
+    params = storage.read_network(_require(out_dir / "dnn" / "model.tcln"))
     params = params.astype(np.float32)
     skip = () if config.bn.fit_split == "dnn-train" else ("dnn-train",)  # no later stage reads it
     entries = _usable([e for e in read_manifest(manifest_path) if e.split not in skip], out_dir)
@@ -348,14 +388,12 @@ def run_extract_bn(manifest_path, config: ExperimentConfig, out_dir) -> pca.PcaM
     rest = [e for e in entries if e.split != config.bn.fit_split]
     for entry, deep in _normalized_deep_features(params, rest, config, out_dir):
         write(entry, pca.project(projection, deep))
-    _snapshot(config, out_dir, "extract-bn")
     return projection
 
 
 def run_train_ubm(
-    manifest_path, config: ExperimentConfig, out_dir
+    manifest_path, config: ExperimentConfig, out_dir: Path
 ) -> tuple[gmm.GmmModel, list[float]]:
-    out_dir = Path(out_dir)
     ubm_entries = _usable(read_manifest(manifest_path), out_dir, "ubm-train")
     subdir = _backend_subdir(config)
     parts = []
@@ -373,14 +411,12 @@ def run_train_ubm(
     ubm_dir = _output_dir(out_dir, "ubm")
     storage.write_gmm(ubm_dir / "ubm.tclg", model)
     _write_trace(ubm_dir / "ll_trace.txt", trace)
-    _snapshot(config, out_dir, "train-ubm")
     return model, trace
 
 
-def run_enroll(manifest_path, config: ExperimentConfig, out_dir) -> list[str]:
+def run_enroll(manifest_path, config: ExperimentConfig, out_dir: Path) -> list[str]:
     """MAP-adapt one model per speaker from their pooled enrollment utterances."""
-    out_dir = Path(out_dir)
-    ubm = storage.read_gmm(_require(out_dir / "ubm" / "ubm.tclg", "train-ubm"))
+    ubm = storage.read_gmm(_require(out_dir / "ubm" / "ubm.tclg"))
     enroll_entries = _usable(read_manifest(manifest_path), out_dir, "enroll")
     subdir = _backend_subdir(config)
     models_dir = _output_dir(out_dir, "models")
@@ -395,7 +431,6 @@ def run_enroll(manifest_path, config: ExperimentConfig, out_dir) -> list[str]:
         )
         adapted = gmm.map_adapt(ubm, frames, config.backend)
         storage.write_gmm(models_dir / f"{speaker}.tclg", adapted)
-    _snapshot(config, out_dir, "enroll")
     return speakers
 
 
@@ -412,10 +447,10 @@ def _missing_model(
             f"{message}: all {len(enroll_ids)} of its enroll utterance(s) are listed in"
             f" {out_dir / _FAILURES}"
         )
-    return MissingArtifact(f"{message} ({model_path}); run enroll first")
+    return MissingArtifact(f"{message} ({model_path}); run {_producer(model_path)} first")
 
 
-def run_score(manifest_path, config: ExperimentConfig, out_dir, trials_path) -> TrialScoreSet:
+def run_score(manifest_path, config: ExperimentConfig, out_dir: Path, trials_path) -> TrialScoreSet:
     """The average per-frame LLR of each trial, written in trial order.
 
     Trials are scored one test utterance at a time.  The UBM is evaluated once
@@ -423,8 +458,7 @@ def run_score(manifest_path, config: ExperimentConfig, out_dir, trials_path) -> 
     for the UBM and every model with the UBM's variances (mean-only MAP keeps
     them), so only one utterance's frames and terms are held at a time.
     """
-    out_dir = Path(out_dir)
-    ubm = storage.read_gmm(_require(out_dir / "ubm" / "ubm.tclg", "train-ubm"))
+    ubm = storage.read_gmm(_require(out_dir / "ubm" / "ubm.tclg"))
     entries = read_manifest(manifest_path)
     by_id = {e.utterance_id: e for e in entries}
     trials = metrics.read_trials(trials_path)
@@ -466,13 +500,11 @@ def run_score(manifest_path, config: ExperimentConfig, out_dir, trials_path) -> 
             scores[i] = float(np.mean(ll - ubm_ll))
     score_set = TrialScoreSet(trials=trials, scores=scores)
     metrics.write_scores(_output_dir(out_dir, "scores") / "scores.tsv", score_set)
-    _snapshot(config, out_dir, "score")
     return score_set
 
 
-def run_evaluate(config: ExperimentConfig, out_dir) -> metrics.EvaluationReport:
-    out_dir = Path(out_dir)
-    score_set = metrics.read_scores(_require(out_dir / "scores" / "scores.tsv", "score"))
+def run_evaluate(config: ExperimentConfig, out_dir: Path) -> metrics.EvaluationReport:
+    score_set = metrics.read_scores(_require(out_dir / "scores" / "scores.tsv"))
     report = metrics.evaluate(score_set, config.dcf)
     report_dir = _output_dir(out_dir, "report")
     storage.atomic_write_text(report_dir / "report.txt", metrics.format_report(report) + "\n")
@@ -480,5 +512,4 @@ def run_evaluate(config: ExperimentConfig, out_dir) -> metrics.EvaluationReport:
         report_dir / "report.json",
         json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
     )
-    _snapshot(config, out_dir, "evaluate")
     return report

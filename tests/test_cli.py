@@ -2,6 +2,7 @@
 and rerun determinism on a tiny synthetic corpus.
 """
 
+import builtins
 import hashlib
 import json
 import logging
@@ -309,7 +310,7 @@ def test_full_run_and_report(tiny_corpus, config_path, tmp_path, capsys):
     out = tmp_path / "run"
     code = run_cli(
         "run", "--manifest", manifest, "--trials", trials,
-        "--config", config_path, "--out", out, "--deterministic",
+        "--config", config_path, "--out", out,
     )
     assert code == 0
     text = capsys.readouterr().out
@@ -375,6 +376,64 @@ def test_run_writes_only_archives_a_later_stage_reads(tiny_corpus, config_path, 
     assert {p.stem for p in (out / "bn").glob("*.tclf")}.isdisjoint(dnn_train)
 
 
+# The stage list and rule ``run`` used before pipeline.STAGES, kept verbatim as the reference.
+HAND_WRITTEN_STAGES = ("extract-features", "make-labels", "train-dnn", "extract-bn",
+                       "train-ubm", "enroll", "score", "evaluate", "run")
+HAND_WRITTEN_DNN_STAGES = ("make-labels", "train-dnn", "extract-bn")
+
+
+def hand_written_run_stages(config):
+    skipped = ("run", *HAND_WRITTEN_DNN_STAGES) if config.backend.feature_source == "mfcc" else ("run",)
+    if "tcl" not in config.dnn.targets.split("+"):
+        skipped += ("make-labels",)  # only the tcl head reads labels.tsv
+    return [name for name in HAND_WRITTEN_STAGES if name not in skipped]
+
+
+@pytest.mark.parametrize("feature_source", ["bn", "mfcc"])
+@pytest.mark.parametrize("targets", network.DNN_TARGETS)
+def test_stages_for_run_matches_the_hand_written_rule(feature_source, targets):
+    config = ExperimentConfig()
+    config = replace(config, dnn=replace(config.dnn, targets=targets),
+                     backend=replace(config.backend, feature_source=feature_source))
+    assert pipeline.stages_for_run(config) == hand_written_run_stages(config)
+
+
+@pytest.mark.parametrize("config", [TINY_CONFIG, SPEAKER_CONFIG, MFCC_CONFIG], ids=["tcl", "speaker", "mfcc"])
+def test_each_stage_reads_what_the_stage_table_declares(tiny_corpus, tmp_path, capsys, monkeypatch, config):
+    manifest, trials = tiny_corpus
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "run"
+    root = out.resolve()
+    opened = set()  # top-level <out>/ entries opened for reading
+
+    def recording(real_open):
+        def open_(file, mode="r", *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and not set(mode) & set("wax+"):
+                path = Path(file).resolve()
+                if path.is_relative_to(root):
+                    opened.add(path.relative_to(root).parts[0])
+            return real_open(file, mode, *args, **kwargs)
+        return open_
+
+    monkeypatch.setattr(builtins, "open", recording(builtins.open))
+    monkeypatch.setattr(Path, "open", recording(Path.open))
+    resolved = load_config(config_path).resolved(None)
+    for stage in pipeline.STAGES:  # every stage, including those run leaves out
+        opened.clear()
+        run_stages([stage.name], manifest, trials, config_path, out, capsys)
+        assert opened == stage.reads(resolved), stage.name
+
+
+def test_readme_cli_table_lists_the_stage_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| subcommand | writes |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    rows = [line.split(" | ", 1) for line in table.splitlines()]
+    assert [name.strip("| `") for name, _ in rows] == [s.name for s in pipeline.STAGES] + ["run", "make-corpus"]
+    for stage, (_, writes) in zip(pipeline.STAGES, rows):
+        assert writes.startswith(f"`{stage.writes}/"), stage.name
+
+
 def test_each_stage_warns_once_about_failed_utterances(tiny_corpus, config_path, tmp_path, capsys, caplog):
     manifest, trials = tiny_corpus
     # one dnn-train and one ubm-train utterance; enroll and test stay whole
@@ -396,7 +455,7 @@ def test_rerun_is_byte_identical(tiny_corpus, config_path, tmp_path, capsys):
     outs = [tmp_path / "a", tmp_path / "b"]
     for out in outs:
         assert run_cli("run", "--manifest", manifest, "--trials", trials,
-                       "--config", config_path, "--out", out, "--deterministic") == 0
+                       "--config", config_path, "--out", out) == 0
     a, b = outs
     compared = 0
     for path_a in sorted(a.rglob("*")):
@@ -436,7 +495,7 @@ def test_seed_override_changes_models(tiny_corpus, config_path, tmp_path, capsys
         out = tmp_path / f"s{seed}"
         for stage in ("extract-features", "make-labels", "train-dnn"):
             assert run_cli(stage, "--manifest", manifest, "--config", config_path,
-                           "--out", out, "--seed", seed, "--deterministic") == 0
+                           "--out", out, "--seed", seed) == 0
         outs[seed] = (out / "dnn" / "model.tcln").read_bytes()
     assert outs[1] != outs[2]
 
@@ -457,7 +516,7 @@ def test_score_missing_model_names_it(tiny_corpus, config_path, tmp_path, capsys
     run_stages(stages, manifest, trials, config_path, out, capsys)
     # the first trial's model is missing
     code = run_cli("score", "--manifest", manifest, "--trials", trials,
-                   "--config", config_path, "--out", out, "--deterministic")
+                   "--config", config_path, "--out", out)
     assert code == 2
     err = capsys.readouterr().err
     assert "no enrolled model for 's00'" in err  # the offending model id is named
@@ -476,7 +535,7 @@ def test_score_matches_per_trial_score_llr_bitwise(tiny_corpus, config_path, tmp
     for stage in ("extract-features", "make-labels", "train-dnn", "extract-bn",
                   "train-ubm", "enroll"):
         assert run_cli(stage, "--manifest", manifest, "--config", config_path,
-                       "--out", out, "--deterministic") == 0
+                       "--out", out) == 0
     real_log_likelihoods = gmm.log_likelihoods
     calls = []
 
@@ -539,8 +598,8 @@ def test_dnn_stages_compute_in_float32(tiny_corpus, config_path, tmp_path, monke
     dtypes = set()
     real_backward, real_extract = network.backward, network.extract_deep_features
 
-    def checked_backward(params, batch, task_weights=None):
-        grads = real_backward(params, batch, task_weights)
+    def checked_backward(params, batch):
+        grads = real_backward(params, batch)
         for arrays in (params.weights, params.biases, grads.weights, grads.head_biases):
             dtypes.update(a.dtype for a in arrays)
         return grads
@@ -582,7 +641,7 @@ def reference_build_training_dataset(
     utterances: list[tuple[np.ndarray, int]] = []  # (frames, rows kept)
     if config.dnn.targets == "tcl":
         archived = labeling.read_label_archive(
-            _require(out_dir / "labels" / "labels.tsv", "make-labels")
+            _require(out_dir / "labels" / "labels.tsv")
         )
         label_parts = []
         for entry in train_entries:
@@ -686,7 +745,9 @@ def test_training_dataset_matches_the_reference_builder(tiny_corpus, config_path
         assert np.array_equal(got.labels[head], want_labels), head
 
 
-@pytest.mark.parametrize("fault", ["no-labels", "too-long", "too-short", "out-of-range", "no-phrase"])
+@pytest.mark.parametrize(
+    "fault", ["no-labels", "too-long", "too-short", "out-of-range", "negative", "non-integer", "no-phrase"]
+)
 def test_train_dnn_rejects_bad_labels(tiny_corpus, config_path, tmp_path, capsys, fault):
     manifest, _ = tiny_corpus
     out = tmp_path / "run"
@@ -700,16 +761,22 @@ def test_train_dnn_rejects_bad_labels(tiny_corpus, config_path, tmp_path, capsys
     stages = ["extract-features"] if fault in ("no-labels", "no-phrase") else ["extract-features", "make-labels"]
     for stage in stages:
         assert run_cli(stage, "--manifest", manifest, "--config", config_path, "--out", out) == 0
-    labels_path = out / "labels" / "labels.tsv"
-    if fault in ("too-long", "too-short", "out-of-range"):
+    labels_path, lineno = out / "labels" / "labels.tsv", None  # lineno: the victim's row in it
+    if fault in ("too-long", "too-short", "out-of-range", "negative"):
         rows = labeling.read_label_archive(labels_path)
         vec = rows[victim.utterance_id]
         rows[victim.utterance_id] = {
             "too-long": np.append(vec, 0),
             "too-short": vec[:-1],
             "out-of-range": np.r_[vec[:3], TINY_CONFIG["tcl"]["num_classes"], vec[4:]],
+            "negative": np.r_[vec[:3], -1, vec[4:]],
         }[fault]
         labeling.write_label_archive(labels_path, rows)
+    elif fault == "non-integer":
+        lines = labels_path.read_text(encoding="utf-8").splitlines()
+        lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(f"{victim.utterance_id}\t"))
+        lines[lineno - 1] += " x"
+        labels_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     capsys.readouterr()
     assert run_cli("train-dnn", "--manifest", manifest, "--config", config_path, "--out", out) == 2
     err = capsys.readouterr().err
@@ -718,6 +785,8 @@ def test_train_dnn_rejects_bad_labels(tiny_corpus, config_path, tmp_path, capsys
         "too-long": f"{victim.utterance_id}: {num_frames(out, victim) + 1} labels for",
         "too-short": f"{victim.utterance_id}: {num_frames(out, victim) - 1} labels for",
         "out-of-range": f"{victim.utterance_id}: label 6 out of range for 6 classes",
+        "negative": f"{victim.utterance_id}: label -1 out of range for 6 classes",
+        "non-integer": f"{labels_path}:{lineno}: labels of {victim.utterance_id!r}: invalid literal",
         "no-phrase": "needs phrase_id on every dnn-train row",
     }[fault]
     assert want in err
@@ -822,7 +891,7 @@ def test_score_rejects_a_dnn_train_test_utterance(tiny_corpus, tmp_path, capsys,
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(TINY_CONFIG if backend == "bn" else MFCC_CONFIG), encoding="utf-8")
     out = tmp_path / "run"
-    stages = [s for s in UP_TO_ENROLL if backend == "bn" or s not in cli.DNN_STAGES]
+    stages = [s for s in UP_TO_ENROLL if s in pipeline.stages_for_run(load_config(config_path).resolved(None))]
     run_stages(stages, manifest, trials, config_path, out, capsys)
     victim = next(e for e in read_manifest(manifest) if e.split == "dnn-train").utterance_id
     lines = trials.read_text(encoding="utf-8").splitlines()

@@ -35,13 +35,13 @@ def zero_params(arch: NetworkArch) -> NetworkParams:
     return params
 
 
-def numeric_gradients(params, batch, task_weights, h=1e-5) -> Gradients:
+def numeric_gradients(params, batch, h=1e-5) -> Gradients:
     """Central finite differences on every scalar parameter."""
     names = [n for n, _ in params.arch.output_heads]
 
     def loss_at() -> float:
         fp = forward(params, batch.inputs)
-        return loss(fp.head_posteriors, [batch.labels[n] for n in names], task_weights)
+        return loss(fp.head_posteriors, [batch.labels[n] for n in names])
 
     def diff(arr: np.ndarray) -> np.ndarray:
         g = np.zeros_like(arr)
@@ -259,19 +259,7 @@ def test_loss_two_heads_averages():
     la = np.zeros(4, dtype=int)
     a = loss([pa], [la])
     b = loss([pb], [la])
-    combined = loss([pa, pb], [la, la], (0.5, 0.5))
-    assert combined == pytest.approx((a + b) / 2.0, abs=1e-12)
-    # default weights for two heads are 0.5/0.5
-    assert loss([pa, pb], [la, la]) == pytest.approx(combined, abs=0)
-
-
-def test_loss_weights_one_zero_equals_single_task():
-    rng = np.random.default_rng(5)
-    pa = rng.dirichlet(np.ones(3), size=6)
-    pb = rng.dirichlet(np.ones(4), size=6)
-    ya = rng.integers(0, 3, 6)
-    yb = rng.integers(0, 4, 6)
-    assert loss([pa, pb], [ya, yb], (1.0, 0.0)) == loss([pa], [ya], (1.0,))
+    assert loss([pa, pb], [la, la]) == pytest.approx((a + b) / 2.0, abs=1e-12)
 
 
 # --- backward ---
@@ -284,8 +272,8 @@ def test_gradients_match_finite_differences_single_head():
     batch = LabeledDataset(
         inputs=rng.standard_normal((6, 5)), labels={"y": rng.integers(0, 3, 6)}
     )
-    analytic = backward(params, batch, (1.0,))
-    numeric = numeric_gradients(params, batch, (1.0,))
+    analytic = backward(params, batch)
+    numeric = numeric_gradients(params, batch)
     assert max_gradient_error(analytic, numeric) <= 1e-5
 
 
@@ -297,8 +285,8 @@ def test_gradients_match_finite_differences_multi_task():
         inputs=rng.standard_normal((5, 4)),
         labels={"a": rng.integers(0, 2, 5), "b": rng.integers(0, 3, 5)},
     )
-    analytic = backward(params, batch, (0.5, 0.5))
-    numeric = numeric_gradients(params, batch, (0.5, 0.5))
+    analytic = backward(params, batch)
+    numeric = numeric_gradients(params, batch)
     assert max_gradient_error(analytic, numeric) <= 1e-5
 
 
@@ -308,9 +296,9 @@ def test_gradient_of_batch_is_mean_of_singletons():
     rng = np.random.default_rng(32)
     x = rng.standard_normal((2, 3))
     y = np.array([0, 1])
-    g_pair = backward(params, LabeledDataset(inputs=x, labels={"y": y}), (1.0,))
-    g0 = backward(params, LabeledDataset(inputs=x[:1], labels={"y": y[:1]}), (1.0,))
-    g1 = backward(params, LabeledDataset(inputs=x[1:], labels={"y": y[1:]}), (1.0,))
+    g_pair = backward(params, LabeledDataset(inputs=x, labels={"y": y}))
+    g0 = backward(params, LabeledDataset(inputs=x[:1], labels={"y": y[:1]}))
+    g1 = backward(params, LabeledDataset(inputs=x[1:], labels={"y": y[1:]}))
     for pair, a, b in zip(g_pair.weights, g0.weights, g1.weights):
         np.testing.assert_allclose(pair, (a + b) / 2.0, atol=1e-12)
     for pair, a, b in zip(g_pair.head_biases, g0.head_biases, g1.head_biases):
@@ -322,7 +310,7 @@ def test_gradient_vanishes_at_saturated_correct_prediction():
     params = zero_params(arch)
     params.head_biases[0][:] = [60.0, -60.0]  # saturated logits favoring class 0
     batch = LabeledDataset(inputs=np.array([[0.1, 0.2]]), labels={"y": np.array([0])})
-    grads = backward(params, batch, (1.0,))
+    grads = backward(params, batch)
     for g in grads.head_weights + grads.head_biases + grads.weights + grads.biases:
         assert np.max(np.abs(g)) < 1e-12
 
@@ -361,7 +349,7 @@ def test_training_zero_learning_rate_keeps_parameters():
         assert np.array_equal(got, want)
     # every epoch's trace entry is the full-batch loss of the initial parameters,
     # bit for bit: the minibatch values are scattered back into row order
-    full_batch = _loss_from_log(forward(fresh, data.inputs), [data.labels["y"]], (1.0,))
+    full_batch = _loss_from_log(forward(fresh, data.inputs), [data.labels["y"]])
     assert trace == [full_batch] * config.epochs
 
 
@@ -385,7 +373,6 @@ def test_training_loss_trace_forwards_one_minibatch_at_a_time(monkeypatch):
     labels = {"a": rng.integers(0, 4, n), "b": rng.integers(0, 3, n)}
     arch = NetworkArch(input_dim=10, hidden_layers=(32, 16), output_heads=(("a", 4), ("b", 3)))
     config = DnnConfig(learning_rate=0.1, epochs=2, minibatch_size=minibatch, init_seed=2, shuffle_seed=3)
-    weights = (0.3, 0.7)
     real_forward = network.forward
     rows_seen = []
 
@@ -395,25 +382,25 @@ def test_training_loss_trace_forwards_one_minibatch_at_a_time(monkeypatch):
 
     monkeypatch.setattr(network, "forward", recording_forward)
     dataset = LabeledDataset(inputs=x, labels=labels)
-    _, trace = train(dataset, arch, config, weights)
+    _, trace = train(dataset, arch, config)
     assert max(rows_seen) == minibatch
     assert sum(rows_seen) == config.epochs * n  # the SGD passes only, no loss passes
     assert len(trace) == config.epochs
 
-    # two heads, unequal task weights, a short last minibatch: with no updates
-    # each entry still equals one full-batch pass
-    _, flat = train(dataset, arch, replace(config, learning_rate=0.0), weights)
+    # two heads, a short last minibatch: with no updates each entry still
+    # equals one full-batch pass
+    _, flat = train(dataset, arch, replace(config, learning_rate=0.0))
     heads = [labels["a"], labels["b"]]
     initial = init_network(arch, config.init_seed)
-    assert flat == [_loss_from_log(real_forward(initial, x), heads, weights)] * config.epochs
+    assert flat == [_loss_from_log(real_forward(initial, x), heads)] * config.epochs
 
 
 def test_training_on_context_windows_matches_stacked_matrix(monkeypatch):
     real_backward = network.backward
 
-    def checked_backward(params, batch, task_weights=None):
+    def checked_backward(params, batch):
         assert type(batch.inputs) is np.ndarray
-        return real_backward(params, batch, task_weights)
+        return real_backward(params, batch)
 
     monkeypatch.setattr(network, "backward", checked_backward)
     rng = np.random.default_rng(8)
@@ -440,26 +427,6 @@ def test_training_validates_inputs():
             arch,
             DnnConfig(),
         )
-    data = separable_dataset(8)
-    with pytest.raises(DataError, match="sum to 1"):
-        train(data, arch, DnnConfig(epochs=1), task_weights=(0.9,))
-    with pytest.raises(DataError, match="one entry per head"):
-        train(data, arch, DnnConfig(epochs=1), task_weights=(0.5, 0.5))
-
-
-@pytest.mark.parametrize("heads, weights", [((("a", 3),), (1.0,)), ((("a", 3), ("b", 2)), (0.5, 0.5))])
-def test_training_default_task_weights_are_equal(heads, weights):
-    rng = np.random.default_rng(9)
-    x = rng.standard_normal((30, 4))
-    labels = {name: rng.integers(0, k, 30) for name, k in heads}
-    arch = NetworkArch(input_dim=4, hidden_layers=(6,), output_heads=heads)
-    config = DnnConfig(learning_rate=0.2, epochs=2, minibatch_size=8, init_seed=1, shuffle_seed=2)
-    dataset = LabeledDataset(inputs=x, labels=labels)
-    p1, t1 = train(dataset, arch, config, task_weights=None)
-    p2, t2 = train(dataset, arch, config, task_weights=weights)
-    assert t1 == t2
-    for a, b in zip(all_arrays(p1), all_arrays(p2)):
-        np.testing.assert_array_equal(a, b)
     with pytest.raises(DataError):
         LabeledDataset(inputs=np.zeros((3, 2)), labels={"y": np.zeros(2, dtype=int)})
 
@@ -601,8 +568,8 @@ def test_float64_gradients_equal_previous_backward():
         inputs=rng.standard_normal((33, 7)),
         labels={"a": rng.integers(0, 4, 33), "b": rng.integers(0, 3, 33)},
     )
-    got = backward(params, batch, (0.3, 0.7))
-    want = reference_backward(params, batch, (0.3, 0.7))
+    got = backward(params, batch)
+    want = reference_backward(params, batch, (0.5, 0.5))
     for g, w in zip(all_arrays(got), all_arrays(want)):
         assert g.dtype == np.float64
         np.testing.assert_array_equal(g, w)
@@ -616,8 +583,8 @@ def test_float64_training_equals_previous_trainer():
     arch = NetworkArch(input_dim=16, hidden_layers=(12, 8), output_heads=(("a", 5), ("b", 2)))
     config = DnnConfig(learning_rate=0.3, epochs=3, minibatch_size=10, init_seed=4, shuffle_seed=5)
     dataset = LabeledDataset(inputs=view, labels=labels)
-    params, trace = train(dataset, arch, config, (0.6, 0.4))
-    want_params, want_trace = reference_train(dataset, arch, config, (0.6, 0.4))
+    params, trace = train(dataset, arch, config)
+    want_params, want_trace = reference_train(dataset, arch, config, (0.5, 0.5))
     assert trace == want_trace
     for got, want in zip(all_arrays(params), all_arrays(want_params)):
         assert got.dtype == np.float64
@@ -633,8 +600,8 @@ def test_float32_training_stays_float32_and_is_deterministic(monkeypatch):
         seen.extend(fp.hidden + fp.head_log_posteriors)
         return fp
 
-    def checked_backward(params, batch, task_weights=None):
-        grads = real_backward(params, batch, task_weights)
+    def checked_backward(params, batch):
+        grads = real_backward(params, batch)
         seen.extend(all_arrays(params) + all_arrays(grads))
         return grads
 

@@ -55,12 +55,16 @@ class Stage(NamedTuple):
 
     ``cli`` runs it as ``pipeline.run_<name>`` (``-`` as ``_``), looked up at
     call time.  Reading features/failures.tsv counts as reading ``features``.
+    Only a stage with ``blas_threads`` keeps OpenBLAS's threads.  The others
+    run on one BLAS thread: their matrix products are too small to gain from
+    threads, whose idle workers spin between calls.
     """
 
     name: str
     help: str
     writes: str
     reads: Callable[[ExperimentConfig], set[str]]
+    blas_threads: bool = False
 
 
 def _backend_subdir(config: ExperimentConfig) -> str:
@@ -74,11 +78,12 @@ STAGES = (
           lambda c: {"features"}),
     # only the tcl head reads labels.tsv
     Stage("train-dnn", "train the feature-extraction network", "dnn",
-          lambda c: {"features", "labels"} if "tcl" in c.dnn.targets.split("+") else {"features"}),
+          lambda c: {"features", "labels"} if "tcl" in c.dnn.targets.split("+") else {"features"},
+          blas_threads=True),
     Stage("extract-bn", "project deep features to bottleneck features", "bn",
-          lambda c: {"features", "dnn"}),
+          lambda c: {"features", "dnn"}, blas_threads=True),
     Stage("train-ubm", "train the universal background model", "ubm",
-          lambda c: {"features", _backend_subdir(c)}),
+          lambda c: {"features", _backend_subdir(c)}, blas_threads=True),
     Stage("enroll", "MAP-adapt one model per enrolled speaker", "models",
           lambda c: {"features", "ubm", _backend_subdir(c)}),
     # and features/failures.tsv, but only to explain a missing model
@@ -166,6 +171,14 @@ def _feature_path(out_dir: Path, entry: ManifestEntry, subdir: str = "features")
 def _load_features(out_dir: Path, entry: ManifestEntry, subdir: str = "features") -> FeatureMatrix:
     path = _feature_path(out_dir, entry, subdir)
     return storage.read_feature_archive(path, utterance_id=entry.utterance_id)
+
+
+def _backend_frames(out_dir: Path, entry: ManifestEntry, config: ExperimentConfig, stage: str) -> np.ndarray:
+    """The frames the back-end reads for ``entry``; DataError naming ``stage`` if any is non-finite."""
+    subdir = _backend_subdir(config)
+    frames = _load_features(out_dir, entry, subdir).frames
+    _check_finite(frames, stage, entry.utterance_id, f"frames in {subdir}/")
+    return frames
 
 
 def run_extract_features(
@@ -395,13 +408,7 @@ def run_train_ubm(
     manifest_path, config: ExperimentConfig, out_dir: Path
 ) -> tuple[gmm.GmmModel, list[float]]:
     ubm_entries = _usable(read_manifest(manifest_path), out_dir, "ubm-train")
-    subdir = _backend_subdir(config)
-    parts = []
-    for entry in ubm_entries:
-        parts.append(_load_features(out_dir, entry, subdir).frames)
-        _check_finite(parts[-1], "train-ubm", entry.utterance_id, f"frames in {subdir}/")
-    frames = np.vstack(parts)
-    del parts
+    frames = np.vstack([_backend_frames(out_dir, e, config, "train-ubm") for e in ubm_entries])
     model, trace = gmm.train_ubm(
         frames,
         config.backend.num_mixtures,
@@ -418,16 +425,11 @@ def run_enroll(manifest_path, config: ExperimentConfig, out_dir: Path) -> list[s
     """MAP-adapt one model per speaker from their pooled enrollment utterances."""
     ubm = storage.read_gmm(_require(out_dir / "ubm" / "ubm.tclg"))
     enroll_entries = _usable(read_manifest(manifest_path), out_dir, "enroll")
-    subdir = _backend_subdir(config)
     models_dir = _output_dir(out_dir, "models")
     speakers = sorted({e.speaker_id for e in enroll_entries})
     for speaker in speakers:
         frames = np.vstack(
-            [
-                _load_features(out_dir, e, subdir).frames
-                for e in enroll_entries
-                if e.speaker_id == speaker
-            ]
+            [_backend_frames(out_dir, e, config, "enroll") for e in enroll_entries if e.speaker_id == speaker]
         )
         adapted = gmm.map_adapt(ubm, frames, config.backend)
         storage.write_gmm(models_dir / f"{speaker}.tclg", adapted)
@@ -462,7 +464,6 @@ def run_score(manifest_path, config: ExperimentConfig, out_dir: Path, trials_pat
     entries = read_manifest(manifest_path)
     by_id = {e.utterance_id: e for e in entries}
     trials = metrics.read_trials(trials_path)
-    subdir = _backend_subdir(config)
 
     by_test: dict[str, list[int]] = {}
     for i, trial in enumerate(trials):
@@ -481,7 +482,7 @@ def run_score(manifest_path, config: ExperimentConfig, out_dir: Path, trials_pat
     model_cache: dict[str, tuple[gmm.GmmModel, bool]] = {}
     scores = np.empty(len(trials))
     for utt, indices in by_test.items():
-        x = _load_features(out_dir, by_id[utt], subdir).frames
+        x = _backend_frames(out_dir, by_id[utt], config, "score")
         if x.shape[0] == 0:
             raise EmptyUtterance(f"{utt}: utterance has no frames")
         var_term = gmm.variance_term(ubm, x)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import tclsv
-from tclsv import cli, frontend, gmm, labeling, network, pca, pipeline, storage
+from tclsv import blas, cli, frontend, gmm, labeling, network, pca, pipeline, storage
 from tclsv.config import ExperimentConfig, load_config
 from tclsv.errors import DataError, DimensionMismatch
 from tclsv.manifest import ManifestEntry, read_manifest, write_manifest
@@ -885,6 +885,47 @@ def test_train_ubm_rejects_non_finite_frames(tiny_corpus, config_path, tmp_path,
     assert not (out / "ubm").exists()
 
 
+def poison_backend_archive(stage, backend, tiny_corpus, tmp_path, capsys, victim):
+    """Run the stages ``run`` needs before ``stage`` under ``backend``, then put a NaN
+    in ``victim``'s back-end archive; returns (config path, run directory)."""
+    manifest, trials = tiny_corpus
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(TINY_CONFIG if backend == "bn" else MFCC_CONFIG), encoding="utf-8")
+    out = tmp_path / "run"
+    needed = pipeline.stages_for_run(load_config(config_path).resolved(None))
+    before = needed[: needed.index(stage)]
+    run_stages(before, manifest, trials, config_path, out, capsys)
+    path = out / ("bn" if backend == "bn" else "features") / f"{victim}.tclf"
+    feats = storage.read_feature_archive(path)
+    feats.frames[3, 2] = np.nan
+    storage.write_feature_archive(path, feats)
+    return config_path, out
+
+
+@pytest.mark.parametrize("backend", ["bn", "mfcc"])
+def test_enroll_rejects_non_finite_frames(tiny_corpus, tmp_path, capsys, backend):
+    manifest, _ = tiny_corpus
+    victim = [e for e in read_manifest(manifest) if e.split == "enroll"][1]
+    config_path, out = poison_backend_archive("enroll", backend, tiny_corpus, tmp_path, capsys,
+                                              victim.utterance_id)
+    assert run_cli("enroll", "--manifest", manifest, "--config", config_path, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "enroll" in err and repr(victim.utterance_id) in err and "non-finite" in err
+    assert not (out / "models" / f"{victim.speaker_id}.tclg").exists()
+
+
+@pytest.mark.parametrize("backend", ["bn", "mfcc"])
+def test_score_rejects_non_finite_frames(tiny_corpus, tmp_path, capsys, backend):
+    manifest, trials = tiny_corpus
+    victim = trials.read_text(encoding="utf-8").splitlines()[-1].split("\t")[1]
+    config_path, out = poison_backend_archive("score", backend, tiny_corpus, tmp_path, capsys, victim)
+    code = run_cli("score", "--manifest", manifest, "--trials", trials, "--config", config_path, "--out", out)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "score" in err and repr(victim) in err and "non-finite" in err
+    assert not (out / "scores").exists()
+
+
 @pytest.mark.parametrize("backend", ["bn", "mfcc"])
 def test_score_rejects_a_dnn_train_test_utterance(tiny_corpus, tmp_path, capsys, backend):
     manifest, trials = tiny_corpus
@@ -927,3 +968,55 @@ def test_score_uses_its_own_variance_term_for_a_model_with_other_variances(
     ]
     assert "s01" in {t.model_id for t in score_set.trials}
     assert np.array_equal(score_set.scores, np.array(expected))
+
+
+# --- BLAS threads per stage ---
+
+
+@pytest.fixture()
+def blas_threads():
+    """OpenBLAS's thread-count getter, with the count set to 2 for the test and restored after."""
+    found = blas.controls()
+    if found is None:
+        pytest.skip("numpy's BLAS exposes no OpenBLAS thread controls")
+    get, set_ = found
+    previous = get()
+    set_(2)  # so that one thread tells apart from the caller's count on any machine
+    yield get
+    set_(previous)
+
+
+def test_only_the_stage_tables_blas_stages_keep_the_threads(
+    tiny_corpus, config_path, tmp_path, capsys, monkeypatch, blas_threads
+):
+    manifest, trials = tiny_corpus
+    seen = {}
+    for stage in pipeline.STAGES:
+        attr = "run_" + stage.name.replace("-", "_")
+
+        def probe(*args, _real=getattr(pipeline, attr), _name=stage.name, **kwargs):
+            seen[_name] = blas_threads()
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, attr, probe)
+    run_stages(["run"], manifest, trials, config_path, tmp_path / "run", capsys)
+    assert seen == {stage.name: 2 if stage.blas_threads else 1 for stage in pipeline.STAGES}
+    assert {name for name, count in seen.items() if count == 2} == {"train-dnn", "extract-bn", "train-ubm"}
+    assert blas_threads() == 2
+
+
+def test_blas_threads_are_restored_after_a_stage_fails(
+    tiny_corpus, config_path, tmp_path, monkeypatch, blas_threads
+):
+    manifest, trials = tiny_corpus
+    seen = []
+
+    def failing(*args, **kwargs):
+        seen.append(blas_threads())
+        raise DataError("no scores today")
+
+    monkeypatch.setattr(pipeline, "run_score", failing)
+    code = run_cli("score", "--manifest", manifest, "--trials", trials,
+                   "--config", config_path, "--out", tmp_path / "run")
+    assert code == 2 and seen == [1]
+    assert blas_threads() == 2

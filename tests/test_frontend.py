@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tclsv import blas
 from tclsv.errors import AllFramesRemoved, DataError, SignalTooShort
 from tclsv.frontend import (
     LOG_FLOOR,
@@ -533,3 +534,15 @@ def test_config_validation():
         FrontendConfig(preemphasis_coeff=1.0)
     with pytest.raises(DataError):
         FrontendConfig(window="hann")
+
+
+def test_features_are_the_same_bits_on_one_blas_thread():
+    # the filterbank GEMM (149 x 257 x 24) is above OpenBLAS's threading threshold;
+    # frames longer than 32 ms would make it sum over 513 bins, past the 384 where
+    # OpenBLAS 0.3.31 rounds differently on one thread than on two
+    signal = noise_signal(seconds=1.5, seed=3)
+    threaded = extract_features(signal, FrontendConfig())
+    with blas.single_thread():
+        single = extract_features(signal, FrontendConfig())
+    assert threaded.num_frames == 149
+    assert np.array_equal(single.frames, threaded.frames)

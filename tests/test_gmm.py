@@ -1,7 +1,8 @@
 """GMM backend tests: closed-form single-component checks, a naive-summation
 likelihood oracle, EM monotonicity, MAP limit behavior, LLR identities,
-bitwise equality of the kernels with reference copies of their plain formulas,
-and the memory bound of UBM training.
+bitwise equality of the kernels with reference copies of their plain formulas
+and between one BLAS thread and the default count, and the memory bound of UBM
+training.
 """
 
 import tracemalloc
@@ -9,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tclsv import gmm
+from tclsv import blas, gmm
 
 from tclsv.errors import (
     DataError,
@@ -626,3 +627,33 @@ def test_ubm_training_holds_at_most_one_frames_by_components_matrix():
     assert traced_peak_bytes(lambda: em_step(model, x)) < full + block + 2 * frames_copy
     # init_gmm: one block of distances plus (frames x dim) copies
     assert traced_peak_bytes(lambda: init_gmm(x, k, seed=1)) < block + 6 * frames_copy
+
+
+# --- the same bits on one BLAS thread ---
+
+
+def test_scoring_and_map_kernels_give_the_same_bits_on_one_blas_thread():
+    # mfcc-k512 sizes: a 130-frame test utterance, 250 enrollment frames per
+    # speaker, K=512, D=57.  Every GEMM is above OpenBLAS's threading
+    # threshold; each sums over at most 250 terms.  On OpenBLAS 0.3.31 a sum
+    # over more than 384 terms (map_adapt's resp.T @ x for a speaker with more
+    # than 384 enrollment frames) rounds differently on one thread than on two.
+    rng = np.random.default_rng(43)
+    k, dim = 512, 57
+    ubm = GmmModel(
+        weights=rng.dirichlet(np.ones(k)),
+        means=rng.standard_normal((k, dim)),
+        variances=rng.uniform(0.5, 2.0, (k, dim)),
+    )
+    test = rng.standard_normal((130, dim))
+    enrollment = rng.standard_normal((250, dim))
+
+    def kernels():
+        adapted = map_adapt(ubm, enrollment, BackendConfig())
+        return log_likelihoods(ubm, test), log_likelihoods(adapted, test), adapted.means
+
+    threaded = kernels()
+    with blas.single_thread():
+        single = kernels()
+    for got, want in zip(single, threaded):
+        assert np.array_equal(got, want)

@@ -981,7 +981,7 @@ def blas_threads():
         pytest.skip("numpy's BLAS exposes no OpenBLAS thread controls")
     get, set_ = found
     previous = get()
-    set_(2)  # so that one thread tells apart from the caller's count on any machine
+    set_(2)  # so that one thread differs from the caller's count on any machine
     yield get
     set_(previous)
 

@@ -67,35 +67,39 @@ def _run_stage(stage: str, args: argparse.Namespace, config: ExperimentConfig, o
     """Run one stage, print its summary and snapshot the resolved config to config/<stage>.json.
 
     The stage runs on one OpenBLAS thread unless its ``Stage.blas_threads`` is set.
+    A DataError from the stage is raised again with the stage's name in front.
     """
     keeps_threads = next(s.blas_threads for s in pipeline.STAGES if s.name == stage)
-    with contextlib.nullcontext() if keeps_threads else blas.single_thread():
-        if stage == "extract-features":
-            failures = pipeline.run_extract_features(args.manifest, config, out)
-            print(f"feature extraction finished with {len(failures)} failure(s)")
-        elif stage == "make-labels":
-            labeled = pipeline.run_make_labels(args.manifest, config, out)
-            counts = labeling.summarize_label_distribution(labeled, config.tcl.num_classes)
-            print(f"labeled {len(labeled.labels)} frames over {len(labeled.utterance_ids)} utterances")
-            print("frames per class: " + " ".join(str(counts[c]) for c in sorted(counts)))
-        elif stage == "train-dnn":
-            _, trace = pipeline.run_train_dnn(args.manifest, config, out)
-            print(f"training loss {pipeline.loss_trace_summary(trace)}")
-        elif stage == "extract-bn":
-            projection = pipeline.run_extract_bn(args.manifest, config, out)
-            print(f"projection {projection.input_dim} -> {projection.output_dim} dims")
-        elif stage == "train-ubm":
-            _, trace = pipeline.run_train_ubm(args.manifest, config, out)
-            print(f"UBM log-likelihood {trace[0]:.6g} -> {trace[-1]:.6g}")
-        elif stage == "enroll":
-            speakers = pipeline.run_enroll(args.manifest, config, out)
-            print(f"enrolled {len(speakers)} speaker(s)")
-        elif stage == "score":
-            score_set = pipeline.run_score(args.manifest, config, out, args.trials)
-            print(f"scored {len(score_set.trials)} trial(s) -> {out / 'scores' / 'scores.tsv'}")
-        elif stage == "evaluate":
-            report = pipeline.run_evaluate(config, out)
-            print(metrics.format_report(report))
+    try:
+        with contextlib.nullcontext() if keeps_threads else blas.single_thread():
+            if stage == "extract-features":
+                failures = pipeline.run_extract_features(args.manifest, config, out)
+                print(f"feature extraction finished with {len(failures)} failure(s)")
+            elif stage == "make-labels":
+                labeled = pipeline.run_make_labels(args.manifest, config, out)
+                counts = labeling.summarize_label_distribution(labeled, config.tcl.num_classes)
+                print(f"labeled {len(labeled.labels)} frames over {len(labeled.utterance_ids)} utterances")
+                print("frames per class: " + " ".join(str(counts[c]) for c in sorted(counts)))
+            elif stage == "train-dnn":
+                _, trace = pipeline.run_train_dnn(args.manifest, config, out)
+                print(f"training loss {pipeline.loss_trace_summary(trace)}")
+            elif stage == "extract-bn":
+                projection = pipeline.run_extract_bn(args.manifest, config, out)
+                print(f"projection {projection.input_dim} -> {projection.output_dim} dims")
+            elif stage == "train-ubm":
+                _, trace = pipeline.run_train_ubm(args.manifest, config, out)
+                print(f"UBM log-likelihood {trace[0]:.6g} -> {trace[-1]:.6g}")
+            elif stage == "enroll":
+                speakers = pipeline.run_enroll(args.manifest, config, out)
+                print(f"enrolled {len(speakers)} speaker(s)")
+            elif stage == "score":
+                score_set = pipeline.run_score(args.manifest, config, out, args.trials)
+                print(f"scored {len(score_set.trials)} trial(s) -> {out / 'scores' / 'scores.tsv'}")
+            elif stage == "evaluate":
+                report = pipeline.run_evaluate(config, out)
+                print(metrics.format_report(report))
+    except DataError as exc:
+        raise DataError(f"{stage}: {exc}") from exc
     (out / "config").mkdir(exist_ok=True)
     write_snapshot(out / "config" / f"{stage}.json", config)
 

@@ -1,82 +1,8 @@
 """Exception types shared across the toolkit."""
 
 
-class TclsvError(Exception):
-    """Base class for all toolkit errors."""
-
-
-class DataError(TclsvError):
+class DataError(Exception):
     """Invalid, inconsistent or missing input data (CLI exit code 2)."""
-
-
-# --- audio frontend ---
-
-class SignalTooShort(DataError):
-    """Signal shorter than a single analysis frame."""
-
-
-class AllFramesRemoved(DataError):
-    """Energy VAD rejected every frame of an utterance."""
-
-
-# --- TCL labeling ---
-
-class InsufficientFrames(DataError):
-    """Stream holds fewer frames than one segment."""
-
-
-class UtteranceTooShort(DataError):
-    """Utterance holds fewer frames than the requested class count."""
-
-
-# --- neural net / projections / GMM ---
-
-class DimensionMismatch(DataError):
-    """Input dimensionality does not match the model."""
-
-
-class UnknownLayer(DataError):
-    """Requested hidden layer name does not exist in the network."""
-
-
-class TooFewFrames(DataError):
-    """Not enough data rows to initialize the requested mixture count."""
-
-
-class EmptyEnrollment(DataError):
-    """MAP adaptation called with no enrollment frames."""
-
-
-class EmptyUtterance(DataError):
-    """Scoring called on an utterance with no frames."""
-
-
-# --- evaluation ---
-
-class EmptyScoreList(DataError):
-    """Error-curve computation needs at least one score on each side."""
-
-
-class MissingTargets(DataError):
-    """Trial set contains no target trials."""
-
-
-class MissingNonTargets(DataError):
-    """Trial set contains no non-target trials."""
-
-
-# --- artifacts & manifests ---
-
-class ArtifactError(DataError):
-    """Artifact file has a bad magic number, version or structure."""
-
-
-class MissingArtifact(DataError):
-    """A required upstream artifact does not exist."""
-
-
-class ManifestError(DataError):
-    """Manifest file is malformed or violates a lint rule."""
 
 
 class RankDeficientWarning(UserWarning):

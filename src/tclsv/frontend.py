@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AllFramesRemoved, DataError, SignalTooShort
+from .errors import DataError
 
 # Floor for log energies and log filterbank outputs.
 LOG_FLOOR = 1e-10
@@ -156,9 +156,7 @@ def frame_signal(signal: AudioSignal, config: FrontendConfig) -> WindowedFrames:
     frame_shift = int(round(config.frame_shift_ms * rate / 1000.0))
     x = np.asarray(signal.samples, dtype=np.float64)
     if len(x) < frame_len:
-        raise SignalTooShort(
-            f"signal has {len(x)} samples, need at least {frame_len} for one frame"
-        )
+        raise DataError(f"signal has {len(x)} samples, need at least {frame_len} for one frame")
 
     pre = np.empty_like(x)
     pre[0] = x[0]
@@ -299,7 +297,7 @@ def apply_vad(features: FeatureMatrix, config: FrontendConfig) -> FeatureMatrix:
     """Keep frames whose log energy is within vad_threshold_db of the maximum.
 
     Energies are natural-log, so the dB threshold is converted with
-    ln(10)/10.  Raises :class:`AllFramesRemoved` when nothing passes.
+    ln(10)/10.  Raises :class:`DataError` when nothing passes.
     """
     if features.frame_energies is None:
         raise DataError("apply_vad requires frame_energies (pre-VAD features)")
@@ -307,7 +305,7 @@ def apply_vad(features: FeatureMatrix, config: FrontendConfig) -> FeatureMatrix:
     threshold_nats = config.vad_threshold_db * np.log(10.0) / 10.0
     keep = energies > energies.max() - threshold_nats
     if not np.any(keep):
-        raise AllFramesRemoved(
+        raise DataError(
             f"VAD removed all {features.num_frames} frames of {features.utterance_id!r}"
         )
     return FeatureMatrix(

@@ -9,13 +9,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    DimensionMismatch,
-    EmptyEnrollment,
-    EmptyUtterance,
-    TooFewFrames,
-)
+from .errors import DataError
 from .frontend import FeatureMatrix
 
 # Variance floor, as a fraction of the global per-dimension training variance.
@@ -195,7 +189,7 @@ def log_likelihoods(model: GmmModel, frames, var_term: np.ndarray | None = None)
     """
     x = _as_frames(frames)
     if x.shape[1] != model.dim:
-        raise DimensionMismatch(f"frames have dim {x.shape[1]}, model expects {model.dim}")
+        raise DataError(f"frames have dim {x.shape[1]}, model expects {model.dim}")
     return _row_logsumexp(_component_log_likelihoods(model, x, var_term)).ravel()
 
 
@@ -225,7 +219,7 @@ def init_gmm(data, num_components: int, seed: int = 0) -> GmmModel:
     x = _as_frames(data)
     m = x.shape[0]
     if m < num_components:
-        raise TooFewFrames(f"{m} frames for {num_components} components")
+        raise DataError(f"{m} frames for {num_components} components")
     rng = np.random.default_rng(seed)
 
     centers = np.empty((num_components, x.shape[1]))
@@ -338,9 +332,9 @@ def map_adapt(ubm: GmmModel, enrollment_data, config: BackendConfig) -> GmmModel
     """
     x = _as_frames(enrollment_data)
     if x.shape[0] == 0:
-        raise EmptyEnrollment("no enrollment frames")
+        raise DataError("no enrollment frames")
     if x.shape[1] != ubm.dim:
-        raise DimensionMismatch(f"frames have dim {x.shape[1]}, UBM expects {ubm.dim}")
+        raise DataError(f"frames have dim {x.shape[1]}, UBM expects {ubm.dim}")
     means = ubm.means.copy()
     var_term = variance_term(ubm, x)  # every iteration's model has the UBM's variances
     for _ in range(config.map_iterations):
@@ -358,5 +352,5 @@ def score_llr(target: GmmModel, ubm: GmmModel, utterance) -> float:
     """Average per-frame log-likelihood difference between target model and UBM."""
     x = _as_frames(utterance)
     if x.shape[0] == 0:
-        raise EmptyUtterance("utterance has no frames")
+        raise DataError("utterance has no frames")
     return float(np.mean(log_likelihoods(target, x) - log_likelihoods(ubm, x)))

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import storage
-from .errors import DataError, InsufficientFrames, UtteranceTooShort
+from .errors import DataError
 from .frontend import FeatureMatrix
 
 logger = logging.getLogger(__name__)
@@ -82,7 +82,7 @@ def assign_stream_labels(utterances: list[Utterance], config: TclConfig) -> Labe
     d = config.frames_per_segment
     total = sum(u.num_frames for u in utterances)
     if total < d:
-        raise InsufficientFrames(f"stream has {total} frames, need at least {d}")
+        raise DataError(f"stream has {total} frames, need at least {d}")
 
     order = np.random.default_rng(config.shuffle_seed or 0).permutation(len(utterances))
     num_labeled = (total // d) * d
@@ -111,7 +111,7 @@ def assign_utterance_labels(utterance: Utterance, num_classes: int) -> LabeledFr
     """
     T = utterance.num_frames
     if T < num_classes:
-        raise UtteranceTooShort(
+        raise DataError(
             f"utterance {utterance.utterance_id!r} has {T} frames, need >= {num_classes}"
         )
     base, extra = divmod(T, num_classes)
@@ -135,15 +135,15 @@ def label_utterances(utterances: list[Utterance], config: TclConfig) -> LabeledF
 
     parts = []
     for utt in utterances:
-        try:
-            parts.append(assign_utterance_labels(utt, config.num_classes))
-        except UtteranceTooShort:
+        if utt.num_frames < config.num_classes:
             logger.warning(
                 "skipping %r: %d frames < %d classes",
                 utt.utterance_id, utt.num_frames, config.num_classes,
             )
+            continue
+        parts.append(assign_utterance_labels(utt, config.num_classes))
     if not parts:
-        raise InsufficientFrames("no utterance was long enough to label")
+        raise DataError("no utterance was long enough to label")
     boundaries = [0]
     ids = []
     for part in parts:

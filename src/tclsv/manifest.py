@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import storage
-from .errors import ManifestError
+from .errors import DataError
 
 SPLITS = ("dnn-train", "ubm-train", "enroll", "test")
 COLUMNS = ("utterance_id", "wav_path", "speaker_id", "phrase_id", "split")
@@ -38,15 +38,13 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
     """
     path = Path(path)
     if not path.exists():
-        raise ManifestError(f"{path}: manifest file does not exist")
+        raise DataError(f"{path}: manifest file does not exist")
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines:
-        raise ManifestError(f"{path}: empty manifest, expected a header line")
+        raise DataError(f"{path}: empty manifest, expected a header line")
     header = tuple(lines[0].rstrip("\n").split("\t"))
     if header != COLUMNS:
-        raise ManifestError(
-            f"{path}: header {header} does not match {COLUMNS}"
-        )
+        raise DataError(f"{path}: header {header} does not match {COLUMNS}")
     entries = []
     seen = set()
     for lineno, line in enumerate(lines[1:], 2):
@@ -54,20 +52,18 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
             continue
         fields = line.split("\t")
         if len(fields) != len(COLUMNS):
-            raise ManifestError(f"{path}:{lineno}: expected {len(COLUMNS)} fields")
+            raise DataError(f"{path}:{lineno}: expected {len(COLUMNS)} fields")
         utt_id, wav_path, speaker_id, phrase_id, split = fields
         if not _ID_PATTERN.match(utt_id):
-            raise ManifestError(f"{path}:{lineno}: bad utterance_id {utt_id!r}")
+            raise DataError(f"{path}:{lineno}: bad utterance_id {utt_id!r}")
         if not _ID_PATTERN.match(speaker_id):
-            raise ManifestError(f"{path}:{lineno}: bad speaker_id {speaker_id!r}")
+            raise DataError(f"{path}:{lineno}: bad speaker_id {speaker_id!r}")
         if phrase_id and not _ID_PATTERN.match(phrase_id):
-            raise ManifestError(f"{path}:{lineno}: bad phrase_id {phrase_id!r}")
+            raise DataError(f"{path}:{lineno}: bad phrase_id {phrase_id!r}")
         if split not in SPLITS:
-            raise ManifestError(
-                f"{path}:{lineno}: unknown split {split!r}, expected one of {SPLITS}"
-            )
+            raise DataError(f"{path}:{lineno}: unknown split {split!r}, expected one of {SPLITS}")
         if utt_id in seen:
-            raise ManifestError(f"{path}:{lineno}: duplicate utterance_id {utt_id!r}")
+            raise DataError(f"{path}:{lineno}: duplicate utterance_id {utt_id!r}")
         seen.add(utt_id)
         entries.append(
             ManifestEntry(
@@ -90,7 +86,7 @@ def lint_phrase_exclusion(entries: list[ManifestEntry], source: str = "manifest"
     }
     shared = sorted(train_phrases & eval_phrases)
     if shared:
-        raise ManifestError(
+        raise DataError(
             f"{source}: phrases {shared} appear in both dnn-train and enroll/test splits"
         )
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import storage
-from .errors import DataError, EmptyScoreList, MissingNonTargets, MissingTargets
+from .errors import DataError
 
 TARGET = "target"
 NON_TARGET_TYPES = ("target-wrong", "impostor-correct", "impostor-wrong")
@@ -76,7 +76,7 @@ def compute_error_curve(target_scores, nontarget_scores) -> ErrorCurve:
     targets = np.sort(np.asarray(target_scores, dtype=np.float64))
     nontargets = np.sort(np.asarray(nontarget_scores, dtype=np.float64))
     if len(targets) == 0 or len(nontargets) == 0:
-        raise EmptyScoreList("need at least one target and one non-target score")
+        raise DataError("need at least one target and one non-target score")
     thresholds = np.unique(np.concatenate([targets, nontargets, [np.inf]]))
     p_miss = np.searchsorted(targets, thresholds, side="left") / len(targets)
     p_fa = 1.0 - np.searchsorted(nontargets, thresholds, side="left") / len(nontargets)
@@ -149,7 +149,7 @@ def evaluate(score_set: TrialScoreSet, params: DcfParams = DcfParams()) -> Evalu
         by_type[trial.ground_truth].append(score)
     target_scores = np.array(by_type[TARGET])
     if len(target_scores) == 0:
-        raise MissingTargets("score set contains no target trials")
+        raise DataError("score set contains no target trials")
 
     per_type = {}
     for name in NON_TARGET_TYPES:
@@ -162,7 +162,7 @@ def evaluate(score_set: TrialScoreSet, params: DcfParams = DcfParams()) -> Evalu
             num_trials=len(by_type[name]),
         )
     if not per_type:
-        raise MissingNonTargets("score set contains no non-target trials")
+        raise DataError("score set contains no non-target trials")
     return EvaluationReport(
         per_type=per_type,
         average_eer=float(np.mean([r.eer for r in per_type.values()])),

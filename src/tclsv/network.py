@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DimensionMismatch, UnknownLayer
+from .errors import DataError
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,7 @@ class NetworkArch:
                 idx = -1
             if 0 <= idx < len(self.hidden_layers):
                 return idx
-        raise UnknownLayer(
-            f"no hidden layer {layer!r}; valid: L1..L{len(self.hidden_layers)}"
-        )
+        raise DataError(f"no hidden layer {layer!r}; valid: L1..L{len(self.hidden_layers)}")
 
 
 @dataclass
@@ -245,9 +243,7 @@ def forward(params: NetworkParams, input_batch: np.ndarray) -> ForwardPass:
     """
     x = _as_float(input_batch)
     if x.shape[1] != params.arch.input_dim:
-        raise DimensionMismatch(
-            f"input dim {x.shape[1]}, network expects {params.arch.input_dim}"
-        )
+        raise DataError(f"input dim {x.shape[1]}, network expects {params.arch.input_dim}")
     hidden = []
     a = x
     for W, b in zip(params.weights, params.biases):
@@ -379,9 +375,7 @@ def extract_deep_features(
     idx = params.arch.layer_index(layer)
     x = _as_float(inputs)
     if x.shape[1] != params.arch.input_dim:
-        raise DimensionMismatch(
-            f"input dim {x.shape[1]}, network expects {params.arch.input_dim}"
-        )
+        raise DataError(f"input dim {x.shape[1]}, network expects {params.arch.input_dim}")
     a = x
     for W, b in zip(params.weights[: idx + 1], params.biases[: idx + 1]):
         a = _sigmoid(_affine(a, W, b))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DimensionMismatch, RankDeficientWarning
+from .errors import DataError, RankDeficientWarning
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,5 @@ def project(model: PcaModel, deep_features: np.ndarray) -> np.ndarray:
     """Project rows onto the principal axes: ``(x - mean) @ basis.T``."""
     x = np.atleast_2d(np.asarray(deep_features, dtype=np.float64))
     if x.shape[1] != model.input_dim:
-        raise DimensionMismatch(
-            f"features have dim {x.shape[1]}, PCA model expects {model.input_dim}"
-        )
+        raise DataError(f"features have dim {x.shape[1]}, PCA model expects {model.input_dim}")
     return (x - model.mean) @ model.basis.T

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import gmm, labeling, metrics, network, pca, storage
 from .config import ExperimentConfig
-from .errors import DataError, DimensionMismatch, EmptyUtterance, MissingArtifact
+from .errors import DataError
 from .frontend import FeatureMatrix, cmvn, extract_features, read_wav
 from .manifest import ManifestEntry, by_split, read_manifest
 from .metrics import TrialScoreSet
@@ -110,16 +110,16 @@ def _producer(path: Path) -> str:
 
 
 def _require(path: Path) -> Path:
-    """``path`` if the stage that writes it has run, else MissingArtifact."""
+    """``path`` if the stage that writes it has run, else DataError."""
     if not path.exists():
-        raise MissingArtifact(f"{path}: run {_producer(path)} first")
+        raise DataError(f"{path}: run {_producer(path)} first")
     return path
 
 
-def _check_finite(values: np.ndarray, stage: str, utterance_id: str, what: str) -> None:
-    """DataError naming ``stage`` and the utterance unless ``values`` are all finite."""
+def _check_finite(values: np.ndarray, utterance_id: str, what: str) -> None:
+    """DataError naming the utterance unless ``values`` are all finite."""
     if not np.isfinite(values).all():
-        raise DataError(f"{stage}: {utterance_id!r}: non-finite {what}")
+        raise DataError(f"{utterance_id!r}: non-finite {what}")
 
 
 def _write_trace(path: Path, values: list[float]) -> None:
@@ -161,7 +161,7 @@ def _usable(
 def _feature_path(out_dir: Path, entry: ManifestEntry, subdir: str = "features") -> Path:
     path = out_dir / subdir / f"{entry.utterance_id}.tclf"
     if not path.exists():
-        raise MissingArtifact(
+        raise DataError(
             f"{path}: no feature archive for {entry.utterance_id!r};"
             f" run {_producer(path)} first or check features/failures.tsv"
         )
@@ -173,11 +173,11 @@ def _load_features(out_dir: Path, entry: ManifestEntry, subdir: str = "features"
     return storage.read_feature_archive(path, utterance_id=entry.utterance_id)
 
 
-def _backend_frames(out_dir: Path, entry: ManifestEntry, config: ExperimentConfig, stage: str) -> np.ndarray:
-    """The frames the back-end reads for ``entry``; DataError naming ``stage`` if any is non-finite."""
+def _backend_frames(out_dir: Path, entry: ManifestEntry, config: ExperimentConfig) -> np.ndarray:
+    """The frames the back-end reads for ``entry``; DataError if any is non-finite."""
     subdir = _backend_subdir(config)
     frames = _load_features(out_dir, entry, subdir).frames
-    _check_finite(frames, stage, entry.utterance_id, f"frames in {subdir}/")
+    _check_finite(frames, entry.utterance_id, f"frames in {subdir}/")
     return frames
 
 
@@ -266,7 +266,7 @@ def _build_training_dataset(
             # stream mode may label only a prefix; anything else must match exactly
             too_long = len(vec) > feats.num_frames
             if too_long or (config.tcl.mode == "utterance" and len(vec) != feats.num_frames):
-                raise DimensionMismatch(
+                raise DataError(
                     f"{entry.utterance_id}: {len(vec)} labels for {feats.num_frames} frames"
                 )
             bad = vec[(vec < 0) | (vec >= num_classes[head])]
@@ -351,7 +351,7 @@ def _normalized_deep_features(
         for entry, frames in batch:
             utt = deep[start : start + len(frames)]
             start += len(frames)
-            _check_finite(utt, "extract-bn", entry.utterance_id, f"layer {config.bn.layer} outputs")
+            _check_finite(utt, entry.utterance_id, f"layer {config.bn.layer} outputs")
             feats = FeatureMatrix(frames=utt.astype(np.float64), utterance_id=entry.utterance_id)
             yield entry, cmvn(feats).frames
 
@@ -408,7 +408,7 @@ def run_train_ubm(
     manifest_path, config: ExperimentConfig, out_dir: Path
 ) -> tuple[gmm.GmmModel, list[float]]:
     ubm_entries = _usable(read_manifest(manifest_path), out_dir, "ubm-train")
-    frames = np.vstack([_backend_frames(out_dir, e, config, "train-ubm") for e in ubm_entries])
+    frames = np.vstack([_backend_frames(out_dir, e, config) for e in ubm_entries])
     model, trace = gmm.train_ubm(
         frames,
         config.backend.num_mixtures,
@@ -422,17 +422,23 @@ def run_train_ubm(
 
 
 def run_enroll(manifest_path, config: ExperimentConfig, out_dir: Path) -> list[str]:
-    """MAP-adapt one model per speaker from their pooled enrollment utterances."""
+    """MAP-adapt one model per speaker from their pooled enrollment utterances.
+
+    Every speaker is adapted before any model is written, so a failure leaves
+    models/ as it was.
+    """
     ubm = storage.read_gmm(_require(out_dir / "ubm" / "ubm.tclg"))
     enroll_entries = _usable(read_manifest(manifest_path), out_dir, "enroll")
-    models_dir = _output_dir(out_dir, "models")
     speakers = sorted({e.speaker_id for e in enroll_entries})
+    models = {}
     for speaker in speakers:
         frames = np.vstack(
-            [_backend_frames(out_dir, e, config, "enroll") for e in enroll_entries if e.speaker_id == speaker]
+            [_backend_frames(out_dir, e, config) for e in enroll_entries if e.speaker_id == speaker]
         )
-        adapted = gmm.map_adapt(ubm, frames, config.backend)
-        storage.write_gmm(models_dir / f"{speaker}.tclg", adapted)
+        models[speaker] = gmm.map_adapt(ubm, frames, config.backend)
+    models_dir = _output_dir(out_dir, "models")
+    for speaker, model in models.items():
+        storage.write_gmm(models_dir / f"{speaker}.tclg", model)
     return speakers
 
 
@@ -449,7 +455,7 @@ def _missing_model(
             f"{message}: all {len(enroll_ids)} of its enroll utterance(s) are listed in"
             f" {out_dir / _FAILURES}"
         )
-    return MissingArtifact(f"{message} ({model_path}); run {_producer(model_path)} first")
+    return DataError(f"{message} ({model_path}); run {_producer(model_path)} first")
 
 
 def run_score(manifest_path, config: ExperimentConfig, out_dir: Path, trials_path) -> TrialScoreSet:
@@ -482,9 +488,9 @@ def run_score(manifest_path, config: ExperimentConfig, out_dir: Path, trials_pat
     model_cache: dict[str, tuple[gmm.GmmModel, bool]] = {}
     scores = np.empty(len(trials))
     for utt, indices in by_test.items():
-        x = _backend_frames(out_dir, by_id[utt], config, "score")
+        x = _backend_frames(out_dir, by_id[utt], config)
         if x.shape[0] == 0:
-            raise EmptyUtterance(f"{utt}: utterance has no frames")
+            raise DataError(f"{utt}: utterance has no frames")
         var_term = gmm.variance_term(ubm, x)
         ubm_ll = gmm.log_likelihoods(ubm, x, var_term)
         for i in indices:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArtifactError, MissingArtifact
+from .errors import DataError
 from .frontend import FeatureMatrix
 from .gmm import GmmModel
 from .network import NetworkArch, NetworkParams
@@ -65,25 +65,23 @@ class _Reader:
 
     def __init__(self, path: Path, magic: bytes, size: int | None = None):
         if not path.exists():
-            raise MissingArtifact(f"{path} does not exist")
+            raise DataError(f"{path} does not exist")
         self.path = path
         with open(path, "rb") as handle:
             self.buf = handle.read(size)
         self.pos = 0
         got = self.read_bytes(4)
         if got != magic:
-            raise ArtifactError(
-                f"{path}: bad magic {got!r}, expected {magic!r}"
-            )
+            raise DataError(f"{path}: bad magic {got!r}, expected {magic!r}")
         version = self.read_u32()
         if version != FORMAT_VERSION:
-            raise ArtifactError(
+            raise DataError(
                 f"{path}: format version {version}, this build reads version {FORMAT_VERSION}"
             )
 
     def read_bytes(self, n: int) -> bytes:
         if self.pos + n > len(self.buf):
-            raise ArtifactError(f"{self.path}: truncated artifact")
+            raise DataError(f"{self.path}: truncated artifact")
         out = self.buf[self.pos : self.pos + n]
         self.pos += n
         return out
@@ -100,7 +98,7 @@ class _Reader:
 
     def done(self) -> None:
         if self.pos != len(self.buf):
-            raise ArtifactError(f"{self.path}: {len(self.buf) - self.pos} trailing bytes")
+            raise DataError(f"{self.path}: {len(self.buf) - self.pos} trailing bytes")
 
 
 def _f64_bytes(array: np.ndarray) -> bytes:

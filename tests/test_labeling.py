@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tclsv.errors import DataError, InsufficientFrames, UtteranceTooShort
+from tclsv.errors import DataError
 from tclsv.frontend import FeatureMatrix
 from tclsv.labeling import (
     LabeledFrames,
@@ -58,7 +58,7 @@ def test_stream_exact_division_balances_classes():
 
 
 def test_stream_too_few_frames():
-    with pytest.raises(InsufficientFrames):
+    with pytest.raises(DataError, match="stream has 5 frames, need at least 6"):
         assign_stream_labels(
             [make_utt(5)], TclConfig(num_classes=2, frames_per_segment=6, mode="stream")
         )
@@ -95,7 +95,7 @@ def test_stream_label_rule_property(total, d, n):
     config = TclConfig(num_classes=n, frames_per_segment=d, mode="stream")
     utt = make_utt(total, dim=2)
     if total < d:
-        with pytest.raises(InsufficientFrames):
+        with pytest.raises(DataError, match=rf"stream has {total} frames, need at least {d}"):
             assign_stream_labels([utt], config)
         return
     labeled = assign_stream_labels([utt], config)
@@ -125,7 +125,7 @@ def test_utterance_one_frame_per_class_at_boundary():
 
 
 def test_utterance_too_short():
-    with pytest.raises(UtteranceTooShort):
+    with pytest.raises(DataError, match="has 9 frames, need >= 10"):
         assign_utterance_labels(make_utt(9), 10)
 
 
@@ -133,7 +133,7 @@ def test_utterance_too_short():
 @given(t=st.integers(min_value=2, max_value=500), n=st.integers(min_value=2, max_value=20))
 def test_utterance_segment_properties(t, n):
     if t < n:
-        with pytest.raises(UtteranceTooShort):
+        with pytest.raises(DataError, match=f"has {t} frames, need >= {n}"):
             assign_utterance_labels(make_utt(t, dim=1), n)
         return
     labeled = assign_utterance_labels(make_utt(t, dim=1), n)
@@ -167,7 +167,7 @@ def test_label_utterances_skips_short_ones_with_warning(caplog):
 
 def test_label_utterances_all_short_raises():
     config = TclConfig(num_classes=10, mode="utterance")
-    with pytest.raises(InsufficientFrames):
+    with pytest.raises(DataError, match="no utterance was long enough to label"):
         label_utterances([make_utt(3, "a"), make_utt(2, "b")], config)
 
 

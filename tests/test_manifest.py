@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from tclsv.errors import ManifestError
+from tclsv.errors import DataError
 from tclsv.manifest import (
     COLUMNS,
     ManifestEntry,
@@ -55,28 +55,28 @@ def test_roundtrip_preserves_entries(tmp_path):
 def test_empty_file_rejected(tmp_path):
     path = tmp_path / "manifest.tsv"
     path.write_text("", encoding="utf-8")
-    with pytest.raises(ManifestError, match="empty"):
+    with pytest.raises(DataError, match="empty manifest, expected a header line"):
         read_manifest(path)
 
 
 def test_wrong_header_rejected(tmp_path):
     path = tmp_path / "manifest.tsv"
     path.write_text("utt\tpath\tspeaker\tphrase\tsplit\n", encoding="utf-8")
-    with pytest.raises(ManifestError, match="header"):
+    with pytest.raises(DataError, match="does not match"):
         read_manifest(path)
 
 
 def test_wrong_field_count_rejected(tmp_path):
     path = tmp_path / "manifest.tsv"
     write_lines(path, ["u1\twavs/u1.wav\tspk1\tdnn-train"])
-    with pytest.raises(ManifestError, match="fields"):
+    with pytest.raises(DataError, match="expected 5 fields"):
         read_manifest(path)
 
 
 def test_unknown_split_rejected(tmp_path):
     path = tmp_path / "manifest.tsv"
     write_lines(path, ["u1\twavs/u1.wav\tspk1\tp1\ttraining"])
-    with pytest.raises(ManifestError, match="split"):
+    with pytest.raises(DataError, match="unknown split 'training'"):
         read_manifest(path)
 
 
@@ -84,7 +84,7 @@ def test_unknown_split_rejected(tmp_path):
 def test_unsafe_utterance_ids_rejected(tmp_path, bad_id):
     path = tmp_path / "manifest.tsv"
     write_lines(path, [f"{bad_id}\twavs/u1.wav\tspk1\tp1\tdnn-train"])
-    with pytest.raises(ManifestError):
+    with pytest.raises(DataError, match="bad utterance_id"):
         read_manifest(path)
 
 
@@ -104,7 +104,7 @@ def test_duplicate_utterance_id_rejected(tmp_path):
             "u1\twavs/b.wav\tspk2\tp2\ttest",
         ],
     )
-    with pytest.raises(ManifestError, match="duplicate"):
+    with pytest.raises(DataError, match="duplicate utterance_id 'u1'"):
         read_manifest(path)
 
 
@@ -117,7 +117,7 @@ def test_phrase_shared_between_train_and_eval_rejected(tmp_path):
             "u2\twavs/b.wav\tspk2\tp1\ttest",
         ],
     )
-    with pytest.raises(ManifestError, match="dnn-train and enroll/test"):
+    with pytest.raises(DataError, match="appear in both dnn-train and enroll/test splits"):
         read_manifest(path)
 
 

@@ -9,12 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from tclsv.errors import (
-    DataError,
-    EmptyScoreList,
-    MissingNonTargets,
-    MissingTargets,
-)
+from tclsv.errors import DataError
 from tclsv.metrics import (
     DcfParams,
     ErrorCurve,
@@ -128,9 +123,9 @@ def test_curve_endpoints():
 
 
 def test_curve_rejects_empty_lists():
-    with pytest.raises(EmptyScoreList):
+    with pytest.raises(DataError, match="need at least one target and one non-target score"):
         compute_error_curve([], [1.0])
-    with pytest.raises(EmptyScoreList):
+    with pytest.raises(DataError, match="need at least one target and one non-target score"):
         compute_error_curve([1.0], [])
 
 
@@ -289,12 +284,12 @@ def test_evaluate_single_type_average_is_that_type():
 
 
 def test_evaluate_missing_targets():
-    with pytest.raises(MissingTargets):
+    with pytest.raises(DataError, match="score set contains no target trials"):
         evaluate(make_score_set([], {"impostor-correct": [0.1, 0.2]}))
 
 
 def test_evaluate_missing_nontargets():
-    with pytest.raises(MissingNonTargets):
+    with pytest.raises(DataError, match="score set contains no non-target trials"):
         evaluate(make_score_set([0.5, 0.6], {}))
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tclsv import network
-from tclsv.errors import DataError, DimensionMismatch, UnknownLayer
+from tclsv.errors import DataError
 from tclsv.network import (
     Gradients,
     LabeledDataset,
@@ -180,7 +180,7 @@ def test_arch_validation_and_layer_names():
     arch = NetworkArch(input_dim=4, hidden_layers=(8, 8, 8), output_heads=(("y", 2),))
     assert arch.layer_index("L1") == 0 and arch.layer_index("L3") == 2
     for bad in ("L0", "L4", "X2", "l1"):
-        with pytest.raises(UnknownLayer):
+        with pytest.raises(DataError, match=f"no hidden layer '{bad}'"):
             arch.layer_index(bad)
     with pytest.raises(DataError):
         NetworkArch(input_dim=4, hidden_layers=(8,), output_heads=())
@@ -217,7 +217,7 @@ def test_forward_identical_rows_identical_posteriors():
 
 def test_forward_dimension_mismatch():
     arch = NetworkArch(input_dim=4, hidden_layers=(6,), output_heads=(("y", 3),))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DataError, match="input dim 5, network expects 4"):
         forward(init_network(arch, 0), np.zeros((2, 5)))
 
 
@@ -460,7 +460,7 @@ def test_extract_values_in_open_unit_interval():
 
 def test_extract_unknown_layer():
     arch = NetworkArch(input_dim=2, hidden_layers=(3,), output_heads=(("y", 2),))
-    with pytest.raises(UnknownLayer):
+    with pytest.raises(DataError, match="no hidden layer 'L2'"):
         extract_deep_features(init_network(arch, 0), np.zeros((1, 2)), "L2")
 
 

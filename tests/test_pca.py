@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tclsv.errors import DataError, DimensionMismatch, RankDeficientWarning
+from tclsv.errors import DataError, RankDeficientWarning
 from tclsv.pca import fit_pca, project
 
 
@@ -126,7 +126,7 @@ def test_fit_requires_more_rows_than_out_dim():
 
 def test_project_dimension_mismatch():
     model = fit_pca(np.random.default_rng(12).standard_normal((50, 4)), 2)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DataError, match="PCA model expects 4"):
         project(model, np.zeros((3, 5)))
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from tclsv import labeling, metrics
 from tclsv.config import ExperimentConfig, write_snapshot
-from tclsv.errors import ArtifactError, MissingArtifact
+from tclsv.errors import DataError
 from tclsv.frontend import FeatureMatrix
 from tclsv.gmm import GmmModel
 from tclsv.manifest import ManifestEntry, write_manifest
@@ -150,10 +150,10 @@ def test_feature_shape_matches_full_read(tmp_path, shape):
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (lambda data: b"WHAT" + data[4:], "magic"),
-        (lambda data: data[:4] + (2).to_bytes(4, "little") + data[8:], "version"),
-        (lambda data: data[:12], "truncated"),
-        (lambda data: data[:3], "truncated"),
+        (lambda data: b"WHAT" + data[4:], "bad magic"),
+        (lambda data: data[:4] + (2).to_bytes(4, "little") + data[8:], "format version 2"),
+        (lambda data: data[:12], "truncated artifact"),
+        (lambda data: data[:3], "truncated artifact"),
     ],
     ids=["magic", "version", "header-12-bytes", "header-3-bytes"],
 )
@@ -161,12 +161,12 @@ def test_feature_shape_rejects_bad_header(tmp_path, corrupt, message):
     path = tmp_path / "bad.tclf"
     write_feature_archive(path, feature_matrix())
     path.write_bytes(corrupt(path.read_bytes()))
-    with pytest.raises(ArtifactError, match=message):
+    with pytest.raises(DataError, match=message):
         read_feature_shape(path)
 
 
 def test_feature_shape_missing_file(tmp_path):
-    with pytest.raises(MissingArtifact):
+    with pytest.raises(DataError, match="nope.tclf does not exist"):
         read_feature_shape(tmp_path / "nope.tclf")
 
 
@@ -174,7 +174,7 @@ def test_feature_shape_missing_file(tmp_path):
 
 
 def test_missing_artifact(tmp_path):
-    with pytest.raises(MissingArtifact):
+    with pytest.raises(DataError, match="nope.tclf does not exist"):
         read_feature_archive(tmp_path / "nope.tclf")
 
 
@@ -184,7 +184,7 @@ def test_bad_magic(tmp_path):
     data = bytearray(path.read_bytes())
     data[:4] = b"WHAT"
     path.write_bytes(bytes(data))
-    with pytest.raises(ArtifactError, match="magic"):
+    with pytest.raises(DataError, match="bad magic"):
         read_feature_archive(path)
 
 
@@ -194,7 +194,7 @@ def test_wrong_format_version(tmp_path):
     data = bytearray(path.read_bytes())
     data[4:8] = (2).to_bytes(4, "little")
     path.write_bytes(bytes(data))
-    with pytest.raises(ArtifactError, match="version"):
+    with pytest.raises(DataError, match="format version 2"):
         read_feature_archive(path)
 
 
@@ -203,7 +203,7 @@ def test_truncated_payload(tmp_path):
     write_feature_archive(path, feature_matrix())
     data = path.read_bytes()
     path.write_bytes(data[:-4])
-    with pytest.raises(ArtifactError, match="truncated"):
+    with pytest.raises(DataError, match="truncated artifact"):
         read_feature_archive(path)
 
 
@@ -211,14 +211,14 @@ def test_trailing_bytes_rejected(tmp_path):
     path = tmp_path / "extra.tclf"
     write_feature_archive(path, feature_matrix())
     path.write_bytes(path.read_bytes() + b"\x00")
-    with pytest.raises(ArtifactError, match="trailing"):
+    with pytest.raises(DataError, match="1 trailing bytes"):
         read_feature_archive(path)
 
 
 def test_magic_mismatch_across_formats(tmp_path):
     path = tmp_path / "gmm_as_pca.bin"
     write_gmm(path, GmmModel(np.array([1.0]), np.zeros((1, 2)), np.ones((1, 2))))
-    with pytest.raises(ArtifactError, match="magic"):
+    with pytest.raises(DataError, match="bad magic"):
         read_pca(path)
 
 
@@ -261,7 +261,7 @@ def test_network_truncation(tmp_path):
     path = tmp_path / "model.tcln"
     write_network(path, init_network(arch, seed=7))
     path.write_bytes(path.read_bytes()[:40])
-    with pytest.raises(ArtifactError):
+    with pytest.raises(DataError, match="truncated artifact"):
         read_network(path)
 
 

@@ -2,6 +2,7 @@
 
 import os
 import stat
+import struct
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from tclsv.frontend import FeatureMatrix
 from tclsv.gmm import GmmModel
 from tclsv.manifest import ManifestEntry, write_manifest
 from tclsv.network import NetworkArch, init_network
-from tclsv.pca import fit_pca
+from tclsv.pca import PcaModel, fit_pca
 from tclsv.storage import (
     atomic_write_bytes,
     read_feature_archive,
@@ -304,3 +305,107 @@ def test_gmm_write_is_byte_deterministic(tmp_path):
     write_gmm(a, model)
     write_gmm(b, model)
     assert a.read_bytes() == b.read_bytes()
+
+
+# --- golden layouts: each file decoded field by field, independently of storage ---
+
+
+class _Fields:
+    """Walks a file's bytes with ``struct`` and ``np.frombuffer``, checking its length."""
+
+    def __init__(self, data: bytes):
+        self.data, self.pos = data, 0
+
+    def unpack(self, fmt: str):
+        values = struct.unpack_from(fmt, self.data, self.pos)
+        self.pos += struct.calcsize(fmt)
+        return values
+
+    def raw(self, n: int) -> bytes:
+        self.pos += n
+        return self.data[self.pos - n : self.pos]
+
+    def f64(self, *shape: int) -> np.ndarray:
+        count = int(np.prod(shape))
+        array = np.frombuffer(self.data, dtype="<f8", count=count, offset=self.pos)
+        self.pos += 8 * count
+        return array.reshape(shape)
+
+    def end(self) -> None:
+        assert self.pos == len(self.data)
+
+
+def _golden(path, magic):
+    fields = _Fields(path.read_bytes())
+    assert fields.raw(4) == magic
+    assert fields.unpack("<I") == (1,)
+    return fields
+
+
+def test_golden_feature_archive(tmp_path):
+    frames = np.arange(6.0).reshape(3, 2) / 7.0
+    path = tmp_path / "u.tclf"
+    write_feature_archive(path, FeatureMatrix(frames=frames, utterance_id="u"))
+    fields = _golden(path, b"TCLF")
+    assert fields.unpack("<II") == (3, 2)
+    assert np.array_equal(fields.f64(3, 2), frames)
+    fields.end()
+
+
+def test_golden_pca(tmp_path):
+    model = PcaModel(
+        mean=np.array([0.5, -1.0, 2.0]),
+        basis=np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]]),
+        eigenvalues=np.array([3.0, 1.25]),
+    )
+    path = tmp_path / "pca.tclp"
+    write_pca(path, model)
+    fields = _golden(path, b"TCLP")
+    assert fields.unpack("<II") == (3, 2)
+    assert np.array_equal(fields.f64(3), model.mean)
+    assert np.array_equal(fields.f64(2), model.eigenvalues)
+    assert np.array_equal(fields.f64(2, 3), model.basis)
+    fields.end()
+
+
+def test_golden_gmm(tmp_path):
+    model = GmmModel(
+        weights=np.array([0.25, 0.75]),
+        means=np.array([[0.0, 1.0, 2.0], [-3.0, 4.5, 5.0]]),
+        variances=np.array([[1.0, 0.5, 2.0], [0.125, 3.0, 1.5]]),
+    )
+    path = tmp_path / "ubm.tclg"
+    write_gmm(path, model)
+    fields = _golden(path, b"TCLG")
+    assert fields.unpack("<II") == (2, 3)
+    assert np.array_equal(fields.f64(2), model.weights)
+    assert np.array_equal(fields.f64(2, 3), model.means)
+    assert np.array_equal(fields.f64(2, 3), model.variances)
+    fields.end()
+
+
+def test_golden_network(tmp_path):
+    arch = NetworkArch(input_dim=3, hidden_layers=(4, 2), output_heads=(("tcl", 5), ("phrase", 3)))
+    params = init_network(arch, seed=11)
+    params.rng_seed = 2**40 + 7  # a seed above 32 bits shows the u64 field
+    path = tmp_path / "model.tcln"
+    write_network(path, params)
+    fields = _golden(path, b"TCLN")
+    assert fields.unpack("<I") == (3,)
+    assert fields.unpack("<I") == (2,)
+    assert fields.unpack("<II") == (4, 2)
+    assert fields.unpack("<I") == (2,)
+    for name, num_classes in (("tcl", 5), ("phrase", 3)):
+        (length,) = fields.unpack("<I")
+        assert fields.raw(length) == name.encode("utf-8")
+        assert fields.unpack("<I") == (num_classes,)
+    assert fields.unpack("<Q") == (2**40 + 7,)
+    prev = 3
+    for k, width in enumerate((4, 2)):
+        assert np.array_equal(fields.f64(prev, width), params.weights[k])
+        assert np.array_equal(fields.f64(width), params.biases[k])
+        prev = width
+    for k, num_classes in enumerate((5, 3)):
+        assert np.array_equal(fields.f64(prev, num_classes), params.head_weights[k])
+        assert np.array_equal(fields.f64(num_classes), params.head_biases[k])
+    fields.end()

@@ -127,22 +127,13 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
     if path is None:
         return ExperimentConfig()
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"{path}: config file does not exist")
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(storage.read_text(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise DataError(f"{path}: config root must be an object")
-    sections = {
-        "frontend": FrontendConfig,
-        "tcl": TclConfig,
-        "dnn": DnnConfig,
-        "bn": BnConfig,
-        "backend": BackendConfig,
-        "dcf": DcfParams,
-    }
+    sections = {f.name: f.default_factory for f in fields(ExperimentConfig) if f.name != "seed"}
     kwargs = {}
     for key, value in data.items():
         if key == "seed":

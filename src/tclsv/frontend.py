@@ -117,7 +117,8 @@ class WindowedFrames:
 def read_wav(path: str | Path) -> AudioSignal:
     """Read a mono 16-bit PCM WAV file.
 
-    Multi-channel, non-PCM or non-16-bit files raise :class:`DataError`.
+    Unreadable, truncated, multi-channel, non-PCM or non-16-bit files raise
+    :class:`DataError`.
     """
     try:
         with wave.open(str(path), "rb") as wf:
@@ -131,6 +132,10 @@ def read_wav(path: str | Path) -> AudioSignal:
             raw = wf.readframes(wf.getnframes())
     except wave.Error as exc:
         raise DataError(f"{path}: not a valid WAV file ({exc})") from exc
+    except EOFError as exc:  # the file ends inside the RIFF header
+        raise DataError(f"{path}: not a valid WAV file (truncated header)") from exc
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read ({exc.strerror})") from exc
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return AudioSignal(samples=samples, sample_rate_hz=rate)
 

@@ -188,13 +188,7 @@ def write_label_archive(path: str | Path, labels: dict[str, np.ndarray]) -> None
 
 def read_label_archive(path: str | Path) -> dict[str, np.ndarray]:
     out = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise DataError(f"{path}:{lineno}: expected '<id>\\t<labels>'")
-        utt_id, payload = parts
+    for lineno, (utt_id, payload) in storage.read_rows(path, 2):
         try:
             vec = np.array([int(v) for v in payload.split()], dtype=np.int64)
         except (ValueError, OverflowError) as exc:

@@ -37,9 +37,7 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
     enroll/test splits (features learned on a phrase must not verify it).
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"{path}: manifest file does not exist")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = storage.read_text(path).splitlines()
     if not lines:
         raise DataError(f"{path}: empty manifest, expected a header line")
     header = tuple(lines[0].rstrip("\n").split("\t"))

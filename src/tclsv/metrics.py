@@ -190,40 +190,30 @@ def format_report(report: EvaluationReport) -> str:
 
 def read_trials(path: str | Path) -> list[Trial]:
     """Trial list: one ``<model_id>\\t<test_utterance_id>\\t<type>`` per line."""
-    if not Path(path).exists():
-        raise DataError(f"{path}: trial list does not exist")
-    trials = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
-        trials.append(Trial(model_id=parts[0], test_utterance_id=parts[1], ground_truth=parts[2]))
-    return trials
+    return [Trial(*fields) for _, fields in storage.read_rows(path, 3)]
+
+
+def _trial_line(trial: Trial) -> str:
+    return f"{trial.model_id}\t{trial.test_utterance_id}\t{trial.ground_truth}"
+
+
+def write_trials(path: str | Path, trials: list[Trial]) -> None:
+    """The trial list :func:`read_trials` reads."""
+    storage.atomic_write_text(path, "".join(f"{_trial_line(t)}\n" for t in trials))
 
 
 def write_scores(path: str | Path, score_set: TrialScoreSet) -> None:
     """Score file: the trial line plus a fourth tab-separated score field."""
-    lines = []
-    for trial, score in zip(score_set.trials, score_set.scores):
-        lines.append(
-            f"{trial.model_id}\t{trial.test_utterance_id}\t{trial.ground_truth}\t{score:.12g}\n"
-        )
+    lines = [f"{_trial_line(t)}\t{s:.12g}\n" for t, s in zip(score_set.trials, score_set.scores)]
     storage.atomic_write_text(path, "".join(lines))
 
 
 def read_scores(path: str | Path) -> TrialScoreSet:
     trials, scores = [], []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise DataError(f"{path}:{lineno}: expected 4 tab-separated fields")
-        trials.append(Trial(model_id=parts[0], test_utterance_id=parts[1], ground_truth=parts[2]))
+    for lineno, fields in storage.read_rows(path, 4):
+        trials.append(Trial(*fields[:3]))
         try:
-            scores.append(float(parts[3]))
+            scores.append(float(fields[3]))
         except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: bad score {parts[3]!r}") from exc
+            raise DataError(f"{path}:{lineno}: bad score {fields[3]!r}") from exc
     return TrialScoreSet(trials=trials, scores=np.array(scores, dtype=np.float64))

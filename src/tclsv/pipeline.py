@@ -130,11 +130,8 @@ def _failed_ids(out_dir: Path) -> set[str]:
     path = out_dir / _FAILURES
     if not path.exists():
         return set()
-    return {
-        line.split("\t", 1)[0]
-        for line in path.read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    }
+    lines = storage.read_text(path).splitlines()
+    return {line.split("\t", 1)[0] for line in lines if line.strip()}
 
 
 def _usable(

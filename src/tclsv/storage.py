@@ -1,23 +1,20 @@
-"""Versioned binary artifact formats.
+"""File I/O: the binary artifacts, atomic writes and text inputs.
 
-All artifacts share the same conventions: a 4-byte ASCII magic, a little-endian
-uint32 format version, shape fields as little-endian uint32, then row-major
-float64 little-endian payloads.  Writes go through a temp file plus rename so
-readers never observe partial artifacts.  A wrong magic or version is always a
-hard error.
-
-Formats:
-  TCLF  feature archive, one utterance: T, D, then the T x D matrix.
-  TCLN  network: arch descriptor, then parameters layer-major.
-  TCLP  PCA model: input dim, output dim, mean, eigenvalues, basis.
-  TCLG  GMM: K, D, weights, means, variances.
+Every input file is read here, and one that is missing, unreadable or not UTF-8
+text raises DataError naming it.  Writes go through a temp file plus rename, so
+readers never observe partial files.  A binary artifact (TCLF features, TCLN
+network, TCLP PCA, TCLG GMM) is a 4-byte ASCII magic, a uint32 format version,
+uint32 shape fields, then row-major float64 arrays, all little-endian; README
+"File formats" gives each layout.  A wrong magic or version is a hard error.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +26,6 @@ from .network import NetworkArch, NetworkParams
 from .pca import PcaModel
 
 FORMAT_VERSION = 1
-
-_U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
@@ -60,164 +54,146 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def _read(path: Path, size: int = -1) -> bytes:
+    """The bytes of ``path``, or its first ``size``; DataError naming it if it cannot be read."""
+    try:
+        with open(path, "rb") as handle:
+            return handle.read(size)
+    except FileNotFoundError:
+        raise DataError(f"{path} does not exist") from None
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read ({exc.strerror})") from None
+
+
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of an input file; the read-side twin of :func:`atomic_write_text`."""
+    try:
+        return _read(Path(path)).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def read_rows(path: str | Path, num_fields: int) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each non-blank line of a tab-separated text file."""
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
+        if line.strip():
+            fields = line.split("\t")
+            if len(fields) != num_fields:
+                raise DataError(f"{path}:{lineno}: expected {num_fields} tab-separated fields")
+            yield lineno, fields
+
+
 class _Reader:
     """Reads the whole file, or only its first ``size`` bytes when given."""
 
-    def __init__(self, path: Path, magic: bytes, size: int | None = None):
-        if not path.exists():
-            raise DataError(f"{path} does not exist")
+    def __init__(self, path: Path, magic: bytes, size: int = -1):
         self.path = path
-        with open(path, "rb") as handle:
-            self.buf = handle.read(size)
+        self.buf = _read(path, size)
         self.pos = 0
         got = self.read_bytes(4)
         if got != magic:
             raise DataError(f"{path}: bad magic {got!r}, expected {magic!r}")
-        version = self.read_u32()
+        (version,) = self.read_u32(1)
         if version != FORMAT_VERSION:
             raise DataError(
                 f"{path}: format version {version}, this build reads version {FORMAT_VERSION}"
             )
 
-    def read_bytes(self, n: int) -> bytes:
+    def _take(self, n: int) -> int:
+        """The offset of the next ``n`` bytes, which this read consumes."""
         if self.pos + n > len(self.buf):
             raise DataError(f"{self.path}: truncated artifact")
-        out = self.buf[self.pos : self.pos + n]
         self.pos += n
-        return out
+        return self.pos - n
 
-    def read_u32(self) -> int:
-        return _U32.unpack(self.read_bytes(4))[0]
+    def read_bytes(self, n: int) -> bytes:
+        return self.buf[self._take(n) : self.pos]
 
-    def read_u64(self) -> int:
-        return _U64.unpack(self.read_bytes(8))[0]
+    def read_u32(self, n: int) -> tuple[int, ...]:
+        return struct.unpack_from(f"<{n}I", self.buf, self._take(4 * n))
 
-    def read_f64(self, count: int) -> np.ndarray:
-        raw = self.read_bytes(8 * count)
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64)
-
-    def done(self) -> None:
+    def read_f64(self, *shapes: tuple[int, ...]) -> list[np.ndarray]:
+        """The arrays that end the file, one writable float64 array per shape."""
+        arrays = []
+        for shape in shapes:
+            count = math.prod(shape)
+            raw = np.frombuffer(self.buf, dtype="<f8", count=count, offset=self._take(8 * count))
+            arrays.append(raw.astype(np.float64).reshape(shape))
         if self.pos != len(self.buf):
             raise DataError(f"{self.path}: {len(self.buf) - self.pos} trailing bytes")
+        return arrays
 
 
-def _f64_bytes(array: np.ndarray) -> bytes:
-    return np.ascontiguousarray(array, dtype="<f8").tobytes()
+def _write(path: str | Path, magic: bytes, dims: list, arrays: list[np.ndarray]) -> None:
+    """Magic, version, ``dims`` as uint32 (bytes as they are), then ``arrays`` as float64."""
+    header = [d if isinstance(d, bytes) else struct.pack("<I", d) for d in (FORMAT_VERSION, *dims)]
+    payload = [np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays]
+    atomic_write_bytes(path, b"".join([magic, *header, *payload]))
 
-
-# --- feature archive (TCLF) ---
 
 def write_feature_archive(path: str | Path, features: FeatureMatrix) -> None:
-    frames = np.asarray(features.frames, dtype=np.float64)
-    header = b"TCLF" + _U32.pack(FORMAT_VERSION) + _U32.pack(frames.shape[0]) + _U32.pack(frames.shape[1])
-    atomic_write_bytes(path, header + _f64_bytes(frames))
+    _write(path, b"TCLF", list(features.frames.shape), [features.frames])
 
 
 def read_feature_archive(path: str | Path, utterance_id: str | None = None) -> FeatureMatrix:
-    path = Path(path)
-    reader = _Reader(path, b"TCLF")
-    t = reader.read_u32()
-    d = reader.read_u32()
-    frames = reader.read_f64(t * d).reshape(t, d)
-    reader.done()
-    if utterance_id is None:
-        utterance_id = path.stem
-    return FeatureMatrix(frames=frames, utterance_id=utterance_id)
+    reader = _Reader(Path(path), b"TCLF")
+    (frames,) = reader.read_f64(reader.read_u32(2))
+    return FeatureMatrix(frames, Path(path).stem if utterance_id is None else utterance_id)
 
 
 def read_feature_shape(path: str | Path) -> tuple[int, int]:
     """(frames, dim) of a feature archive, read from its 16-byte header alone."""
-    reader = _Reader(Path(path), b"TCLF", size=16)
-    return reader.read_u32(), reader.read_u32()
+    return _Reader(Path(path), b"TCLF", size=16).read_u32(2)
 
-
-# --- network (TCLN) ---
 
 def write_network(path: str | Path, params: NetworkParams) -> None:
     arch = params.arch
-    parts = [b"TCLN", _U32.pack(FORMAT_VERSION), _U32.pack(arch.input_dim)]
-    parts.append(_U32.pack(len(arch.hidden_layers)))
-    for width in arch.hidden_layers:
-        parts.append(_U32.pack(width))
-    parts.append(_U32.pack(len(arch.output_heads)))
-    for name, num_classes in arch.output_heads:
-        encoded = name.encode("utf-8")
-        parts.append(_U32.pack(len(encoded)))
-        parts.append(encoded)
-        parts.append(_U32.pack(num_classes))
-    parts.append(_U64.pack(params.rng_seed))
-    for w, b in zip(params.weights, params.biases):
-        parts.append(_f64_bytes(w))
-        parts.append(_f64_bytes(b))
-    for w, b in zip(params.head_weights, params.head_biases):
-        parts.append(_f64_bytes(w))
-        parts.append(_f64_bytes(b))
-    atomic_write_bytes(path, b"".join(parts))
+    heads = [(name.encode("utf-8"), k) for name, k in arch.output_heads]
+    dims = [arch.input_dim, len(arch.hidden_layers), *arch.hidden_layers, len(heads)]
+    dims += [field for name, k in heads for field in (len(name), name, k)]
+    layers = zip(params.weights + params.head_weights, params.biases + params.head_biases)
+    seed = struct.pack("<Q", params.rng_seed)
+    _write(path, b"TCLN", [*dims, seed], [a for pair in layers for a in pair])
 
 
 def read_network(path: str | Path) -> NetworkParams:
     reader = _Reader(Path(path), b"TCLN")
-    input_dim = reader.read_u32()
-    hidden = tuple(reader.read_u32() for _ in range(reader.read_u32()))
+    input_dim, num_hidden = reader.read_u32(2)
+    hidden = reader.read_u32(num_hidden)
     heads = []
-    for _ in range(reader.read_u32()):
-        name = reader.read_bytes(reader.read_u32()).decode("utf-8")
-        heads.append((name, reader.read_u32()))
+    for _ in range(*reader.read_u32(1)):
+        name = reader.read_bytes(*reader.read_u32(1))
+        try:
+            heads.append((name.decode("utf-8"), *reader.read_u32(1)))
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: head name {name!r} is not UTF-8") from None
     arch = NetworkArch(input_dim=input_dim, hidden_layers=hidden, output_heads=tuple(heads))
-    seed = reader.read_u64()
-    weights, biases = [], []
-    prev = input_dim
-    for width in hidden:
-        weights.append(reader.read_f64(prev * width).reshape(prev, width))
-        biases.append(reader.read_f64(width))
-        prev = width
-    head_weights, head_biases = [], []
-    for _, num_classes in heads:
-        head_weights.append(reader.read_f64(prev * num_classes).reshape(prev, num_classes))
-        head_biases.append(reader.read_f64(num_classes))
-    reader.done()
-    return NetworkParams(arch, weights, biases, head_weights, head_biases, rng_seed=seed)
+    (seed,) = struct.unpack("<Q", reader.read_bytes(8))
+    widths = (input_dim, *hidden)
+    layers = [*zip(widths, hidden), *((widths[-1], k) for _, k in heads)]
+    arrays = reader.read_f64(*[s for n_in, n_out in layers for s in ((n_in, n_out), (n_out,))])
+    n = 2 * len(hidden)
+    return NetworkParams(arch, arrays[:n:2], arrays[1:n:2], arrays[n::2], arrays[n + 1 :: 2], seed)
 
-
-# --- PCA model (TCLP) ---
 
 def write_pca(path: str | Path, model: PcaModel) -> None:
-    header = (
-        b"TCLP"
-        + _U32.pack(FORMAT_VERSION)
-        + _U32.pack(model.input_dim)
-        + _U32.pack(model.output_dim)
-    )
-    payload = _f64_bytes(model.mean) + _f64_bytes(model.eigenvalues) + _f64_bytes(model.basis)
-    atomic_write_bytes(path, header + payload)
+    dims = [model.input_dim, model.output_dim]
+    _write(path, b"TCLP", dims, [model.mean, model.eigenvalues, model.basis])
 
 
 def read_pca(path: str | Path) -> PcaModel:
     reader = _Reader(Path(path), b"TCLP")
-    dim = reader.read_u32()
-    out_dim = reader.read_u32()
-    mean = reader.read_f64(dim)
-    eigenvalues = reader.read_f64(out_dim)
-    basis = reader.read_f64(out_dim * dim).reshape(out_dim, dim)
-    reader.done()
+    dim, out_dim = reader.read_u32(2)
+    mean, eigenvalues, basis = reader.read_f64((dim,), (out_dim,), (out_dim, dim))
     return PcaModel(mean=mean, basis=basis, eigenvalues=eigenvalues)
 
 
-# --- GMM (TCLG) ---
-
 def write_gmm(path: str | Path, model: GmmModel) -> None:
-    k, d = model.means.shape
-    header = b"TCLG" + _U32.pack(FORMAT_VERSION) + _U32.pack(k) + _U32.pack(d)
-    payload = _f64_bytes(model.weights) + _f64_bytes(model.means) + _f64_bytes(model.variances)
-    atomic_write_bytes(path, header + payload)
+    _write(path, b"TCLG", list(model.means.shape), [model.weights, model.means, model.variances])
 
 
 def read_gmm(path: str | Path) -> GmmModel:
     reader = _Reader(Path(path), b"TCLG")
-    k = reader.read_u32()
-    d = reader.read_u32()
-    weights = reader.read_f64(k)
-    means = reader.read_f64(k * d).reshape(k, d)
-    variances = reader.read_f64(k * d).reshape(k, d)
-    reader.done()
+    k, d = reader.read_u32(2)
+    weights, means, variances = reader.read_f64((k,), (k, d), (k, d))
     return GmmModel(weights=weights, means=means, variances=variances)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .frontend import AudioSignal, write_wav
 from .manifest import ManifestEntry, write_manifest
-from .metrics import Trial
+from .metrics import Trial, write_trials
 
 # (duration_s, level) segments; low-level gaps give the VAD something to drop.
 PHRASE_ENVELOPES = [
@@ -137,11 +137,8 @@ def generate_corpus(out_dir: str | Path, spec: CorpusSpec = CorpusSpec()) -> tup
     manifest_path = out_dir / "manifest.tsv"
     write_manifest(manifest_path, entries)
 
-    trials = make_trials(entries)
     trials_path = out_dir / "trials.tsv"
-    with open(trials_path, "w", encoding="utf-8") as handle:
-        for trial in trials:
-            handle.write(f"{trial.model_id}\t{trial.test_utterance_id}\t{trial.ground_truth}\n")
+    write_trials(trials_path, make_trials(entries))
     return manifest_path, trials_path
 
 

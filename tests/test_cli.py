@@ -117,6 +117,43 @@ def test_missing_manifest_exits_2(tmp_path, capsys):
     assert "does not exist" in capsys.readouterr().err
 
 
+# Each input a stage reads: where it sits ("out" is the run directory), and the
+# subcommand that reads it.
+STAGE_INPUTS = {
+    "manifest": ("in/manifest.tsv", ["extract-features", "--manifest", "{bad}"]),
+    "config": ("in/config.json", ["extract-features", "--manifest", "{manifest}", "--config", "{bad}"]),
+    "trials": ("in/trials.tsv", ["score", "--manifest", "{manifest}", "--trials", "{bad}"]),
+    "labels": ("out/labels/labels.tsv", ["train-dnn", "--manifest", "{manifest}", "--config", "{config}"]),
+    "scores": ("out/scores/scores.tsv", ["evaluate"]),
+    "ubm": ("out/ubm/ubm.tclg", ["enroll", "--manifest", "{manifest}"]),
+}
+UNREADABLE = {
+    "missing": lambda path: None,
+    "directory": lambda path: path.mkdir(),
+    "not-utf8": lambda path: path.write_bytes(b"s00\t\xff\xfe\n"),
+}
+
+
+@pytest.mark.parametrize(
+    "name, how",
+    [(n, h) for n in STAGE_INPUTS for h in UNREADABLE if not (n == "ubm" and h == "not-utf8")],
+)
+def test_unreadable_input_exits_2_naming_it(tiny_corpus, config_path, tmp_path, capsys, name, how):
+    where, template = STAGE_INPUTS[name]
+    bad = tmp_path / where
+    bad.parent.mkdir(parents=True, exist_ok=True)
+    UNREADABLE[how](bad)
+    if name == "trials":  # score reads the UBM before the trial list
+        (tmp_path / "out" / "ubm").mkdir(parents=True)
+        storage.write_gmm(tmp_path / "out" / "ubm" / "ubm.tclg",
+                          gmm.GmmModel(np.ones(1), np.zeros((1, 2)), np.ones((1, 2))))
+    argv = [a.format(bad=bad, manifest=tiny_corpus[0], config=config_path) for a in template]
+    code = run_cli(*argv, "--out", tmp_path / "out")
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error: ") and str(bad) in err
+
+
 def test_missing_config_exits_2(tiny_corpus, tmp_path, capsys):
     manifest, _ = tiny_corpus
     code = run_cli(
@@ -325,6 +362,20 @@ def test_corrupt_wav_is_isolated(tmp_path, config_path, capsys):
     assert victim.stem in failures
     archives = list((out / "features").glob("*.tclf"))
     assert len(archives) == 2 * 5 * 2 - 1
+
+
+def test_wav_shorter_than_its_header_is_recorded(tiny_corpus, tmp_path, config_path, capsys):
+    manifest, _ = tiny_corpus
+    victim = read_manifest(manifest)[0].utterance_id
+    manifest = break_wavs(manifest, {victim}, tmp_path)
+    wav = tmp_path / "broken" / f"{victim}.wav"
+    wav.write_bytes(b"garbage")  # 7 bytes: the RIFF header alone takes 12
+    out = tmp_path / "run"
+    code = run_cli("extract-features", "--manifest", manifest, "--config", config_path, "--out", out)
+    assert code == 0
+    assert "1 failure(s)" in capsys.readouterr().out
+    failures = (out / "features" / "failures.tsv").read_text(encoding="utf-8")
+    assert failures == f"{victim}\t{wav}: not a valid WAV file (truncated header)\n"
 
 
 def test_full_run_and_report(tiny_corpus, config_path, tmp_path, capsys):

@@ -512,6 +512,24 @@ def test_read_wav_rejects_garbage(tmp_path):
         read_wav(path)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda p: p.write_bytes(b"garbage"), "not a valid WAV file (truncated header)"),
+        (lambda p: p.write_bytes(b""), "not a valid WAV file (truncated header)"),
+        (lambda p: p.mkdir(), "cannot read (Is a directory)"),
+        (lambda p: None, "cannot read (No such file or directory)"),
+    ],
+    ids=["shorter-than-riff-header", "empty", "directory", "missing"],
+)
+def test_read_wav_unreadable_file_is_a_data_error(tmp_path, make, message):
+    path = tmp_path / "bad.wav"
+    make(path)
+    with pytest.raises(DataError) as exc:
+        read_wav(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
 def test_read_wav_rejects_stereo(tmp_path):
     import wave
 

@@ -69,6 +69,7 @@ TEXT_WRITERS = {
                 metrics.Trial("s01", "u1", "impostor-correct")],
         scores=np.array([1.5, -0.25]))),
     "labels": lambda path: labeling.write_label_archive(path, {"u1": np.array([0, 1, 1, 2])}),
+    "trials": lambda path: metrics.write_trials(path, [metrics.Trial("s00", "u1", "target")]),
     "snapshot": lambda path: write_snapshot(path, ExperimentConfig()),
     "manifest": lambda path: write_manifest(path, [
         ManifestEntry("u1", path.parent / "wavs" / "u1.wav", "s00", "p0", "enroll")]),

@@ -124,7 +124,7 @@ class _Reader:
         return arrays
 
 
-def _write(path: str | Path, magic: bytes, dims: list, arrays: list[np.ndarray]) -> None:
+def _write(path: str | Path, magic: bytes, dims: list[int | bytes], arrays: list[np.ndarray]) -> None:
     """Magic, version, ``dims`` as uint32 (bytes as they are), then ``arrays`` as float64."""
     header = [d if isinstance(d, bytes) else struct.pack("<I", d) for d in (FORMAT_VERSION, *dims)]
     payload = [np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays]

@@ -13,7 +13,7 @@ import sys
 import traceback
 from pathlib import Path
 
-from . import blas, labeling, metrics, pipeline
+from . import blas, labeling, metrics, pipeline, storage
 from .config import ExperimentConfig, load_config, write_snapshot
 from .errors import DataError
 
@@ -100,8 +100,7 @@ def _run_stage(stage: str, args: argparse.Namespace, config: ExperimentConfig, o
                 print(metrics.format_report(report))
     except DataError as exc:
         raise DataError(f"{stage}: {exc}") from exc
-    (out / "config").mkdir(exist_ok=True)
-    write_snapshot(out / "config" / f"{stage}.json", config)
+    write_snapshot(storage.make_dir(out / "config") / f"{stage}.json", config)
 
 
 def main(argv=None) -> int:

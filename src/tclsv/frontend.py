@@ -16,7 +16,7 @@ it is built once per configuration rather than once per utterance.
 from __future__ import annotations
 
 import wave
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 
@@ -86,10 +86,10 @@ class FrontendConfig:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Per-utterance T x D matrix of frame vectors.
+    """One utterance's T x D frames as :func:`apply_vad` reads and returns them.
 
     ``frame_energies`` holds the per-frame log energy (natural log of the
-    frame's sum of squares) and is only carried up to the VAD stage.
+    frame's sum of squares); VAD reads it and drops it.
     """
 
     frames: np.ndarray
@@ -99,19 +99,6 @@ class FeatureMatrix:
     @property
     def num_frames(self) -> int:
         return self.frames.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.frames.shape[1]
-
-
-@dataclass(frozen=True)
-class WindowedFrames:
-    """Output of :func:`frame_signal`: windowed frames plus pre-window energies."""
-
-    frames: np.ndarray
-    log_energies: np.ndarray
-    sample_rate_hz: int
 
 
 def read_wav(path: str | Path) -> AudioSignal:
@@ -150,8 +137,8 @@ def write_wav(path: str | Path, signal: AudioSignal) -> None:
         wf.writeframes(pcm.tobytes())
 
 
-def frame_signal(signal: AudioSignal, config: FrontendConfig) -> WindowedFrames:
-    """Split a signal into pre-emphasized, Hamming-windowed frames.
+def frame_signal(signal: AudioSignal, config: FrontendConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Pre-emphasized, Hamming-windowed frames and each frame's log energy.
 
     Frame count is ``1 + floor((len - frame_len) / frame_shift)``.  The
     per-frame log energy is computed after pre-emphasis but before windowing.
@@ -171,7 +158,7 @@ def frame_signal(signal: AudioSignal, config: FrontendConfig) -> WindowedFrames:
     frames = np.ascontiguousarray(frames)
     energies = np.log(np.maximum(np.sum(frames**2, axis=1), LOG_FLOOR))
     window = np.hamming(frame_len)
-    return WindowedFrames(frames * window, energies, rate)
+    return frames * window, energies
 
 
 def _mel(hz: np.ndarray | float) -> np.ndarray | float:
@@ -200,27 +187,19 @@ def mel_filterbank(num_filters: int, n_fft: int, sample_rate_hz: int) -> np.ndar
     return weights
 
 
-def compute_mfcc(
-    frames: WindowedFrames, config: FrontendConfig, utterance_id: str = ""
-) -> FeatureMatrix:
+def compute_mfcc(frames: np.ndarray, config: FrontendConfig, sample_rate_hz: int) -> np.ndarray:
     """Static mel cepstra C1..C_num_static_ceps for each windowed frame.
 
     Per frame: magnitude spectrum -> mel filterbank -> log (RASTA-filtered
     along time when enabled) -> DCT-II (orthonormal), dropping C0.
     """
-    frame_len = frames.frames.shape[1]
-    n_fft = 1 << (frame_len - 1).bit_length()
-    spectrum = np.abs(np.fft.rfft(frames.frames, n=n_fft, axis=1))
-    fbank = mel_filterbank(config.num_mel_filters, n_fft, frames.sample_rate_hz)
+    n_fft = 1 << (frames.shape[1] - 1).bit_length()
+    spectrum = np.abs(np.fft.rfft(frames, n=n_fft, axis=1))
+    fbank = mel_filterbank(config.num_mel_filters, n_fft, sample_rate_hz)
     log_mel = np.log(np.maximum(spectrum @ fbank.T, LOG_FLOOR))
     if config.rasta_enabled:
         log_mel = apply_rasta(log_mel)
-    static = log_mel @ dct_matrix(config.num_mel_filters)[:, 1 : config.num_static_ceps + 1]
-    return FeatureMatrix(
-        frames=static,
-        utterance_id=utterance_id,
-        frame_energies=frames.log_energies,
-    )
+    return log_mel @ dct_matrix(config.num_mel_filters)[:, 1 : config.num_static_ceps + 1]
 
 
 @cache
@@ -267,23 +246,15 @@ def apply_rasta(trajectories: np.ndarray) -> np.ndarray:
     return y
 
 
-def append_deltas(static, delta_window: int = 2) -> FeatureMatrix:
+def append_deltas(static: np.ndarray, delta_window: int = 2) -> np.ndarray:
     """Append delta and delta-delta regression coefficients.
 
     Standard regression formula over +/- delta_window frames with edge
-    replication; a T x D input becomes a T x 3D FeatureMatrix.
+    replication; a T x D input becomes a T x 3D matrix.
     """
-    if isinstance(static, FeatureMatrix):
-        base, utt_id, energies = static.frames, static.utterance_id, static.frame_energies
-    else:
-        base, utt_id, energies = np.asarray(static, dtype=np.float64), "", None
+    base = np.asarray(static, dtype=np.float64)
     deltas = _delta(base, delta_window)
-    ddeltas = _delta(deltas, delta_window)
-    return FeatureMatrix(
-        frames=np.hstack([base, deltas, ddeltas]),
-        utterance_id=utt_id,
-        frame_energies=energies,
-    )
+    return np.hstack([base, deltas, _delta(deltas, delta_window)])
 
 
 def _delta(feats: np.ndarray, window: int) -> np.ndarray:
@@ -310,34 +281,29 @@ def apply_vad(features: FeatureMatrix, config: FrontendConfig) -> FeatureMatrix:
     threshold_nats = config.vad_threshold_db * np.log(10.0) / 10.0
     keep = energies > energies.max() - threshold_nats
     if not np.any(keep):
-        raise DataError(
-            f"VAD removed all {features.num_frames} frames of {features.utterance_id!r}"
-        )
-    return FeatureMatrix(
-        frames=features.frames[keep],
-        utterance_id=features.utterance_id,
-        frame_energies=None,
-    )
+        raise DataError(f"VAD removed all {features.num_frames} frames of {features.utterance_id!r}")
+    return FeatureMatrix(features.frames[keep], features.utterance_id)
 
 
-def cmvn(features: FeatureMatrix) -> FeatureMatrix:
+def cmvn(x: np.ndarray) -> np.ndarray:
     """Normalize each column to zero mean and unit variance (population convention).
 
     Columns with variance below the floor are centered only.
     """
-    x = features.frames
     mean = x.mean(axis=0)
     var = x.var(axis=0)
     scale = np.where(var < CMVN_VARIANCE_FLOOR, 1.0, np.sqrt(np.maximum(var, CMVN_VARIANCE_FLOOR)))
-    return replace(features, frames=(x - mean) / scale)
+    return (x - mean) / scale
 
 
 def extract_features(
     signal: AudioSignal, config: FrontendConfig, utterance_id: str = ""
-) -> FeatureMatrix:
-    """Full frontend chain: framing -> MFCC -> deltas -> VAD -> CMVN."""
-    windowed = frame_signal(signal, config)
-    static = compute_mfcc(windowed, config, utterance_id)
-    full = append_deltas(static, config.delta_window)
-    voiced = apply_vad(full, config)
-    return cmvn(voiced)
+) -> np.ndarray:
+    """Full frontend chain: framing -> MFCC -> deltas -> VAD -> CMVN.
+
+    ``utterance_id`` only names the utterance in VAD's error.
+    """
+    windowed, energies = frame_signal(signal, config)
+    static = compute_mfcc(windowed, config, signal.sample_rate_hz)
+    full = FeatureMatrix(append_deltas(static, config.delta_window), utterance_id, energies)
+    return cmvn(apply_vad(full, config).frames)

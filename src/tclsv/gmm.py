@@ -10,7 +10,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError
-from .frontend import FeatureMatrix
 
 # Variance floor, as a fraction of the global per-dimension training variance.
 VARIANCE_FLOOR_FRACTION = 1e-3
@@ -96,8 +95,6 @@ class BackendConfig:
 
 
 def _as_frames(data) -> np.ndarray:
-    if isinstance(data, FeatureMatrix):
-        data = data.frames
     return np.atleast_2d(np.asarray(data, dtype=np.float64))
 
 

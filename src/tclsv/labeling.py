@@ -16,7 +16,6 @@ import numpy as np
 
 from . import storage
 from .errors import DataError
-from .frontend import FeatureMatrix
 
 logger = logging.getLogger(__name__)
 
@@ -43,14 +42,11 @@ class FrameCount(NamedTuple):
     """An utterance as labeling reads it: its id and frame count.
 
     Labels depend only on frame positions, so this is all the labeling
-    functions use; a :class:`FeatureMatrix` serves as well.
+    functions use.
     """
 
     utterance_id: str
     num_frames: int
-
-
-Utterance = FrameCount | FeatureMatrix
 
 
 @dataclass(frozen=True)
@@ -72,7 +68,7 @@ class LabeledFrames:
         return len(self.labels)
 
 
-def assign_stream_labels(utterances: list[Utterance], config: TclConfig) -> LabeledFrames:
+def assign_stream_labels(utterances: list[FrameCount], config: TclConfig) -> LabeledFrames:
     """Stream-wise labeling: segment j of the shuffled stream gets class j mod N.
 
     Utterance order is shuffled by ``config.shuffle_seed`` (frames within an
@@ -103,7 +99,7 @@ def assign_stream_labels(utterances: list[Utterance], config: TclConfig) -> Labe
     )
 
 
-def assign_utterance_labels(utterance: Utterance, num_classes: int) -> LabeledFrames:
+def assign_utterance_labels(utterance: FrameCount, num_classes: int) -> LabeledFrames:
     """Utterance-wise labeling: N contiguous segments, segment n gets class n.
 
     Segment lengths differ by at most one; the first ``T mod N`` segments are
@@ -124,7 +120,7 @@ def assign_utterance_labels(utterance: Utterance, num_classes: int) -> LabeledFr
     )
 
 
-def label_utterances(utterances: list[Utterance], config: TclConfig) -> LabeledFrames:
+def label_utterances(utterances: list[FrameCount], config: TclConfig) -> LabeledFrames:
     """Label a dataset with the configured strategy.
 
     In utterance mode, utterances shorter than ``num_classes`` frames are

@@ -163,9 +163,8 @@ def _context_index(num_frames: int, left: int, right: int) -> np.ndarray:
     return np.clip(np.arange(num_frames)[:, None] + offsets[None, :], 0, num_frames - 1)
 
 
-def stack_context(features, left: int = 5, right: int = 5) -> np.ndarray:
+def stack_context(frames: np.ndarray, left: int = 5, right: int = 5) -> np.ndarray:
     """One row per frame: the frame plus its left/right context, edges replicated."""
-    frames = features.frames if hasattr(features, "frames") else np.asarray(features)
     T = frames.shape[0]
     return frames[_context_index(T, left, right)].reshape(T, -1)
 

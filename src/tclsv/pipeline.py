@@ -30,24 +30,19 @@ import numpy as np
 from . import gmm, labeling, metrics, network, pca, storage
 from .config import ExperimentConfig
 from .errors import DataError
-from .frontend import FeatureMatrix, cmvn, extract_features, read_wav
+from .frontend import cmvn, extract_features, read_wav
 from .manifest import ManifestEntry, by_split, read_manifest
 from .metrics import TrialScoreSet
 
 logger = logging.getLogger(__name__)
 
 _FAILURES = Path("features", "failures.tsv")
+_UBM = Path("ubm", "ubm.tclg")
 
 # Context-stacked rows per network call in extract-bn.  Whole utterances are
 # batched up to this many rows: 1,024 was the fastest size measured (2-core
 # x86-64, OpenBLAS 0.3.31), and its float32 batch stays a few MB.
 BN_BATCH_ROWS = 1024
-
-
-def _output_dir(out_dir: Path, name: str) -> Path:
-    path = out_dir / name
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 class Stage(NamedTuple):
@@ -165,16 +160,27 @@ def _feature_path(out_dir: Path, entry: ManifestEntry, subdir: str = "features")
     return path
 
 
-def _load_features(out_dir: Path, entry: ManifestEntry, subdir: str = "features") -> FeatureMatrix:
-    path = _feature_path(out_dir, entry, subdir)
-    return storage.read_feature_archive(path, utterance_id=entry.utterance_id)
+def _num_frames(out_dir: Path, entry: ManifestEntry) -> int:
+    """The frame count of ``entry``'s features/ archive, read from its header alone."""
+    return storage.read_feature_shape(_feature_path(out_dir, entry))[0]
 
 
-def _backend_frames(out_dir: Path, entry: ManifestEntry, config: ExperimentConfig) -> np.ndarray:
-    """The frames the back-end reads for ``entry``; DataError if any is non-finite."""
-    subdir = _backend_subdir(config)
-    frames = _load_features(out_dir, entry, subdir).frames
+def _load_frames(
+    out_dir: Path, entry: ManifestEntry, subdir: str = "features", ubm_dim: int | None = None
+) -> np.ndarray:
+    """The frames of ``entry``'s archive in ``subdir``.
+
+    DataError naming the utterance if any frame is non-finite, and, when
+    ``ubm_dim`` is given, naming the archive directory and the UBM unless the
+    frames have that many columns.
+    """
+    frames = storage.read_feature_archive(_feature_path(out_dir, entry, subdir))
     _check_finite(frames, entry.utterance_id, f"frames in {subdir}/")
+    if ubm_dim is not None and frames.shape[1] != ubm_dim:
+        raise DataError(
+            f"{out_dir / subdir}/ holds {frames.shape[1]}-dim frames but {out_dir / _UBM} expects"
+            f" {ubm_dim}; run train-ubm again"
+        )
     return frames
 
 
@@ -188,7 +194,7 @@ def run_extract_features(
     Returns the sorted failure list.
     """
     entries = read_manifest(manifest_path)
-    feat_dir = _output_dir(out_dir, "features")
+    feat_dir = storage.make_dir(out_dir / "features")
     if not entries:
         warnings.warn("manifest has no entries; nothing to extract")
 
@@ -213,13 +219,13 @@ def run_extract_features(
 def run_make_labels(manifest_path, config: ExperimentConfig, out_dir: Path) -> labeling.LabeledFrames:
     """Assign time-contrastive labels to the dnn-train split."""
     # labels depend only on frame counts, which the archive headers hold
-    utterances = []
-    for e in _usable(read_manifest(manifest_path), out_dir, "dnn-train"):
-        num_frames, _ = storage.read_feature_shape(_feature_path(out_dir, e))
-        utterances.append(labeling.FrameCount(e.utterance_id, num_frames))
+    utterances = [
+        labeling.FrameCount(e.utterance_id, _num_frames(out_dir, e))
+        for e in _usable(read_manifest(manifest_path), out_dir, "dnn-train")
+    ]
     labeled = labeling.label_utterances(utterances, config.tcl)
     labeling.write_label_archive(
-        _output_dir(out_dir, "labels") / "labels.tsv", labeling.labels_by_utterance(labeled)
+        storage.make_dir(out_dir / "labels") / "labels.tsv", labeling.labels_by_utterance(labeled)
     )
     return labeled
 
@@ -237,7 +243,7 @@ def _build_training_dataset(
     """
     targets = config.dnn.targets
     num_classes, tables = {}, {}  # per head: number of classes, utterance id -> labels
-    num_frames = functools.cache(lambda e: storage.read_feature_shape(_feature_path(out_dir, e))[0])
+    num_frames = functools.cache(lambda e: _num_frames(out_dir, e))
     for head in targets.split("+"):
         if head == "tcl":
             labels_path = _require(out_dir / "labels" / "labels.tsv")
@@ -258,21 +264,19 @@ def _build_training_dataset(
         vecs = {head: table.get(entry.utterance_id) for head, table in tables.items()}
         if any(vec is None or len(vec) == 0 for vec in vecs.values()):
             continue  # skipped as too short, or truncated away in stream mode
-        feats = _load_features(out_dir, entry)
+        frames = _load_frames(out_dir, entry)
         for head, vec in vecs.items():
             # stream mode may label only a prefix; anything else must match exactly
-            too_long = len(vec) > feats.num_frames
-            if too_long or (config.tcl.mode == "utterance" and len(vec) != feats.num_frames):
-                raise DataError(
-                    f"{entry.utterance_id}: {len(vec)} labels for {feats.num_frames} frames"
-                )
+            too_long = len(vec) > len(frames)
+            if too_long or (config.tcl.mode == "utterance" and len(vec) != len(frames)):
+                raise DataError(f"{entry.utterance_id}: {len(vec)} labels for {len(frames)} frames")
             bad = vec[(vec < 0) | (vec >= num_classes[head])]
             if bad.size:
                 raise DataError(
                     f"{entry.utterance_id}: label {bad[0]} out of range for {num_classes[head]} classes"
                 )
             parts[head].append(vec)
-        utterances.append((feats.frames.astype(np.float32), len(vec)))  # every head labels these rows
+        utterances.append((frames.astype(np.float32), len(vec)))  # every head labels these rows
     if not utterances:
         raise DataError("no labeled training frames; check labels.tsv")
 
@@ -299,7 +303,7 @@ def run_train_dnn(
     entries = _usable(read_manifest(manifest_path), out_dir, "dnn-train")
     dataset, arch = _build_training_dataset(entries, config, out_dir)
     params, trace = network.train(dataset, arch, config.dnn)
-    dnn_dir = _output_dir(out_dir, "dnn")
+    dnn_dir = storage.make_dir(out_dir / "dnn")
     storage.write_network(dnn_dir / "model.tcln", params)
     _write_trace(dnn_dir / "loss_trace.txt", trace)
     logger.info("dnn loss %s", loss_trace_summary(trace))
@@ -326,7 +330,7 @@ def _normalized_deep_features(
     def batches() -> Iterator[list[tuple[ManifestEntry, np.ndarray]]]:
         batch, rows = [], 0
         for entry in entries:
-            frames = _load_features(out_dir, entry).frames.astype(np.float32)
+            frames = _load_frames(out_dir, entry).astype(np.float32)
             if batch and rows + len(frames) > BN_BATCH_ROWS:
                 yield batch
                 batch, rows = [], 0
@@ -349,8 +353,7 @@ def _normalized_deep_features(
             utt = deep[start : start + len(frames)]
             start += len(frames)
             _check_finite(utt, entry.utterance_id, f"layer {config.bn.layer} outputs")
-            feats = FeatureMatrix(frames=utt.astype(np.float64), utterance_id=entry.utterance_id)
-            yield entry, cmvn(feats).frames
+            yield entry, cmvn(utt.astype(np.float64))
 
 
 def run_extract_bn(manifest_path, config: ExperimentConfig, out_dir: Path) -> pca.PcaModel:
@@ -372,23 +375,18 @@ def run_extract_bn(manifest_path, config: ExperimentConfig, out_dir: Path) -> pc
 
     # The fit split's normalized deep features, pooled in manifest order into
     # one matrix sized from the archive headers.
-    offsets = np.cumsum(
-        [0] + [storage.read_feature_shape(_feature_path(out_dir, e))[0] for e in fit_entries]
-    )
+    offsets = np.cumsum([0] + [_num_frames(out_dir, e) for e in fit_entries])
     width = params.arch.hidden_layers[params.arch.layer_index(config.bn.layer)]
     pooled = np.empty((offsets[-1], width))
     for i, (_, deep) in enumerate(_normalized_deep_features(params, fit_entries, config, out_dir)):
         pooled[offsets[i] : offsets[i + 1]] = deep
     projection = pca.fit_pca(pooled, config.bn.pca_dim, center_in_place=True)
 
-    bn_dir = _output_dir(out_dir, "bn")
+    bn_dir = storage.make_dir(out_dir / "bn")
     storage.write_pca(bn_dir / "pca.tclp", projection)
 
     def write(entry: ManifestEntry, bn: np.ndarray) -> None:
-        storage.write_feature_archive(
-            bn_dir / f"{entry.utterance_id}.tclf",
-            FeatureMatrix(frames=bn, utterance_id=entry.utterance_id),
-        )
+        storage.write_feature_archive(bn_dir / f"{entry.utterance_id}.tclf", bn)
 
     if config.bn.fit_split != "dnn-train":
         # pooled now holds x - mean, so this is project()'s (x - mean) @ basis.T
@@ -405,14 +403,15 @@ def run_train_ubm(
     manifest_path, config: ExperimentConfig, out_dir: Path
 ) -> tuple[gmm.GmmModel, list[float]]:
     ubm_entries = _usable(read_manifest(manifest_path), out_dir, "ubm-train")
-    frames = np.vstack([_backend_frames(out_dir, e, config) for e in ubm_entries])
+    subdir = _backend_subdir(config)
+    frames = np.vstack([_load_frames(out_dir, e, subdir) for e in ubm_entries])
     model, trace = gmm.train_ubm(
         frames,
         config.backend.num_mixtures,
         config.backend.em_iterations,
         seed=config.backend.init_seed or 0,
     )
-    ubm_dir = _output_dir(out_dir, "ubm")
+    ubm_dir = storage.make_dir(out_dir / "ubm")
     storage.write_gmm(ubm_dir / "ubm.tclg", model)
     _write_trace(ubm_dir / "ll_trace.txt", trace)
     return model, trace
@@ -424,16 +423,17 @@ def run_enroll(manifest_path, config: ExperimentConfig, out_dir: Path) -> list[s
     Every speaker is adapted before any model is written, so a failure leaves
     models/ as it was.
     """
-    ubm = storage.read_gmm(_require(out_dir / "ubm" / "ubm.tclg"))
+    ubm = storage.read_gmm(_require(out_dir / _UBM))
     enroll_entries = _usable(read_manifest(manifest_path), out_dir, "enroll")
     speakers = sorted({e.speaker_id for e in enroll_entries})
+    subdir = _backend_subdir(config)
     models = {}
     for speaker in speakers:
-        frames = np.vstack(
-            [_backend_frames(out_dir, e, config) for e in enroll_entries if e.speaker_id == speaker]
-        )
+        frames = np.vstack([
+            _load_frames(out_dir, e, subdir, ubm.dim) for e in enroll_entries if e.speaker_id == speaker
+        ])
         models[speaker] = gmm.map_adapt(ubm, frames, config.backend)
-    models_dir = _output_dir(out_dir, "models")
+    models_dir = storage.make_dir(out_dir / "models")
     for speaker, model in models.items():
         storage.write_gmm(models_dir / f"{speaker}.tclg", model)
     return speakers
@@ -458,12 +458,14 @@ def _missing_model(
 def run_score(manifest_path, config: ExperimentConfig, out_dir: Path, trials_path) -> TrialScoreSet:
     """The average per-frame LLR of each trial, written in trial order.
 
-    Trials are scored one test utterance at a time.  The UBM is evaluated once
-    per test utterance, and the frames' variance term once per test utterance
-    for the UBM and every model with the UBM's variances (mean-only MAP keeps
-    them), so only one utterance's frames and terms are held at a time.
+    Trials are scored one test utterance at a time.  The UBM and the frames'
+    variance term are evaluated once per test utterance, and every model
+    shares that term: mean-only MAP keeps the UBM's weights and variances, and
+    a model without them is rejected.  Only one utterance's frames and terms
+    are held at a time.
     """
-    ubm = storage.read_gmm(_require(out_dir / "ubm" / "ubm.tclg"))
+    ubm_path = _require(out_dir / _UBM)
+    ubm = storage.read_gmm(ubm_path)
     entries = read_manifest(manifest_path)
     by_id = {e.utterance_id: e for e in entries}
     trials = metrics.read_trials(trials_path)
@@ -481,11 +483,11 @@ def run_score(manifest_path, config: ExperimentConfig, out_dir: Path, trials_pat
                 f" pass-phrases that trained the network cannot be scored"
             )
 
-    # model id -> (model, whether it shares the UBM's variances)
-    model_cache: dict[str, tuple[gmm.GmmModel, bool]] = {}
+    subdir = _backend_subdir(config)
+    model_cache: dict[str, gmm.GmmModel] = {}
     scores = np.empty(len(trials))
     for utt, indices in by_test.items():
-        x = _backend_frames(out_dir, by_id[utt], config)
+        x = _load_frames(out_dir, by_id[utt], subdir, ubm.dim)
         if x.shape[0] == 0:
             raise DataError(f"{utt}: utterance has no frames")
         var_term = gmm.variance_term(ubm, x)
@@ -497,20 +499,24 @@ def run_score(manifest_path, config: ExperimentConfig, out_dir: Path, trials_pat
                 if not model_path.exists():
                     raise _missing_model(model_id, model_path, entries, out_dir)
                 model = storage.read_gmm(model_path)
-                model_cache[model_id] = (model, np.array_equal(model.variances, ubm.variances))
-            model, shared = model_cache[model_id]
+                if not (np.array_equal(model.weights, ubm.weights)
+                        and np.array_equal(model.variances, ubm.variances)):
+                    raise DataError(
+                        f"{model_path}: weights or variances differ from {ubm_path}; run enroll again"
+                    )
+                model_cache[model_id] = model
             # the same arithmetic as gmm.score_llr, with the UBM terms reused
-            ll = gmm.log_likelihoods(model, x, var_term if shared else None)
+            ll = gmm.log_likelihoods(model_cache[model_id], x, var_term)
             scores[i] = float(np.mean(ll - ubm_ll))
     score_set = TrialScoreSet(trials=trials, scores=scores)
-    metrics.write_scores(_output_dir(out_dir, "scores") / "scores.tsv", score_set)
+    metrics.write_scores(storage.make_dir(out_dir / "scores") / "scores.tsv", score_set)
     return score_set
 
 
 def run_evaluate(config: ExperimentConfig, out_dir: Path) -> metrics.EvaluationReport:
     score_set = metrics.read_scores(_require(out_dir / "scores" / "scores.tsv"))
     report = metrics.evaluate(score_set, config.dcf)
-    report_dir = _output_dir(out_dir, "report")
+    report_dir = storage.make_dir(out_dir / "report")
     storage.atomic_write_text(report_dir / "report.txt", metrics.format_report(report) + "\n")
     storage.atomic_write_text(
         report_dir / "report.json",

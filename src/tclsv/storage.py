@@ -1,11 +1,12 @@
 """File I/O: the binary artifacts, atomic writes and text inputs.
 
 Every input file is read here, and one that is missing, unreadable or not UTF-8
-text raises DataError naming it.  Writes go through a temp file plus rename, so
-readers never observe partial files.  A binary artifact (TCLF features, TCLN
-network, TCLP PCA, TCLG GMM) is a 4-byte ASCII magic, a uint32 format version,
-uint32 shape fields, then row-major float64 arrays, all little-endian; README
-"File formats" gives each layout.  A wrong magic or version is a hard error.
+text raises DataError naming it; so does an output directory that cannot be
+made.  Writes go through a temp file plus rename, so readers never observe
+partial files.  A binary artifact (TCLF features, TCLN network, TCLP PCA, TCLG
+GMM) is a 4-byte ASCII magic, a uint32 format version, uint32 shape fields,
+then row-major float64 arrays, all little-endian; README "File formats" gives
+each layout.  A wrong magic or version is a hard error.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .frontend import FeatureMatrix
 from .gmm import GmmModel
 from .network import NetworkArch, NetworkParams
 from .pca import PcaModel
@@ -52,6 +52,15 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
 def atomic_write_text(path: str | Path, text: str) -> None:
     """UTF-8 text through :func:`atomic_write_bytes`."""
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def make_dir(path: Path) -> Path:
+    """``path``, made with its parents if missing; DataError naming it if it cannot be made."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot make directory ({exc.strerror})") from None
+    return path
 
 
 def _read(path: Path, size: int = -1) -> bytes:
@@ -131,14 +140,14 @@ def _write(path: str | Path, magic: bytes, dims: list[int | bytes], arrays: list
     atomic_write_bytes(path, b"".join([magic, *header, *payload]))
 
 
-def write_feature_archive(path: str | Path, features: FeatureMatrix) -> None:
-    _write(path, b"TCLF", list(features.frames.shape), [features.frames])
+def write_feature_archive(path: str | Path, frames: np.ndarray) -> None:
+    _write(path, b"TCLF", list(frames.shape), [frames])
 
 
-def read_feature_archive(path: str | Path, utterance_id: str | None = None) -> FeatureMatrix:
+def read_feature_archive(path: str | Path) -> np.ndarray:
     reader = _Reader(Path(path), b"TCLF")
     (frames,) = reader.read_f64(reader.read_u32(2))
-    return FeatureMatrix(frames, Path(path).stem if utterance_id is None else utterance_id)
+    return frames
 
 
 def read_feature_shape(path: str | Path) -> tuple[int, int]:

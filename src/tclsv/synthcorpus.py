@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import storage
 from .frontend import AudioSignal, write_wav
 from .manifest import ManifestEntry, write_manifest
 from .metrics import Trial, write_trials
@@ -112,8 +113,7 @@ def _split_for(phrase: int, take: int, takes_per_phrase: int) -> str:
 def generate_corpus(out_dir: str | Path, spec: CorpusSpec = CorpusSpec()) -> tuple[Path, Path]:
     """Write WAVs, manifest.tsv and trials.tsv; returns their paths."""
     out_dir = Path(out_dir)
-    wav_dir = out_dir / "wavs"
-    wav_dir.mkdir(parents=True, exist_ok=True)
+    wav_dir = storage.make_dir(out_dir / "wavs")
     rng = np.random.default_rng(spec.seed)
 
     entries = []

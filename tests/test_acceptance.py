@@ -15,9 +15,8 @@ import numpy as np
 import pytest
 
 from tclsv import cli
-from tclsv.frontend import FeatureMatrix
 from tclsv.gmm import BackendConfig, GmmModel, map_adapt, score_llr, train_ubm
-from tclsv.labeling import TclConfig, assign_stream_labels, assign_utterance_labels
+from tclsv.labeling import FrameCount, TclConfig, assign_stream_labels, assign_utterance_labels
 from tclsv.metrics import DcfParams, compute_eer, compute_error_curve, compute_mindcf
 from tclsv.network import (
     Gradients,
@@ -263,8 +262,7 @@ def test_criterion_6_labeling_matches_positional_oracles():
             sizes.append(take)
             left -= take
         utts = [
-            FeatureMatrix(frames=np.zeros((size, 1)), utterance_id=f"u{i}")
-            for i, size in enumerate(sizes)
+            FrameCount(f"u{i}", size) for i, size in enumerate(sizes)
         ]
         config = TclConfig(num_classes=n, frames_per_segment=d, mode="stream",
                            shuffle_seed=int(rng.integers(0, 1000)))
@@ -277,9 +275,7 @@ def test_criterion_6_labeling_matches_positional_oracles():
     segment_ok = True
     for n in (3, 10):
         for total in range(n, 501):
-            labeled = assign_utterance_labels(
-                FeatureMatrix(frames=np.zeros((total, 1)), utterance_id="u"), n
-            )
+            labeled = assign_utterance_labels(FrameCount("u", total), n)
             counts = np.bincount(labeled.labels, minlength=n)
             if len(counts) != n or counts.min() < 1 or counts.max() - counts.min() > 1:
                 segment_ok = False

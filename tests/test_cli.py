@@ -154,6 +154,23 @@ def test_unreadable_input_exits_2_naming_it(tiny_corpus, config_path, tmp_path, 
     assert err.startswith("error: ") and str(bad) in err
 
 
+@pytest.mark.parametrize("command", ["extract-features", "run", "make-corpus"])
+def test_out_naming_a_file_exits_2(tiny_corpus, config_path, tmp_path, capsys, command):
+    manifest, trials = tiny_corpus
+    out = tmp_path / "out"
+    out.write_text("a file\n", encoding="utf-8")
+    argv = {
+        "extract-features": ["--manifest", manifest, "--config", config_path],
+        "run": ["--manifest", manifest, "--trials", trials, "--config", config_path],
+        "make-corpus": ["--speakers", 2, "--takes", 2],
+    }[command]
+    code = run_cli(command, *argv, "--out", out)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error: ") and f"{out}/" in err and "cannot make directory" in err
+    assert out.read_text(encoding="utf-8") == "a file\n"
+
+
 def test_missing_config_exits_2(tiny_corpus, tmp_path, capsys):
     manifest, _ = tiny_corpus
     code = run_cli(
@@ -651,8 +668,10 @@ def test_make_labels_reads_archive_headers_only(tiny_corpus, config_path, tmp_pa
 
     # the same labels as labeling the fully read archives
     entries = [e for e in read_manifest(manifest) if e.split == "dnn-train"]
-    utterances = [real_read(out / "features" / f"{e.utterance_id}.tclf", e.utterance_id)
-                  for e in entries]
+    utterances = [
+        labeling.FrameCount(e.utterance_id, len(real_read(out / "features" / f"{e.utterance_id}.tclf")))
+        for e in entries
+    ]
     expected = tmp_path / "expected.tsv"
     labeling.write_label_archive(
         expected, labeling.labels_by_utterance(labeling.label_utterances(utterances, config.tcl))
@@ -699,7 +718,12 @@ def test_dnn_stages_compute_in_float32(tiny_corpus, config_path, tmp_path, monke
 
 # The builder as it was before one label path served every head, kept verbatim
 # (renamed) as the reference for the current one.
-_require, _load_features = pipeline._require, pipeline._load_features
+_require = pipeline._require
+
+
+def _load_features(out_dir, entry):
+    """``entry``'s checked features/ frames, wrapped as the reference builder reads them."""
+    return frontend.FeatureMatrix(pipeline._load_frames(out_dir, entry), entry.utterance_id)
 
 
 def reference_build_training_dataset(
@@ -900,11 +924,11 @@ def test_extract_bn_matches_per_utterance_reference(
     params = storage.read_network(out / "dnn" / "model.tcln").astype(np.float32)
 
     def reference(entry):
-        frames = storage.read_feature_archive(out / "features" / f"{entry.utterance_id}.tclf").frames
+        frames = storage.read_feature_archive(out / "features" / f"{entry.utterance_id}.tclf")
         context = network.stack_context(frames.astype(np.float32), config.dnn.context_left,
                                         config.dnn.context_right)
         deep = real_extract(params, context, config.bn.layer).astype(np.float64)
-        return frontend.cmvn(frontend.FeatureMatrix(frames=deep)).frames
+        return frontend.cmvn(deep)
 
     fit = np.vstack([reference(e) for e in entries if e.split == config.bn.fit_split])
     want = pca.fit_pca(fit, config.bn.pca_dim)
@@ -915,7 +939,7 @@ def test_extract_bn_matches_per_utterance_reference(
     kept = [e for e in entries if e.split != "dnn-train"]
     assert sorted(p.stem for p in (out / "bn").glob("*.tclf")) == sorted(e.utterance_id for e in kept)
     for entry in kept:
-        got = storage.read_feature_archive(out / "bn" / f"{entry.utterance_id}.tclf").frames
+        got = storage.read_feature_archive(out / "bn" / f"{entry.utterance_id}.tclf")
         assert np.array_equal(got, pca.project(want, reference(entry))), entry.utterance_id
 
     # every kept utterance goes through the network once, in calls of at most batch_rows rows
@@ -943,24 +967,10 @@ def test_extract_bn_rejects_non_finite_deep_features(tiny_corpus, config_path, t
     assert not (out / "bn").exists()
 
 
-def test_train_ubm_rejects_non_finite_frames(tiny_corpus, config_path, tmp_path, capsys):
-    manifest, _ = tiny_corpus
-    out = tmp_path / "run"
-    run_through("extract-bn", tiny_corpus, config_path, out, capsys)
-    victim = [e for e in read_manifest(manifest) if e.split == "ubm-train"][1].utterance_id
-    path = out / "bn" / f"{victim}.tclf"
-    feats = storage.read_feature_archive(path)
-    feats.frames[3, 2] = np.nan
-    storage.write_feature_archive(path, feats)
-    assert run_cli("train-ubm", "--manifest", manifest, "--config", config_path, "--out", out) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: train-ubm: ") and repr(victim) in err and "non-finite" in err
-    assert not (out / "ubm").exists()
-
-
-def poison_backend_archive(stage, backend, tiny_corpus, tmp_path, capsys, victim):
+def poison_backend_archive(stage, backend, tiny_corpus, tmp_path, capsys, victim, subdir=None):
     """Run the stages ``run`` needs before ``stage`` under ``backend``, then put a NaN
-    in ``victim``'s back-end archive; returns (config path, run directory)."""
+    in ``victim``'s archive in ``subdir`` (by default the back-end's); returns (config
+    path, run directory)."""
     manifest, trials = tiny_corpus
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(TINY_CONFIG if backend == "bn" else MFCC_CONFIG), encoding="utf-8")
@@ -968,11 +978,25 @@ def poison_backend_archive(stage, backend, tiny_corpus, tmp_path, capsys, victim
     needed = pipeline.stages_for_run(load_config(config_path).resolved(None))
     before = needed[: needed.index(stage)]
     run_stages(before, manifest, trials, config_path, out, capsys)
-    path = out / ("bn" if backend == "bn" else "features") / f"{victim}.tclf"
-    feats = storage.read_feature_archive(path)
-    feats.frames[3, 2] = np.nan
-    storage.write_feature_archive(path, feats)
+    path = out / (subdir or ("bn" if backend == "bn" else "features")) / f"{victim}.tclf"
+    frames = storage.read_feature_archive(path)
+    frames[3, 2] = np.nan
+    storage.write_feature_archive(path, frames)
     return config_path, out
+
+
+# train-dnn reads features/ of dnn-train, train-ubm the back-end's archives of ubm-train
+@pytest.mark.parametrize("stage, subdir, split", [
+    ("train-dnn", "features", "dnn-train"),
+    ("train-ubm", "bn", "ubm-train"),
+], ids=["train-dnn", "train-ubm"])
+def test_training_rejects_non_finite_frames(tiny_corpus, tmp_path, capsys, stage, subdir, split):
+    manifest, _ = tiny_corpus
+    victim = [e for e in read_manifest(manifest) if e.split == split][1].utterance_id
+    config_path, out = poison_backend_archive(stage, "bn", tiny_corpus, tmp_path, capsys, victim, subdir)
+    assert run_cli(stage, "--manifest", manifest, "--config", config_path, "--out", out) == 2
+    assert capsys.readouterr().err == f"error: {stage}: {victim!r}: non-finite frames in {subdir}/\n"
+    assert not (out / {"train-dnn": "dnn", "train-ubm": "ubm"}[stage]).exists()
 
 
 @pytest.mark.parametrize("backend", ["bn", "mfcc"])
@@ -1023,27 +1047,47 @@ def test_score_rejects_a_dnn_train_test_utterance(tiny_corpus, tmp_path, capsys,
     assert not (out / "scores").exists()
 
 
-def test_score_uses_its_own_variance_term_for_a_model_with_other_variances(
-    tiny_corpus, config_path, tmp_path, capsys
-):
+@pytest.mark.parametrize("case", ["retrained-ubm", "other-variances"])
+def test_score_rejects_a_model_not_adapted_from_the_ubm(tiny_corpus, config_path, tmp_path, capsys, case):
+    manifest, trials = tiny_corpus
+    out = tmp_path / "run"
+    if case == "retrained-ubm":  # K = 8 models, then a K = 4 UBM
+        k8_path = tmp_path / "k8.json"
+        k8 = {**TINY_CONFIG, "backend": {**TINY_CONFIG["backend"], "num_mixtures": 8}}
+        k8_path.write_text(json.dumps(k8), encoding="utf-8")
+        run_through("enroll", tiny_corpus, k8_path, out, capsys)
+        run_stages(["train-ubm"], manifest, trials, config_path, out, capsys)
+        model_id = trials.read_text(encoding="utf-8").split("\t", 1)[0]  # the first trial's
+    else:
+        run_through("enroll", tiny_corpus, config_path, out, capsys)
+        model_id = "s01"
+        path = out / "models" / "s01.tclg"
+        model = storage.read_gmm(path)
+        storage.write_gmm(path, gmm.GmmModel(model.weights, model.means, model.variances * 1.5))
+    code = run_cli("score", "--manifest", manifest, "--trials", trials, "--config", config_path, "--out", out)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: score: {out / 'models' / f'{model_id}.tclg'}: weights or variances differ from"
+        f" {out / 'ubm' / 'ubm.tclg'}; run enroll again\n"
+    )
+    assert not (out / "scores").exists()
+
+
+@pytest.mark.parametrize("stage", ["enroll", "score"])
+def test_backend_frames_of_another_dimension_exit_2(tiny_corpus, config_path, tmp_path, capsys, stage):
+    # the UBM and models were trained on 8-dim bn/ archives; the config now reads 57-dim features/
     manifest, trials = tiny_corpus
     out = tmp_path / "run"
     run_through("enroll", tiny_corpus, config_path, out, capsys)
-    path = out / "models" / "s01.tclg"
-    model = storage.read_gmm(path)
-    storage.write_gmm(path, gmm.GmmModel(model.weights, model.means, model.variances * 1.5))
-    score_set = pipeline.run_score(manifest, load_config(config_path).resolved(None), out, trials)
-    ubm = storage.read_gmm(out / "ubm" / "ubm.tclg")
-    expected = [
-        gmm.score_llr(
-            storage.read_gmm(out / "models" / f"{t.model_id}.tclg"),
-            ubm,
-            storage.read_feature_archive(out / "bn" / f"{t.test_utterance_id}.tclf"),
-        )
-        for t in score_set.trials
-    ]
-    assert "s01" in {t.model_id for t in score_set.trials}
-    assert np.array_equal(score_set.scores, np.array(expected))
+    mfcc_path = tmp_path / "mfcc.json"
+    mfcc_path.write_text(json.dumps(MFCC_CONFIG), encoding="utf-8")
+    trials_args = ["--trials", trials] if stage == "score" else []
+    code = run_cli(stage, "--manifest", manifest, *trials_args, "--config", mfcc_path, "--out", out)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {stage}: {out / 'features'}/ holds 57-dim frames but {out / 'ubm' / 'ubm.tclg'}"
+        f" expects 8; run train-ubm again\n"
+    )
 
 
 # --- BLAS threads per stage ---

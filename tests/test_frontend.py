@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tclsv import blas
+from tclsv import blas, frontend
 from tclsv.errors import DataError
 from tclsv.frontend import (
     LOG_FLOOR,
@@ -46,10 +46,10 @@ def noise_signal(seconds: float = 0.3, seed: int = 0, rate: int = RATE) -> Audio
 @pytest.mark.parametrize("num_samples", [320, 321, 479, 480, 481, 1600, 16000])
 def test_frame_count_formula(num_samples):
     signal = AudioSignal(samples=np.ones(num_samples) * 0.1, sample_rate_hz=RATE)
-    frames = frame_signal(signal, FrontendConfig())
+    frames, energies = frame_signal(signal, FrontendConfig())
     expected = 1 + (num_samples - 320) // 160
-    assert frames.frames.shape == (expected, 320)
-    assert frames.log_energies.shape == (expected,)
+    assert frames.shape == (expected, 320)
+    assert energies.shape == (expected,)
 
 
 def test_too_short_signal_raises():
@@ -63,7 +63,7 @@ def test_framing_matches_loop_oracle():
     x = rng.uniform(-0.5, 0.5, 1000)
     signal = AudioSignal(samples=x, sample_rate_hz=RATE)
     config = FrontendConfig()
-    out = frame_signal(signal, config)
+    frames, energies = frame_signal(signal, config)
 
     pre = np.empty_like(x)
     pre[0] = x[0]
@@ -73,15 +73,15 @@ def test_framing_matches_loop_oracle():
     window = 0.54 - 0.46 * np.cos(2 * np.pi * np.arange(n) / (n - 1))
     for f in range((len(x) - 320) // 160 + 1):
         seg = pre[f * 160 : f * 160 + 320]
-        np.testing.assert_allclose(out.frames[f], seg * window, atol=1e-12)
+        np.testing.assert_allclose(frames[f], seg * window, atol=1e-12)
         expected_energy = np.log(max(np.sum(seg**2), LOG_FLOOR))
-        assert out.log_energies[f] == pytest.approx(expected_energy, abs=1e-12)
+        assert energies[f] == pytest.approx(expected_energy, abs=1e-12)
 
 
 def test_energy_floor_on_silence():
     signal = AudioSignal(samples=np.zeros(640), sample_rate_hz=RATE)
-    out = frame_signal(signal, FrontendConfig())
-    np.testing.assert_allclose(out.log_energies, np.log(LOG_FLOOR))
+    _, energies = frame_signal(signal, FrontendConfig())
+    np.testing.assert_allclose(energies, np.log(LOG_FLOOR))
 
 
 # --- mel filterbank ---
@@ -157,14 +157,14 @@ def test_mfcc_matches_direct_evaluation_oracle():
     triangle weights, cosine-sum DCT) on a 1 kHz tone, to 1e-6."""
     config = FrontendConfig(rasta_enabled=False)
     signal = tone(1000.0, seconds=0.06)
-    windowed = frame_signal(signal, config)
-    got = compute_mfcc(windowed, config)
+    windowed, _ = frame_signal(signal, config)
+    got = compute_mfcc(windowed, config, RATE)
 
     n_fft = 512
     num_filters = config.num_mel_filters
     fbank = mel_filterbank(num_filters, n_fft, RATE)
-    for f in range(min(3, windowed.frames.shape[0])):
-        frame = windowed.frames[f]
+    for f in range(min(3, windowed.shape[0])):
+        frame = windowed[f]
         spectrum = np.empty(n_fft // 2 + 1)
         for k in range(n_fft // 2 + 1):
             acc = 0.0 + 0.0j
@@ -172,7 +172,7 @@ def test_mfcc_matches_direct_evaluation_oracle():
                 acc += frame[n] * np.exp(-2j * np.pi * k * n / n_fft)
             spectrum[k] = abs(acc)
         log_mel = np.log(np.maximum(fbank @ spectrum, LOG_FLOOR))
-        np.testing.assert_allclose(got.frames[f], cosine_sum_dct(log_mel)[1:20], atol=1e-6)
+        np.testing.assert_allclose(got[f], cosine_sum_dct(log_mel)[1:20], atol=1e-6)
 
 
 @pytest.mark.parametrize("n", [2, 20, 24, 40])
@@ -191,30 +191,29 @@ def test_mfcc_dct_follows_num_mel_filters():
     signal = noise_signal(seconds=0.1, seed=6)
     for num_filters, num_ceps in ((24, 19), (40, 13), (20, 12), (24, 19)):
         config = FrontendConfig(num_mel_filters=num_filters, num_static_ceps=num_ceps)
-        windowed = frame_signal(signal, config)
-        got = compute_mfcc(windowed, config)
-        assert got.dim == num_ceps
+        windowed, _ = frame_signal(signal, config)
+        got = compute_mfcc(windowed, config, RATE)
+        assert got.shape[1] == num_ceps
 
-        spectrum = np.abs(np.fft.rfft(windowed.frames, n=512, axis=1))
+        spectrum = np.abs(np.fft.rfft(windowed, n=512, axis=1))
         log_mel = np.log(np.maximum(spectrum @ mel_filterbank(num_filters, 512, RATE).T, LOG_FLOOR))
         log_mel = apply_rasta(log_mel)
-        for f in (0, got.num_frames - 1):
-            np.testing.assert_allclose(got.frames[f], cosine_sum_dct(log_mel[f])[1 : num_ceps + 1], atol=1e-6)
+        for f in (0, len(got) - 1):
+            np.testing.assert_allclose(got[f], cosine_sum_dct(log_mel[f])[1 : num_ceps + 1], atol=1e-6)
 
 
 def test_mfcc_keeps_c1_to_c19():
     config = FrontendConfig()
-    out = compute_mfcc(frame_signal(noise_signal(), config), config)
-    assert out.dim == 19
-    assert out.frame_energies is not None
+    windowed, _ = frame_signal(noise_signal(), config)
+    assert compute_mfcc(windowed, config, RATE).shape == (len(windowed), 19)
 
 
 def test_mfcc_tone_energy_lands_in_matching_filter():
     # dropping C0 only removes the overall-level term; check on the log-mel level
     config = FrontendConfig(rasta_enabled=False)
-    windowed = frame_signal(tone(1000.0), config)
+    windowed, _ = frame_signal(tone(1000.0), config)
     n_fft = 512
-    spectrum = np.abs(np.fft.rfft(windowed.frames, n=n_fft, axis=1))
+    spectrum = np.abs(np.fft.rfft(windowed, n=n_fft, axis=1))
     fbank = mel_filterbank(config.num_mel_filters, n_fft, RATE)
     mel_energies = (spectrum @ fbank.T).mean(axis=0)
     centers = fbank.argmax(axis=1) * RATE / n_fft
@@ -224,14 +223,14 @@ def test_mfcc_tone_energy_lands_in_matching_filter():
 def test_mfcc_frame_scale_invariance_without_c0():
     # scaling a frame shifts only C0 of the log spectrum; C1.. are unchanged
     config = FrontendConfig(rasta_enabled=False)
-    windowed = frame_signal(noise_signal(seconds=0.1, seed=4), config)
-    scaled = frame_signal(
+    windowed, _ = frame_signal(noise_signal(seconds=0.1, seed=4), config)
+    scaled, _ = frame_signal(
         AudioSignal(samples=noise_signal(seconds=0.1, seed=4).samples * 3.0, sample_rate_hz=RATE),
         config,
     )
-    a = compute_mfcc(windowed, config)
-    b = compute_mfcc(scaled, config)
-    np.testing.assert_allclose(a.frames, b.frames, atol=1e-6)
+    a = compute_mfcc(windowed, config, RATE)
+    b = compute_mfcc(scaled, config, RATE)
+    np.testing.assert_allclose(a, b, atol=1e-6)
 
 
 def test_mfcc_amplitude_scale_invariance_after_cmvn():
@@ -240,8 +239,8 @@ def test_mfcc_amplitude_scale_invariance_after_cmvn():
     scaled = AudioSignal(samples=base.samples * 2.0, sample_rate_hz=RATE)
     a = extract_features(base, config)
     b = extract_features(scaled, config)
-    assert a.num_frames == b.num_frames
-    np.testing.assert_allclose(a.frames, b.frames, atol=1e-8)
+    assert a.shape == b.shape
+    np.testing.assert_allclose(a, b, atol=1e-8)
 
 
 # --- RASTA ---
@@ -289,12 +288,10 @@ def test_rasta_is_linear():
 def test_rasta_applied_before_dct_equals_cepstral_filtering():
     # linearity of the DCT: filtering log-mel trajectories == filtering cepstra
     config = FrontendConfig()
-    windowed = frame_signal(noise_signal(seconds=0.4, seed=9), config)
-    with_rasta = compute_mfcc(windowed, config)
-    without = compute_mfcc(windowed, FrontendConfig(rasta_enabled=False))
-    np.testing.assert_allclose(
-        with_rasta.frames, apply_rasta(without.frames), atol=1e-9
-    )
+    windowed, _ = frame_signal(noise_signal(seconds=0.4, seed=9), config)
+    with_rasta = compute_mfcc(windowed, config, RATE)
+    without = compute_mfcc(windowed, FrontendConfig(rasta_enabled=False), RATE)
+    np.testing.assert_allclose(with_rasta, apply_rasta(without), atol=1e-9)
 
 
 # --- deltas ---
@@ -304,8 +301,8 @@ def test_deltas_match_regression_oracle():
     rng = np.random.default_rng(7)
     base = rng.standard_normal((12, 4))
     out = append_deltas(base, delta_window=2)
-    assert out.frames.shape == (12, 12)
-    np.testing.assert_allclose(out.frames[:, :4], base, atol=0)
+    assert out.shape == (12, 12)
+    np.testing.assert_allclose(out[:, :4], base, atol=0)
 
     T = base.shape[0]
     denom = 2.0 * (1 + 4)
@@ -318,13 +315,13 @@ def test_deltas_match_regression_oracle():
         return d / denom
 
     d1 = delta_oracle(base)
-    np.testing.assert_allclose(out.frames[:, 4:8], d1, atol=1e-12)
-    np.testing.assert_allclose(out.frames[:, 8:12], delta_oracle(d1), atol=1e-12)
+    np.testing.assert_allclose(out[:, 4:8], d1, atol=1e-12)
+    np.testing.assert_allclose(out[:, 8:12], delta_oracle(d1), atol=1e-12)
 
 
 def test_delta_of_constant_is_zero():
     out = append_deltas(np.full((6, 3), 2.5))
-    np.testing.assert_allclose(out.frames[:, 3:], 0.0, atol=0)
+    np.testing.assert_allclose(out[:, 3:], 0.0, atol=0)
 
 
 def test_delta_of_linear_ramp_is_slope_in_interior():
@@ -332,15 +329,21 @@ def test_delta_of_linear_ramp_is_slope_in_interior():
     base = (slope * np.arange(10.0))[:, None]
     out = append_deltas(base, delta_window=2)
     # edge replication distorts the first/last delta_window frames only
-    np.testing.assert_allclose(out.frames[2:-2, 1], slope, atol=1e-12)
-    np.testing.assert_allclose(out.frames[4:-4, 2], 0.0, atol=1e-12)
+    np.testing.assert_allclose(out[2:-2, 1], slope, atol=1e-12)
+    np.testing.assert_allclose(out[4:-4, 2], 0.0, atol=1e-12)
 
 
-def test_deltas_preserve_energies_and_id():
-    fm = FeatureMatrix(frames=np.ones((5, 2)), utterance_id="u1", frame_energies=np.arange(5.0))
-    out = append_deltas(fm)
-    assert out.utterance_id == "u1"
-    np.testing.assert_array_equal(out.frame_energies, np.arange(5.0))
+def test_deltas_preserve_energies_and_id(monkeypatch):
+    # extract_features hands VAD the delta-appended frames with framing's energies and the id
+    signal, config = noise_signal(), FrontendConfig()
+    seen = []
+    monkeypatch.setattr(frontend, "apply_vad", lambda fm, c: seen.append(fm) or fm)
+    extract_features(signal, config, utterance_id="u1")
+    windowed, energies = frame_signal(signal, config)
+    (fm,) = seen
+    assert fm.utterance_id == "u1"
+    np.testing.assert_array_equal(fm.frame_energies, energies)
+    np.testing.assert_array_equal(fm.frames, append_deltas(compute_mfcc(windowed, config, RATE)))
 
 
 # --- VAD ---
@@ -397,35 +400,33 @@ def test_vad_drops_silence_in_real_chain():
     quiet = 1e-5 * rng.standard_normal(RATE // 2)
     signal = AudioSignal(samples=np.concatenate([loud, quiet]), sample_rate_hz=RATE)
     config = FrontendConfig()
-    windowed = frame_signal(signal, config)
-    voiced = apply_vad(compute_mfcc(windowed, config), config)
-    assert 0 < voiced.num_frames < windowed.frames.shape[0]
+    windowed, energies = frame_signal(signal, config)
+    voiced = apply_vad(FeatureMatrix(compute_mfcc(windowed, config, RATE), "u", energies), config)
+    assert 0 < voiced.num_frames < windowed.shape[0]
 
 
 # --- CMVN ---
 
 
 def test_cmvn_forced_example():
-    fm = FeatureMatrix(frames=np.array([[1.0], [2.0], [3.0]]))
-    out = cmvn(fm)
+    out = cmvn(np.array([[1.0], [2.0], [3.0]]))
     root = np.sqrt(1.5)  # 1 / population std of [1,2,3]
-    np.testing.assert_allclose(out.frames.ravel(), [-root, 0.0, root], atol=1e-12)
+    np.testing.assert_allclose(out.ravel(), [-root, 0.0, root], atol=1e-12)
 
 
 def test_cmvn_moments_and_idempotence():
     rng = np.random.default_rng(21)
-    fm = FeatureMatrix(frames=rng.standard_normal((200, 6)) * 3.0 + 1.0)
-    out = cmvn(fm)
-    np.testing.assert_allclose(out.frames.mean(axis=0), 0.0, atol=1e-6)
-    np.testing.assert_allclose(out.frames.var(axis=0), 1.0, atol=1e-4)
-    np.testing.assert_allclose(cmvn(out).frames, out.frames, atol=1e-6)
+    out = cmvn(rng.standard_normal((200, 6)) * 3.0 + 1.0)
+    np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-6)
+    np.testing.assert_allclose(out.var(axis=0), 1.0, atol=1e-4)
+    np.testing.assert_allclose(cmvn(out), out, atol=1e-6)
 
 
 def test_cmvn_constant_column_centered_only():
     frames = np.column_stack([np.full(4, 7.0), np.arange(4.0)])
-    out = cmvn(FeatureMatrix(frames=frames))
-    np.testing.assert_allclose(out.frames[:, 0], 0.0, atol=0)
-    assert out.frames[:, 1].var() == pytest.approx(1.0)
+    out = cmvn(frames)
+    np.testing.assert_allclose(out[:, 0], 0.0, atol=0)
+    assert out[:, 1].var() == pytest.approx(1.0)
 
 
 @settings(deadline=None, max_examples=30)
@@ -436,8 +437,8 @@ def test_cmvn_constant_column_centered_only():
 )
 def test_cmvn_shift_scale_equivariance(scale, shift, seed):
     x = np.random.default_rng(seed).standard_normal((30, 3))
-    a = cmvn(FeatureMatrix(frames=x)).frames
-    b = cmvn(FeatureMatrix(frames=scale * x + shift)).frames
+    a = cmvn(x)
+    b = cmvn(scale * x + shift)
     np.testing.assert_allclose(a, b, atol=1e-8)
 
 
@@ -446,10 +447,10 @@ def test_cmvn_shift_scale_equivariance(scale, shift, seed):
 
 def test_extract_features_shape_and_normalization():
     feats = extract_features(noise_signal(seconds=0.5), FrontendConfig())
-    assert feats.dim == 57
-    assert feats.num_frames > 1
-    np.testing.assert_allclose(feats.frames.mean(axis=0), 0.0, atol=1e-6)
-    np.testing.assert_allclose(feats.frames.var(axis=0), 1.0, atol=1e-4)
+    assert feats.shape[1] == 57
+    assert len(feats) > 1
+    np.testing.assert_allclose(feats.mean(axis=0), 0.0, atol=1e-6)
+    np.testing.assert_allclose(feats.var(axis=0), 1.0, atol=1e-4)
 
 
 def degenerate_signal(kind: str, rate: int, level: float, seed: int) -> AudioSignal:
@@ -480,9 +481,9 @@ def test_extract_features_degenerate_audio_is_finite_or_data_error(kind, rate, l
         feats = extract_features(signal, FrontendConfig(rasta_enabled=rasta))
     except DataError:
         return
-    assert feats.dim == 57
-    assert feats.num_frames >= 1
-    assert np.all(np.isfinite(feats.frames))
+    assert feats.shape[1] == 57
+    assert len(feats) >= 1
+    assert np.all(np.isfinite(feats))
 
 
 def test_extract_features_deterministic():
@@ -490,7 +491,7 @@ def test_extract_features_deterministic():
     config = FrontendConfig()
     a = extract_features(signal, config)
     b = extract_features(signal, config)
-    assert np.array_equal(a.frames, b.frames)
+    assert np.array_equal(a, b)
 
 
 # --- WAV I/O ---
@@ -562,5 +563,5 @@ def test_features_are_the_same_bits_on_one_blas_thread():
     threaded = extract_features(signal, FrontendConfig())
     with blas.single_thread():
         single = extract_features(signal, FrontendConfig())
-    assert threaded.num_frames == 149
-    assert np.array_equal(single.frames, threaded.frames)
+    assert len(threaded) == 149
+    assert np.array_equal(single, threaded)

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tclsv.errors import DataError
-from tclsv.frontend import FeatureMatrix
 from tclsv.labeling import (
+    FrameCount,
     LabeledFrames,
     TclConfig,
     assign_stream_labels,
@@ -23,12 +23,8 @@ from tclsv.labeling import (
 )
 
 
-def make_utt(num_frames: int, utt_id: str = "u", dim: int = 3, fill: float | None = None):
-    if fill is None:
-        frames = np.arange(num_frames * dim, dtype=np.float64).reshape(num_frames, dim)
-    else:
-        frames = np.full((num_frames, dim), fill)
-    return FeatureMatrix(frames=frames, utterance_id=utt_id)
+def make_utt(num_frames: int, utt_id: str = "u") -> FrameCount:
+    return FrameCount(utt_id, num_frames)
 
 
 # --- stream-wise ---
@@ -66,7 +62,7 @@ def test_stream_too_few_frames():
 
 def test_stream_shuffles_utterance_order_but_not_frames():
     config = TclConfig(num_classes=4, frames_per_segment=2, mode="stream", shuffle_seed=123)
-    utts = [make_utt(4, f"u{i}", fill=float(i)) for i in range(6)]
+    utts = [make_utt(4, f"u{i}") for i in range(6)]
     labeled = assign_stream_labels(utts, config)
 
     order = np.random.default_rng(123).permutation(6)
@@ -93,7 +89,7 @@ def test_stream_reproducible_and_seed_sensitive():
 )
 def test_stream_label_rule_property(total, d, n):
     config = TclConfig(num_classes=n, frames_per_segment=d, mode="stream")
-    utt = make_utt(total, dim=2)
+    utt = make_utt(total)
     if total < d:
         with pytest.raises(DataError, match=rf"stream has {total} frames, need at least {d}"):
             assign_stream_labels([utt], config)
@@ -134,9 +130,9 @@ def test_utterance_too_short():
 def test_utterance_segment_properties(t, n):
     if t < n:
         with pytest.raises(DataError, match=f"has {t} frames, need >= {n}"):
-            assign_utterance_labels(make_utt(t, dim=1), n)
+            assign_utterance_labels(make_utt(t), n)
         return
-    labeled = assign_utterance_labels(make_utt(t, dim=1), n)
+    labeled = assign_utterance_labels(make_utt(t), n)
     assert labeled.num_frames == t
     assert np.all(np.diff(labeled.labels) >= 0)  # non-decreasing
     lengths = np.bincount(labeled.labels, minlength=n)

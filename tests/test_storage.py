@@ -10,7 +10,6 @@ import pytest
 from tclsv import labeling, metrics
 from tclsv.config import ExperimentConfig, write_snapshot
 from tclsv.errors import DataError
-from tclsv.frontend import FeatureMatrix
 from tclsv.gmm import GmmModel
 from tclsv.manifest import ManifestEntry, write_manifest
 from tclsv.network import NetworkArch, init_network
@@ -29,9 +28,8 @@ from tclsv.storage import (
 )
 
 
-def feature_matrix(seed=0, shape=(11, 7)):
-    rng = np.random.default_rng(seed)
-    return FeatureMatrix(frames=rng.standard_normal(shape), utterance_id="utt_a")
+def random_frames(seed=0, shape=(11, 7)):
+    return np.random.default_rng(seed).standard_normal(shape)
 
 
 # --- atomic writes ---
@@ -113,22 +111,14 @@ def test_text_writer_failing_part_way_keeps_previous_file(name, tmp_path, monkey
 
 
 def test_feature_archive_roundtrip(tmp_path):
-    original = feature_matrix()
+    original = random_frames()
     path = tmp_path / "utt_a.tclf"
     write_feature_archive(path, original)
-    loaded = read_feature_archive(path)
-    assert loaded.utterance_id == "utt_a"  # defaults to the file stem
-    assert np.array_equal(loaded.frames, original.frames)
-
-
-def test_feature_archive_explicit_utterance_id(tmp_path):
-    path = tmp_path / "on_disk_name.tclf"
-    write_feature_archive(path, feature_matrix())
-    assert read_feature_archive(path, utterance_id="logical").utterance_id == "logical"
+    assert np.array_equal(read_feature_archive(path), original)
 
 
 def test_feature_archive_write_is_byte_deterministic(tmp_path):
-    original = feature_matrix(seed=3)
+    original = random_frames(seed=3)
     a, b = tmp_path / "a.tclf", tmp_path / "b.tclf"
     write_feature_archive(a, original)
     write_feature_archive(b, original)
@@ -137,16 +127,15 @@ def test_feature_archive_write_is_byte_deterministic(tmp_path):
 
 def test_feature_archive_empty_matrix(tmp_path):
     path = tmp_path / "empty.tclf"
-    write_feature_archive(path, FeatureMatrix(frames=np.zeros((0, 5)), utterance_id="e"))
-    loaded = read_feature_archive(path)
-    assert loaded.frames.shape == (0, 5)
+    write_feature_archive(path, np.zeros((0, 5)))
+    assert read_feature_archive(path).shape == (0, 5)
 
 
 @pytest.mark.parametrize("shape", [(11, 7), (0, 5), (1, 57)])
 def test_feature_shape_matches_full_read(tmp_path, shape):
     path = tmp_path / "utt.tclf"
-    write_feature_archive(path, feature_matrix(shape=shape))
-    assert read_feature_shape(path) == read_feature_archive(path).frames.shape
+    write_feature_archive(path, random_frames(shape=shape))
+    assert read_feature_shape(path) == read_feature_archive(path).shape
 
 
 @pytest.mark.parametrize(
@@ -161,7 +150,7 @@ def test_feature_shape_matches_full_read(tmp_path, shape):
 )
 def test_feature_shape_rejects_bad_header(tmp_path, corrupt, message):
     path = tmp_path / "bad.tclf"
-    write_feature_archive(path, feature_matrix())
+    write_feature_archive(path, random_frames())
     path.write_bytes(corrupt(path.read_bytes()))
     with pytest.raises(DataError, match=message):
         read_feature_shape(path)
@@ -182,7 +171,7 @@ def test_missing_artifact(tmp_path):
 
 def test_bad_magic(tmp_path):
     path = tmp_path / "bad.tclf"
-    write_feature_archive(path, feature_matrix())
+    write_feature_archive(path, random_frames())
     data = bytearray(path.read_bytes())
     data[:4] = b"WHAT"
     path.write_bytes(bytes(data))
@@ -192,7 +181,7 @@ def test_bad_magic(tmp_path):
 
 def test_wrong_format_version(tmp_path):
     path = tmp_path / "v2.tclf"
-    write_feature_archive(path, feature_matrix())
+    write_feature_archive(path, random_frames())
     data = bytearray(path.read_bytes())
     data[4:8] = (2).to_bytes(4, "little")
     path.write_bytes(bytes(data))
@@ -202,7 +191,7 @@ def test_wrong_format_version(tmp_path):
 
 def test_truncated_payload(tmp_path):
     path = tmp_path / "cut.tclf"
-    write_feature_archive(path, feature_matrix())
+    write_feature_archive(path, random_frames())
     data = path.read_bytes()
     path.write_bytes(data[:-4])
     with pytest.raises(DataError, match="truncated artifact"):
@@ -211,7 +200,7 @@ def test_truncated_payload(tmp_path):
 
 def test_trailing_bytes_rejected(tmp_path):
     path = tmp_path / "extra.tclf"
-    write_feature_archive(path, feature_matrix())
+    write_feature_archive(path, random_frames())
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(DataError, match="1 trailing bytes"):
         read_feature_archive(path)
@@ -346,7 +335,7 @@ def _golden(path, magic):
 def test_golden_feature_archive(tmp_path):
     frames = np.arange(6.0).reshape(3, 2) / 7.0
     path = tmp_path / "u.tclf"
-    write_feature_archive(path, FeatureMatrix(frames=frames, utterance_id="u"))
+    write_feature_archive(path, frames)
     fields = _golden(path, b"TCLF")
     assert fields.unpack("<II") == (3, 2)
     assert np.array_equal(fields.f64(3, 2), frames)

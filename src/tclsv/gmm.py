@@ -219,23 +219,36 @@ def init_gmm(data, num_components: int, seed: int = 0) -> GmmModel:
         raise DataError(f"{m} frames for {num_components} components")
     rng = np.random.default_rng(seed)
 
+    x_sq = np.sum(x**2, axis=1)
+
+    def dist_sq_to(c: np.ndarray) -> np.ndarray:
+        """||x - c||^2 per frame as ||x||^2 - 2 x.c + ||c||^2: one GEMV.
+
+        Where that is within rounding of 0 it is recomputed directly, so a
+        frame equal to ``c`` gets exactly 0 and, once every frame duplicates a
+        center, the pick below falls back to a uniform one.
+        """
+        c_sq = c @ c
+        d = x @ c
+        d *= -2.0
+        d += x_sq
+        d += c_sq
+        near = np.flatnonzero(d <= 1e-9 * (x_sq + c_sq))
+        d[near] = np.sum((x[near] - c) ** 2, axis=1)
+        return d
+
     centers = np.empty((num_components, x.shape[1]))
     centers[0] = x[rng.integers(m)]
-    # (x - c)^2 and its row sums, in buffers reused for every center
-    diff = np.empty_like(x)
-    dist_sq, new_sq = np.empty(m), np.empty(m)
-    np.sum(np.square(np.subtract(x, centers[0], out=diff), out=diff), axis=1, out=dist_sq)
+    dist_sq = dist_sq_to(centers[0])
     for k in range(1, num_components):
         total = dist_sq.sum()
         if total <= 0:
             centers[k] = x[rng.integers(m)]
         else:
             centers[k] = x[rng.choice(m, p=dist_sq / total)]
-        np.sum(np.square(np.subtract(x, centers[k], out=diff), out=diff), axis=1, out=new_sq)
-        np.minimum(dist_sq, new_sq, out=dist_sq)
-    del diff
+        np.minimum(dist_sq, dist_sq_to(centers[k]), out=dist_sq)
 
-    x_sq = np.sum(x**2, axis=1)[:, None]
+    x_sq = x_sq[:, None]
     two_x = 2.0 * x
     dists = np.empty((min(m, _ROW_BLOCK), num_components))
     assignment = None

@@ -42,7 +42,11 @@ class NetworkArch:
 
 @dataclass
 class NetworkParams:
-    """Weights and biases for the hidden stack and the output heads."""
+    """Weights and biases for the hidden stack and the output heads.
+
+    A network read for feature extraction (``storage.read_network`` with a
+    ``layer``) holds only the first hidden layers and no heads.
+    """
 
     arch: NetworkArch
     weights: list[np.ndarray]

@@ -104,10 +104,22 @@ def _producer(path: Path) -> str:
     return next(stage.name for stage in STAGES if stage.writes == path.parent.name)
 
 
+def _missing(path: Path, hint: str) -> DataError:
+    """DataError for ``path``, a missing file in a top-level run-directory entry.
+
+    It says ``hint`` unless the run directory is in the way: an ``--out``
+    naming a file gets that said instead of a stage to run.
+    """
+    out_dir = path.parents[1]
+    if out_dir.exists() and not out_dir.is_dir():
+        return DataError(f"{out_dir}: --out is not a directory")
+    return DataError(f"{path}: {hint}")
+
+
 def _require(path: Path) -> Path:
     """``path`` if the stage that writes it has run, else DataError."""
     if not path.exists():
-        raise DataError(f"{path}: run {_producer(path)} first")
+        raise _missing(path, f"run {_producer(path)} first")
     return path
 
 
@@ -153,9 +165,10 @@ def _usable(
 def _feature_path(out_dir: Path, entry: ManifestEntry, subdir: str = "features") -> Path:
     path = out_dir / subdir / f"{entry.utterance_id}.tclf"
     if not path.exists():
-        raise DataError(
-            f"{path}: no feature archive for {entry.utterance_id!r};"
-            f" run {_producer(path)} first or check features/failures.tsv"
+        raise _missing(
+            path,
+            f"no feature archive for {entry.utterance_id!r};"
+            f" run {_producer(path)} first or check features/failures.tsv",
         )
     return path
 
@@ -359,7 +372,8 @@ def _normalized_deep_features(
 def run_extract_bn(manifest_path, config: ExperimentConfig, out_dir: Path) -> pca.PcaModel:
     """Deep features at the configured layer -> per-utterance CMVN -> PCA projection.
 
-    The network runs in float32; its outputs go back to float64 for CMVN and PCA.
+    Only the network's layers up to ``bn.layer`` are read, and they run in
+    float32; their outputs go back to float64 for CMVN and PCA.
 
     The projection is fitted on the pooled normalized frames of the
     ``bn.fit_split`` utterances, then applied to every utterance except the
@@ -367,8 +381,7 @@ def run_extract_bn(manifest_path, config: ExperimentConfig, out_dir: Path) -> pc
     raise DataError naming the utterance before the PCA fit sees them and
     before that utterance's archive is written.
     """
-    params = storage.read_network(_require(out_dir / "dnn" / "model.tcln"))
-    params = params.astype(np.float32)
+    params = storage.read_network(_require(out_dir / "dnn" / "model.tcln"), np.float32, config.bn.layer)
     skip = () if config.bn.fit_split == "dnn-train" else ("dnn-train",)  # no later stage reads it
     entries = _usable([e for e in read_manifest(manifest_path) if e.split not in skip], out_dir)
     fit_entries = _usable(entries, out_dir, config.bn.fit_split)

@@ -16,7 +16,9 @@ import os
 import struct
 import tempfile
 from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from .pca import PcaModel
 FORMAT_VERSION = 1
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+def atomic_write_bytes(path: str | Path, data: bytes | bytearray) -> None:
     """Write to a temp file in the destination directory, then rename.
 
     The file gets the mode a plain ``open`` would give it (0o666 less the
@@ -63,15 +65,22 @@ def make_dir(path: Path) -> Path:
     return path
 
 
-def _read(path: Path, size: int = -1) -> bytes:
-    """The bytes of ``path``, or its first ``size``; DataError naming it if it cannot be read."""
+@contextmanager
+def _open(path: Path) -> Iterator[BinaryIO]:
+    """``path`` open for reading; DataError naming it if it cannot be opened or read."""
     try:
         with open(path, "rb") as handle:
-            return handle.read(size)
+            yield handle
     except FileNotFoundError:
         raise DataError(f"{path} does not exist") from None
     except OSError as exc:
         raise DataError(f"{path}: cannot read ({exc.strerror})") from None
+
+
+def _read(path: Path) -> bytes:
+    """The bytes of ``path``; DataError naming it if it cannot be read."""
+    with _open(path) as handle:
+        return handle.read()
 
 
 def read_text(path: str | Path) -> str:
@@ -93,11 +102,16 @@ def read_rows(path: str | Path, num_fields: int) -> Iterator[tuple[int, list[str
 
 
 class _Reader:
-    """Reads the whole file, or only its first ``size`` bytes when given."""
+    """Reads an artifact's fields in order from its open file.
 
-    def __init__(self, path: Path, magic: bytes, size: int = -1):
+    Each field is checked against the file's size before it is read, and
+    only the fields asked for are read.
+    """
+
+    def __init__(self, path: Path, handle: BinaryIO, magic: bytes):
         self.path = path
-        self.buf = _read(path, size)
+        self.handle = handle
+        self.size = os.fstat(handle.fileno()).st_size
         self.pos = 0
         got = self.read_bytes(4)
         if got != magic:
@@ -109,35 +123,66 @@ class _Reader:
             )
 
     def _take(self, n: int) -> int:
-        """The offset of the next ``n`` bytes, which this read consumes."""
-        if self.pos + n > len(self.buf):
+        """``n``, once the next ``n`` bytes are known to be in the file; this read consumes them."""
+        if self.pos + n > self.size:
             raise DataError(f"{self.path}: truncated artifact")
         self.pos += n
-        return self.pos - n
+        return n
 
     def read_bytes(self, n: int) -> bytes:
-        return self.buf[self._take(n) : self.pos]
+        return self.handle.read(self._take(n))
 
     def read_u32(self, n: int) -> tuple[int, ...]:
-        return struct.unpack_from(f"<{n}I", self.buf, self._take(4 * n))
+        return struct.unpack(f"<{n}I", self.read_bytes(4 * n))
 
-    def read_f64(self, *shapes: tuple[int, ...]) -> list[np.ndarray]:
-        """The arrays that end the file, one writable float64 array per shape."""
+    def read_f64(
+        self, *shapes: tuple[int, ...], dtype=np.float64, keep: int | None = None
+    ) -> list[np.ndarray]:
+        """The arrays that end the file, one writable array of ``dtype`` per shape.
+
+        Each array is read and decoded on its own, so at most one array's bytes
+        are held at a time.  Only the first ``keep`` arrays, when given, are
+        read and returned; the rest are skipped, and the trailing-bytes check
+        still sees the whole file.
+        """
         arrays = []
-        for shape in shapes:
-            count = math.prod(shape)
-            raw = np.frombuffer(self.buf, dtype="<f8", count=count, offset=self._take(8 * count))
-            arrays.append(raw.astype(np.float64).reshape(shape))
-        if self.pos != len(self.buf):
-            raise DataError(f"{self.path}: {len(self.buf) - self.pos} trailing bytes")
+        for i, shape in enumerate(shapes):
+            n = 8 * math.prod(shape)
+            if keep is not None and i >= keep:
+                self.handle.seek(self._take(n), os.SEEK_CUR)
+            else:
+                raw = np.frombuffer(self.read_bytes(n), dtype="<f8")
+                arrays.append(raw.astype(dtype).reshape(shape))
+        if self.pos != self.size:
+            raise DataError(f"{self.path}: {self.size - self.pos} trailing bytes")
         return arrays
 
 
+@contextmanager
+def _reader(path: str | Path, magic: bytes) -> Iterator[_Reader]:
+    """A :class:`_Reader` past the magic and version of the artifact at ``path``."""
+    path = Path(path)
+    with _open(path) as handle:
+        yield _Reader(path, handle, magic)
+
+
 def _write(path: str | Path, magic: bytes, dims: list[int | bytes], arrays: list[np.ndarray]) -> None:
-    """Magic, version, ``dims`` as uint32 (bytes as they are), then ``arrays`` as float64."""
-    header = [d if isinstance(d, bytes) else struct.pack("<I", d) for d in (FORMAT_VERSION, *dims)]
-    payload = [np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays]
-    atomic_write_bytes(path, b"".join([magic, *header, *payload]))
+    """Magic, version, ``dims`` as uint32 (bytes as they are), then ``arrays`` as float64.
+
+    The file is built in one buffer of its size, each array converted into its
+    place there, so nothing but that buffer is allocated.
+    """
+    header = b"".join(
+        [magic, *(d if isinstance(d, bytes) else struct.pack("<I", d) for d in (FORMAT_VERSION, *dims))]
+    )
+    flat = [np.ravel(a) for a in arrays]
+    buf = bytearray(len(header) + 8 * sum(a.size for a in flat))
+    buf[: len(header)] = header
+    offset = len(header)
+    for a in flat:
+        np.frombuffer(buf, dtype="<f8", count=a.size, offset=offset)[:] = a
+        offset += 8 * a.size
+    atomic_write_bytes(path, buf)
 
 
 def write_feature_archive(path: str | Path, frames: np.ndarray) -> None:
@@ -145,14 +190,15 @@ def write_feature_archive(path: str | Path, frames: np.ndarray) -> None:
 
 
 def read_feature_archive(path: str | Path) -> np.ndarray:
-    reader = _Reader(Path(path), b"TCLF")
-    (frames,) = reader.read_f64(reader.read_u32(2))
+    with _reader(path, b"TCLF") as reader:
+        (frames,) = reader.read_f64(reader.read_u32(2))
     return frames
 
 
 def read_feature_shape(path: str | Path) -> tuple[int, int]:
     """(frames, dim) of a feature archive, read from its 16-byte header alone."""
-    return _Reader(Path(path), b"TCLF", size=16).read_u32(2)
+    with _reader(path, b"TCLF") as reader:
+        return reader.read_u32(2)
 
 
 def write_network(path: str | Path, params: NetworkParams) -> None:
@@ -165,22 +211,30 @@ def write_network(path: str | Path, params: NetworkParams) -> None:
     _write(path, b"TCLN", [*dims, seed], [a for pair in layers for a in pair])
 
 
-def read_network(path: str | Path) -> NetworkParams:
-    reader = _Reader(Path(path), b"TCLN")
-    input_dim, num_hidden = reader.read_u32(2)
-    hidden = reader.read_u32(num_hidden)
-    heads = []
-    for _ in range(*reader.read_u32(1)):
-        name = reader.read_bytes(*reader.read_u32(1))
-        try:
-            heads.append((name.decode("utf-8"), *reader.read_u32(1)))
-        except UnicodeDecodeError:
-            raise DataError(f"{path}: head name {name!r} is not UTF-8") from None
-    arch = NetworkArch(input_dim=input_dim, hidden_layers=hidden, output_heads=tuple(heads))
-    (seed,) = struct.unpack("<Q", reader.read_bytes(8))
-    widths = (input_dim, *hidden)
-    layers = [*zip(widths, hidden), *((widths[-1], k) for _, k in heads)]
-    arrays = reader.read_f64(*[s for n_in, n_out in layers for s in ((n_in, n_out), (n_out,))])
+def read_network(path: str | Path, dtype=np.float64, layer: str | None = None) -> NetworkParams:
+    """The network at ``path``, its arrays decoded to ``dtype``.
+
+    With ``layer``, only the hidden layers up to and including it are read,
+    for feature extraction: the weight and bias lists stop there, the head
+    lists are empty, and ``arch`` still describes the whole file.
+    """
+    with _reader(path, b"TCLN") as reader:
+        input_dim, num_hidden = reader.read_u32(2)
+        hidden = reader.read_u32(num_hidden)
+        heads = []
+        for _ in range(*reader.read_u32(1)):
+            name = reader.read_bytes(*reader.read_u32(1))
+            try:
+                heads.append((name.decode("utf-8"), *reader.read_u32(1)))
+            except UnicodeDecodeError:
+                raise DataError(f"{path}: head name {name!r} is not UTF-8") from None
+        arch = NetworkArch(input_dim=input_dim, hidden_layers=hidden, output_heads=tuple(heads))
+        (seed,) = struct.unpack("<Q", reader.read_bytes(8))
+        widths = (input_dim, *hidden)
+        layers = [*zip(widths, hidden), *((widths[-1], k) for _, k in heads)]
+        shapes = [s for n_in, n_out in layers for s in ((n_in, n_out), (n_out,))]
+        keep = None if layer is None else 2 * (arch.layer_index(layer) + 1)
+        arrays = reader.read_f64(*shapes, dtype=dtype, keep=keep)
     n = 2 * len(hidden)
     return NetworkParams(arch, arrays[:n:2], arrays[1:n:2], arrays[n::2], arrays[n + 1 :: 2], seed)
 
@@ -191,9 +245,9 @@ def write_pca(path: str | Path, model: PcaModel) -> None:
 
 
 def read_pca(path: str | Path) -> PcaModel:
-    reader = _Reader(Path(path), b"TCLP")
-    dim, out_dim = reader.read_u32(2)
-    mean, eigenvalues, basis = reader.read_f64((dim,), (out_dim,), (out_dim, dim))
+    with _reader(path, b"TCLP") as reader:
+        dim, out_dim = reader.read_u32(2)
+        mean, eigenvalues, basis = reader.read_f64((dim,), (out_dim,), (out_dim, dim))
     return PcaModel(mean=mean, basis=basis, eigenvalues=eigenvalues)
 
 
@@ -202,7 +256,7 @@ def write_gmm(path: str | Path, model: GmmModel) -> None:
 
 
 def read_gmm(path: str | Path) -> GmmModel:
-    reader = _Reader(Path(path), b"TCLG")
-    k, d = reader.read_u32(2)
-    weights, means, variances = reader.read_f64((k,), (k, d), (k, d))
+    with _reader(path, b"TCLG") as reader:
+        k, d = reader.read_u32(2)
+        weights, means, variances = reader.read_f64((k,), (k, d), (k, d))
     return GmmModel(weights=weights, means=means, variances=variances)

@@ -154,20 +154,27 @@ def test_unreadable_input_exits_2_naming_it(tiny_corpus, config_path, tmp_path, 
     assert err.startswith("error: ") and str(bad) in err
 
 
-@pytest.mark.parametrize("command", ["extract-features", "run", "make-corpus"])
+WRITING_FIRST = ("extract-features", "run", "make-corpus")  # these fail making a directory in --out
+
+
+@pytest.mark.parametrize("command", [*WRITING_FIRST, *(s.name for s in pipeline.STAGES[1:])])
 def test_out_naming_a_file_exits_2(tiny_corpus, config_path, tmp_path, capsys, command):
     manifest, trials = tiny_corpus
     out = tmp_path / "out"
     out.write_text("a file\n", encoding="utf-8")
     argv = {
-        "extract-features": ["--manifest", manifest, "--config", config_path],
         "run": ["--manifest", manifest, "--trials", trials, "--config", config_path],
         "make-corpus": ["--speakers", 2, "--takes", 2],
-    }[command]
+        "score": ["--manifest", manifest, "--trials", trials, "--config", config_path],
+        "evaluate": ["--config", config_path],
+    }.get(command, ["--manifest", manifest, "--config", config_path])
     code = run_cli(command, *argv, "--out", out)
     err = capsys.readouterr().err
     assert code == 2, err
-    assert err.startswith("error: ") and f"{out}/" in err and "cannot make directory" in err
+    if command in WRITING_FIRST:
+        assert err.startswith("error: ") and f"{out}/" in err and "cannot make directory" in err
+    else:  # a reading stage names --out, not a stage to run first
+        assert err.startswith(f"error: {command}: {out}: --out is not a directory"), err
     assert out.read_text(encoding="utf-8") == "a file\n"
 
 

@@ -524,6 +524,15 @@ def test_init_gmm_equals_mask_based_lloyd_across_row_blocks(monkeypatch, m, row_
     assert_models_equal(init_gmm(x, 16, seed=3), ref_init_gmm(x, 16, seed=3))
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_init_gmm_equals_mask_based_lloyd_on_duplicate_frames(seed):
+    # 3 distinct points x 50 copies: from the third center on, every frame
+    # duplicates a center, so its distance must be exactly 0 for the seeding
+    # to fall back to a uniform pick as the reference does
+    x = np.repeat(np.random.default_rng(37).uniform(-10.0, 10.0, (3, 12)), 50, axis=0)
+    assert_models_equal(init_gmm(x, 5, seed=seed), ref_init_gmm(x, 5, seed=seed))
+
+
 def ref_train_ubm(x, num_components, em_iterations, seed):
     model = ref_init_gmm(x, num_components, seed)
     trace = []

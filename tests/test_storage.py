@@ -3,6 +3,7 @@
 import os
 import stat
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,6 +255,53 @@ def test_network_truncation(tmp_path):
     path.write_bytes(path.read_bytes()[:40])
     with pytest.raises(DataError, match="truncated artifact"):
         read_network(path)
+
+
+def test_network_read_up_to_a_layer_still_checks_the_whole_file(tmp_path):
+    arch = NetworkArch(input_dim=4, hidden_layers=(6, 5), output_heads=(("tcl", 3),))
+    path = tmp_path / "model.tcln"
+    write_network(path, init_network(arch, seed=7))
+    data = path.read_bytes()
+    path.write_bytes(data[:-8])  # cut inside the head, which an L1 read skips
+    with pytest.raises(DataError, match="truncated artifact"):
+        read_network(path, np.float32, "L1")
+    path.write_bytes(data + b"\x00")
+    with pytest.raises(DataError, match="1 trailing bytes"):
+        read_network(path, np.float32, "L1")
+
+
+# --- memory bound of the network artifacts ---
+
+
+def traced_peak_bytes(fn):
+    """(result, peak of the memory traced while ``fn`` runs); numpy reports its buffers."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_network_artifact_io_holds_at_most_one_file_sized_buffer(tmp_path):
+    arch = NetworkArch(input_dim=200, hidden_layers=(512,) * 6, output_heads=(("tcl", 20),))
+    params = init_network(arch, seed=3).astype(np.float32)
+    arrays = params.weights + params.biases + params.head_weights + params.head_biases
+    num_params = sum(a.size for a in arrays)
+    path = tmp_path / "model.tcln"
+    # the float64 file built in place in one buffer, not per-array copies plus their join
+    _, peak = traced_peak_bytes(lambda: write_network(path, params))
+    assert 8 * num_params < path.stat().st_size < peak < 8 * num_params + 64 * 1024
+
+    # extract-bn's read: the layers up to L2, each array decoded to float32 on its own
+    loaded, peak = traced_peak_bytes(lambda: read_network(path, np.float32, "L2"))
+    kept = loaded.weights + loaded.biases
+    assert len(kept) == 4 and not loaded.head_weights and not loaded.head_biases
+    assert all(a.dtype == np.float32 for a in kept)
+    widest = max(a.size for a in arrays)
+    assert peak < sum(a.nbytes for a in kept) + 8 * widest + 64 * 1024 < 8 * num_params
+    for got, want in zip(kept, params.weights[:2] + params.biases[:2]):
+        assert np.array_equal(got, want)
 
 
 # --- PCA ---

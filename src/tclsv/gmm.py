@@ -16,24 +16,22 @@ VARIANCE_FLOOR_FRACTION = 1e-3
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
-# np.exp runs a fast SIMD path only for arguments above about -708; from
-# -708.4 down to its underflow near -745.13 it costs about 100x more per
-# element (numpy 2.4 on an x86-64 Xeon: 1.3 ns against 130-240 ns), and a
-# vector that mixes both ranges drops to the slow path as a whole.  A
-# log-sum-exp term more than 700 below its row's peak is under e^-700 ~ 1e-304
-# of it: even 512 such terms total about 5e-302, far below half an ulp of a
-# row sum that is >= 1 (the peak's own term), so flooring the exponent there
-# leaves every sum unchanged.
+# A log-sum-exp term more than 700 below its row's peak is under
+# e^-700 ~ 1e-304 of it: even 512 such terms total about 5e-302, far below half
+# an ulp of a row sum that is >= 1 (the peak's own term), so flooring the
+# exponent there leaves every sum unchanged and keeps np.exp off its slow path
+# for arguments near its underflow (numpy 2.4 on an x86-64 Xeon: about 100x
+# per element below -708.4).  Such a term's posterior is set to exactly 0.
 _EXP_FLOOR = -700.0
-# np.exp returns exactly 0.0 below about -745.13.
-_EXP_ZERO_BELOW = -745.2
 
 # Most rows per block in UBM training's (frames x components) passes, so that
-# they hold at most one full such matrix.  Every step in a block is row-local,
-# so a row gets the bits of a whole-matrix pass wherever BLAS computes each row
-# of a block GEMM as in the whole GEMM.  OpenBLAS 0.3.31 on x86-64 does for K
-# from 2 to 64 and K = 128, 256, 512 or 1024, but not for K = 255 or 500, say,
-# nor for 1- or 2-row blocks; so _row_blocks splits the rows near-equally.
+# none holds such a matrix whole.  The log-likelihoods and posteriors are
+# row-local, so a row gets the bits of a whole-matrix pass wherever BLAS
+# computes each row of a block GEMM as in the whole GEMM.  OpenBLAS 0.3.31 on
+# x86-64 does for K from 2 to 64 and K = 128, 256, 512 or 1024, but not for
+# K = 255 or 500, say, nor for 1- or 2-row blocks; so _row_blocks splits the
+# rows near-equally.  EM's statistics are summed block by block, so with more
+# than one block they round differently from whole-matrix sums.
 _ROW_BLOCK = 1024
 
 
@@ -60,14 +58,14 @@ class GmmModel:
 
     @cached_property
     def _density_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(1/variances, log w + const, (means/variances)^T)."""
+        """((-0.5/variances)^T, log w + const, (means/variances)^T)."""
         inv_var = 1.0 / self.variances
         const = -0.5 * (
             self.dim * _LOG_2PI
             + np.sum(np.log(self.variances), axis=1)
             + np.sum(self.means**2 * inv_var, axis=1)
         )
-        return inv_var, np.log(self.weights) + const, (self.means * inv_var).T
+        return (-0.5 * inv_var).T, np.log(self.weights) + const, (self.means * inv_var).T
 
 
 @dataclass(frozen=True)
@@ -105,8 +103,9 @@ def variance_term(model: GmmModel, frames) -> np.ndarray:
     variances, so models with equal variances (a UBM and its mean-only MAP
     adaptations) can share it for the same frames.
     """
-    inv_var = model._density_terms[0]
-    return -0.5 * (_as_frames(frames) ** 2) @ inv_var.T
+    # Scaling by -0.5 is exact, so folding it into the operand keeps the bits
+    # of -0.5 * (x^2 @ (1/sigma^2)^T) and saves a pass over the result.
+    return _as_frames(frames) ** 2 @ model._density_terms[0]
 
 
 def _component_log_likelihoods(
@@ -131,36 +130,31 @@ def _component_log_likelihoods(
     return comp
 
 
-def _exp_inplace(a: np.ndarray) -> np.ndarray:
-    """``a[...] = np.exp(a)``, bit for bit, with nearly every element on the fast path.
-
-    ``a`` must be C-contiguous, so that its flat view writes through; other
-    input raises ValueError.  Arguments below ``_EXP_ZERO_BELOW`` give 0.0,
-    only the thin band between it and ``_EXP_FLOOR`` goes through the slow
-    path, and every other argument is clamped into the fast one.  NaN and
-    +-inf come out as np.exp gives them.
-    """
-    if not a.flags.c_contiguous:
-        raise ValueError("_exp_inplace needs a C-contiguous array")
-    flat = a.reshape(-1)
-    low = np.flatnonzero(flat < _EXP_FLOOR)
-    low_vals = flat[low]
-    band = low_vals >= _EXP_ZERO_BELOW
-    low_exp = np.zeros_like(low_vals)
-    low_exp[band] = np.exp(low_vals[band])
-    np.maximum(a, _EXP_FLOOR, out=a)
-    np.exp(a, out=a)
-    flat[low] = low_exp
-    return a
-
-
 def _row_logsumexp(comp: np.ndarray) -> np.ndarray:
-    """Stable log-sum-exp over components, shape (frames, 1)."""
+    """Stable log-sum-exp over components, shape (frames, 1); overwrites ``comp``."""
     peak = comp.max(axis=1, keepdims=True)
-    terms = comp - peak
-    np.maximum(terms, _EXP_FLOOR, out=terms)
-    np.exp(terms, out=terms)
-    return peak + np.log(terms.sum(axis=1, keepdims=True))
+    comp -= peak
+    np.maximum(comp, _EXP_FLOOR, out=comp)
+    np.exp(comp, out=comp)
+    return peak + np.log(comp.sum(axis=1, keepdims=True))
+
+
+def _posteriors_inplace(comp: np.ndarray) -> np.ndarray:
+    """Turn component log-likelihoods into posteriors in place, with one exp each.
+
+    A row's posteriors are exp(c - peak) / sum exp(c - peak), with those
+    where c - peak < ``_EXP_FLOOR`` set to 0; the sum floors their exponents
+    as ``_row_logsumexp`` does.  Returns ``_row_logsumexp`` of the input.
+    """
+    peak = comp.max(axis=1, keepdims=True)
+    comp -= peak
+    near = comp >= _EXP_FLOOR
+    np.maximum(comp, _EXP_FLOOR, out=comp)
+    np.exp(comp, out=comp)
+    total = comp.sum(axis=1, keepdims=True)
+    comp *= near  # exact (times 1 or 0), and about half the cost of comp[~near] = 0
+    comp /= total
+    return peak + np.log(total)
 
 
 def _row_blocks(m: int) -> list[slice]:
@@ -198,12 +192,11 @@ def log_likelihood(model: GmmModel, frame) -> float:
 def responsibilities(model: GmmModel, frames, var_term: np.ndarray | None = None) -> np.ndarray:
     """Posterior component probabilities per frame; rows sum to 1.
 
-    ``var_term`` is as for ``log_likelihoods``.
+    A posterior whose log-likelihood lies more than 700 below its row's peak
+    is 0.  ``var_term`` is as for ``log_likelihoods``.
     """
-    comp = _component_log_likelihoods(model, _as_frames(frames), var_term)
-    comp -= comp.max(axis=1, keepdims=True)
-    post = _exp_inplace(comp)
-    post /= post.sum(axis=1, keepdims=True)
+    post = _component_log_likelihoods(model, _as_frames(frames), var_term)
+    _posteriors_inplace(post)
     return post
 
 
@@ -281,34 +274,40 @@ def init_gmm(data, num_components: int, seed: int = 0) -> GmmModel:
 def em_step(model: GmmModel, data) -> tuple[GmmModel, float]:
     """One EM update; returns the new model and the pre-update total log-likelihood.
 
-    The responsibilities are the only (frames x components) matrix held
-    whole; they are built one row block at a time.
+    The posteriors are built and summed one row block at a time in one
+    block-sized buffer, so no (frames x components) matrix is held whole.
     """
     x = _as_frames(data)
-    if x.shape[0] == 0:
+    m = x.shape[0]
+    if m == 0:
         raise DataError("em_step needs at least one frame")
-    resp = np.empty((x.shape[0], model.num_components))
-    log_norm = np.empty((x.shape[0], 1))
-    for rows in _row_blocks(x.shape[0]):
-        comp = _component_log_likelihoods(model, x[rows], out=resp[rows])
-        log_norm[rows] = _row_logsumexp(comp)
-        comp -= log_norm[rows]
-        _exp_inplace(comp)
+    x_sq = x**2
+    log_norm = np.empty((m, 1))
+    occupancy = np.zeros(model.num_components)
+    sum_x = np.zeros(model.means.shape)
+    sum_x_sq = np.zeros(model.means.shape)
+    buf = np.empty((min(m, _ROW_BLOCK), model.num_components))
+    for rows in _row_blocks(m):
+        post = _component_log_likelihoods(model, x[rows], out=buf[: rows.stop - rows.start])
+        log_norm[rows] = _posteriors_inplace(post)
+        occupancy += post.sum(axis=0)
+        sum_x += post.T @ x[rows]
+        sum_x_sq += post.T @ x_sq[rows]
     total_ll = float(log_norm.sum())
 
-    occupancy = resp.sum(axis=0)
-    safe = np.maximum(occupancy, 1e-300)
-    new_means = (resp.T @ x) / safe[:, None]
-    new_vars = (resp.T @ (x**2)) / safe[:, None] - new_means**2
+    # A component with no posterior mass keeps its mean and variance; any
+    # positive occupancy, however small, is divided by.
+    empty = occupancy == 0
+    divisor = np.where(empty, 1.0, occupancy)[:, None]
+    new_means = sum_x / divisor
+    new_vars = sum_x_sq / divisor - new_means**2
 
     floor = VARIANCE_FLOOR_FRACTION * x.var(axis=0)
     new_vars = np.maximum(new_vars, np.maximum(floor, 1e-12))
 
-    empty = occupancy <= 0
-    if np.any(empty):
-        new_means[empty] = model.means[empty]
-        new_vars[empty] = model.variances[empty]
-    new_weights = occupancy / x.shape[0]
+    new_means[empty] = model.means[empty]
+    new_vars[empty] = model.variances[empty]
+    new_weights = occupancy / m
     return GmmModel(weights=new_weights, means=new_means, variances=new_vars), total_ll
 
 

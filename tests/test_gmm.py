@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tclsv import blas, gmm
 
@@ -17,7 +19,7 @@ from tclsv.gmm import (
     VARIANCE_FLOOR_FRACTION,
     BackendConfig,
     GmmModel,
-    _exp_inplace,
+    _posteriors_inplace,
     _row_blocks,
     _row_logsumexp,
     em_step,
@@ -197,6 +199,24 @@ def test_em_applies_variance_floor():
     assert np.all(updated.variances >= floor - 1e-12)
 
 
+def test_em_step_divides_by_a_tiny_positive_occupancy():
+    # Component 1 sits 37.35 sigma from frames spread over [-0.05, 0.05]: its
+    # log-posteriors all lie between -700 and -690 of their rows' peaks, so its
+    # posteriors are positive but its occupancy is below 1e-300.  It must move
+    # to the posterior-weighted mean of the frames, not toward the origin.
+    x = np.linspace(-0.05, 0.05, 20)[:, None]
+    start = GmmModel(
+        weights=np.array([0.5, 0.5]), means=np.array([[0.0], [37.35]]), variances=np.ones((2, 1))
+    )
+    comp = ref_component_log_likelihoods(start, x)
+    shifted = comp - comp.max(axis=1, keepdims=True)
+    assert np.all((-700.0 < shifted[:, 1]) & (shifted[:, 1] < -690.0))
+    post = ref_posteriors(comp)[:, 1]
+    assert 0.0 < post.sum() < 1e-300
+    updated, _ = em_step(start, x)
+    np.testing.assert_allclose(updated.means[1], (post @ x) / post.sum(), rtol=1e-12)
+
+
 def test_em_step_rejects_empty_data():
     model = GmmModel(weights=np.array([1.0]), means=np.zeros((1, 2)), variances=np.ones((1, 2)))
     with pytest.raises(DataError):
@@ -310,10 +330,11 @@ def test_all_likelihoods_finite_with_floored_variances():
 
 # --- bitwise equality with the plain formulas ---
 #
-# The kernels keep every np.exp call on numpy's fast path, cache each model's
-# frame-independent terms and refine k-means with sorted slices.  Each of these
-# is meant to leave every value bit for bit unchanged, so each is compared with
-# a verbatim copy of the formula it replaced.
+# The kernels floor np.exp's arguments to keep it on numpy's fast path, cache
+# each model's frame-independent terms and refine k-means with sorted slices.
+# Each of these is meant to leave every value bit for bit unchanged, so each is
+# compared with a plain copy of its formula.  The posteriors are defined as
+# the plain formula with every entry more than 700 below its row's peak zeroed.
 
 
 def ref_component_log_likelihoods(model, x):
@@ -332,31 +353,35 @@ def ref_row_logsumexp(comp):
     return peak + np.log(np.exp(comp - peak).sum(axis=1, keepdims=True))
 
 
+def ref_posteriors(comp):
+    """exp(c - peak) / sum exp(c - peak), zeroed where c - peak < -700."""
+    shifted = comp - comp.max(axis=1, keepdims=True)
+    post = np.exp(shifted)
+    post /= post.sum(axis=1, keepdims=True)
+    post[shifted < -700.0] = 0.0
+    return post
+
+
 def ref_responsibilities(model, x):
-    comp = ref_component_log_likelihoods(model, x)
-    comp -= comp.max(axis=1, keepdims=True)
-    post = np.exp(comp)
-    return post / post.sum(axis=1, keepdims=True)
+    return ref_posteriors(ref_component_log_likelihoods(model, x))
 
 
 def ref_em_step(model, x):
     comp = ref_component_log_likelihoods(model, x)
-    log_norm = ref_row_logsumexp(comp)
-    total_ll = float(log_norm.sum())
-    resp = np.exp(comp - log_norm)
+    total_ll = float(ref_row_logsumexp(comp).sum())
+    resp = ref_posteriors(comp)
 
     occupancy = resp.sum(axis=0)
-    safe = np.maximum(occupancy, 1e-300)
-    new_means = (resp.T @ x) / safe[:, None]
-    new_vars = (resp.T @ (x**2)) / safe[:, None] - new_means**2
+    empty = occupancy == 0
+    divisor = np.where(empty, 1.0, occupancy)[:, None]
+    new_means = (resp.T @ x) / divisor
+    new_vars = (resp.T @ (x**2)) / divisor - new_means**2
 
     floor = VARIANCE_FLOOR_FRACTION * x.var(axis=0)
     new_vars = np.maximum(new_vars, np.maximum(floor, 1e-12))
 
-    empty = occupancy <= 0
-    if np.any(empty):
-        new_means[empty] = model.means[empty]
-        new_vars[empty] = model.variances[empty]
+    new_means[empty] = model.means[empty]
+    new_vars[empty] = model.variances[empty]
     new_weights = occupancy / x.shape[0]
     return GmmModel(weights=new_weights, means=new_means, variances=new_vars), total_ll
 
@@ -397,10 +422,13 @@ def ref_init_gmm(x, num_components, seed):
     return GmmModel(weights=weights, means=centers, variances=variances)
 
 
-def assert_models_equal(a, b):
-    assert np.array_equal(a.weights, b.weights)
-    assert np.array_equal(a.means, b.means)
-    assert np.array_equal(a.variances, b.variances)
+def assert_models_equal(a, b, rtol=0.0):
+    """Bitwise equal parameters, or equal to within ``rtol`` when it is given."""
+    for got, want in ((a.weights, b.weights), (a.means, b.means), (a.variances, b.variances)):
+        if rtol:
+            np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
+        else:
+            assert np.array_equal(got, want)
 
 
 def spread_model(seed, zero_weight):
@@ -417,23 +445,30 @@ def spread_model(seed, zero_weight):
     )
 
 
-def test_exp_inplace_equals_np_exp():
-    special = [-700.0, -708.4, -745.13, -745.2, -745.1332, np.nextafter(-700.0, 0.0),
-               np.nextafter(-700.0, -np.inf), np.nextafter(-745.2, 0.0), -1e300,
-               -0.0, 0.0, -np.inf, np.inf, np.nan]
-    grid = np.concatenate([np.linspace(-800.0, 0.0, 160_001), special])
-    got = _exp_inplace(grid.copy())
-    assert np.array_equal(got, np.exp(grid), equal_nan=True)
-    block = grid[:160_000].reshape(400, 400)[:, ::-1].copy()
-    assert np.array_equal(_exp_inplace(block.copy()), np.exp(block))
-
-
-def test_exp_inplace_rejects_non_contiguous_input():
-    a = np.array([[-1.0, -800.0], [-740.0, -2.0], [-3.0, -709.0]])
-    for view in (a.T, a[:, 1], a[::2]):
-        with pytest.raises(ValueError):
-            _exp_inplace(view)
-    assert np.array_equal(a, [[-1.0, -800.0], [-740.0, -2.0], [-3.0, -709.0]])
+@settings(deadline=None, max_examples=80)
+@given(
+    rows=st.integers(min_value=1, max_value=12),
+    k=st.integers(min_value=3, max_value=64),
+    spread=st.floats(min_value=1500.0, max_value=5000.0),
+    edge=st.floats(min_value=-710.0, max_value=-690.0),
+    zero_weight=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_posteriors_equal_zeroed_plain_formula(rows, k, spread, edge, zero_weight, seed):
+    rng = np.random.default_rng(seed)
+    comp = rng.uniform(-spread, 0.0, (rows, k)) + rng.uniform(-500.0, 500.0, (rows, 1))
+    comp[:, 0] = comp.max(axis=1) + 1.0  # the peak
+    comp[:, 1] = comp[:, 0] - spread  # every row spans more than 1,500 nats
+    comp[:, 2] = comp[:, 0] + edge  # near the cut at -700
+    if zero_weight:
+        comp[::2, k - 1] = -np.inf
+    shifted = comp - comp.max(axis=1, keepdims=True)
+    post = comp.copy()
+    log_norm = _posteriors_inplace(post)
+    assert np.array_equal(post, ref_posteriors(comp))
+    assert np.array_equal(post == 0.0, shifted < -700.0)
+    np.testing.assert_allclose(post.sum(axis=1), 1.0, rtol=0.0, atol=k * 2.0**-52)
+    assert np.array_equal(log_norm, ref_row_logsumexp(comp))
 
 
 def test_row_logsumexp_equals_plain_formula():
@@ -445,7 +480,7 @@ def test_row_logsumexp_equals_plain_formula():
     ) + rng.uniform(-500.0, 500.0, (300, 1))
     comp[::7, 3] = -np.inf  # a zero-weight component
     assert np.ptp(comp[:, 4:], axis=1).min() > 745
-    assert np.array_equal(_row_logsumexp(comp), ref_row_logsumexp(comp))
+    assert np.array_equal(_row_logsumexp(comp.copy()), ref_row_logsumexp(comp))
 
 
 @pytest.mark.filterwarnings("ignore:divide by zero encountered in log")
@@ -460,12 +495,14 @@ def test_log_likelihoods_equal_plain_formula(zero_weight):
     assert np.array_equal(responsibilities(model, x), ref_responsibilities(model, x))
 
 
-def check_em_step_equals_plain_formula_on_far_apart_clusters(n_per):
+def check_em_step_equals_plain_formula_on_far_apart_clusters(n_per, rtol=0.0):
+    """Three EM steps against ``ref_em_step``: bitwise, or within ``rtol``
+    after the first step's log-likelihood when it is given."""
     rng = np.random.default_rng(33)
     x = np.vstack([rng.normal(0.0, 1.0, (n_per, 2)), rng.normal(0.0, 1.0, (n_per, 2)) + [60.0, 0.0]])
     # One component per cluster, one 38 sigma beyond the nearest frame (all
-    # its log-responsibilities lie in or below exp's slow band) and one so far
-    # away that they all underflow to 0, leaving it empty.
+    # its log-posteriors lie in exp's slow band, below -700, so its posteriors
+    # are 0) and one so far away that exp underflows there; both end up empty.
     start = GmmModel(
         weights=np.full(4, 0.25),
         means=np.array([[0.0, 0.0], [60.0, 0.0], [0.0, x[:, 1].max() + 38.0], [0.0, -80.0]]),
@@ -476,13 +513,16 @@ def check_em_step_equals_plain_formula_on_far_apart_clusters(n_per):
     assert -745.2 <= log_resp[:, 2].max() < -708.0
     ours, ref = start, start
     below = []
-    for _ in range(3):
+    for step in range(3):
         comp = ref_component_log_likelihoods(ref, x)
         below.append(np.mean(comp - ref_row_logsumexp(comp) < -708.0))
         ours, ll = em_step(ours, x)
         ref, ref_ll = ref_em_step(ref, x)
-        assert ll == ref_ll
-        assert_models_equal(ours, ref)
+        if rtol and step > 0:
+            assert ll == pytest.approx(ref_ll, rel=rtol, abs=0.0)
+        else:
+            assert ll == ref_ll
+        assert_models_equal(ours, ref, rtol)
     assert min(below) > 0.05
     assert np.array_equal(responsibilities(start, x), ref_responsibilities(start, x))
 
@@ -493,16 +533,20 @@ def test_em_step_equals_plain_formula_on_far_apart_clusters():
 
 
 # UBM training runs its (frames x components) passes in row blocks; each row
-# must still get the bits of the whole-matrix formulas.  ``row_block`` None
-# keeps the real block size (2,500 rows span three blocks); a small one makes
-# many boundaries on few rows.
+# still gets the bits of the whole-matrix formulas, but EM sums its statistics
+# block by block, so with more than one block they may round differently.
+# The tolerances are the tightest of 1, 2 and 5 times a power of ten that pass
+# (measured drift, relative: 1.1e-11 on variances, where Σγx²/Σγ - mean²
+# cancels, 2.8e-15 on means, 5.1e-14 on later log-likelihoods; the weights
+# were exact).  ``row_block`` None keeps the real block size (2,500 rows span
+# three blocks); a small one makes many boundaries on few rows.
 @pytest.mark.filterwarnings("ignore:divide by zero encountered in log")
 @pytest.mark.parametrize("n_per, row_block", [(1250, None), (500, 64)])
 def test_em_step_equals_plain_formula_across_row_blocks(monkeypatch, n_per, row_block):
     if row_block:
         monkeypatch.setattr(gmm, "_ROW_BLOCK", row_block)
     assert len(_row_blocks(2 * n_per)) > 1
-    check_em_step_equals_plain_formula_on_far_apart_clusters(n_per)
+    check_em_step_equals_plain_formula_on_far_apart_clusters(n_per, rtol=2e-11)
 
 
 def cluster_frames(m):
@@ -543,15 +587,22 @@ def ref_train_ubm(x, num_components, em_iterations, seed):
     return model, trace
 
 
+# 1,000 rows are one block and keep every bit; 2,500 rows are several, and the
+# models and later log-likelihoods drift by at most 4.4e-13 (relative).
 @pytest.mark.parametrize("m, row_block", [(1000, None), (2500, None), (2500, 100)])
 def test_train_ubm_equals_whole_matrix_reference(monkeypatch, m, row_block):
     if row_block:
         monkeypatch.setattr(gmm, "_ROW_BLOCK", row_block)
+    rtol = 1e-12 if len(_row_blocks(m)) > 1 else 0.0
     x = cluster_frames(m)
     model, trace = train_ubm(x, 16, em_iterations=4, seed=3)
     ref_model, ref_trace = ref_train_ubm(x, 16, 4, seed=3)
-    assert np.array_equal(trace, ref_trace)
-    assert_models_equal(model, ref_model)
+    assert trace[0] == ref_trace[0]
+    if rtol:
+        np.testing.assert_allclose(trace, ref_trace, rtol=rtol, atol=0.0)
+    else:
+        assert np.array_equal(trace, ref_trace)
+    assert_models_equal(model, ref_model, rtol)
 
 
 @pytest.mark.parametrize("m", [1, 2, 1023, 1024, 1025, 1026, 2048, 2049, 7863])
@@ -619,15 +670,15 @@ def traced_peak_bytes(fn) -> int:
         tracemalloc.stop()
 
 
-def test_ubm_training_holds_at_most_one_frames_by_components_matrix():
+def test_ubm_training_holds_no_frames_by_components_matrix():
     m, dim, k = 4096, 8, 256
     rng = np.random.default_rng(41)
     x = rng.standard_normal((m, dim)) + rng.integers(0, 20, (m, 1))
     model = init_gmm(x[:1024], k, seed=1)
     full, block, frames_copy = m * k * 8, gmm._ROW_BLOCK * k * 8, m * dim * 8
     assert block * 4 == full
-    # em_step: the responsibilities, one block's temporaries, x**2 and the like
-    assert traced_peak_bytes(lambda: em_step(model, x)) < full + block + 2 * frames_copy
+    # em_step: the posterior block, one block's temporaries, x**2 and the like
+    assert traced_peak_bytes(lambda: em_step(model, x)) < 3 * block + 3 * frames_copy
     # init_gmm: one block of distances plus (frames x dim) copies
     assert traced_peak_bytes(lambda: init_gmm(x, k, seed=1)) < block + 6 * frames_copy
 

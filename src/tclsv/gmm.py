@@ -41,7 +41,8 @@ class GmmModel:
 
     The frame-independent terms of the log density are computed on first use
     and cached on the instance, so a model's arrays must not be mutated after
-    it has been used.
+    it has been used.  The variance term's factor is cached apart from the
+    rest, so a model whose variance term is always passed in never builds it.
     """
 
     weights: np.ndarray
@@ -57,15 +58,20 @@ class GmmModel:
         return self.means.shape[1]
 
     @cached_property
-    def _density_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """((-0.5/variances)^T, log w + const, (means/variances)^T)."""
+    def _variance_factor(self) -> np.ndarray:
+        """(-0.5/variances)^T, read by ``variance_term`` alone."""
+        return (-0.5 * (1.0 / self.variances)).T
+
+    @cached_property
+    def _mean_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(log w + const, (means/variances)^T)."""
         inv_var = 1.0 / self.variances
         const = -0.5 * (
             self.dim * _LOG_2PI
             + np.sum(np.log(self.variances), axis=1)
             + np.sum(self.means**2 * inv_var, axis=1)
         )
-        return (-0.5 * inv_var).T, np.log(self.weights) + const, (self.means * inv_var).T
+        return np.log(self.weights) + const, (self.means * inv_var).T
 
 
 @dataclass(frozen=True)
@@ -105,7 +111,7 @@ def variance_term(model: GmmModel, frames) -> np.ndarray:
     """
     # Scaling by -0.5 is exact, so folding it into the operand keeps the bits
     # of -0.5 * (x^2 @ (1/sigma^2)^T) and saves a pass over the result.
-    return _as_frames(frames) ** 2 @ model._density_terms[0]
+    return _as_frames(frames) ** 2 @ model._variance_factor
 
 
 def _component_log_likelihoods(
@@ -121,7 +127,7 @@ def _component_log_likelihoods(
     ``variance_term(model, x)``, computed here when not given.  The result is
     written into ``out`` when given.
     """
-    _, offset, scaled_means = model._density_terms
+    offset, scaled_means = model._mean_terms
     if var_term is None:
         var_term = variance_term(model, x)
     comp = np.matmul(x, scaled_means, out=out)

@@ -7,6 +7,7 @@ combines the per-head cross-entropies with fixed weights.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,17 +55,6 @@ class NetworkParams:
     head_weights: list[np.ndarray]
     head_biases: list[np.ndarray]
     rng_seed: int = 0
-
-    def astype(self, dtype) -> NetworkParams:
-        """The same parameters in ``dtype``; arrays already in it are shared, not copied."""
-
-        def cast(arrays: list[np.ndarray]) -> list[np.ndarray]:
-            return [a.astype(dtype, copy=False) for a in arrays]
-
-        return NetworkParams(
-            self.arch, cast(self.weights), cast(self.biases),
-            cast(self.head_weights), cast(self.head_biases), self.rng_seed,
-        )
 
 
 DNN_TARGETS = ("tcl", "speaker", "speaker+phrase")
@@ -189,24 +179,29 @@ def context_windows(
     return ContextWindows(np.concatenate(frames), np.concatenate(index))
 
 
-def init_network(arch: NetworkArch, seed: int = 0) -> NetworkParams:
-    """Uniform +/- sqrt(6 / (fan_in + fan_out)) weights, zero biases."""
+def init_network(arch: NetworkArch, seed: int = 0, dtype=np.float64) -> NetworkParams:
+    """Uniform +/- sqrt(6 / (fan_in + fan_out)) weights, zero biases, in ``dtype``.
+
+    Each weight matrix is drawn in float64 and cast as soon as it is drawn,
+    so every dtype gets the same draws, rounded, and only one float64 matrix
+    is held at a time.
+    """
     rng = np.random.default_rng(seed)
 
     def draw(fan_in: int, fan_out: int) -> np.ndarray:
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+        return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype, copy=False)
 
     weights, biases = [], []
     prev = arch.input_dim
     for width in arch.hidden_layers:
         weights.append(draw(prev, width))
-        biases.append(np.zeros(width))
+        biases.append(np.zeros(width, dtype))
         prev = width
     head_weights, head_biases = [], []
     for _, num_classes in arch.output_heads:
         head_weights.append(draw(prev, num_classes))
-        head_biases.append(np.zeros(num_classes))
+        head_biases.append(np.zeros(num_classes, dtype))
     return NetworkParams(arch, weights, biases, head_weights, head_biases, rng_seed=seed)
 
 
@@ -217,14 +212,16 @@ def _as_float(inputs) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """The logistic function of ``z``, written over ``z``."""
     # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, without overflow.
     # With e = e^-|z| <= 1, max(e, z >= 0) is the numerator of both branches,
     # with no per-element branch on the sign of z.
     e = np.abs(z)
     np.exp(np.negative(e, out=e), out=e)
-    d = 1.0 + e
-    np.maximum(e, z >= 0, out=e)
-    return np.divide(e, d, out=d)
+    positive = z >= 0
+    np.add(e, 1.0, out=z)
+    np.maximum(e, positive, out=e)
+    return np.divide(e, z, out=z)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -281,39 +278,52 @@ def _loss_from_log(fp: ForwardPass, labels: list[np.ndarray]) -> float:
     return _mean_loss(_picked_log_posteriors(fp, labels))
 
 
-def backward(params: NetworkParams, batch: LabeledDataset) -> Gradients:
-    """Gradients for one batch of the cross-entropy loss, the heads weighted equally."""
-    arch = params.arch
-    x = _as_float(batch.inputs)
-    fp = forward(params, x)
+def _backprop(
+    params: NetworkParams, x: np.ndarray, fp: ForwardPass, labels: list[np.ndarray]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(parameter array, its gradient) for every array of ``params``, heads first.
+
+    ``fp`` is ``forward(params, x)``.  The delta passed down through a layer
+    is computed before that layer's gradients are yielded, so the consumer
+    may update the layer in place on receipt.  The heads are weighted equally.
+    """
     m = x.shape[0]
     last = fp.hidden[-1] if fp.hidden else x
-
-    labels = [batch.labels[name] for name, _ in arch.output_heads]
-    picked = _picked_log_posteriors(fp, labels)
-
-    g_head_w, g_head_b = [], []
     delta_into_hidden = np.zeros_like(last)
     for h, y in enumerate(labels):
         post = np.exp(fp.head_log_posteriors[h])
         post[np.arange(m), y] -= 1.0
         delta = post * ((1.0 / len(labels)) / m)
-        g_head_w.append(last.T @ delta)
-        g_head_b.append(delta.sum(axis=0))
         delta_into_hidden += delta @ params.head_weights[h].T
+        yield params.head_weights[h], last.T @ delta
+        yield params.head_biases[h], delta.sum(axis=0)
 
-    g_w = [None] * len(params.weights)
-    g_b = [None] * len(params.biases)
     delta = delta_into_hidden
     for layer in range(len(params.weights) - 1, -1, -1):
         a = fp.hidden[layer]
         delta = delta * a * (1.0 - a)
         below = fp.hidden[layer - 1] if layer > 0 else x
-        g_w[layer] = below.T @ delta
-        g_b[layer] = delta.sum(axis=0)
-        if layer > 0:  # no gradient flows into the inputs
-            delta = delta @ params.weights[layer].T
-    return Gradients(g_w, g_b, g_head_w, g_head_b, picked)
+        # no gradient flows into the inputs
+        down = delta @ params.weights[layer].T if layer > 0 else None
+        yield params.weights[layer], below.T @ delta
+        yield params.biases[layer], delta.sum(axis=0)
+        delta = down
+
+
+def backward(params: NetworkParams, batch: LabeledDataset) -> Gradients:
+    """Gradients for one batch of the cross-entropy loss, the heads weighted equally."""
+    x = _as_float(batch.inputs)
+    fp = forward(params, x)
+    labels = [batch.labels[name] for name, _ in params.arch.output_heads]
+    grads = {id(p): g for p, g in _backprop(params, x, fp, labels)}
+
+    def of(arrays: list[np.ndarray]) -> list[np.ndarray]:
+        return [grads[id(a)] for a in arrays]
+
+    return Gradients(
+        of(params.weights), of(params.biases), of(params.head_weights), of(params.head_biases),
+        _picked_log_posteriors(fp, labels),
+    )
 
 
 def train(
@@ -330,8 +340,8 @@ def train(
     before the minibatch's update.  It costs no forward pass beyond the ones
     SGD makes.  Minibatch order is drawn from ``config.shuffle_seed``,
     parameter initialization from ``config.init_seed`` (``None`` reads as 0);
-    reruns are bit-identical.  The parameters are cast to the inputs' dtype,
-    so float32 inputs train in float32.
+    reruns are bit-identical.  The parameters are initialized in the inputs'
+    dtype, so float32 inputs train in float32.
     """
     if dataset.num_rows == 0:
         raise DataError("training dataset is empty")
@@ -339,7 +349,7 @@ def train(
         if name not in dataset.labels:
             raise DataError(f"dataset has no labels for head {name!r}")
 
-    params = init_network(arch, config.init_seed or 0).astype(_as_float(dataset.inputs[:1]).dtype)
+    params = init_network(arch, config.init_seed or 0, _as_float(dataset.inputs[:1]).dtype)
     n, step = dataset.num_rows, config.minibatch_size
     # Indexed by dataset row, not by shuffled position, so the epoch's mean is
     # taken in the same order as one full-batch pass would take it.
@@ -351,19 +361,17 @@ def train(
         order = rng.permutation(n)
         for start in range(0, n, step):
             sel = order[start : start + step]
-            batch = LabeledDataset(
-                inputs=dataset.inputs[sel],
-                labels={name: vec[sel] for name, vec in dataset.labels.items()},
-            )
-            grads = backward(params, batch)
-            for vec, part in zip(picked, grads.picked_log_posteriors):
+            x = _as_float(dataset.inputs[sel])
+            labels = [dataset.labels[name][sel] for name, _ in arch.output_heads]
+            fp = forward(params, x)
+            for vec, part in zip(picked, _picked_log_posteriors(fp, labels)):
                 vec[sel] = part
-            for p, g in zip(
-                params.weights + params.biases + params.head_weights + params.head_biases,
-                grads.weights + grads.biases + grads.head_weights + grads.head_biases,
-            ):
+            # each array is updated as soon as its gradient exists, so at most
+            # one weight gradient is held at a time
+            for p, g in _backprop(params, x, fp, labels):
                 g *= lr
                 p -= g
+            del fp  # not held while the next minibatch's forward pass runs
         trace.append(_mean_loss(picked))
     return params, trace
 
@@ -381,5 +389,6 @@ def extract_deep_features(
         raise DataError(f"input dim {x.shape[1]}, network expects {params.arch.input_dim}")
     a = x
     for W, b in zip(params.weights[: idx + 1], params.biases[: idx + 1]):
-        a = _sigmoid(_affine(a, W, b))
+        a = _affine(a, W, b)  # the layer below is freed before the sigmoid runs
+        _sigmoid(a)
     return a

@@ -27,29 +27,43 @@ class PcaModel:
         return self.basis.shape[0]
 
 
-def fit_pca(deep_features: np.ndarray, out_dim: int, *, center_in_place: bool = False) -> PcaModel:
+def fit_pca(deep_features, out_dim: int) -> PcaModel:
     """Eigendecomposition of the pooled covariance (population convention).
 
     Eigenvector signs are fixed so each row's largest-magnitude entry is
     positive.  If fewer than ``out_dim`` eigenvalues are positive, the basis
     is padded with zero rows and a :class:`RankDeficientWarning` is issued.
 
-    With ``center_in_place`` the input, which must then be a float64 array,
-    is centred in place instead of copied: afterwards it holds ``x - mean``,
-    the same bits ``project`` subtracts, so ``centred @ basis.T`` equals
-    ``project(model, x)``.
+    The input is left as it is: the covariance is taken from a centred copy.
+    This is ``fit_covariance(*covariance(copy, out_dim), out_dim)``; a caller
+    that can give up its own float64 matrix calls the two itself and frees
+    the matrix between them, before the eigendecomposition's workspace,
+    which is about as large, is allocated.
     """
-    x = np.asarray(deep_features, dtype=np.float64)
-    if center_in_place and x is not deep_features:
-        raise DataError("center_in_place needs a float64 array to overwrite")
-    if x.ndim != 2:
+    x = np.array(deep_features, dtype=np.float64)
+    return fit_covariance(*covariance(x, out_dim), out_dim)
+
+
+def covariance(pooled: np.ndarray, out_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, population covariance) of the rows of ``pooled``, a float64 matrix.
+
+    ``pooled`` is centred in place: afterwards it holds ``x - mean``.  It
+    needs more than ``out_dim`` rows to give ``out_dim`` components.
+    """
+    if pooled.ndim != 2:
         raise DataError("fit_pca expects a 2-D matrix of pooled frames")
-    m, dim = x.shape
+    m = pooled.shape[0]
     if m <= out_dim:
         raise DataError(f"need more than {out_dim} rows to fit PCA, got {m}")
-    mean = x.mean(axis=0)
-    centered = np.subtract(x, mean, out=x if center_in_place else None)
-    cov = centered.T @ centered / m
+    mean = pooled.mean(axis=0)
+    pooled -= mean
+    cov = pooled.T @ pooled
+    cov /= m
+    return mean, cov
+
+
+def fit_covariance(mean: np.ndarray, cov: np.ndarray, out_dim: int) -> PcaModel:
+    """The PCA model of ``covariance``'s (mean, covariance), as :func:`fit_pca` describes it."""
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1][:out_dim]
     eigvals = eigvals[order]

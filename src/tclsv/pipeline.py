@@ -377,9 +377,11 @@ def run_extract_bn(manifest_path, config: ExperimentConfig, out_dir: Path) -> pc
 
     The projection is fitted on the pooled normalized frames of the
     ``bn.fit_split`` utterances, then applied to every utterance except the
-    dnn-train split, which no later stage reads.  Non-finite network outputs
-    raise DataError naming the utterance before the PCA fit sees them and
-    before that utterance's archive is written.
+    dnn-train split, which no later stage reads.  The pooled matrix is freed
+    before the eigendecomposition, so the fit split goes through the network
+    a second time to be projected like every other utterance, with the same
+    bits.  Non-finite network outputs raise DataError naming the utterance
+    before the PCA fit sees them and before any archive is written.
     """
     params = storage.read_network(_require(out_dir / "dnn" / "model.tcln"), np.float32, config.bn.layer)
     skip = () if config.bn.fit_split == "dnn-train" else ("dnn-train",)  # no later stage reads it
@@ -393,22 +395,15 @@ def run_extract_bn(manifest_path, config: ExperimentConfig, out_dir: Path) -> pc
     pooled = np.empty((offsets[-1], width))
     for i, (_, deep) in enumerate(_normalized_deep_features(params, fit_entries, config, out_dir)):
         pooled[offsets[i] : offsets[i + 1]] = deep
-    projection = pca.fit_pca(pooled, config.bn.pca_dim, center_in_place=True)
+    mean, cov = pca.covariance(pooled, config.bn.pca_dim)
+    del pooled  # eigh's workspace is about as large
+    projection = pca.fit_covariance(mean, cov, config.bn.pca_dim)
 
     bn_dir = storage.make_dir(out_dir / "bn")
     storage.write_pca(bn_dir / "pca.tclp", projection)
-
-    def write(entry: ManifestEntry, bn: np.ndarray) -> None:
-        storage.write_feature_archive(bn_dir / f"{entry.utterance_id}.tclf", bn)
-
-    if config.bn.fit_split != "dnn-train":
-        # pooled now holds x - mean, so this is project()'s (x - mean) @ basis.T
-        for i, entry in enumerate(fit_entries):
-            write(entry, pooled[offsets[i] : offsets[i + 1]] @ projection.basis.T)
-    del pooled
-    rest = [e for e in entries if e.split != config.bn.fit_split]
-    for entry, deep in _normalized_deep_features(params, rest, config, out_dir):
-        write(entry, pca.project(projection, deep))
+    kept = [e for e in entries if e.split != "dnn-train"]
+    for entry, deep in _normalized_deep_features(params, kept, config, out_dir):
+        storage.write_feature_archive(bn_dir / f"{entry.utterance_id}.tclf", pca.project(projection, deep))
     return projection
 
 
@@ -517,7 +512,9 @@ def run_score(manifest_path, config: ExperimentConfig, out_dir: Path, trials_pat
                     raise DataError(
                         f"{model_path}: weights or variances differ from {ubm_path}; run enroll again"
                     )
-                model_cache[model_id] = model
+                # on the UBM's own arrays, so a cached model holds only its
+                # means and their terms
+                model_cache[model_id] = gmm.GmmModel(ubm.weights, model.means, ubm.variances)
             # the same arithmetic as gmm.score_llr, with the UBM terms reused
             ll = gmm.log_likelihoods(model_cache[model_id], x, var_term)
             scores[i] = float(np.mean(ll - ubm_ll))

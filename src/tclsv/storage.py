@@ -30,11 +30,13 @@ from .pca import PcaModel
 FORMAT_VERSION = 1
 
 
-def atomic_write_bytes(path: str | Path, data: bytes | bytearray) -> None:
-    """Write to a temp file in the destination directory, then rename.
+@contextmanager
+def _atomic_file(path: str | Path) -> Iterator[BinaryIO]:
+    """A temp file in the destination directory, renamed to ``path`` once the block succeeds.
 
     The file gets the mode a plain ``open`` would give it (0o666 less the
-    umask), not the owner-only mode of ``mkstemp``.
+    umask), not the owner-only mode of ``mkstemp``.  If the block raises,
+    the temp file is removed and ``path`` is left as it was.
     """
     path = Path(path)
     umask = os.umask(0)  # reading the umask means setting it; no tclsv code runs threads
@@ -43,12 +45,18 @@ def atomic_write_bytes(path: str | Path, data: bytes | bytearray) -> None:
     try:
         with os.fdopen(fd, "wb") as handle:
             os.chmod(tmp, 0o666 & ~umask)
-            handle.write(data)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_bytes(path: str | Path, data: bytes | bytearray) -> None:
+    """Write to a temp file in the destination directory, then rename."""
+    with _atomic_file(path) as handle:
+        handle.write(data)
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -169,20 +177,17 @@ def _reader(path: str | Path, magic: bytes) -> Iterator[_Reader]:
 def _write(path: str | Path, magic: bytes, dims: list[int | bytes], arrays: list[np.ndarray]) -> None:
     """Magic, version, ``dims`` as uint32 (bytes as they are), then ``arrays`` as float64.
 
-    The file is built in one buffer of its size, each array converted into its
-    place there, so nothing but that buffer is allocated.
+    The header and then each array are streamed into the temp file one at a
+    time: a little-endian float64 C-contiguous array is written as it is, and
+    any other is converted on its own, so at most one array is copied at once.
     """
     header = b"".join(
         [magic, *(d if isinstance(d, bytes) else struct.pack("<I", d) for d in (FORMAT_VERSION, *dims))]
     )
-    flat = [np.ravel(a) for a in arrays]
-    buf = bytearray(len(header) + 8 * sum(a.size for a in flat))
-    buf[: len(header)] = header
-    offset = len(header)
-    for a in flat:
-        np.frombuffer(buf, dtype="<f8", count=a.size, offset=offset)[:] = a
-        offset += 8 * a.size
-    atomic_write_bytes(path, buf)
+    with _atomic_file(path) as handle:
+        handle.write(header)
+        for a in arrays:
+            handle.write(np.ascontiguousarray(a, dtype="<f8"))
 
 
 def write_feature_archive(path: str | Path, frames: np.ndarray) -> None:

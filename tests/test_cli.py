@@ -658,6 +658,32 @@ def test_score_matches_per_trial_score_llr_bitwise(tiny_corpus, config_path, tmp
     assert np.array_equal(score_set.scores, np.array(expected))
 
 
+def test_score_caches_each_model_on_the_ubms_arrays(tiny_corpus, config_path, tmp_path, capsys, monkeypatch):
+    manifest, trials = tiny_corpus
+    out = tmp_path / "run"
+    run_through("enroll", tiny_corpus, config_path, out, capsys)
+    real_log_likelihoods = gmm.log_likelihoods
+    models = []
+
+    def recording(model, frames, var_term=None):
+        models.append(model)
+        return real_log_likelihoods(model, frames, var_term)
+
+    monkeypatch.setattr(gmm, "log_likelihoods", recording)
+    pipeline.run_score(manifest, load_config(config_path).resolved(None), out, trials)
+    ubm = models[0]  # each test utterance is scored against the UBM first
+    speaker_models = {id(m): m for m in models if m is not ubm}.values()
+    assert len(speaker_models) == len(list((out / "models").glob("*.tclg")))
+    for model in speaker_models:
+        assert model.weights is ubm.weights and model.variances is ubm.variances
+        # beyond the shared arrays, only its means and the offset and scaled
+        # means cached from them: no copy of the UBM's arrays or variance factor
+        cached = [v for value in vars(model).values()
+                  for v in (value if isinstance(value, tuple) else (value,))]
+        own = [a for a in cached if a is not ubm.weights and a is not ubm.variances]
+        assert sum(a.nbytes for a in own) == 2 * model.means.nbytes + model.weights.nbytes
+
+
 @pytest.mark.parametrize("mode", ["utterance", "stream"])
 def test_make_labels_reads_archive_headers_only(tiny_corpus, config_path, tmp_path, monkeypatch, mode):
     manifest, _ = tiny_corpus
@@ -928,7 +954,7 @@ def test_extract_bn_matches_per_utterance_reference(
     monkeypatch.setattr(network, "extract_deep_features", real_extract)
 
     entries = read_manifest(manifest)
-    params = storage.read_network(out / "dnn" / "model.tcln").astype(np.float32)
+    params = storage.read_network(out / "dnn" / "model.tcln", np.float32)
 
     def reference(entry):
         frames = storage.read_feature_archive(out / "features" / f"{entry.utterance_id}.tclf")
@@ -949,9 +975,12 @@ def test_extract_bn_matches_per_utterance_reference(
         got = storage.read_feature_archive(out / "bn" / f"{entry.utterance_id}.tclf")
         assert np.array_equal(got, pca.project(want, reference(entry))), entry.utterance_id
 
-    # every kept utterance goes through the network once, in calls of at most batch_rows rows
+    # every kept utterance goes through the network once, and the fit split
+    # once more to fit the PCA, in calls of at most batch_rows rows
     assert max(rows_seen) <= batch_rows
-    total = sum(storage.read_feature_shape(out / "features" / f"{e.utterance_id}.tclf")[0] for e in kept)
+    fit_entries = [e for e in entries if e.split == config.bn.fit_split]
+    total = sum(storage.read_feature_shape(out / "features" / f"{e.utterance_id}.tclf")[0]
+                for e in kept + fit_entries)
     assert sum(rows_seen) == total
     if batched:
         assert len(rows_seen) < len(kept)

@@ -2,6 +2,7 @@
 a central finite-difference oracle, and trainer behavior on toy data.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -150,7 +151,7 @@ def test_sigmoid_bitwise_equal_to_masked_formula():
     cases = blocks + [extremes, extremes.reshape(3, 4), np.array([np.nan, -np.nan])]
     cases += [block.astype(np.float32) for block in blocks] + [extremes32, extremes32.reshape(3, 6)]
     for z in cases:
-        got = _sigmoid(z)
+        got = _sigmoid(z.copy())  # it overwrites its argument
         assert got.shape == z.shape
         assert got.dtype == z.dtype
         np.testing.assert_array_equal(got, masked(z))
@@ -396,13 +397,13 @@ def test_training_loss_trace_forwards_one_minibatch_at_a_time(monkeypatch):
 
 
 def test_training_on_context_windows_matches_stacked_matrix(monkeypatch):
-    real_backward = network.backward
+    real_forward = network.forward
 
-    def checked_backward(params, batch):
-        assert type(batch.inputs) is np.ndarray
-        return real_backward(params, batch)
+    def checked_forward(params, batch):
+        assert type(batch) is np.ndarray
+        return real_forward(params, batch)
 
-    monkeypatch.setattr(network, "backward", checked_backward)
+    monkeypatch.setattr(network, "forward", checked_forward)
     rng = np.random.default_rng(8)
     utterances = [(rng.standard_normal((n, 4)), k) for n, k in ((30, 30), (1, 1), (25, 12))]
     view = context_windows(utterances, left=1, right=2)
@@ -592,7 +593,7 @@ def test_float64_training_equals_previous_trainer():
 
 
 def test_float32_training_stays_float32_and_is_deterministic(monkeypatch):
-    real_forward, real_backward = network.forward, network.backward
+    real_forward, real_backprop = network.forward, network._backprop
     seen = []
 
     def checked_forward(params, batch):
@@ -600,13 +601,13 @@ def test_float32_training_stays_float32_and_is_deterministic(monkeypatch):
         seen.extend(fp.hidden + fp.head_log_posteriors)
         return fp
 
-    def checked_backward(params, batch):
-        grads = real_backward(params, batch)
-        seen.extend(all_arrays(params) + all_arrays(grads))
-        return grads
+    def checked_backprop(params, x, fp, labels):
+        for p, g in real_backprop(params, x, fp, labels):
+            seen.extend((p, g))
+            yield p, g
 
     monkeypatch.setattr(network, "forward", checked_forward)
-    monkeypatch.setattr(network, "backward", checked_backward)
+    monkeypatch.setattr(network, "_backprop", checked_backprop)
     rng = np.random.default_rng(44)
     frames = [(rng.standard_normal((n, 5)).astype(np.float32), n) for n in (30, 17, 9)]
     view = context_windows(frames, left=1, right=1)
@@ -628,17 +629,39 @@ def test_float32_extraction_matches_float64_on_paper_architecture():
     params = init_network(arch, seed=45)
     x = np.random.default_rng(46).standard_normal((300, 627))
     want = extract_deep_features(params, x, "L2")
-    got = extract_deep_features(params.astype(np.float32), x.astype(np.float32), "L2")
+    single = init_network(arch, seed=45, dtype=np.float32)
+    got = extract_deep_features(single, x.astype(np.float32), "L2")
     assert want.dtype == np.float64 and got.dtype == np.float32
     assert np.max(np.abs(got - want)) <= 1e-4
 
 
-def test_params_astype_shares_arrays_already_in_dtype():
-    arch = NetworkArch(input_dim=3, hidden_layers=(4,), output_heads=(("y", 2),))
-    params = init_network(arch, seed=47)
-    assert all(a is b for a, b in zip(all_arrays(params.astype(np.float64)), all_arrays(params)))
-    single = params.astype(np.float32)
+def test_init_network_in_float32_equals_the_float64_draw_cast():
+    arch = NetworkArch(input_dim=30, hidden_layers=(17, 9), output_heads=(("y", 4), ("z", 3)))
+    double = init_network(arch, seed=47)
+    single = init_network(arch, seed=47, dtype=np.float32)
     assert single.arch == arch and single.rng_seed == 47
-    for a, b in zip(all_arrays(single), all_arrays(params)):
-        assert a.dtype == np.float32
-        np.testing.assert_array_equal(a, b.astype(np.float32))
+    for a, b in zip(all_arrays(single), all_arrays(double), strict=True):
+        assert a.dtype == np.float32 and b.dtype == np.float64
+        assert np.array_equal(a.view(np.uint32), b.astype(np.float32).view(np.uint32))
+
+
+def test_float32_training_holds_one_weight_gradient_at_a_time():
+    arch = NetworkArch(input_dim=64, hidden_layers=(128,) * 6, output_heads=(("a", 10), ("b", 7)))
+    rng = np.random.default_rng(48)
+    n, minibatch = 200, 16
+    x = rng.standard_normal((n, 64)).astype(np.float32)
+    dataset = LabeledDataset(inputs=x, labels={"a": rng.integers(0, 10, n), "b": rng.integers(0, 7, n)})
+    config = DnnConfig(learning_rate=0.1, epochs=2, minibatch_size=minibatch, init_seed=1, shuffle_seed=2)
+    tracemalloc.start()
+    try:
+        params, _ = train(dataset, arch, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = all_arrays(params)
+    assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+    widths = (arch.input_dim, *arch.hidden_layers, *(k for _, k in arch.output_heads))
+    activations = minibatch * sum(widths) * 4
+    # no float64 copy of the network, and no gradient of every layer at once
+    bound = sum(a.nbytes for a in arrays) + max(a.nbytes for a in arrays) + activations + 64 * 1024
+    assert peak < bound

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tclsv.errors import DataError, RankDeficientWarning
-from tclsv.pca import fit_pca, project
+from tclsv.pca import covariance, fit_covariance, fit_pca, project
 
 
 def random_orthonormal(dim: int, k: int, seed: int) -> np.ndarray:
@@ -146,21 +146,12 @@ def test_fit_leaves_its_input_unmodified_by_default():
     assert np.array_equal(x, before)
 
 
-def test_fit_centred_in_place_gives_the_same_model_and_projection():
+def test_covariance_centres_in_place_and_gives_fit_pcas_model():
     x = np.random.default_rng(15).standard_normal((300, 9)) * np.arange(1.0, 10.0) + 3.0
-    original = x.copy()
-    copied = fit_pca(original, 5)
-    in_place = fit_pca(x, 5, center_in_place=True)
-    assert np.array_equal(in_place.mean, copied.mean)
-    assert np.array_equal(in_place.basis, copied.basis)
-    assert np.array_equal(in_place.eigenvalues, copied.eigenvalues)
-    assert np.array_equal(x, original - copied.mean)
-    assert np.array_equal(x @ in_place.basis.T, project(copied, original))
-    assert np.array_equal(x[10:20] @ in_place.basis.T, project(copied, original[10:20]))
-
-
-def test_fit_centred_in_place_needs_a_float64_array():
-    with pytest.raises(DataError):
-        fit_pca(np.ones((10, 3), dtype=np.float32), 2, center_in_place=True)
-    with pytest.raises(DataError):
-        fit_pca([[1.0, 2.0]] * 10, 1, center_in_place=True)
+    want = fit_pca(x, 5)
+    pooled = x.copy()
+    mean, cov = covariance(pooled, 5)
+    assert np.array_equal(pooled, x - mean)
+    got = fit_covariance(mean, cov, 5)
+    for a, b in zip((got.mean, got.basis, got.eigenvalues), (want.mean, want.basis, want.eigenvalues)):
+        assert np.array_equal(a, b)

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from tclsv import labeling, metrics
 from tclsv.config import ExperimentConfig, write_snapshot
@@ -285,23 +287,133 @@ def traced_peak_bytes(fn):
 
 def test_network_artifact_io_holds_at_most_one_file_sized_buffer(tmp_path):
     arch = NetworkArch(input_dim=200, hidden_layers=(512,) * 6, output_heads=(("tcl", 20),))
-    params = init_network(arch, seed=3).astype(np.float32)
+    params = init_network(arch, seed=3, dtype=np.float32)
     arrays = params.weights + params.biases + params.head_weights + params.head_biases
     num_params = sum(a.size for a in arrays)
+    widest = max(a.size for a in arrays)
     path = tmp_path / "model.tcln"
-    # the float64 file built in place in one buffer, not per-array copies plus their join
+    # streamed one array at a time: only the array being written is converted to float64
     _, peak = traced_peak_bytes(lambda: write_network(path, params))
-    assert 8 * num_params < path.stat().st_size < peak < 8 * num_params + 64 * 1024
+    assert peak < 8 * widest + 64 * 1024
+    assert 8 * num_params < path.stat().st_size
 
     # extract-bn's read: the layers up to L2, each array decoded to float32 on its own
     loaded, peak = traced_peak_bytes(lambda: read_network(path, np.float32, "L2"))
     kept = loaded.weights + loaded.biases
     assert len(kept) == 4 and not loaded.head_weights and not loaded.head_biases
     assert all(a.dtype == np.float32 for a in kept)
-    widest = max(a.size for a in arrays)
     assert peak < sum(a.nbytes for a in kept) + 8 * widest + 64 * 1024 < 8 * num_params
     for got, want in zip(kept, params.weights[:2] + params.biases[:2]):
         assert np.array_equal(got, want)
+
+
+def test_float64_artifacts_are_written_without_a_copy(tmp_path):
+    rng = np.random.default_rng(4)
+    arch = NetworkArch(input_dim=100, hidden_layers=(300, 200), output_heads=(("tcl", 30),))
+    network = init_network(arch, seed=4)
+    frames = rng.standard_normal((500, 60))
+    pca_model = PcaModel(mean=rng.standard_normal(300), basis=rng.standard_normal((60, 300)),
+                         eigenvalues=rng.uniform(size=60))
+    gmm_model = GmmModel(rng.dirichlet(np.ones(64)), rng.standard_normal((64, 100)),
+                         rng.uniform(0.5, 2.0, (64, 100)))
+    writes = {
+        "model.tcln": lambda path: write_network(path, network),
+        "u.tclf": lambda path: write_feature_archive(path, frames),
+        "pca.tclp": lambda path: write_pca(path, pca_model),
+        "ubm.tclg": lambda path: write_gmm(path, gmm_model),
+    }
+    for name, write in writes.items():
+        path = tmp_path / name
+        _, peak = traced_peak_bytes(lambda: write(path))
+        # every file is at least 100 KiB, and every array float64 C-contiguous
+        assert peak < 64 * 1024 < path.stat().st_size, name
+
+
+# --- corruption: each artifact kind, as its writer writes it ---
+
+
+def _artifact_kinds():
+    """Per kind: (magic, write(path), the arrays it writes, readers of the whole file)."""
+    rng = np.random.default_rng(12)
+    arch = NetworkArch(input_dim=5, hidden_layers=(4, 3), output_heads=(("tcl", 6), ("phrasé", 2)))
+    network = init_network(arch, seed=12, dtype=np.float32)  # converted array by array
+    frames = rng.standard_normal((7, 3))
+    pca_model = PcaModel(mean=rng.standard_normal(4), basis=rng.standard_normal((2, 4)),
+                         eigenvalues=np.array([2.0, 1.0]))
+    gmm_model = GmmModel(np.array([0.25, 0.75]), rng.standard_normal((2, 3)), np.ones((2, 3)))
+    return {
+        "TCLF": (lambda p: write_feature_archive(p, frames), [frames], [read_feature_archive]),
+        "TCLN": (
+            lambda p: write_network(p, network),
+            [a for pair in zip(network.weights + network.head_weights,
+                               network.biases + network.head_biases) for a in pair],
+            [read_network, lambda p: read_network(p, np.float32, "L1")],
+        ),
+        "TCLP": (lambda p: write_pca(p, pca_model),
+                 [pca_model.mean, pca_model.eigenvalues, pca_model.basis], [read_pca]),
+        "TCLG": (lambda p: write_gmm(p, gmm_model),
+                 [gmm_model.weights, gmm_model.means, gmm_model.variances], [read_gmm]),
+    }
+
+
+def _written(kind, path):
+    """(file bytes, header length, the arrays' byte offsets in the file, readers)."""
+    write, arrays, readers = _artifact_kinds()[kind]
+    write(path)
+    data = path.read_bytes()
+    header = len(data) - 8 * sum(a.size for a in arrays)
+    offsets = header + 8 * np.cumsum([0] + [a.size for a in arrays[:-1]])
+    return data, header, offsets, arrays, readers
+
+
+@pytest.mark.parametrize("kind", ["TCLF", "TCLN", "TCLP", "TCLG"])
+def test_artifact_cut_anywhere_in_its_header_raises_data_error(kind, tmp_path):
+    path = tmp_path / "artifact"
+    data, header, _, _, readers = _written(kind, path)
+    assert data[:4] == kind.encode()
+    for cut in range(header + 1):
+        path.write_bytes(data[:cut])
+        for read in readers:
+            with pytest.raises(DataError, match="truncated artifact"):
+                read(path)
+
+
+@pytest.mark.parametrize("kind", ["TCLF", "TCLN", "TCLP", "TCLG"])
+def test_artifact_cut_inside_each_array_raises_data_error(kind, tmp_path):
+    path = tmp_path / "artifact"
+    data, _, offsets, arrays, readers = _written(kind, path)
+    for offset, array in zip(offsets, arrays):
+        path.write_bytes(data[: offset + 8 * (array.size // 2) + 3])  # mid-element
+        for read in readers:
+            with pytest.raises(DataError, match="truncated artifact"):
+                read(path)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    kind=st.sampled_from(["TCLF", "TCLN", "TCLP", "TCLG"]),
+    garbage=st.binary(max_size=120),
+    keep_magic=st.booleans(),
+)
+def test_random_artifact_bytes_raise_only_data_error(kind, garbage, keep_magic, tmp_path):
+    path = tmp_path / "artifact"
+    _, _, _, _, readers = _written(kind, path)
+    if keep_magic:
+        # past the magic and version, into the shape fields and arrays: the
+        # bytes may happen to form a valid file, but nothing else may escape
+        path.write_bytes(kind.encode() + struct.pack("<I", 1) + garbage)
+        for read in readers:
+            try:
+                read(path)
+            except DataError:
+                pass
+    else:
+        assume(not garbage.startswith(kind.encode()))
+        path.write_bytes(garbage)
+        for read in readers:
+            with pytest.raises(DataError):
+                read(path)
 
 
 # --- PCA ---

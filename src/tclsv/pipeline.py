@@ -381,7 +381,8 @@ def run_extract_bn(manifest_path, config: ExperimentConfig, out_dir: Path) -> pc
     before the eigendecomposition, so the fit split goes through the network
     a second time to be projected like every other utterance, with the same
     bits.  Non-finite network outputs raise DataError naming the utterance
-    before the PCA fit sees them and before any archive is written.
+    before the PCA fit sees them and before that utterance's archive is
+    written.
     """
     params = storage.read_network(_require(out_dir / "dnn" / "model.tcln"), np.float32, config.bn.layer)
     skip = () if config.bn.fit_split == "dnn-train" else ("dnn-train",)  # no later stage reads it

@@ -397,13 +397,16 @@ def test_training_loss_trace_forwards_one_minibatch_at_a_time(monkeypatch):
 
 
 def test_training_on_context_windows_matches_stacked_matrix(monkeypatch):
-    real_forward = network.forward
+    real_as_float = network._as_float
+    seen = []
 
-    def checked_forward(params, batch):
-        assert type(batch) is np.ndarray
-        return real_forward(params, batch)
+    def checked_as_float(inputs):
+        # Every array train converts must already be gathered rows, never the view.
+        assert type(inputs) is np.ndarray
+        seen.append(len(inputs))
+        return real_as_float(inputs)
 
-    monkeypatch.setattr(network, "forward", checked_forward)
+    monkeypatch.setattr(network, "_as_float", checked_as_float)
     rng = np.random.default_rng(8)
     utterances = [(rng.standard_normal((n, 4)), k) for n, k in ((30, 30), (1, 1), (25, 12))]
     view = context_windows(utterances, left=1, right=2)
@@ -412,6 +415,7 @@ def test_training_on_context_windows_matches_stacked_matrix(monkeypatch):
     arch = NetworkArch(input_dim=16, hidden_layers=(8,), output_heads=(("y", 3),))
     config = DnnConfig(learning_rate=0.2, epochs=2, minibatch_size=8, init_seed=1, shuffle_seed=6)
     p1, t1 = train(LabeledDataset(inputs=view, labels=y), arch, config)
+    assert sum(seen[1:]) >= config.epochs * len(view)  # every training row was checked
     p2, t2 = train(LabeledDataset(inputs=stacked, labels=y), arch, config)
     assert t1 == t2
     for a, b in zip(p1.weights + p1.head_weights, p2.weights + p2.head_weights):

@@ -27,11 +27,13 @@ _EXP_FLOOR = -700.0
 # Most rows per block in UBM training's (frames x components) passes, so that
 # none holds such a matrix whole.  The log-likelihoods and posteriors are
 # row-local, so a row gets the bits of a whole-matrix pass wherever BLAS
-# computes each row of a block GEMM as in the whole GEMM.  OpenBLAS 0.3.31 on
-# x86-64 does for K from 2 to 64 and K = 128, 256, 512 or 1024, but not for
-# K = 255 or 500, say, nor for 1- or 2-row blocks; so _row_blocks splits the
-# rows near-equally.  EM's statistics are summed block by block, so with more
-# than one block they round differently from whole-matrix sums.
+# computes each row of a block GEMM as in the whole GEMM.  For the (2D+1)-deep
+# GEMM of EM and the (D+1)-deep one of Lloyd, OpenBLAS 0.3.31 on x86-64 did
+# for K = 64, 128, 256, 512 and 1024 at every D scanned (2 to 57), but not for
+# K = 255 or 500, for some K below 64 that vary with D and the row count, nor
+# for 1-row blocks; so _row_blocks splits the rows near-equally.  EM's
+# statistics are summed block by block, so with more than one block they
+# round differently from whole-matrix sums.
 _ROW_BLOCK = 1024
 
 
@@ -43,6 +45,7 @@ class GmmModel:
     and cached on the instance, so a model's arrays must not be mutated after
     it has been used.  The variance term's factor is cached apart from the
     rest, so a model whose variance term is always passed in never builds it.
+    UBM training reads all of them stacked into one design matrix.
     """
 
     weights: np.ndarray
@@ -72,6 +75,16 @@ class GmmModel:
             + np.sum(self.means**2 * inv_var, axis=1)
         )
         return np.log(self.weights) + const, (self.means * inv_var).T
+
+    @cached_property
+    def _design(self) -> np.ndarray:
+        """[(mu/sigma^2)^T; (-0.5/sigma^2)^T; log w + const], shape (2D+1, K).
+
+        ``[x, x^2, 1] @ _design`` is each frame's component log-likelihoods,
+        the same sums as ``_component_log_likelihoods`` in another order.
+        """
+        offset, scaled_means = self._mean_terms
+        return np.vstack([scaled_means, self._variance_factor, offset])
 
 
 @dataclass(frozen=True)
@@ -118,19 +131,17 @@ def _component_log_likelihoods(
     model: GmmModel,
     x: np.ndarray,
     var_term: np.ndarray | None = None,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """log w_k + log N(x; mu_k, diag sigma_k^2), shape (frames, components).
 
     Built in place as quad + (log w + const); addition commutes bit for bit,
     so this equals log w + const + quad.  ``var_term`` is
-    ``variance_term(model, x)``, computed here when not given.  The result is
-    written into ``out`` when given.
+    ``variance_term(model, x)``, computed here when not given.
     """
     offset, scaled_means = model._mean_terms
     if var_term is None:
         var_term = variance_term(model, x)
-    comp = np.matmul(x, scaled_means, out=out)
+    comp = x @ scaled_means
     comp += var_term
     comp += offset
     return comp
@@ -170,11 +181,27 @@ def _row_blocks(m: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
+def _augmented_blocks(x: np.ndarray):
+    """Yield ``(rows, [x, x^2, 1])`` per row block, in one block-sized buffer.
+
+    The buffer is refilled for the next block, so each block must be used
+    before the next is drawn.
+    """
+    m, dim = x.shape
+    aug = np.empty((min(m, _ROW_BLOCK), 2 * dim + 1))
+    aug[:, -1] = 1.0
+    for rows in _row_blocks(m):
+        block = aug[: rows.stop - rows.start]
+        block[:, :dim] = x[rows]
+        np.square(x[rows], out=block[:, dim:-1])
+        yield rows, block
+
+
 def _total_log_likelihood(model: GmmModel, x: np.ndarray) -> float:
-    """Sum of ``log_likelihoods(model, x)``, one row block at a time."""
+    """Sum of ``log_likelihoods(model, x)``, one GEMM per row block."""
     log_norm = np.empty((x.shape[0], 1))
-    for rows in _row_blocks(x.shape[0]):
-        log_norm[rows] = _row_logsumexp(_component_log_likelihoods(model, x[rows]))
+    for rows, aug in _augmented_blocks(x):
+        log_norm[rows] = _row_logsumexp(aug @ model._design)
     return float(log_norm.sum())
 
 
@@ -247,19 +274,20 @@ def init_gmm(data, num_components: int, seed: int = 0) -> GmmModel:
             centers[k] = x[rng.choice(m, p=dist_sq / total)]
         np.minimum(dist_sq, dist_sq_to(centers[k]), out=dist_sq)
 
-    x_sq = x_sq[:, None]
-    two_x = 2.0 * x
+    # Lloyd: each frame's nearest center minimises ||c||^2 - 2 x.c, its
+    # distance less ||x||^2, which no row's argmin depends on.  One GEMM per
+    # block, [x, 1] @ [-2 c^T; ||c||^2], into one block-sized buffer.
+    dim = x.shape[1]
+    x_one = np.hstack([x, np.ones((m, 1))])
+    design = np.empty((dim + 1, num_components))
     dists = np.empty((min(m, _ROW_BLOCK), num_components))
     assignment = None
     for _ in range(10):
-        centers_sq = np.sum(centers**2, axis=1)[None, :]
+        np.multiply(centers.T, -2.0, out=design[:dim])
+        np.sum(centers**2, axis=1, out=design[dim])
         new_assignment = np.empty(m, dtype=np.intp)
         for rows in _row_blocks(m):
-            # ||x||^2 - 2 x.c + ||c||^2, in one block-sized buffer
-            d = dists[: rows.stop - rows.start]
-            np.matmul(two_x[rows], centers.T, out=d)
-            np.subtract(x_sq[rows], d, out=d)
-            d += centers_sq
+            d = np.matmul(x_one[rows], design, out=dists[: rows.stop - rows.start])
             new_assignment[rows] = d.argmin(axis=1)
         if assignment is not None and np.array_equal(new_assignment, assignment):
             break
@@ -281,25 +309,24 @@ def em_step(model: GmmModel, data) -> tuple[GmmModel, float]:
     """One EM update; returns the new model and the pre-update total log-likelihood.
 
     The posteriors are built and summed one row block at a time in one
-    block-sized buffer, so no (frames x components) matrix is held whole.
+    block-sized buffer, so no (frames x components) matrix is held whole.  Per
+    block, one GEMM against ``model._design`` gives the component
+    log-likelihoods and one more, posteriors^T @ [x, x^2, 1], gives the
+    block's sums of gamma x, gamma x^2 and gamma.
     """
     x = _as_frames(data)
-    m = x.shape[0]
+    m, dim = x.shape
     if m == 0:
         raise DataError("em_step needs at least one frame")
-    x_sq = x**2
     log_norm = np.empty((m, 1))
-    occupancy = np.zeros(model.num_components)
-    sum_x = np.zeros(model.means.shape)
-    sum_x_sq = np.zeros(model.means.shape)
+    stats = np.zeros((model.num_components, 2 * dim + 1))
     buf = np.empty((min(m, _ROW_BLOCK), model.num_components))
-    for rows in _row_blocks(m):
-        post = _component_log_likelihoods(model, x[rows], out=buf[: rows.stop - rows.start])
+    for rows, aug in _augmented_blocks(x):
+        post = np.matmul(aug, model._design, out=buf[: len(aug)])
         log_norm[rows] = _posteriors_inplace(post)
-        occupancy += post.sum(axis=0)
-        sum_x += post.T @ x[rows]
-        sum_x_sq += post.T @ x_sq[rows]
+        stats += post.T @ aug
     total_ll = float(log_norm.sum())
+    sum_x, sum_x_sq, occupancy = stats[:, :dim], stats[:, dim:-1], stats[:, -1]
 
     # A component with no posterior mass keeps its mean and variance; any
     # positive occupancy, however small, is divided by.

@@ -57,7 +57,7 @@ class NetworkParams:
     rng_seed: int = 0
 
 
-DNN_TARGETS = ("tcl", "speaker", "speaker+phrase")
+DNN_TARGETS = ("tcl", "speaker", "phrase", "speaker+phrase")
 
 
 @dataclass(frozen=True)
@@ -180,16 +180,18 @@ def context_windows(
 
 
 def init_network(arch: NetworkArch, seed: int = 0, dtype=np.float64) -> NetworkParams:
-    """Uniform +/- sqrt(6 / (fan_in + fan_out)) weights, zero biases, in ``dtype``.
+    """Uniform +/- 4 sqrt(6 / (fan_in + fan_out)) weights, zero biases, in ``dtype``.
 
-    Each weight matrix is drawn in float64 and cast as soon as it is drawn,
-    so every dtype gets the same draws, rounded, and only one float64 matrix
-    is held at a time.
+    The range is Glorot & Bengio's (AISTATS 2010) for sigmoid units, 4 times
+    their tanh range because the sigmoid's slope at 0 is 1/4; with the tanh
+    range a 6-layer sigmoid network does not learn.  Each weight matrix is
+    drawn in float64 and cast as soon as it is drawn, so every dtype gets the
+    same draws, rounded, and only one float64 matrix is held at a time.
     """
     rng = np.random.default_rng(seed)
 
     def draw(fan_in: int, fan_out: int) -> np.ndarray:
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        limit = 4.0 * np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype, copy=False)
 
     weights, biases = [], []

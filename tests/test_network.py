@@ -171,8 +171,10 @@ def test_init_respects_uniform_bounds_and_mean():
     arch = NetworkArch(input_dim=627, hidden_layers=(1024,), output_heads=(("y", 2),))
     params = init_network(arch, seed=7)
     w = params.weights[0]
-    limit = np.sqrt(6.0 / (627 + 1024))
+    tanh_limit = np.sqrt(6.0 / (627 + 1024))  # Glorot & Bengio's range for tanh units
+    limit = 4.0 * tanh_limit
     assert np.all(np.abs(w) <= limit)
+    assert np.any(np.abs(w) > tanh_limit)
     stderr = np.sqrt((limit**2 / 3.0) / w.size)
     assert abs(w.mean()) < 3.0 * stderr
 

@@ -632,10 +632,10 @@ def ref_train_ubm(x, num_components, em_iterations, seed):
 
 # EM evaluates each block as one GEMM, [x, x^2, 1] @ design, which associates
 # each component's sum differently from the reference's quad + (log w +
-# const), so even 1,000 rows, one block, no longer keep every bit; 2,500 rows
-# are several blocks, whose statistics are summed block by block.  The models
-# and later log-likelihoods drift by at most 1.7e-13 (relative) in one block
-# and 3.7e-13 in several, both on variances.
+# const), so even 1,000 rows, one block, differ from it in the last bits;
+# 2,500 rows are several blocks, whose statistics are summed block by block.
+# The models and later log-likelihoods drift by at most 1.7e-13 (relative) in
+# one block and 3.7e-13 in several, both on variances.
 @pytest.mark.parametrize("m, row_block", [(1000, None), (2500, None), (2500, 100)])
 def test_train_ubm_equals_whole_matrix_reference(monkeypatch, m, row_block):
     if row_block:

@@ -72,8 +72,12 @@ class FrontendConfig:
     delta_window: int = 2
 
     def __post_init__(self):
+        if self.frame_shift_ms <= 0:
+            raise DataError("frontend.frame_shift_ms must be positive")
         if self.frame_length_ms < self.frame_shift_ms:
             raise DataError("frame_length_ms must be >= frame_shift_ms")
+        if self.num_static_ceps < 1:
+            raise DataError("frontend.num_static_ceps must be >= 1")
         if self.num_static_ceps >= self.num_mel_filters:
             raise DataError("num_static_ceps must be < num_mel_filters")
         if not 0.0 <= self.preemphasis_coeff < 1.0:
@@ -123,6 +127,8 @@ def read_wav(path: str | Path) -> AudioSignal:
         raise DataError(f"{path}: not a valid WAV file (truncated header)") from exc
     except OSError as exc:
         raise DataError(f"{path}: cannot read ({exc.strerror})") from exc
+    if len(raw) % 2:
+        raise DataError(f"{path}: not a valid WAV file (data chunk ends mid-sample)")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return AudioSignal(samples=samples, sample_rate_hz=rate)
 
@@ -146,6 +152,8 @@ def frame_signal(signal: AudioSignal, config: FrontendConfig) -> tuple[np.ndarra
     rate = signal.sample_rate_hz
     frame_len = int(round(config.frame_length_ms * rate / 1000.0))
     frame_shift = int(round(config.frame_shift_ms * rate / 1000.0))
+    if frame_shift < 1:  # frame_len is no shorter, so this covers both
+        raise DataError(f"frontend.frame_shift_ms {config.frame_shift_ms} is under one sample at {rate} Hz")
     x = np.asarray(signal.samples, dtype=np.float64)
     if len(x) < frame_len:
         raise DataError(f"signal has {len(x)} samples, need at least {frame_len} for one frame")

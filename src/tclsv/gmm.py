@@ -217,11 +217,6 @@ def log_likelihoods(model: GmmModel, frames, var_term: np.ndarray | None = None)
     return _row_logsumexp(_component_log_likelihoods(model, x, var_term)).ravel()
 
 
-def log_likelihood(model: GmmModel, frame) -> float:
-    """Mixture log density of a single frame."""
-    return float(log_likelihoods(model, frame)[0])
-
-
 def responsibilities(model: GmmModel, frames, var_term: np.ndarray | None = None) -> np.ndarray:
     """Posterior component probabilities per frame; rows sum to 1.
 
@@ -391,9 +386,22 @@ def map_adapt(ubm: GmmModel, enrollment_data, config: BackendConfig) -> GmmModel
     return GmmModel(weights=ubm.weights.copy(), means=means, variances=ubm.variances.copy())
 
 
-def score_llr(target: GmmModel, ubm: GmmModel, utterance) -> float:
-    """Average per-frame log-likelihood difference between target model and UBM."""
+def score_llr(targets: list[GmmModel], ubm: GmmModel, utterance) -> np.ndarray:
+    """Each target's average per-frame log-likelihood difference from the UBM on one utterance.
+
+    The UBM's log-likelihoods and the frames' variance term are computed once.
+    The variance term is shared by every target that holds the UBM's own
+    variance array, as a model mean-only MAP adapted onto the UBM's arrays
+    does; any other target computes its own.
+    """
     x = _as_frames(utterance)
     if x.shape[0] == 0:
         raise DataError("utterance has no frames")
-    return float(np.mean(log_likelihoods(target, x) - log_likelihoods(ubm, x)))
+    if x.shape[1] != ubm.dim:
+        raise DataError(f"frames have dim {x.shape[1]}, model expects {ubm.dim}")
+    var_term = variance_term(ubm, x)
+    ubm_ll = log_likelihoods(ubm, x, var_term)
+    return np.array([
+        np.mean(log_likelihoods(t, x, var_term if t.variances is ubm.variances else None) - ubm_ll)
+        for t in targets
+    ])

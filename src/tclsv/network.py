@@ -8,7 +8,7 @@ combines the per-head cross-entropies with fixed weights.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,21 +135,6 @@ class ForwardPass:
     hidden: list[np.ndarray]
     head_log_posteriors: list[np.ndarray]
 
-    @property
-    def head_posteriors(self) -> list[np.ndarray]:
-        return [np.exp(lp) for lp in self.head_log_posteriors]
-
-
-@dataclass
-class Gradients:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    head_weights: list[np.ndarray]
-    head_biases: list[np.ndarray]
-    # Per head, each batch row's log posterior of its true class, taken from
-    # the forward pass the gradients were computed from.
-    picked_log_posteriors: list[np.ndarray] = field(default_factory=list)
-
 
 def _context_index(num_frames: int, left: int, right: int) -> np.ndarray:
     """Frame index of every context slot, clipped to the utterance edges."""
@@ -258,26 +243,12 @@ def forward(params: NetworkParams, input_batch: np.ndarray) -> ForwardPass:
     return ForwardPass(hidden=hidden, head_log_posteriors=log_posts)
 
 
-def loss(posteriors: list[np.ndarray], labels: list[np.ndarray]) -> float:
-    """Mean over heads of the mean negative log posterior of the true class."""
-    return _mean_loss([np.log(post[np.arange(len(y)), y]) for post, y in zip(posteriors, labels)])
-
-
-def _picked_log_posteriors(fp: ForwardPass, labels: list[np.ndarray]) -> list[np.ndarray]:
-    """Per head, each row's log posterior of its true class."""
-    return [lp[np.arange(len(y)), y] for lp, y in zip(fp.head_log_posteriors, labels)]
-
-
 def _mean_loss(picked: list[np.ndarray]) -> float:
     """The heads' equally weighted sum of their mean negative picked log posterior."""
     total, weight = 0.0, 1.0 / len(picked)
     for vec in picked:
         total += weight * float(-np.mean(vec))
     return total
-
-
-def _loss_from_log(fp: ForwardPass, labels: list[np.ndarray]) -> float:
-    return _mean_loss(_picked_log_posteriors(fp, labels))
 
 
 def _backprop(
@@ -312,26 +283,28 @@ def _backprop(
         delta = down
 
 
-def backward(params: NetworkParams, batch: LabeledDataset) -> Gradients:
-    """Gradients for one batch of the cross-entropy loss, the heads weighted equally."""
+def backward(params: NetworkParams, batch: LabeledDataset, learning_rate: float) -> list[np.ndarray]:
+    """One SGD step on ``batch`` for the cross-entropy loss, the heads weighted equally.
+
+    Each array of ``params`` is updated in place as soon as its gradient
+    exists, so at most one weight gradient is held at a time.  Returns, per
+    head, each row's log posterior of its true class before the update.
+    """
     x = _as_float(batch.inputs)
-    fp = forward(params, x)
     labels = [batch.labels[name] for name, _ in params.arch.output_heads]
-    grads = {id(p): g for p, g in _backprop(params, x, fp, labels)}
-
-    def of(arrays: list[np.ndarray]) -> list[np.ndarray]:
-        return [grads[id(a)] for a in arrays]
-
-    return Gradients(
-        of(params.weights), of(params.biases), of(params.head_weights), of(params.head_biases),
-        _picked_log_posteriors(fp, labels),
-    )
+    fp = forward(params, x)
+    picked = [lp[np.arange(len(y)), y] for lp, y in zip(fp.head_log_posteriors, labels)]
+    for p, g in _backprop(params, x, fp, labels):
+        g *= learning_rate
+        p -= g
+    return picked
 
 
 def train(
     dataset: LabeledDataset, arch: NetworkArch, config: DnnConfig
 ) -> tuple[NetworkParams, list[float]]:
-    """Plain minibatch SGD; returns the trained parameters and the loss trace.
+    """Plain minibatch SGD, one ``backward`` step per minibatch; returns the
+    trained parameters and the loss trace.
 
     Of ``config`` only the SGD settings and seeds are read; the layers come
     from ``arch``.  The heads weigh equally in the loss.
@@ -347,7 +320,8 @@ def train(
     """
     if dataset.num_rows == 0:
         raise DataError("training dataset is empty")
-    for name, _ in arch.output_heads:
+    heads = [name for name, _ in arch.output_heads]
+    for name in heads:
         if name not in dataset.labels:
             raise DataError(f"dataset has no labels for head {name!r}")
 
@@ -355,25 +329,16 @@ def train(
     n, step = dataset.num_rows, config.minibatch_size
     # Indexed by dataset row, not by shuffled position, so the epoch's mean is
     # taken in the same order as one full-batch pass would take it.
-    picked = [np.empty(n) for _ in arch.output_heads]
+    picked = [np.empty(n) for _ in heads]
     trace = []
     rng = np.random.default_rng(config.shuffle_seed or 0)
-    lr = config.learning_rate
     for _ in range(config.epochs):
         order = rng.permutation(n)
         for start in range(0, n, step):
             sel = order[start : start + step]
-            x = _as_float(dataset.inputs[sel])
-            labels = [dataset.labels[name][sel] for name, _ in arch.output_heads]
-            fp = forward(params, x)
-            for vec, part in zip(picked, _picked_log_posteriors(fp, labels)):
+            batch = LabeledDataset(dataset.inputs[sel], {h: dataset.labels[h][sel] for h in heads})
+            for vec, part in zip(picked, backward(params, batch, config.learning_rate)):
                 vec[sel] = part
-            # each array is updated as soon as its gradient exists, so at most
-            # one weight gradient is held at a time
-            for p, g in _backprop(params, x, fp, labels):
-                g *= lr
-                p -= g
-            del fp  # not held while the next minibatch's forward pass runs
         trace.append(_mean_loss(picked))
     return params, trace
 

@@ -27,23 +27,6 @@ class PcaModel:
         return self.basis.shape[0]
 
 
-def fit_pca(deep_features, out_dim: int) -> PcaModel:
-    """Eigendecomposition of the pooled covariance (population convention).
-
-    Eigenvector signs are fixed so each row's largest-magnitude entry is
-    positive.  If fewer than ``out_dim`` eigenvalues are positive, the basis
-    is padded with zero rows and a :class:`RankDeficientWarning` is issued.
-
-    The input is left as it is: the covariance is taken from a centred copy.
-    This is ``fit_covariance(*covariance(copy, out_dim), out_dim)``; a caller
-    that can give up its own float64 matrix calls the two itself and frees
-    the matrix between them, before the eigendecomposition's workspace,
-    which is about as large, is allocated.
-    """
-    x = np.array(deep_features, dtype=np.float64)
-    return fit_covariance(*covariance(x, out_dim), out_dim)
-
-
 def covariance(pooled: np.ndarray, out_dim: int) -> tuple[np.ndarray, np.ndarray]:
     """(mean, population covariance) of the rows of ``pooled``, a float64 matrix.
 
@@ -62,8 +45,13 @@ def covariance(pooled: np.ndarray, out_dim: int) -> tuple[np.ndarray, np.ndarray
     return mean, cov
 
 
-def fit_covariance(mean: np.ndarray, cov: np.ndarray, out_dim: int) -> PcaModel:
-    """The PCA model of ``covariance``'s (mean, covariance), as :func:`fit_pca` describes it."""
+def fit_pca(mean: np.ndarray, cov: np.ndarray, out_dim: int) -> PcaModel:
+    """The PCA model of ``covariance``'s (mean, covariance): its top eigenvectors.
+
+    Eigenvector signs are fixed so each row's largest-magnitude entry is
+    positive.  If fewer than ``out_dim`` eigenvalues are positive, the basis
+    is padded with zero rows and a :class:`RankDeficientWarning` is issued.
+    """
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1][:out_dim]
     eigvals = eigvals[order]

@@ -398,7 +398,7 @@ def run_extract_bn(manifest_path, config: ExperimentConfig, out_dir: Path) -> pc
         pooled[offsets[i] : offsets[i + 1]] = deep
     mean, cov = pca.covariance(pooled, config.bn.pca_dim)
     del pooled  # eigh's workspace is about as large
-    projection = pca.fit_covariance(mean, cov, config.bn.pca_dim)
+    projection = pca.fit_pca(mean, cov, config.bn.pca_dim)
 
     bn_dir = storage.make_dir(out_dir / "bn")
     storage.write_pca(bn_dir / "pca.tclp", projection)
@@ -467,11 +467,12 @@ def _missing_model(
 def run_score(manifest_path, config: ExperimentConfig, out_dir: Path, trials_path) -> TrialScoreSet:
     """The average per-frame LLR of each trial, written in trial order.
 
-    Trials are scored one test utterance at a time.  The UBM and the frames'
-    variance term are evaluated once per test utterance, and every model
-    shares that term: mean-only MAP keeps the UBM's weights and variances, and
-    a model without them is rejected.  Only one utterance's frames and terms
-    are held at a time.
+    Trials are scored one test utterance at a time, by one ``gmm.score_llr``
+    call that evaluates the UBM and the frames' variance term once for every
+    model the utterance is tried against.  Every model shares that term:
+    mean-only MAP keeps the UBM's weights and variances, and a model without
+    them is rejected.  Only one utterance's frames and terms are held at a
+    time.
     """
     ubm_path = _require(out_dir / _UBM)
     ubm = storage.read_gmm(ubm_path)
@@ -499,8 +500,7 @@ def run_score(manifest_path, config: ExperimentConfig, out_dir: Path, trials_pat
         x = _load_frames(out_dir, by_id[utt], subdir, ubm.dim)
         if x.shape[0] == 0:
             raise DataError(f"{utt}: utterance has no frames")
-        var_term = gmm.variance_term(ubm, x)
-        ubm_ll = gmm.log_likelihoods(ubm, x, var_term)
+        targets = []
         for i in indices:
             model_id = trials[i].model_id
             if model_id not in model_cache:
@@ -514,11 +514,10 @@ def run_score(manifest_path, config: ExperimentConfig, out_dir: Path, trials_pat
                         f"{model_path}: weights or variances differ from {ubm_path}; run enroll again"
                     )
                 # on the UBM's own arrays, so a cached model holds only its
-                # means and their terms
+                # means and their terms, and shares the UBM's variance term
                 model_cache[model_id] = gmm.GmmModel(ubm.weights, model.means, ubm.variances)
-            # the same arithmetic as gmm.score_llr, with the UBM terms reused
-            ll = gmm.log_likelihoods(model_cache[model_id], x, var_term)
-            scores[i] = float(np.mean(ll - ubm_ll))
+            targets.append(model_cache[model_id])
+        scores[indices] = gmm.score_llr(targets, ubm, x)
     score_set = TrialScoreSet(trials=trials, scores=scores)
     metrics.write_scores(storage.make_dir(out_dir / "scores") / "scores.tsv", score_set)
     return score_set

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import tclsv
-from tclsv import blas, cli, frontend, gmm, labeling, network, pca, pipeline, storage
+from tclsv import blas, cli, frontend, gmm, labeling, metrics, network, pca, pipeline, storage
 from tclsv.config import ExperimentConfig, load_config
 from tclsv.errors import DataError
 from tclsv.manifest import ManifestEntry, read_manifest, write_manifest
@@ -226,6 +226,39 @@ def test_negative_resolved_seed_exits_2_before_any_stage(tiny_corpus, config_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("frontend_config, key", [
+    ({"frame_shift_ms": 0}, "frontend.frame_shift_ms"),
+    ({"frame_shift_ms": -10, "frame_length_ms": -5}, "frontend.frame_shift_ms"),
+    ({"num_mel_filters": 0, "num_static_ceps": -1}, "frontend.num_static_ceps"),
+])
+def test_invalid_frontend_value_exits_2_naming_it(tiny_corpus, tmp_path, capsys, frontend_config, key):
+    manifest, trials = tiny_corpus
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**TINY_CONFIG, "frontend": frontend_config}), encoding="utf-8")
+    out = tmp_path / "run"
+    code = run_cli("run", "--manifest", manifest, "--trials", trials, "--config", bad, "--out", out)
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_frame_shift_under_one_sample_is_recorded_per_utterance(tiny_corpus, tmp_path, capsys):
+    # 0.01 ms is 0.16 samples at 16 kHz: valid as a number, but no frame fits
+    manifest, trials = tiny_corpus
+    bad = tmp_path / "bad.json"
+    frontend_config = {"frame_shift_ms": 0.01, "frame_length_ms": 0.01}
+    bad.write_text(json.dumps({**TINY_CONFIG, "frontend": frontend_config}), encoding="utf-8")
+    out = tmp_path / "run"
+    code = run_cli("run", "--manifest", manifest, "--trials", trials, "--config", bad, "--out", out)
+    assert code == 2
+    assert capsys.readouterr().err == "error: make-labels: manifest has no usable dnn-train utterances\n"
+    failures = (out / "features" / "failures.tsv").read_text(encoding="utf-8").splitlines()
+    assert len(failures) == len(read_manifest(manifest))
+    assert {line.split("\t")[1] for line in failures} == {
+        "frontend.frame_shift_ms 0.01 is under one sample at 16000 Hz"
+    }
+
+
 def test_evaluate_before_score_exits_2(tmp_path, capsys):
     code = run_cli("evaluate", "--out", tmp_path)
     assert code == 2
@@ -342,6 +375,46 @@ def test_benchmark_tracer_runs_and_sees_every_stage(tiny_corpus, config_path, tm
     assert traced["counters"]["labeling.frames_labeled"] > 0
 
 
+def test_run_calls_the_functions_the_benchmark_tracer_wraps(tiny_corpus, config_path, tmp_path, monkeypatch):
+    # perfbench/tracer.py times and counts these by module attribute: SGD steps
+    # through network.backward (its flop count reads args[1].inputs), the PCA
+    # fit through pca.fit_pca, and scoring through gmm.score_llr, which
+    # evaluates the UBM once per test utterance.  Code that routes around
+    # them would zero those metrics without failing anything else.
+    manifest, trials = tiny_corpus
+    calls: dict[str, list] = {}
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.setdefault(name, []).append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((network, "train"), (network, "backward"), (pca, "fit_pca"),
+                         (gmm, "score_llr"), (gmm, "log_likelihoods")):
+        count(module, name)
+    out = tmp_path / "run"
+    assert run_cli("run", "--manifest", manifest, "--trials", trials, "--config", config_path,
+                   "--out", out) == 0
+
+    [(dataset, _, dnn)] = calls["train"]
+    minibatches = dnn.epochs * -(-dataset.num_rows // dnn.minibatch_size)
+    assert len(calls["backward"]) == minibatches
+    assert all(isinstance(args[1], network.LabeledDataset) for args in calls["backward"])
+    assert sum(len(args[1].inputs) for args in calls["backward"]) == dnn.epochs * dataset.num_rows
+    assert len(calls["fit_pca"]) == 1
+    trial_list = metrics.read_trials(trials)
+    test_ids = {t.test_utterance_id for t in trial_list}
+    assert len(calls["score_llr"]) == len(test_ids)
+    assert len(calls["log_likelihoods"]) == len(trial_list) + len(test_ids)
+    ubm = calls["score_llr"][0][1]
+    assert all(args[1] is ubm for args in calls["score_llr"])
+    assert sum(args[0] is ubm for args in calls["log_likelihoods"]) == len(test_ids)
+
+
 # --- stage behavior ---
 
 
@@ -400,6 +473,35 @@ def test_wav_shorter_than_its_header_is_recorded(tiny_corpus, tmp_path, config_p
     assert "1 failure(s)" in capsys.readouterr().out
     failures = (out / "features" / "failures.tsv").read_text(encoding="utf-8")
     assert failures == f"{victim}\t{wav}: not a valid WAV file (truncated header)\n"
+
+
+def test_wav_cut_anywhere_is_extracted_or_recorded(tiny_corpus, tmp_path, config_path, capsys):
+    manifest, _ = tiny_corpus
+    source = read_manifest(manifest)[0]
+    data = source.wav_path.read_bytes()
+    cut_dir = tmp_path / "cuts"
+    cut_dir.mkdir()
+    # every byte through the 44-byte header and into the data, and the last samples
+    lengths = [*range(0, 120), len(data) - 3, len(data) - 2, len(data) - 1, len(data)]
+    entries = []
+    for n in lengths:
+        wav = cut_dir / f"cut{n:05d}.wav"
+        wav.write_bytes(data[:n])
+        entries.append(replace(source, utterance_id=wav.stem, wav_path=wav))
+    cut_manifest = tmp_path / "manifest.tsv"
+    write_manifest(cut_manifest, entries)
+    out = tmp_path / "run"
+    code = run_cli("extract-features", "--manifest", cut_manifest, "--config", config_path, "--out", out)
+    assert code == 0  # no cut aborts the stage
+    lines = (out / "features" / "failures.tsv").read_text(encoding="utf-8").splitlines()
+    failed = dict(line.split("\t") for line in lines)
+    extracted = {p.stem for p in (out / "features").glob("*.tclf")}
+    assert not failed.keys() & extracted
+    assert failed.keys() | extracted == {e.utterance_id for e in entries}
+    for n in (45, 63, len(data) - 3, len(data) - 1):  # a data chunk that ends mid-sample
+        wav = cut_dir / f"cut{n:05d}.wav"
+        assert failed[wav.stem] == f"{wav}: not a valid WAV file (data chunk ends mid-sample)"
+    assert {f"cut{len(data) - 2:05d}", f"cut{len(data):05d}"} <= extracted
 
 
 def test_full_run_and_report(tiny_corpus, config_path, tmp_path, capsys):
@@ -649,10 +751,10 @@ def test_score_matches_per_trial_score_llr_bitwise(tiny_corpus, config_path, tmp
     ubm = storage.read_gmm(out / "ubm" / "ubm.tclg")
     expected = [
         gmm.score_llr(
-            storage.read_gmm(out / "models" / f"{t.model_id}.tclg"),
+            [storage.read_gmm(out / "models" / f"{t.model_id}.tclg")],
             ubm,
             storage.read_feature_archive(out / "bn" / f"{t.test_utterance_id}.tclf"),
-        )
+        )[0]
         for t in score_set.trials
     ]
     assert np.array_equal(score_set.scores, np.array(expected))
@@ -723,11 +825,11 @@ def test_dnn_stages_compute_in_float32(tiny_corpus, config_path, tmp_path, monke
     dtypes = set()
     real_backward, real_extract = network.backward, network.extract_deep_features
 
-    def checked_backward(params, batch):
-        grads = real_backward(params, batch)
-        for arrays in (params.weights, params.biases, grads.weights, grads.head_biases):
+    def checked_backward(params, batch, learning_rate):
+        picked = real_backward(params, batch, learning_rate)
+        for arrays in ([batch.inputs], params.weights, params.biases, params.head_weights, picked):
             dtypes.update(a.dtype for a in arrays)
-        return grads
+        return picked
 
     def checked_extract(params, inputs, layer="L2"):
         deep = real_extract(params, inputs, layer)
@@ -989,7 +1091,7 @@ def test_extract_bn_matches_per_utterance_reference(
         return frontend.cmvn(deep)
 
     fit = np.vstack([reference(e) for e in entries if e.split == config.bn.fit_split])
-    want = pca.fit_pca(fit, config.bn.pca_dim)
+    want = pca.fit_pca(*pca.covariance(fit, config.bn.pca_dim), config.bn.pca_dim)
     for got_array, want_array in zip(
         (projection.mean, projection.basis, projection.eigenvalues), (want.mean, want.basis, want.eigenvalues)
     ):

@@ -24,7 +24,6 @@ from tclsv.gmm import (
     _row_logsumexp,
     em_step,
     init_gmm,
-    log_likelihood,
     log_likelihoods,
     map_adapt,
     responsibilities,
@@ -97,7 +96,7 @@ def test_init_too_few_frames():
 
 def test_log_likelihood_standard_normal_at_origin():
     model = GmmModel(weights=np.array([1.0]), means=np.zeros((1, 1)), variances=np.ones((1, 1)))
-    assert log_likelihood(model, np.array([0.0])) == pytest.approx(-0.5 * np.log(2 * np.pi), abs=1e-12)
+    assert log_likelihoods(model, np.array([0.0]))[0] == pytest.approx(-0.5 * np.log(2 * np.pi), abs=1e-12)
 
 
 def test_log_likelihood_duplicate_components_collapse():
@@ -110,7 +109,7 @@ def test_log_likelihood_duplicate_components_collapse():
         variances=np.vstack([var, var]),
     )
     frame = np.array([0.3, 0.4])
-    assert log_likelihood(double, frame) == pytest.approx(log_likelihood(single, frame), abs=1e-12)
+    assert log_likelihoods(double, frame)[0] == pytest.approx(log_likelihoods(single, frame)[0], abs=1e-12)
 
 
 def test_log_likelihoods_match_naive_sum_oracle():
@@ -287,7 +286,7 @@ def test_backend_config_validation():
 def test_llr_identical_models_is_exactly_zero():
     x = two_cluster_data(seed=15)
     ubm, _ = train_ubm(x, 2, em_iterations=3, seed=0)
-    assert score_llr(ubm, ubm, x[:37]) == 0.0
+    assert score_llr([ubm], ubm, x[:37])[0] == 0.0
 
 
 def test_llr_single_frame_is_plain_difference():
@@ -295,8 +294,8 @@ def test_llr_single_frame_is_plain_difference():
     ubm, _ = train_ubm(x, 2, em_iterations=3, seed=0)
     target = map_adapt(ubm, x[:200], BackendConfig())
     frame = x[7:8]
-    expected = log_likelihood(target, frame[0]) - log_likelihood(ubm, frame[0])
-    assert score_llr(target, ubm, frame) == pytest.approx(expected, abs=1e-12)
+    expected = naive_log_likelihood(target, frame[0]) - naive_log_likelihood(ubm, frame[0])
+    assert score_llr([target], ubm, frame)[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_llr_invariant_under_duplication_and_permutation():
@@ -305,16 +304,34 @@ def test_llr_invariant_under_duplication_and_permutation():
     ubm, _ = train_ubm(x, 2, em_iterations=3, seed=0)
     target = map_adapt(ubm, x[:200], BackendConfig())
     utt = x[300:340]
-    base = score_llr(target, ubm, utt)
-    assert score_llr(target, ubm, np.vstack([utt, utt])) == pytest.approx(base, abs=1e-12)
+    base = score_llr([target], ubm, utt)[0]
+    assert score_llr([target], ubm, np.vstack([utt, utt]))[0] == pytest.approx(base, abs=1e-12)
     perm = rng.permutation(len(utt))
-    assert score_llr(target, ubm, utt[perm]) == pytest.approx(base, abs=1e-12)
+    assert score_llr([target], ubm, utt[perm])[0] == pytest.approx(base, abs=1e-12)
+
+
+def test_llr_of_several_targets_is_each_targets_plain_difference():
+    x = two_cluster_data(seed=19)
+    ubm, _ = train_ubm(x, 3, em_iterations=3, seed=0)
+    adapted = map_adapt(ubm, x[:200], BackendConfig())
+    # on the UBM's own variance array, which shares the UBM's variance term
+    shared = GmmModel(ubm.weights, adapted.means, ubm.variances)
+    wider = GmmModel(ubm.weights, adapted.means, ubm.variances * 2.0)
+    utt = x[400:430]
+    got = score_llr([shared, adapted, wider, ubm], ubm, utt)
+    ubm_ll = log_likelihoods(ubm, utt)
+    want = [np.mean(log_likelihoods(t, utt) - ubm_ll) for t in (shared, adapted, wider, ubm)]
+    assert got.shape == (4,)
+    assert np.array_equal(got, want)
+    assert score_llr([], ubm, utt).shape == (0,)
+    with pytest.raises(DataError, match="frames have dim 3, model expects 2"):
+        score_llr([ubm], ubm, np.zeros((4, 3)))
 
 
 def test_llr_empty_utterance():
     ubm = GmmModel(weights=np.array([1.0]), means=np.zeros((1, 2)), variances=np.ones((1, 2)))
     with pytest.raises(DataError, match="utterance has no frames"):
-        score_llr(ubm, ubm, np.zeros((0, 2)))
+        score_llr([ubm], ubm, np.zeros((0, 2)))
 
 
 def test_all_likelihoods_finite_with_floored_variances():

@@ -4,6 +4,7 @@ a central finite-difference oracle, and trainer behavior on toy data.
 
 import tracemalloc
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -11,19 +12,19 @@ import pytest
 from tclsv import network
 from tclsv.errors import DataError
 from tclsv.network import (
-    Gradients,
     LabeledDataset,
     NetworkArch,
     DnnConfig,
     NetworkParams,
-    _loss_from_log,
+    _as_float,
+    _backprop,
+    _mean_loss,
     _sigmoid,
     backward,
     context_windows,
     extract_deep_features,
     forward,
     init_network,
-    loss,
     stack_context,
     train,
 )
@@ -36,13 +37,38 @@ def zero_params(arch: NetworkArch) -> NetworkParams:
     return params
 
 
+class Gradients(NamedTuple):
+    weights: list[np.ndarray]
+    biases: list[np.ndarray]
+    head_weights: list[np.ndarray]
+    head_biases: list[np.ndarray]
+
+
+def posteriors(fp) -> list[np.ndarray]:
+    return [np.exp(lp) for lp in fp.head_log_posteriors]
+
+
+def batch_loss(params, batch) -> float:
+    """The loss ``train`` traces: the heads' mean negative log posterior of the true class."""
+    fp = forward(params, batch.inputs)
+    picked = [
+        lp[np.arange(len(batch.labels[n])), batch.labels[n]]
+        for lp, (n, _) in zip(fp.head_log_posteriors, params.arch.output_heads)
+    ]
+    return _mean_loss(picked)
+
+
+def analytic_gradients(params, batch) -> Gradients:
+    """``_backprop``'s gradient of every parameter array, gathered by kind; ``params`` is not changed."""
+    x = _as_float(batch.inputs)
+    labels = [batch.labels[n] for n, _ in params.arch.output_heads]
+    grads = {id(p): g for p, g in _backprop(params, x, forward(params, x), labels)}
+    return Gradients(*([grads[id(a)] for a in arrays] for arrays in (
+        params.weights, params.biases, params.head_weights, params.head_biases)))
+
+
 def numeric_gradients(params, batch, h=1e-5) -> Gradients:
     """Central finite differences on every scalar parameter."""
-    names = [n for n, _ in params.arch.output_heads]
-
-    def loss_at() -> float:
-        fp = forward(params, batch.inputs)
-        return loss(fp.head_posteriors, [batch.labels[n] for n in names])
 
     def diff(arr: np.ndarray) -> np.ndarray:
         g = np.zeros_like(arr)
@@ -51,9 +77,9 @@ def numeric_gradients(params, batch, h=1e-5) -> Gradients:
             idx = it.multi_index
             orig = arr[idx]
             arr[idx] = orig + h
-            lp = loss_at()
+            lp = batch_loss(params, batch)
             arr[idx] = orig - h
-            lm = loss_at()
+            lm = batch_loss(params, batch)
             arr[idx] = orig
             g[idx] = (lp - lm) / (2.0 * h)
         return g
@@ -198,14 +224,14 @@ def test_forward_zero_params_gives_half_activations_and_uniform_posteriors():
     fp = forward(params, np.array([[0.3, -1.0, 2.0], [0.0, 0.0, 0.0]]))
     for h in fp.hidden:
         np.testing.assert_allclose(h, 0.5, atol=0)
-    np.testing.assert_allclose(fp.head_posteriors[0], 0.2, atol=1e-12)
+    np.testing.assert_allclose(posteriors(fp)[0], 0.2, atol=1e-12)
 
 
 def test_forward_posteriors_sum_to_one():
     arch = NetworkArch(input_dim=6, hidden_layers=(9,), output_heads=(("a", 4), ("b", 3)))
     params = init_network(arch, seed=1)
     fp = forward(params, np.random.default_rng(2).standard_normal((13, 6)))
-    for post in fp.head_posteriors:
+    for post in posteriors(fp):
         np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(post > 0)
 
@@ -215,7 +241,7 @@ def test_forward_identical_rows_identical_posteriors():
     params = init_network(arch, seed=3)
     row = np.array([0.5, -0.2, 1.0, 0.0])
     fp = forward(params, np.vstack([row, row]))
-    np.testing.assert_array_equal(fp.head_posteriors[0][0], fp.head_posteriors[0][1])
+    np.testing.assert_array_equal(posteriors(fp)[0][0], posteriors(fp)[0][1])
 
 
 def test_forward_dimension_mismatch():
@@ -238,31 +264,29 @@ def test_forward_matches_manual_computation():
     expected = np.exp(logits) / np.exp(logits).sum()
     fp = forward(params, x)
     np.testing.assert_allclose(fp.hidden[0], a1, atol=1e-12)
-    np.testing.assert_allclose(fp.head_posteriors[0], expected, atol=1e-12)
+    np.testing.assert_allclose(posteriors(fp)[0], expected, atol=1e-12)
 
 
 # --- loss ---
 
 
 def test_loss_uniform_posteriors_is_log_k():
-    post = np.full((7, 5), 0.2)
-    labels = np.zeros(7, dtype=int)
-    assert loss([post], [labels]) == pytest.approx(np.log(5.0), abs=1e-12)
+    picked = np.log(np.full(7, 0.2))
+    assert _mean_loss([picked]) == pytest.approx(np.log(5.0), abs=1e-12)
+    arch = NetworkArch(input_dim=3, hidden_layers=(4,), output_heads=(("y", 5),))
+    batch = LabeledDataset(inputs=np.ones((7, 3)), labels={"y": np.zeros(7, dtype=int)})
+    assert batch_loss(zero_params(arch), batch) == pytest.approx(np.log(5.0), abs=1e-12)
 
 
 def test_loss_perfect_prediction_is_zero():
-    post = np.zeros((3, 4))
-    post[np.arange(3), [1, 2, 0]] = 1.0
-    assert loss([post], [np.array([1, 2, 0])]) == pytest.approx(0.0, abs=0)
+    assert _mean_loss([np.zeros(3)]) == pytest.approx(0.0, abs=0)
 
 
 def test_loss_two_heads_averages():
-    pa = np.full((4, 2), 0.5)
-    pb = np.full((4, 8), 0.125)
-    la = np.zeros(4, dtype=int)
-    a = loss([pa], [la])
-    b = loss([pb], [la])
-    assert loss([pa, pb], [la, la]) == pytest.approx((a + b) / 2.0, abs=1e-12)
+    pa, pb = np.log(np.full(4, 0.5)), np.log(np.full(4, 0.125))
+    a = _mean_loss([pa])
+    b = _mean_loss([pb])
+    assert _mean_loss([pa, pb]) == pytest.approx((a + b) / 2.0, abs=1e-12)
 
 
 # --- backward ---
@@ -275,7 +299,7 @@ def test_gradients_match_finite_differences_single_head():
     batch = LabeledDataset(
         inputs=rng.standard_normal((6, 5)), labels={"y": rng.integers(0, 3, 6)}
     )
-    analytic = backward(params, batch)
+    analytic = analytic_gradients(params, batch)
     numeric = numeric_gradients(params, batch)
     assert max_gradient_error(analytic, numeric) <= 1e-5
 
@@ -288,7 +312,7 @@ def test_gradients_match_finite_differences_multi_task():
         inputs=rng.standard_normal((5, 4)),
         labels={"a": rng.integers(0, 2, 5), "b": rng.integers(0, 3, 5)},
     )
-    analytic = backward(params, batch)
+    analytic = analytic_gradients(params, batch)
     numeric = numeric_gradients(params, batch)
     assert max_gradient_error(analytic, numeric) <= 1e-5
 
@@ -299,9 +323,9 @@ def test_gradient_of_batch_is_mean_of_singletons():
     rng = np.random.default_rng(32)
     x = rng.standard_normal((2, 3))
     y = np.array([0, 1])
-    g_pair = backward(params, LabeledDataset(inputs=x, labels={"y": y}))
-    g0 = backward(params, LabeledDataset(inputs=x[:1], labels={"y": y[:1]}))
-    g1 = backward(params, LabeledDataset(inputs=x[1:], labels={"y": y[1:]}))
+    g_pair = analytic_gradients(params, LabeledDataset(inputs=x, labels={"y": y}))
+    g0 = analytic_gradients(params, LabeledDataset(inputs=x[:1], labels={"y": y[:1]}))
+    g1 = analytic_gradients(params, LabeledDataset(inputs=x[1:], labels={"y": y[1:]}))
     for pair, a, b in zip(g_pair.weights, g0.weights, g1.weights):
         np.testing.assert_allclose(pair, (a + b) / 2.0, atol=1e-12)
     for pair, a, b in zip(g_pair.head_biases, g0.head_biases, g1.head_biases):
@@ -313,9 +337,30 @@ def test_gradient_vanishes_at_saturated_correct_prediction():
     params = zero_params(arch)
     params.head_biases[0][:] = [60.0, -60.0]  # saturated logits favoring class 0
     batch = LabeledDataset(inputs=np.array([[0.1, 0.2]]), labels={"y": np.array([0])})
-    grads = backward(params, batch)
+    grads = analytic_gradients(params, batch)
     for g in grads.head_weights + grads.head_biases + grads.weights + grads.biases:
         assert np.max(np.abs(g)) < 1e-12
+
+
+def test_backward_is_one_sgd_step_of_backprops_gradients():
+    arch = NetworkArch(input_dim=7, hidden_layers=(9, 6), output_heads=(("a", 4), ("b", 3)))
+    params = init_network(arch, seed=44)
+    rng = np.random.default_rng(45)
+    batch = LabeledDataset(
+        inputs=rng.standard_normal((33, 7)),
+        labels={"a": rng.integers(0, 4, 33), "b": rng.integers(0, 3, 33)},
+    )
+    lr = 0.3
+    fp = forward(params, batch.inputs)
+    want_picked = [lp[np.arange(33), batch.labels[n]] for lp, n in zip(fp.head_log_posteriors, "ab")]
+    want = [a - g * lr for a, g in zip(all_arrays(params), all_arrays(analytic_gradients(params, batch)))]
+    arrays = all_arrays(params)
+    picked = backward(params, batch, lr)
+    assert all(a is b for a, b in zip(all_arrays(params), arrays))  # updated in place
+    for got, expected in zip(all_arrays(params), want):
+        np.testing.assert_array_equal(got, expected)
+    for got, expected in zip(picked, want_picked):
+        np.testing.assert_array_equal(got, expected)
 
 
 # --- training ---
@@ -338,7 +383,7 @@ def test_training_reduces_loss_on_separable_data():
     assert len(trace) == 10
     assert trace[-1] < trace[0]
     fp = forward(params, separable_dataset().inputs)
-    accuracy = np.mean(fp.head_posteriors[0].argmax(axis=1) == separable_dataset().labels["y"])
+    accuracy = np.mean(posteriors(fp)[0].argmax(axis=1) == separable_dataset().labels["y"])
     assert accuracy > 0.9
 
 
@@ -352,7 +397,7 @@ def test_training_zero_learning_rate_keeps_parameters():
         assert np.array_equal(got, want)
     # every epoch's trace entry is the full-batch loss of the initial parameters,
     # bit for bit: the minibatch values are scattered back into row order
-    full_batch = _loss_from_log(forward(fresh, data.inputs), [data.labels["y"]])
+    full_batch = batch_loss(fresh, data)
     assert trace == [full_batch] * config.epochs
 
 
@@ -393,9 +438,8 @@ def test_training_loss_trace_forwards_one_minibatch_at_a_time(monkeypatch):
     # two heads, a short last minibatch: with no updates each entry still
     # equals one full-batch pass
     _, flat = train(dataset, arch, replace(config, learning_rate=0.0))
-    heads = [labels["a"], labels["b"]]
     initial = init_network(arch, config.init_seed)
-    assert flat == [_loss_from_log(real_forward(initial, x), heads)] * config.epochs
+    assert flat == [batch_loss(initial, dataset)] * config.epochs
 
 
 def test_training_on_context_windows_matches_stacked_matrix(monkeypatch):
@@ -575,7 +619,7 @@ def test_float64_gradients_equal_previous_backward():
         inputs=rng.standard_normal((33, 7)),
         labels={"a": rng.integers(0, 4, 33), "b": rng.integers(0, 3, 33)},
     )
-    got = backward(params, batch)
+    got = analytic_gradients(params, batch)
     want = reference_backward(params, batch, (0.5, 0.5))
     for g, w in zip(all_arrays(got), all_arrays(want)):
         assert g.dtype == np.float64

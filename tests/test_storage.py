@@ -16,7 +16,7 @@ from tclsv.errors import DataError
 from tclsv.gmm import GmmModel
 from tclsv.manifest import ManifestEntry, write_manifest
 from tclsv.network import NetworkArch, init_network
-from tclsv.pca import PcaModel, fit_pca
+from tclsv.pca import PcaModel, covariance, fit_pca
 from tclsv.storage import (
     atomic_write_bytes,
     read_feature_archive,
@@ -421,7 +421,7 @@ def test_random_artifact_bytes_raise_only_data_error(kind, garbage, keep_magic, 
 
 def test_pca_roundtrip(tmp_path):
     rng = np.random.default_rng(5)
-    model = fit_pca(rng.standard_normal((60, 8)), out_dim=3)
+    model = fit_pca(*covariance(rng.standard_normal((60, 8)), 3), out_dim=3)
     path = tmp_path / "pca.tclp"
     write_pca(path, model)
     loaded = read_pca(path)

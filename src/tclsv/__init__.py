@@ -7,4 +7,7 @@ features after PCA, and a GMM-UBM/MAP backend scored by average-frame LLR
 with EER/minDCF evaluation.  ``tclsv.cli`` exposes each stage as a subcommand.
 """
 
+# first, so that OpenBLAS's thread timeout is set before anything loads numpy
+from . import blas  # noqa: F401
+
 __version__ = "0.1.0"

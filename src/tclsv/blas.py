@@ -1,20 +1,36 @@
-"""A one-thread scope for the OpenBLAS that numpy loaded, reached through ctypes.
+"""OpenBLAS's thread settings: an idle-worker timeout and a one-thread scope.
 
-Small matrix products gain nothing from OpenBLAS's threads, whose idle
-workers spin between calls.  ``single_thread()`` runs a block with one BLAS
-thread and restores the previous count afterwards.  Where numpy's BLAS is not
-an OpenBLAS this process maps (found from /proc/self/maps, so on Linux), it
-does nothing.
+Importing this module sets ``OPENBLAS_THREAD_TIMEOUT``, unless the
+environment already does, so that OpenBLAS's worker threads go to sleep as
+soon as a call ends instead of spinning for about 0.13 s waiting for the next.
+OpenBLAS reads the variable once, when numpy loads it, so ``tclsv`` imports
+this module before anything imports numpy; it has no effect when numpy was
+imported first.
+
+Small matrix products still gain nothing from the threads, which only cost
+CPU time on them.  ``single_thread()`` runs a block with one BLAS thread and
+restores the previous count afterwards.  Where numpy's BLAS is not an
+OpenBLAS this process maps (found from /proc/self/maps, so on Linux), it does
+nothing.
 """
 
 from __future__ import annotations
 
 import functools
 import logging
+import os
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 
 logger = logging.getLogger(__name__)
+
+# An idle OpenBLAS worker spins for 2**THREAD_TIMEOUT cycles before it sleeps.
+# At the library's default, 28 (about 0.13 s at 2 GHz), it burns a core through
+# every one-core pass between two products.  4 is the smallest value OpenBLAS
+# accepts; train-dnn, whose products now wake a sleeping worker, ran no slower
+# with it than with 22 or 28 (2-core x86-64, OpenBLAS 0.3.31).
+THREAD_TIMEOUT = 4
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", str(THREAD_TIMEOUT))
 
 # (getter, setter): the names in numpy's bundled scipy-openblas, then stock OpenBLAS's
 _SYMBOLS = (

@@ -15,6 +15,7 @@ it is built once per configuration rather than once per utterance.
 
 from __future__ import annotations
 
+import os
 import wave
 from dataclasses import dataclass
 from functools import cache
@@ -108,8 +109,8 @@ class FeatureMatrix:
 def read_wav(path: str | Path) -> AudioSignal:
     """Read a mono 16-bit PCM WAV file.
 
-    Unreadable, truncated, multi-channel, non-PCM or non-16-bit files raise
-    :class:`DataError`.
+    Unreadable, truncated, empty, multi-channel, non-PCM or non-16-bit files
+    raise :class:`DataError` naming the file.
     """
     try:
         with wave.open(str(path), "rb") as wf:
@@ -120,7 +121,9 @@ def read_wav(path: str | Path) -> AudioSignal:
             if wf.getsampwidth() != 2:
                 raise DataError(f"{path}: expected 16-bit PCM, got {8 * wf.getsampwidth()}-bit")
             rate = wf.getframerate()
-            raw = wf.readframes(wf.getnframes())
+            # wave allocates the data chunk's declared size before it reads,
+            # and a cut or forged header can declare up to 4 GiB
+            raw = wf.readframes(min(wf.getnframes(), os.path.getsize(path) // 2))
     except wave.Error as exc:
         raise DataError(f"{path}: not a valid WAV file ({exc})") from exc
     except EOFError as exc:  # the file ends inside the RIFF header
@@ -130,7 +133,10 @@ def read_wav(path: str | Path) -> AudioSignal:
     if len(raw) % 2:
         raise DataError(f"{path}: not a valid WAV file (data chunk ends mid-sample)")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    return AudioSignal(samples=samples, sample_rate_hz=rate)
+    try:
+        return AudioSignal(samples=samples, sample_rate_hz=rate)
+    except DataError as exc:  # an empty data chunk or a zero sample rate
+        raise DataError(f"{path}: {exc}") from None
 
 
 def write_wav(path: str | Path, signal: AudioSignal) -> None:
@@ -181,7 +187,8 @@ def _mel_inv(mel: np.ndarray | float) -> np.ndarray | float:
 def mel_filterbank(num_filters: int, n_fft: int, sample_rate_hz: int) -> np.ndarray:
     """Triangular mel filterbank spanning 0 Hz to Nyquist.
 
-    A cached, read-only num_filters x (n_fft//2+1) matrix.
+    A cached, read-only num_filters x (n_fft//2+1) matrix.  Raises
+    :class:`DataError` when the FFT is too short for some filter to cover a bin.
     """
     bin_freqs = np.arange(n_fft // 2 + 1) * (sample_rate_hz / n_fft)
     edges_hz = _mel_inv(np.linspace(0.0, _mel(sample_rate_hz / 2.0), num_filters + 2))
@@ -191,6 +198,12 @@ def mel_filterbank(num_filters: int, n_fft: int, sample_rate_hz: int) -> np.ndar
         rising = (bin_freqs - lo) / (mid - lo)
         falling = (hi - bin_freqs) / (hi - mid)
         weights[m] = np.maximum(0.0, np.minimum(rising, falling))
+    empty = np.count_nonzero(~weights.any(axis=1))
+    if empty:
+        raise DataError(
+            f"frontend.frame_length_ms is too short for {num_filters} mel filters at {sample_rate_hz} Hz:"
+            f" its {n_fft}-point FFT leaves {empty} filter(s) without a bin"
+        )
     weights.flags.writeable = False
     return weights
 

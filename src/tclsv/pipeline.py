@@ -51,8 +51,8 @@ class Stage(NamedTuple):
     ``cli`` runs it as ``pipeline.run_<name>`` (``-`` as ``_``), looked up at
     call time.  Reading features/failures.tsv counts as reading ``features``.
     Only a stage with ``blas_threads`` keeps OpenBLAS's threads.  The others
-    run on one BLAS thread: their matrix products are too small to gain from
-    threads, whose idle workers spin between calls.
+    run on one BLAS thread: their matrix products are so small that a second
+    thread makes them no faster and costs CPU time.
     """
 
     name: str

@@ -7,13 +7,17 @@ import hashlib
 import json
 import logging
 import os
+import struct
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tclsv
 from tclsv import blas, cli, frontend, gmm, labeling, metrics, network, pca, pipeline, storage
@@ -242,11 +246,10 @@ def test_invalid_frontend_value_exits_2_naming_it(tiny_corpus, tmp_path, capsys,
     assert not out.exists()
 
 
-def test_frame_shift_under_one_sample_is_recorded_per_utterance(tiny_corpus, tmp_path, capsys):
-    # 0.01 ms is 0.16 samples at 16 kHz: valid as a number, but no frame fits
+def assert_every_utterance_fails_extraction(tiny_corpus, tmp_path, capsys, frontend_config, message):
+    """``run`` records every utterance as failed with ``message``, then exits 2 at make-labels."""
     manifest, trials = tiny_corpus
     bad = tmp_path / "bad.json"
-    frontend_config = {"frame_shift_ms": 0.01, "frame_length_ms": 0.01}
     bad.write_text(json.dumps({**TINY_CONFIG, "frontend": frontend_config}), encoding="utf-8")
     out = tmp_path / "run"
     code = run_cli("run", "--manifest", manifest, "--trials", trials, "--config", bad, "--out", out)
@@ -254,9 +257,24 @@ def test_frame_shift_under_one_sample_is_recorded_per_utterance(tiny_corpus, tmp
     assert capsys.readouterr().err == "error: make-labels: manifest has no usable dnn-train utterances\n"
     failures = (out / "features" / "failures.tsv").read_text(encoding="utf-8").splitlines()
     assert len(failures) == len(read_manifest(manifest))
-    assert {line.split("\t")[1] for line in failures} == {
-        "frontend.frame_shift_ms 0.01 is under one sample at 16000 Hz"
-    }
+    assert {line.split("\t")[1] for line in failures} == {message}
+
+
+def test_frame_shift_under_one_sample_is_recorded_per_utterance(tiny_corpus, tmp_path, capsys):
+    # 0.01 ms is 0.16 samples at 16 kHz: valid as a number, but no frame fits
+    assert_every_utterance_fails_extraction(
+        tiny_corpus, tmp_path, capsys, {"frame_shift_ms": 0.01, "frame_length_ms": 0.01},
+        "frontend.frame_shift_ms 0.01 is under one sample at 16000 Hz",
+    )
+
+
+def test_frame_too_short_for_the_mel_filters_is_recorded_per_utterance(tiny_corpus, tmp_path, capsys):
+    # 0.0625 ms is one sample at 16 kHz: one FFT bin, so no mel filter gets one
+    assert_every_utterance_fails_extraction(
+        tiny_corpus, tmp_path, capsys, {"frame_shift_ms": 0.0625, "frame_length_ms": 0.0625},
+        "frontend.frame_length_ms is too short for 24 mel filters at 16000 Hz:"
+        " its 1-point FFT leaves 24 filter(s) without a bin",
+    )
 
 
 def test_evaluate_before_score_exits_2(tmp_path, capsys):
@@ -502,6 +520,50 @@ def test_wav_cut_anywhere_is_extracted_or_recorded(tiny_corpus, tmp_path, config
         wav = cut_dir / f"cut{n:05d}.wav"
         assert failed[wav.stem] == f"{wav}: not a valid WAV file (data chunk ends mid-sample)"
     assert {f"cut{len(data) - 2:05d}", f"cut{len(data):05d}"} <= extracted
+    for utt, message in failed.items():
+        # read_wav names the file; a whole WAV too short for one frame fails in framing
+        n = int(utt[len("cut"):])
+        short = f"signal has {(n - 44) // 2} samples, need at least 320 for one frame"
+        assert message.startswith(f"{cut_dir / utt}.wav: ") or (n > 44 and message == short), message
+
+
+def _fmt_chunk(rate: int) -> bytes:
+    """A RIFF/WAVE header through the fmt chunk of mono 16-bit PCM at ``rate``."""
+    fmt = struct.pack("<HHLLHH", 1, 1, rate, 2 * rate % 2**32, 2, 16)
+    return b"RIFF\xff\xff\xff\xffWAVEfmt " + struct.pack("<L", len(fmt)) + fmt
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@example(prefix=b"", body=b"")
+@example(prefix=_fmt_chunk(0) + b"data\xff\xff\xff\xff", body=bytes(640))
+@given(
+    prefix=st.one_of(
+        st.just(b""),
+        st.just(b"RIFF\xff\xff\xff\xffWAVE"),  # random chunks
+        # random samples at any rate, up to the end of the file
+        st.one_of(st.integers(0, 2**32 - 1), st.sampled_from([8000, 16000])).map(
+            lambda rate: _fmt_chunk(rate) + b"data\xff\xff\xff\xff"),
+    ),
+    body=st.one_of(st.binary(max_size=64), st.binary(min_size=640, max_size=4096)),
+)
+def test_random_bytes_as_a_wav_are_recorded_naming_the_file(tiny_corpus, prefix, body):
+    with tempfile.TemporaryDirectory() as tmp:
+        wav = Path(tmp, "fuzz.wav")
+        wav.write_bytes(prefix + body)
+        entry = replace(read_manifest(tiny_corpus[0])[0], utterance_id="fuzz", wav_path=wav)
+        write_manifest(Path(tmp, "manifest.tsv"), [entry])
+        out = Path(tmp, "run")
+        assert run_cli("extract-features", "--manifest", Path(tmp, "manifest.tsv"), "--out", out) == 0
+        failures = (out / "features" / "failures.tsv").read_text(encoding="utf-8")
+        extracted = (out / "features" / "fuzz.tclf").exists()
+        assert extracted != bool(failures)
+        if failures:
+            utt, message = failures.rstrip("\n").split("\t")
+            assert utt == "fuzz"
+            try:
+                frontend.read_wav(wav)
+            except DataError as exc:  # every failure to read the file names it
+                assert message == str(exc) and message.startswith(f"{wav}: ")
 
 
 def test_full_run_and_report(tiny_corpus, config_path, tmp_path, capsys):

@@ -2,6 +2,8 @@
 re-implementation (explicit loops / direct formula evaluation) on small inputs.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -529,6 +531,23 @@ def test_read_wav_unreadable_file_is_a_data_error(tmp_path, make, message):
     with pytest.raises(DataError) as exc:
         read_wav(path)
     assert str(exc.value) == f"{path}: {message}"
+
+
+def test_read_wav_allocates_no_more_than_the_file_holds(tmp_path):
+    # a RIFF chunk and a data chunk that declare 4 GiB ahead of 320 samples
+    path = tmp_path / "forged.wav"
+    write_wav(path, tone(440.0, seconds=0.02))
+    data = bytearray(path.read_bytes())
+    data[4:8] = data[40:44] = b"\xff\xff\xff\xff"
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        signal = read_wav(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(signal.samples) == 320
+    assert peak < 100 * len(data)
 
 
 def test_read_wav_rejects_stereo(tmp_path):

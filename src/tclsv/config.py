@@ -105,7 +105,7 @@ def _build(section_cls, data: dict, section: str):
     defaults = {f.name: f.default for f in fields(section_cls)}
     bad = set(data) - set(defaults)
     if bad:
-        raise DataError(f"config: unknown keys {sorted(bad)} in {section!r}")
+        raise DataError(f"unknown keys {sorted(bad)} in {section!r}")
     converted = {}
     for key, value in data.items():
         default = defaults[key]
@@ -117,36 +117,38 @@ def _build(section_cls, data: dict, section: str):
             # Python's json reads NaN and Infinity, which JSON itself does not have
             ok = type(value) in types and (type(value) is not float or math.isfinite(value))
         if not ok:
-            raise DataError(f"config: {section}.{key} must be {kind}, got {value!r}")
+            raise DataError(f"{section}.{key} must be {kind}, got {value!r}")
         converted[key] = tuple(value) if isinstance(value, list) else value
     return section_cls(**converted)
 
 
 def load_config(path: str | Path | None) -> ExperimentConfig:
-    """Load a JSON config file; ``None`` gives the defaults."""
+    """Load a JSON config file; ``None`` gives the defaults.  Every error names the file."""
     if path is None:
         return ExperimentConfig()
-    path = Path(path)
+    text = storage.read_text(path)
     try:
-        data = json.loads(storage.read_text(path))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(data, dict):
-        raise DataError(f"{path}: config root must be an object")
-    sections = {f.name: f.default_factory for f in fields(ExperimentConfig) if f.name != "seed"}
-    kwargs = {}
-    for key, value in data.items():
-        if key == "seed":
-            kwargs[key] = value
-        elif key == "workers":
-            pass  # ignored: old snapshots and the benchmark's generated configs still set it
-        elif key in sections:
-            if not isinstance(value, dict):
-                raise DataError(f"{path}: section {key!r} must be an object")
-            kwargs[key] = _build(sections[key], value, key)
-        else:
-            raise DataError(f"{path}: unknown config section {key!r}")
-    return ExperimentConfig(**kwargs)
+        data = json.loads(text)
+        if not isinstance(data, dict):
+            raise DataError("config root must be an object")
+        sections = {f.name: f.default_factory for f in fields(ExperimentConfig) if f.name != "seed"}
+        kwargs = {}
+        for key, value in data.items():
+            if key == "seed":
+                kwargs[key] = value
+            elif key == "workers":
+                pass  # ignored: old snapshots and the benchmark's generated configs still set it
+            elif key in sections:
+                if not isinstance(value, dict):
+                    raise DataError(f"section {key!r} must be an object")
+                kwargs[key] = _build(sections[key], value, key)
+            else:
+                raise DataError(f"unknown config section {key!r}")
+        return ExperimentConfig(**kwargs)
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
+        raise DataError(f"{path}: invalid JSON ({exc})") from None
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def write_snapshot(path: str | Path, config: ExperimentConfig) -> None:

@@ -76,17 +76,17 @@ class FrontendConfig:
         if self.frame_shift_ms <= 0:
             raise DataError("frontend.frame_shift_ms must be positive")
         if self.frame_length_ms < self.frame_shift_ms:
-            raise DataError("frame_length_ms must be >= frame_shift_ms")
+            raise DataError("frontend.frame_length_ms must be >= frontend.frame_shift_ms")
         if self.num_static_ceps < 1:
             raise DataError("frontend.num_static_ceps must be >= 1")
         if self.num_static_ceps >= self.num_mel_filters:
-            raise DataError("num_static_ceps must be < num_mel_filters")
+            raise DataError("frontend.num_static_ceps must be < frontend.num_mel_filters")
         if not 0.0 <= self.preemphasis_coeff < 1.0:
-            raise DataError("preemphasis_coeff must be in [0, 1)")
+            raise DataError("frontend.preemphasis_coeff must be in [0, 1)")
         if self.window != "hamming":
-            raise DataError(f"unsupported window {self.window!r}")
+            raise DataError(f"frontend.window must be 'hamming', got {self.window!r}")
         if self.delta_window < 1:
-            raise DataError("delta_window must be positive")
+            raise DataError("frontend.delta_window must be positive")
 
 
 @dataclass(frozen=True)

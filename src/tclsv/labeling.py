@@ -35,7 +35,7 @@ class TclConfig:
         if self.frames_per_segment < 1:
             raise DataError("tcl.frames_per_segment must be >= 1")
         if self.mode not in ("stream", "utterance"):
-            raise DataError(f"unknown TCL mode {self.mode!r}")
+            raise DataError(f"tcl.mode: unknown TCL mode {self.mode!r}")
 
 
 class FrameCount(NamedTuple):
@@ -176,10 +176,7 @@ def labels_by_utterance(labeled: LabeledFrames) -> dict[str, np.ndarray]:
 
 def write_label_archive(path: str | Path, labels: dict[str, np.ndarray]) -> None:
     """One line per utterance: ``<utterance_id>\\t<space-separated labels>``."""
-    lines = []
-    for utt_id, vec in labels.items():
-        lines.append(f"{utt_id}\t{' '.join(str(int(v)) for v in vec)}\n")
-    storage.atomic_write_text(path, "".join(lines))
+    storage.write_rows(path, [(utt_id, " ".join(map(str, vec.tolist()))) for utt_id, vec in labels.items()])
 
 
 def read_label_archive(path: str | Path) -> dict[str, np.ndarray]:

@@ -17,7 +17,7 @@ from .errors import DataError
 SPLITS = ("dnn-train", "ubm-train", "enroll", "test")
 COLUMNS = ("utterance_id", "wav_path", "speaker_id", "phrase_id", "split")
 
-_ID_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
+ID_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 
 
 @dataclass(frozen=True)
@@ -37,41 +37,30 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
     enroll/test splits (features learned on a phrase must not verify it).
     """
     path = Path(path)
-    lines = storage.read_text(path).splitlines()
-    if not lines:
+    rows = storage.read_rows(path, len(COLUMNS))
+    _, header = next(rows, (None, None))
+    if header is None:
         raise DataError(f"{path}: empty manifest, expected a header line")
-    header = tuple(lines[0].rstrip("\n").split("\t"))
-    if header != COLUMNS:
-        raise DataError(f"{path}: header {header} does not match {COLUMNS}")
+    if tuple(header) != COLUMNS:
+        raise DataError(f"{path}: header {tuple(header)} does not match {COLUMNS}")
     entries = []
     seen = set()
-    for lineno, line in enumerate(lines[1:], 2):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != len(COLUMNS):
-            raise DataError(f"{path}:{lineno}: expected {len(COLUMNS)} fields")
+    for lineno, fields in rows:
         utt_id, wav_path, speaker_id, phrase_id, split = fields
-        if not _ID_PATTERN.match(utt_id):
+        if not ID_PATTERN.match(utt_id):
             raise DataError(f"{path}:{lineno}: bad utterance_id {utt_id!r}")
-        if not _ID_PATTERN.match(speaker_id):
+        if not ID_PATTERN.match(speaker_id):
             raise DataError(f"{path}:{lineno}: bad speaker_id {speaker_id!r}")
-        if phrase_id and not _ID_PATTERN.match(phrase_id):
+        if phrase_id and not ID_PATTERN.match(phrase_id):
             raise DataError(f"{path}:{lineno}: bad phrase_id {phrase_id!r}")
+        if "\0" in wav_path:  # no file system allows a NUL in a path
+            raise DataError(f"{path}:{lineno}: NUL byte in wav_path {wav_path!r}")
         if split not in SPLITS:
             raise DataError(f"{path}:{lineno}: unknown split {split!r}, expected one of {SPLITS}")
         if utt_id in seen:
             raise DataError(f"{path}:{lineno}: duplicate utterance_id {utt_id!r}")
         seen.add(utt_id)
-        entries.append(
-            ManifestEntry(
-                utterance_id=utt_id,
-                wav_path=(path.parent / wav_path),
-                speaker_id=speaker_id,
-                phrase_id=phrase_id or None,
-                split=split,
-            )
-        )
+        entries.append(ManifestEntry(utt_id, path.parent / wav_path, speaker_id, phrase_id or None, split))
     lint_phrase_exclusion(entries, source=str(path))
     return entries
 
@@ -91,17 +80,11 @@ def lint_phrase_exclusion(entries: list[ManifestEntry], source: str = "manifest"
 
 def write_manifest(path: str | Path, entries: list[ManifestEntry]) -> None:
     path = Path(path)
-    lines = ["\t".join(COLUMNS) + "\n"]
+    rows = [COLUMNS]
     for e in entries:
-        wav = e.wav_path
-        try:
-            wav = wav.relative_to(path.parent)
-        except ValueError:
-            pass
-        lines.append(
-            f"{e.utterance_id}\t{wav}\t{e.speaker_id}\t{e.phrase_id or ''}\t{e.split}\n"
-        )
-    storage.atomic_write_text(path, "".join(lines))
+        wav = e.wav_path.relative_to(path.parent) if e.wav_path.is_relative_to(path.parent) else e.wav_path
+        rows.append((e.utterance_id, str(wav), e.speaker_id, e.phrase_id or "", e.split))
+    storage.write_rows(path, rows)
 
 
 def by_split(entries: list[ManifestEntry], split: str) -> list[ManifestEntry]:

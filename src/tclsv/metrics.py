@@ -7,6 +7,7 @@ EER in percent and minDCF scaled by 100.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import numpy as np
 
 from . import storage
 from .errors import DataError
+from .manifest import ID_PATTERN
 
 TARGET = "target"
 NON_TARGET_TYPES = ("target-wrong", "impostor-correct", "impostor-wrong")
@@ -27,6 +29,9 @@ class Trial:
     ground_truth: str
 
     def __post_init__(self):
+        for name in ("model_id", "test_utterance_id"):  # the manifest's id rule: score opens models by id
+            if not ID_PATTERN.match(getattr(self, name)):
+                raise DataError(f"bad {name} {getattr(self, name)!r}")
         if self.ground_truth not in TRIAL_TYPES:
             raise DataError(
                 f"unknown trial type {self.ground_truth!r}; expected one of {TRIAL_TYPES}"
@@ -53,9 +58,9 @@ class DcfParams:
 
     def __post_init__(self):
         if not 0.0 < self.p_target < 1.0:
-            raise DataError("p_target must be in (0, 1)")
+            raise DataError("dcf.p_target must be in (0, 1)")
         if self.cost_miss <= 0 or self.cost_fa <= 0:
-            raise DataError("costs must be positive")
+            raise DataError("dcf.cost_miss and dcf.cost_fa must be positive")
 
 
 @dataclass(frozen=True)
@@ -138,10 +143,11 @@ class EvaluationReport:
         }
 
 
-def evaluate(score_set: TrialScoreSet, params: DcfParams = DcfParams()) -> EvaluationReport:
+def evaluate(score_set: TrialScoreSet, params: DcfParams = DcfParams(), source="score set") -> EvaluationReport:
     """EER and minDCF per non-target type, plus the unweighted cross-type mean.
 
-    Each non-target type is paired against the same target trials.
+    Each non-target type is paired against the same target trials.  Errors name
+    ``source``, where the scores came from.
     """
     scores = np.asarray(score_set.scores, dtype=np.float64)
     by_type = {name: [] for name in TRIAL_TYPES}
@@ -149,7 +155,7 @@ def evaluate(score_set: TrialScoreSet, params: DcfParams = DcfParams()) -> Evalu
         by_type[trial.ground_truth].append(score)
     target_scores = np.array(by_type[TARGET])
     if len(target_scores) == 0:
-        raise DataError("score set contains no target trials")
+        raise DataError(f"{source} contains no target trials")
 
     per_type = {}
     for name in NON_TARGET_TYPES:
@@ -162,7 +168,7 @@ def evaluate(score_set: TrialScoreSet, params: DcfParams = DcfParams()) -> Evalu
             num_trials=len(by_type[name]),
         )
     if not per_type:
-        raise DataError("score set contains no non-target trials")
+        raise DataError(f"{source} contains no non-target trials")
     return EvaluationReport(
         per_type=per_type,
         average_eer=float(np.mean([r.eer for r in per_type.values()])),
@@ -190,30 +196,38 @@ def format_report(report: EvaluationReport) -> str:
 
 def read_trials(path: str | Path) -> list[Trial]:
     """Trial list: one ``<model_id>\\t<test_utterance_id>\\t<type>`` per line."""
-    return [Trial(*fields) for _, fields in storage.read_rows(path, 3)]
+    return [_read_trial(path, lineno, fields) for lineno, fields in storage.read_rows(path, 3)]
 
 
-def _trial_line(trial: Trial) -> str:
-    return f"{trial.model_id}\t{trial.test_utterance_id}\t{trial.ground_truth}"
+def _read_trial(path: str | Path, lineno: int, fields: list[str]) -> Trial:
+    """The trial on line ``lineno`` of ``path``; DataError naming both if it is bad."""
+    try:
+        return Trial(*fields)
+    except DataError as exc:
+        raise DataError(f"{path}:{lineno}: {exc}") from None
 
 
 def write_trials(path: str | Path, trials: list[Trial]) -> None:
     """The trial list :func:`read_trials` reads."""
-    storage.atomic_write_text(path, "".join(f"{_trial_line(t)}\n" for t in trials))
+    storage.write_rows(path, [(t.model_id, t.test_utterance_id, t.ground_truth) for t in trials])
 
 
 def write_scores(path: str | Path, score_set: TrialScoreSet) -> None:
-    """Score file: the trial line plus a fourth tab-separated score field."""
-    lines = [f"{_trial_line(t)}\t{s:.12g}\n" for t, s in zip(score_set.trials, score_set.scores)]
-    storage.atomic_write_text(path, "".join(lines))
+    """Score file: the trial's fields plus a fourth, the score."""
+    storage.write_rows(path, [
+        (t.model_id, t.test_utterance_id, t.ground_truth, f"{s:.12g}")
+        for t, s in zip(score_set.trials, score_set.scores)
+    ])
 
 
 def read_scores(path: str | Path) -> TrialScoreSet:
     trials, scores = [], []
     for lineno, fields in storage.read_rows(path, 4):
-        trials.append(Trial(*fields[:3]))
+        trials.append(_read_trial(path, lineno, fields[:3]))
         try:
             scores.append(float(fields[3]))
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: bad score {fields[3]!r}") from exc
+            if not math.isfinite(scores[-1]):
+                raise ValueError
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad score {fields[3]!r}") from None
     return TrialScoreSet(trials=trials, scores=np.array(scores, dtype=np.float64))

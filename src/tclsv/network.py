@@ -30,7 +30,7 @@ class NetworkArch:
             raise DataError("head class counts must be positive")
 
     def layer_index(self, layer: str) -> int:
-        """Map a layer name like ``L2`` to its 0-based hidden-layer index."""
+        """Map a layer name like ``L2``, a ``bn.layer`` value, to its 0-based hidden-layer index."""
         if layer.startswith("L"):
             try:
                 idx = int(layer[1:]) - 1
@@ -38,7 +38,7 @@ class NetworkArch:
                 idx = -1
             if 0 <= idx < len(self.hidden_layers):
                 return idx
-        raise DataError(f"no hidden layer {layer!r}; valid: L1..L{len(self.hidden_layers)}")
+        raise DataError(f"bn.layer: no hidden layer {layer!r}; valid: L1..L{len(self.hidden_layers)}")
 
 
 @dataclass
@@ -77,8 +77,8 @@ class DnnConfig:
     def __post_init__(self):
         if self.targets not in DNN_TARGETS:
             raise DataError(f"dnn.targets must be one of {DNN_TARGETS}")
-        if any(w <= 0 for w in self.hidden_layers):
-            raise DataError("dnn.hidden_layers: all layer widths must be positive")
+        if not self.hidden_layers or any(w <= 0 for w in self.hidden_layers):
+            raise DataError("dnn.hidden_layers must be a non-empty list of positive widths")
         if self.context_left < 0 or self.context_right < 0:
             raise DataError("dnn.context_left and dnn.context_right must be >= 0")
         if self.learning_rate < 0:

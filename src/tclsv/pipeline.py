@@ -130,7 +130,7 @@ def _check_finite(values: np.ndarray, utterance_id: str, what: str) -> None:
 
 
 def _write_trace(path: Path, values: list[float]) -> None:
-    storage.atomic_write_text(path, "".join(f"{v:.12g}\n" for v in values))
+    storage.write_rows(path, [[f"{v:.12g}"] for v in values])
 
 
 def _failed_ids(out_dir: Path) -> set[str]:
@@ -138,6 +138,7 @@ def _failed_ids(out_dir: Path) -> set[str]:
     if not path.exists():
         return set()
     lines = storage.read_text(path).splitlines()
+    # not read_rows: the message field is free text, and the manifest's directory in it may hold a tab
     return {line.split("\t", 1)[0] for line in lines if line.strip()}
 
 
@@ -220,10 +221,7 @@ def run_extract_features(
         except DataError as exc:
             failures.append((entry.utterance_id, str(exc)))
     failures.sort()
-    storage.atomic_write_text(
-        out_dir / _FAILURES,
-        "".join(f"{utt}\t{msg}\n" for utt, msg in failures),
-    )
+    storage.write_rows(out_dir / _FAILURES, failures)
     for utt, msg in failures:
         logger.warning("extraction failed for %s: %s", utt, msg)
     return failures
@@ -255,13 +253,13 @@ def _build_training_dataset(
     are cast to float32 once, here, so the network trains in float32.
     """
     targets = config.dnn.targets
+    labels_path = out_dir / "labels" / "labels.tsv"
     num_classes, tables = {}, {}  # per head: number of classes, utterance id -> labels
     num_frames = functools.cache(lambda e: _num_frames(out_dir, e))
     for head in targets.split("+"):
         if head == "tcl":
-            labels_path = _require(out_dir / "labels" / "labels.tsv")
             num_classes[head] = config.tcl.num_classes
-            tables[head] = labeling.read_label_archive(labels_path)
+            tables[head] = labeling.read_label_archive(_require(labels_path))
             continue
         ids = [getattr(e, f"{head}_id") for e in train_entries]
         if None in ids:
@@ -281,17 +279,16 @@ def _build_training_dataset(
         for head, vec in vecs.items():
             # stream mode may label only a prefix; anything else must match exactly
             too_long = len(vec) > len(frames)
+            where = f"{labels_path}: {entry.utterance_id}"  # only a tcl head's labels can be wrong
             if too_long or (config.tcl.mode == "utterance" and len(vec) != len(frames)):
-                raise DataError(f"{entry.utterance_id}: {len(vec)} labels for {len(frames)} frames")
+                raise DataError(f"{where}: {len(vec)} labels for {len(frames)} frames")
             bad = vec[(vec < 0) | (vec >= num_classes[head])]
             if bad.size:
-                raise DataError(
-                    f"{entry.utterance_id}: label {bad[0]} out of range for {num_classes[head]} classes"
-                )
+                raise DataError(f"{where}: label {bad[0]} out of range for {num_classes[head]} classes")
             parts[head].append(vec)
         utterances.append((frames.astype(np.float32), len(vec)))  # every head labels these rows
     if not utterances:
-        raise DataError("no labeled training frames; check labels.tsv")
+        raise DataError(f"no labeled training frames; check {labels_path}")
 
     inputs = network.context_windows(utterances, config.dnn.context_left, config.dnn.context_right)
     arch = network.NetworkArch(
@@ -449,10 +446,10 @@ def run_enroll(manifest_path, config: ExperimentConfig, out_dir: Path) -> list[s
 
 
 def _missing_model(
-    model_id: str, model_path: Path, entries: list[ManifestEntry], out_dir: Path
+    model_id: str, model_path: Path, entries: list[ManifestEntry], out_dir: Path, trials_path: Path
 ) -> DataError:
     """Why ``model_id`` has no model: no enroll rows, all of them failed, or enroll has not run."""
-    message = f"no enrolled model for {model_id!r}"
+    message = f"{trials_path}: no enrolled model for {model_id!r}"
     enroll_ids = {e.utterance_id for e in by_split(entries, "enroll") if e.speaker_id == model_id}
     if not enroll_ids:
         return DataError(f"{message}: the manifest has no enroll utterance for it")
@@ -486,10 +483,10 @@ def run_score(manifest_path, config: ExperimentConfig, out_dir: Path, trials_pat
     for utt in by_test:
         entry = by_id.get(utt)
         if entry is None:
-            raise DataError(f"trial references utterance {utt!r} which is not in the manifest")
+            raise DataError(f"{trials_path}: trial references utterance {utt!r} which is not in the manifest")
         if entry.split == "dnn-train":
             raise DataError(
-                f"trial tests utterance {utt!r} of the dnn-train split;"
+                f"{trials_path}: trial tests utterance {utt!r} of the dnn-train split;"
                 f" pass-phrases that trained the network cannot be scored"
             )
 
@@ -506,7 +503,7 @@ def run_score(manifest_path, config: ExperimentConfig, out_dir: Path, trials_pat
             if model_id not in model_cache:
                 model_path = out_dir / "models" / f"{model_id}.tclg"
                 if not model_path.exists():
-                    raise _missing_model(model_id, model_path, entries, out_dir)
+                    raise _missing_model(model_id, model_path, entries, out_dir, trials_path)
                 model = storage.read_gmm(model_path)
                 if not (np.array_equal(model.weights, ubm.weights)
                         and np.array_equal(model.variances, ubm.variances)):
@@ -524,8 +521,8 @@ def run_score(manifest_path, config: ExperimentConfig, out_dir: Path, trials_pat
 
 
 def run_evaluate(config: ExperimentConfig, out_dir: Path) -> metrics.EvaluationReport:
-    score_set = metrics.read_scores(_require(out_dir / "scores" / "scores.tsv"))
-    report = metrics.evaluate(score_set, config.dcf)
+    scores_path = _require(out_dir / "scores" / "scores.tsv")
+    report = metrics.evaluate(metrics.read_scores(scores_path), config.dcf, source=scores_path)
     report_dir = storage.make_dir(out_dir / "report")
     storage.atomic_write_text(report_dir / "report.txt", metrics.format_report(report) + "\n")
     storage.atomic_write_text(

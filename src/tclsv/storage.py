@@ -1,12 +1,13 @@
-"""File I/O: the binary artifacts, atomic writes and text inputs.
+"""File I/O: the binary artifacts, atomic writes and text files.
 
 Every input file is read here, and one that is missing, unreadable or not UTF-8
 text raises DataError naming it; so does an output directory that cannot be
-made.  Writes go through a temp file plus rename, so readers never observe
-partial files.  A binary artifact (TCLF features, TCLN network, TCLP PCA, TCLG
-GMM) is a 4-byte ASCII magic, a uint32 format version, uint32 shape fields,
-then row-major float64 arrays, all little-endian; README "File formats" gives
-each layout.  A wrong magic or version is a hard error.
+made.  Every tab-separated file is written by :func:`write_rows` and read by
+:func:`read_rows`.  Writes go through a temp file plus rename, so readers never
+observe partial files.  A binary artifact (TCLF features, TCLN network, TCLP
+PCA, TCLG GMM) is a 4-byte ASCII magic, a uint32 format version, uint32 shape
+fields, then row-major float64 arrays, all little-endian; README "File formats"
+gives each layout.  A wrong magic or version is a hard error.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 import os
 import struct
 import tempfile
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from pathlib import Path
 from typing import BinaryIO
@@ -97,6 +98,11 @@ def read_text(path: str | Path) -> str:
         return _read(Path(path)).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def write_rows(path: str | Path, rows: Iterable[Sequence[str]]) -> None:
+    """Each row's fields joined by tabs, one row per line; the write-side twin of :func:`read_rows`."""
+    atomic_write_text(path, "".join("\t".join(row) + "\n" for row in rows))
 
 
 def read_rows(path: str | Path, num_fields: int) -> Iterator[tuple[int, list[str]]]:

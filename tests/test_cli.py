@@ -3,10 +3,13 @@ and rerun determinism on a tiny synthetic corpus.
 """
 
 import builtins
+import contextlib
 import hashlib
+import io
 import json
 import logging
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -244,6 +247,45 @@ def test_invalid_frontend_value_exits_2_naming_it(tiny_corpus, tmp_path, capsys,
     assert code == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("section, values, key", [
+    ("frontend", {"frame_length_ms": 5.0}, "frontend.frame_length_ms"),
+    ("frontend", {"num_static_ceps": 24}, "frontend.num_static_ceps"),
+    ("frontend", {"preemphasis_coeff": 1.0}, "frontend.preemphasis_coeff"),
+    ("frontend", {"window": "hann"}, "frontend.window"),
+    ("frontend", {"delta_window": 0}, "frontend.delta_window"),
+    ("tcl", {"mode": "x"}, "tcl.mode"),
+    ("dcf", {"p_target": 1.0}, "dcf.p_target"),
+    ("dcf", {"cost_miss": 0}, "dcf.cost_miss"),
+    ("bn", {"layer": "L9"}, "bn.layer"),
+    ("dnn", {"hidden_layers": []}, "dnn.hidden_layers"),
+])
+def test_every_invalid_config_value_exits_2_naming_its_key(tiny_corpus, tmp_path, capsys, section, values, key):
+    manifest, trials = tiny_corpus
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**TINY_CONFIG, section: values}), encoding="utf-8")
+    out = tmp_path / "run"
+    code = run_cli("run", "--manifest", manifest, "--trials", trials, "--config", bad, "--out", out)
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: {key}")
+    assert not out.exists()
+
+
+def test_deeply_nested_config_exits_2(tiny_corpus, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[" * 100_000, encoding="utf-8")
+    code = run_cli("extract-features", "--manifest", tiny_corpus[0], "--config", bad, "--out", tmp_path / "run")
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: invalid JSON (")
+
+
+def test_nul_byte_in_a_wav_path_exits_2_naming_the_line(tmp_path, capsys):
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_bytes(b"utterance_id\twav_path\tspeaker_id\tphrase_id\tsplit\nu1\ta\x00b.wav\ts1\tp1\tenroll\n")
+    code = run_cli("extract-features", "--manifest", manifest, "--out", tmp_path / "run")
+    assert code == 2
+    assert capsys.readouterr().err == f"error: extract-features: {manifest}:2: NUL byte in wav_path 'a\\x00b.wav'\n"
 
 
 def assert_every_utterance_fails_extraction(tiny_corpus, tmp_path, capsys, frontend_config, message):
@@ -566,6 +608,91 @@ def test_random_bytes_as_a_wav_are_recorded_naming_the_file(tiny_corpus, prefix,
                 assert message == str(exc) and message.startswith(f"{wav}: ")
 
 
+@pytest.fixture(scope="module")
+def finished_run(tiny_corpus, tmp_path_factory):
+    """A run directory after ``run`` on the tiny corpus, and the config it used."""
+    root = tmp_path_factory.mktemp("finished")
+    config = root / "config.json"
+    config.write_text(json.dumps(TINY_CONFIG), encoding="utf-8")
+    manifest, trials = tiny_corpus
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli("run", "--manifest", manifest, "--trials", trials, "--config", config,
+                       "--out", root / "run") == 0
+    return root / "run", config
+
+
+# Each text input: the file the fuzz writes (in a fresh input directory or in a
+# copy of the finished run directory) and the subcommand that reads it.
+TEXT_INPUTS = {
+    "manifest": ("in/manifest.tsv", ["extract-features", "--manifest", "{bad}", "--out", "{fresh}"]),
+    "config": ("in/config.json", ["extract-features", "--manifest", "{manifest}", "--config", "{bad}",
+                                  "--out", "{fresh}"]),
+    "trials": ("in/trials.tsv", ["score", "--manifest", "{manifest}", "--trials", "{bad}"]),
+    "labels": ("run/labels/labels.tsv", ["train-dnn", "--manifest", "{manifest}"]),
+    "scores": ("run/scores/scores.tsv", ["evaluate"]),
+    "failures": ("run/features/failures.tsv", ["make-labels", "--manifest", "{manifest}"]),
+}
+
+
+def _mutate(text: str, mutations) -> bytes:
+    """``text`` with each (line, position, kind, piece) mutation applied in turn."""
+    lines = text.splitlines() or [""]
+    for line_pick, pos_pick, kind, piece in mutations:
+        i = line_pick % len(lines)
+        line = lines[i]
+        pos = pos_pick % (len(line) + 1)
+        if kind == "duplicate":
+            lines.insert(i, line)
+        elif kind == "drop" and len(lines) > 1:
+            del lines[i]
+        else:
+            end = pos + (kind != "insert")
+            lines[i] = line[:pos] + (piece if kind != "delete" else "") + line[end:]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+_PIECES = ["\t", "\x00", " ", ".", "/", "..", "-", "_", "0", "1", "9", "x", "Z", "\u00e9", "\n",
+           "nan", "inf", "-1", "1e999", "{", "[", "]", "\"", ":", ","]
+_MUTATION = st.tuples(
+    st.integers(0, 2**16), st.integers(0, 2**16),
+    st.sampled_from(["replace", "insert", "delete", "duplicate", "drop"]), st.sampled_from(_PIECES),
+)
+
+
+@pytest.mark.parametrize("name", list(TEXT_INPUTS))
+@settings(derandomize=True, deadline=None, max_examples=40)
+@example(content=("bytes", b""))
+@given(content=st.one_of(
+    st.tuples(st.just("bytes"), st.binary(max_size=300)),
+    st.tuples(st.just("mutate"), st.lists(_MUTATION, min_size=1, max_size=4)),
+))
+def test_malformed_text_input_exits_2_naming_it_or_is_recorded(tiny_corpus, finished_run, name, content):
+    run_dir, config = finished_run
+    where, template = TEXT_INPUTS[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "in").mkdir()
+        shutil.copytree(run_dir, tmp / "run")
+        if name == "manifest":  # absolute WAV paths, so the copy need not sit next to wavs/
+            write_manifest(tmp / where, read_manifest(tiny_corpus[0]))
+        elif name == "config":
+            (tmp / where).write_text(ExperimentConfig().to_json(), encoding="utf-8")
+        elif name == "trials":
+            shutil.copy(tiny_corpus[1], tmp / where)
+        bad = tmp / where
+        kind, value = content
+        bad.write_bytes(value if kind == "bytes" else _mutate(bad.read_text(encoding="utf-8"), value))
+        argv = [a.format(bad=bad, manifest=tiny_corpus[0], fresh=tmp / "fresh") for a in template]
+        if "--out" not in argv:
+            argv += ["--config", config, "--out", tmp / "run"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run_cli(*argv)
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert str(bad) in err.getvalue(), err.getvalue()
+
+
 def test_full_run_and_report(tiny_corpus, config_path, tmp_path, capsys):
     manifest, trials = tiny_corpus
     out = tmp_path / "run"
@@ -695,6 +822,12 @@ def test_readme_cli_table_lists_the_stage_table():
         assert writes.startswith(f"`{stage.writes}/"), stage.name
 
 
+def test_readme_config_block_matches_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Configuration\n", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == json.loads(ExperimentConfig().to_json())
+
+
 def test_each_stage_warns_once_about_failed_utterances(tiny_corpus, config_path, tmp_path, capsys, caplog):
     manifest, trials = tiny_corpus
     # one dnn-train and one ubm-train utterance; enroll and test stay whole
@@ -788,6 +921,19 @@ def test_score_missing_model_names_it(tiny_corpus, config_path, tmp_path, capsys
     }[cause]
     assert want in err
     assert cause == "not-enrolled" or "run enroll first" not in err
+
+
+def test_score_rejects_a_model_id_that_is_no_file_name(tiny_corpus, config_path, tmp_path, capsys):
+    manifest, trials = tiny_corpus
+    out = tmp_path / "run"
+    run_through("enroll", tiny_corpus, config_path, out, capsys)
+    bad = tmp_path / "trials.tsv"
+    test_id = metrics.read_trials(trials)[0].test_utterance_id
+    bad.write_text(f"s00\t{test_id}\ttarget\n../ubm/ubm\t{test_id}\ttarget\n", encoding="utf-8")
+    code = run_cli("score", "--manifest", manifest, "--trials", bad, "--config", config_path, "--out", out)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: score: {bad}:2: bad model_id '../ubm/ubm'\n"
+    assert not (out / "scores").exists()
 
 
 def test_score_matches_per_trial_score_llr_bitwise(tiny_corpus, config_path, tmp_path, monkeypatch):

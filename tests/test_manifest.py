@@ -69,7 +69,7 @@ def test_wrong_header_rejected(tmp_path):
 def test_wrong_field_count_rejected(tmp_path):
     path = tmp_path / "manifest.tsv"
     write_lines(path, ["u1\twavs/u1.wav\tspk1\tdnn-train"])
-    with pytest.raises(DataError, match="expected 5 fields"):
+    with pytest.raises(DataError, match="manifest.tsv:2: expected 5 tab-separated fields"):
         read_manifest(path)
 
 

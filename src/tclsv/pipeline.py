@@ -20,8 +20,10 @@ from __future__ import annotations
 import functools
 import json
 import logging
+import os
 import warnings
 from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from pathlib import Path
 from typing import NamedTuple
 
@@ -38,6 +40,14 @@ logger = logging.getLogger(__name__)
 
 _FAILURES = Path("features", "failures.tsv")
 _UBM = Path("ubm", "ubm.tclg")
+
+# Fewest UBM components at which score spreads test utterances over the CPUs.
+# With fewer, scoring an utterance is mostly numpy calls too small to release
+# the interpreter lock for long, and a second thread only contends for it: on
+# 120 synthetic utterances of 124 frames against 20 models (2-core x86-64,
+# OpenBLAS 0.3.31), two threads took 1.36-1.54 times as long at K = 8-32 and
+# 1.01-1.05 times at K = 64, against 0.71-0.89 at K = 128 and 0.52-0.53 at 512.
+SPREAD_MIN_COMPONENTS = 128
 
 # Context-stacked rows per network call in extract-bn.  Whole utterances are
 # batched up to this many rows: 1,024 was the fastest size measured (2-core
@@ -219,7 +229,8 @@ def run_extract_features(
             feats = extract_features(signal, config.frontend, utterance_id=entry.utterance_id)
             storage.write_feature_archive(feat_dir / f"{entry.utterance_id}.tclf", feats)
         except DataError as exc:
-            failures.append((entry.utterance_id, str(exc)))
+            # a WAV path in the message may hold a line break, which write_rows refuses
+            failures.append((entry.utterance_id, storage.escape_line_breaks(str(exc))))
     failures.sort()
     storage.write_rows(out_dir / _FAILURES, failures)
     for utt, msg in failures:
@@ -461,6 +472,57 @@ def _missing_model(
     return DataError(f"{message} ({model_path}); run {_producer(model_path)} first")
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on (1 where the OS does not say)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+@contextmanager
+def _caller_runs(threads: int) -> Iterator[Callable[..., None]]:
+    """A ``submit(fn, *args)`` that runs ``fn(*args)`` on one of ``threads`` worker threads.
+
+    At most two calls per worker wait or run at a time; when that many do,
+    ``submit`` runs the call itself, so the calling thread takes a share of
+    the work.  With no threads every call runs at once in the caller and no
+    thread is started.  When the block ends, every call has returned, the
+    first error a worker raised has been raised again and no worker thread
+    is left.
+    """
+    if threads == 0:
+        yield lambda fn, *args: fn(*args)
+        return
+    from concurrent.futures import ThreadPoolExecutor  # here, so that importing the CLI does not pay for it
+
+    with ThreadPoolExecutor(threads, thread_name_prefix="tclsv-score") as pool:
+        pending = []
+
+        def submit(fn: Callable[..., None], *args) -> None:
+            nonlocal pending
+            running = []
+            for future in pending:
+                if future.done():
+                    future.result()
+                else:
+                    running.append(future)
+            pending = running
+            if len(pending) < 2 * threads:
+                pending.append(pool.submit(fn, *args))
+            else:
+                fn(*args)
+
+        try:
+            yield submit
+            for future in pending:
+                future.result()
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+
+def _score_into(scores: np.ndarray, indices: list[int], targets: list[gmm.GmmModel],
+                ubm: gmm.GmmModel, x: np.ndarray) -> None:
+    scores[indices] = gmm.score_llr(targets, ubm, x)
+
+
 def run_score(manifest_path, config: ExperimentConfig, out_dir: Path, trials_path) -> TrialScoreSet:
     """The average per-frame LLR of each trial, written in trial order.
 
@@ -468,8 +530,14 @@ def run_score(manifest_path, config: ExperimentConfig, out_dir: Path, trials_pat
     call that evaluates the UBM and the frames' variance term once for every
     model the utterance is tried against.  Every model shares that term:
     mean-only MAP keeps the UBM's weights and variances, and a model without
-    them is rejected.  Only one utterance's frames and terms are held at a
-    time.
+    them is rejected.
+
+    The calling thread reads each utterance's frames and models in trial
+    order and raises any DataError they cause in that order.  With a UBM
+    of at least ``SPREAD_MIN_COMPONENTS`` components, the ``score_llr``
+    calls are spread over every CPU the process may use, a few utterances
+    in flight per CPU.  Each runs on one BLAS thread, as with one CPU, so
+    every score has the same bits on any CPU count.
     """
     ubm_path = _require(out_dir / _UBM)
     ubm = storage.read_gmm(ubm_path)
@@ -493,28 +561,36 @@ def run_score(manifest_path, config: ExperimentConfig, out_dir: Path, trials_pat
     subdir = _backend_subdir(config)
     model_cache: dict[str, gmm.GmmModel] = {}
     scores = np.empty(len(trials))
-    for utt, indices in by_test.items():
-        x = _load_frames(out_dir, by_id[utt], subdir, ubm.dim)
-        if x.shape[0] == 0:
-            raise DataError(f"{utt}: utterance has no frames")
-        targets = []
-        for i in indices:
-            model_id = trials[i].model_id
-            if model_id not in model_cache:
-                model_path = out_dir / "models" / f"{model_id}.tclg"
-                if not model_path.exists():
-                    raise _missing_model(model_id, model_path, entries, out_dir, trials_path)
-                model = storage.read_gmm(model_path)
-                if not (np.array_equal(model.weights, ubm.weights)
-                        and np.array_equal(model.variances, ubm.variances)):
-                    raise DataError(
-                        f"{model_path}: weights or variances differ from {ubm_path}; run enroll again"
-                    )
-                # on the UBM's own arrays, so a cached model holds only its
-                # means and their terms, and shares the UBM's variance term
-                model_cache[model_id] = gmm.GmmModel(ubm.weights, model.means, ubm.variances)
-            targets.append(model_cache[model_id])
-        scores[indices] = gmm.score_llr(targets, ubm, x)
+    # The terms score_llr reads are cached on first use, by a cached_property
+    # that takes no lock from Python 3.12 on, so they are built here before
+    # any worker thread reads them.
+    _ = ubm._variance_factor, ubm._mean_terms
+    spread = ubm.num_components >= SPREAD_MIN_COMPONENTS and len(by_test) > 1
+    with _caller_runs(min(_usable_cpus(), len(by_test)) - 1 if spread else 0) as submit:
+        for utt, indices in by_test.items():
+            x = _load_frames(out_dir, by_id[utt], subdir, ubm.dim)
+            if x.shape[0] == 0:
+                raise DataError(f"{utt}: utterance has no frames")
+            targets = []
+            for i in indices:
+                model_id = trials[i].model_id
+                if model_id not in model_cache:
+                    model_path = out_dir / "models" / f"{model_id}.tclg"
+                    if not model_path.exists():
+                        raise _missing_model(model_id, model_path, entries, out_dir, trials_path)
+                    model = storage.read_gmm(model_path)
+                    if not (np.array_equal(model.weights, ubm.weights)
+                            and np.array_equal(model.variances, ubm.variances)):
+                        raise DataError(
+                            f"{model_path}: weights or variances differ from {ubm_path}; run enroll again"
+                        )
+                    # on the UBM's own arrays, so a cached model holds only its
+                    # means and their terms, and shares the UBM's variance term
+                    model = gmm.GmmModel(ubm.weights, model.means, ubm.variances)
+                    _ = model._mean_terms
+                    model_cache[model_id] = model
+                targets.append(model_cache[model_id])
+            submit(_score_into, scores, indices, targets, ubm, x)
     score_set = TrialScoreSet(trials=trials, scores=scores)
     metrics.write_scores(storage.make_dir(out_dir / "scores") / "scores.tsv", score_set)
     return score_set

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import struct
 import tempfile
 from collections.abc import Iterable, Iterator, Sequence
@@ -30,6 +31,12 @@ from .pca import PcaModel
 
 FORMAT_VERSION = 1
 
+# Every character str.splitlines ends a line at.  A field holding one would be
+# read back as two rows, so write_rows refuses it.
+LINE_BREAKS = "\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE_BREAK = re.compile(f"[{re.escape(LINE_BREAKS)}]")
+_ESCAPED_LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in LINE_BREAKS})
+
 
 @contextmanager
 def _atomic_file(path: str | Path) -> Iterator[BinaryIO]:
@@ -40,7 +47,9 @@ def _atomic_file(path: str | Path) -> Iterator[BinaryIO]:
     the temp file is removed and ``path`` is left as it was.
     """
     path = Path(path)
-    umask = os.umask(0)  # reading the umask means setting it; no tclsv code runs threads
+    # Reading the umask means setting it, so no other thread may create a file
+    # meanwhile: tclsv writes every file from the main thread.
+    umask = os.umask(0)
     os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
@@ -100,9 +109,25 @@ def read_text(path: str | Path) -> str:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
+def escape_line_breaks(text: str) -> str:
+    """``text`` with each of ``LINE_BREAKS`` written as its Python escape, such as ``\\n``."""
+    return text.translate(_ESCAPED_LINE_BREAKS)
+
+
 def write_rows(path: str | Path, rows: Iterable[Sequence[str]]) -> None:
-    """Each row's fields joined by tabs, one row per line; the write-side twin of :func:`read_rows`."""
-    atomic_write_text(path, "".join("\t".join(row) + "\n" for row in rows))
+    """Each row's fields joined by tabs, one row per line; the write-side twin of :func:`read_rows`.
+
+    DataError naming the file, which is left as it was, if a field holds one
+    of ``LINE_BREAKS``.
+    """
+    lines = []
+    for row in rows:
+        line = "\t".join(row)
+        if _LINE_BREAK.search(line):
+            field = next(f for f in row if _LINE_BREAK.search(f))
+            raise DataError(f"{path}: line break in field {field!r}")
+        lines.append(line + "\n")
+    atomic_write_text(path, "".join(lines))
 
 
 def read_rows(path: str | Path, num_fields: int) -> Iterator[tuple[int, list[str]]]:

@@ -14,6 +14,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -521,6 +522,22 @@ def test_corrupt_wav_is_isolated(tmp_path, config_path, capsys):
     assert len(archives) == 2 * 5 * 2 - 1
 
 
+def test_failure_message_holding_a_line_break_stays_on_one_line(tmp_path, config_path, capsys):
+    # the manifest's directory, and so the WAV path in the message, holds a newline
+    corpus = tmp_path / "a\nb"
+    corpus.mkdir()
+    wav = corpus / "x.wav"
+    wav.write_bytes(b"this is not a wav file")
+    manifest = corpus / "manifest.tsv"
+    write_manifest(manifest, [ManifestEntry("u1", wav, "s00", "p0", "enroll")])
+    out = tmp_path / "run"
+    assert run_cli("extract-features", "--manifest", manifest, "--config", config_path, "--out", out) == 0
+    failures = (out / "features" / "failures.tsv").read_text(encoding="utf-8")
+    escaped = str(wav).replace("\n", "\\n")
+    assert failures == f"u1\t{escaped}: not a valid WAV file (file does not start with RIFF id)\n"
+    assert pipeline._failed_ids(out) == {"u1"}
+
+
 def test_wav_shorter_than_its_header_is_recorded(tiny_corpus, tmp_path, config_path, capsys):
     manifest, _ = tiny_corpus
     victim = read_manifest(manifest)[0].utterance_id
@@ -992,6 +1009,127 @@ def test_score_caches_each_model_on_the_ubms_arrays(tiny_corpus, config_path, tm
                   for v in (value if isinstance(value, tuple) else (value,))]
         own = [a for a in cached if a is not ubm.weights and a is not ubm.variances]
         assert sum(a.nbytes for a in own) == 2 * model.means.nbytes + model.weights.nbytes
+
+
+def usable_cpus(monkeypatch, cpus):
+    """Make ``cpus`` CPUs usable to ``score``, and spread it over them for any UBM size."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(pipeline, "SPREAD_MIN_COMPONENTS", 1)
+
+
+def record_score_threads(monkeypatch):
+    """The list, filled as ``score`` runs, of the thread each ``gmm.score_llr`` call ran on."""
+    real_score_llr = gmm.score_llr
+    threads = []
+
+    def recording(*args):
+        threads.append(threading.current_thread())
+        return real_score_llr(*args)
+
+    monkeypatch.setattr(gmm, "score_llr", recording)
+    return threads
+
+
+def test_score_gives_the_same_bits_on_any_cpu_count(tiny_corpus, config_path, tmp_path, monkeypatch):
+    manifest, trials = tiny_corpus
+    config = load_config(config_path).resolved(None)
+    scored_on = record_score_threads(monkeypatch)
+    outs, scores, on_main = {}, {}, {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads switch as often as the interpreter lets them
+    try:
+        for cpus in (1, 3):  # 3 is more than the threads a 2-core machine runs at once
+            usable_cpus(monkeypatch, cpus)
+            out = outs[cpus] = tmp_path / f"cpus{cpus}"
+            threads = threading.active_count()
+            scored_on.clear()
+            assert run_cli("run", "--manifest", manifest, "--trials", trials, "--config", config_path,
+                           "--out", out) == 0
+            assert threading.active_count() == threads  # no thread outlives the stage
+            on_main[cpus] = [t is threading.main_thread() for t in scored_on]
+            scores[cpus] = pipeline.run_score(manifest, config, out, trials).scores
+            assert threading.active_count() == threads
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(on_main[1])
+    assert not all(on_main[3])  # the test exercises the worker threads
+    assert np.array_equal(scores[1], scores[3])
+    files = sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(outs[3]) for p in outs[3].rglob("*") if p.is_file())
+    for name in files:
+        assert (outs[1] / name).read_bytes() == (outs[3] / name).read_bytes(), name
+
+
+def test_score_stays_on_the_main_thread_below_the_spread_size(tiny_corpus, config_path, tmp_path, capsys,
+                                                              monkeypatch):
+    manifest, trials = tiny_corpus
+    out = tmp_path / "run"
+    run_through("enroll", tiny_corpus, config_path, out, capsys)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
+    scored_on = record_score_threads(monkeypatch)
+    pipeline.run_score(manifest, load_config(config_path).resolved(None), out, trials)
+    assert TINY_CONFIG["backend"]["num_mixtures"] < pipeline.SPREAD_MIN_COMPONENTS
+    assert scored_on and all(t is threading.main_thread() for t in scored_on)
+
+
+def test_score_of_no_trials_writes_an_empty_score_file(tiny_corpus, config_path, tmp_path, capsys, monkeypatch):
+    manifest, _ = tiny_corpus
+    out = tmp_path / "run"
+    run_through("enroll", tiny_corpus, config_path, out, capsys)
+    usable_cpus(monkeypatch, 3)
+    empty = tmp_path / "trials.tsv"
+    empty.write_text("", encoding="utf-8")
+    threads = threading.active_count()
+    assert run_cli("score", "--manifest", manifest, "--trials", empty, "--config", config_path, "--out", out) == 0
+    assert threading.active_count() == threads
+    assert (out / "scores" / "scores.tsv").read_bytes() == b""
+
+
+@pytest.mark.parametrize("first", ["frames", "model"])
+def test_score_raises_the_first_fault_in_trial_order_on_any_cpu_count(tiny_corpus, tmp_path, capsys,
+                                                                      monkeypatch, first):
+    manifest, trials = tiny_corpus
+    test_ids = list(dict.fromkeys(t.test_utterance_id for t in metrics.read_trials(trials)))
+    poisoned, other = test_ids[0], test_ids[-1]
+    config_path, out = poison_backend_archive("score", "bn", tiny_corpus, tmp_path, capsys, poisoned)
+    lines = [f"s00\t{poisoned}\ttarget", f"s99\t{other}\ttarget"]  # s99 has no model
+    if first == "model":
+        lines.reverse()
+    faulty = tmp_path / "trials.tsv"
+    faulty.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    errors = {}
+    for cpus in (1, 3):
+        usable_cpus(monkeypatch, cpus)
+        threads = threading.active_count()
+        code = run_cli("score", "--manifest", manifest, "--trials", faulty, "--config", config_path, "--out", out)
+        assert code == 2
+        assert threading.active_count() == threads
+        errors[cpus] = capsys.readouterr().err
+    assert errors[3] == errors[1]
+    if first == "frames":
+        assert errors[1] == f"error: score: {poisoned!r}: non-finite frames in bn/\n"
+    else:
+        assert errors[1].startswith(f"error: score: {faulty}: no enrolled model for 's99'")
+    assert not (out / "scores").exists()
+
+
+def test_every_file_is_written_from_the_main_thread(tiny_corpus, config_path, tmp_path, monkeypatch):
+    # storage._atomic_file reads the umask by setting it, which is safe only
+    # while no other thread creates a file
+    manifest, trials = tiny_corpus
+    usable_cpus(monkeypatch, 3)
+    real_atomic_file = storage._atomic_file
+    written_on = []
+
+    def recording(path):
+        written_on.append(threading.current_thread())
+        return real_atomic_file(path)
+
+    monkeypatch.setattr(storage, "_atomic_file", recording)
+    assert run_cli("run", "--manifest", manifest, "--trials", trials, "--config", config_path,
+                   "--out", tmp_path / "run") == 0
+    assert len(written_on) == sum(1 for p in (tmp_path / "run").rglob("*") if p.is_file())
+    assert all(t is threading.main_thread() for t in written_on)
 
 
 @pytest.mark.parametrize("mode", ["utterance", "stream"])

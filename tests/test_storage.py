@@ -18,7 +18,9 @@ from tclsv.manifest import ManifestEntry, write_manifest
 from tclsv.network import NetworkArch, init_network
 from tclsv.pca import PcaModel, covariance, fit_pca
 from tclsv.storage import (
+    LINE_BREAKS,
     atomic_write_bytes,
+    escape_line_breaks,
     read_feature_archive,
     read_feature_shape,
     read_gmm,
@@ -28,6 +30,7 @@ from tclsv.storage import (
     write_gmm,
     write_network,
     write_pca,
+    write_rows,
 )
 
 
@@ -108,6 +111,25 @@ def test_text_writer_failing_part_way_keeps_previous_file(name, tmp_path, monkey
     TEXT_WRITERS[name](path)
     assert path.read_bytes() != b"previous\n"
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_line_breaks_are_every_character_splitlines_ends_a_line_at():
+    ends = [c for c in map(chr, range(0x110000)) if len(f"a{c}b".splitlines()) == 2]
+    assert "".join(ends) == LINE_BREAKS
+
+
+@pytest.mark.parametrize("char", LINE_BREAKS)
+def test_write_rows_refuses_a_field_holding_a_line_break(char, tmp_path):
+    path = tmp_path / "rows.tsv"
+    path.write_bytes(b"previous\n")
+    field = f"d/a{char}b/x.wav: not a valid WAV file"
+    with pytest.raises(DataError, match="line break in field") as exc:
+        write_rows(path, [("u0", "fine"), ("u1", field)])
+    assert str(exc.value) == f"{path}: line break in field {field!r}"
+    assert path.read_bytes() == b"previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    write_rows(path, [("u1", escape_line_breaks(field))])
+    assert path.read_text(encoding="utf-8") == f"u1\td/a{repr(char)[1:-1]}b/x.wav: not a valid WAV file\n"
 
 
 # --- feature archives ---

@@ -149,17 +149,28 @@ def write_wav(path: str | Path, signal: AudioSignal) -> None:
         wf.writeframes(pcm.tobytes())
 
 
+def _frame_geometry(config: FrontendConfig, rate: int) -> tuple[int, int]:
+    """(frame length, frame shift) in samples at ``rate``; DataError if the shift is under one sample."""
+    frame_len = int(round(config.frame_length_ms * rate / 1000.0))
+    frame_shift = int(round(config.frame_shift_ms * rate / 1000.0))
+    if frame_shift < 1:  # frame_len is no shorter, so this covers both
+        raise DataError(f"frontend.frame_shift_ms {config.frame_shift_ms} is under one sample at {rate} Hz")
+    return frame_len, frame_shift
+
+
+def count_frames(signal: AudioSignal, config: FrontendConfig) -> int:
+    """How many frames :func:`frame_signal` cuts ``signal`` into, 0 when it is shorter than one."""
+    frame_len, frame_shift = _frame_geometry(config, signal.sample_rate_hz)
+    return max(0, 1 + (len(signal.samples) - frame_len) // frame_shift)
+
+
 def frame_signal(signal: AudioSignal, config: FrontendConfig) -> tuple[np.ndarray, np.ndarray]:
     """Pre-emphasized, Hamming-windowed frames and each frame's log energy.
 
     Frame count is ``1 + floor((len - frame_len) / frame_shift)``.  The
     per-frame log energy is computed after pre-emphasis but before windowing.
     """
-    rate = signal.sample_rate_hz
-    frame_len = int(round(config.frame_length_ms * rate / 1000.0))
-    frame_shift = int(round(config.frame_shift_ms * rate / 1000.0))
-    if frame_shift < 1:  # frame_len is no shorter, so this covers both
-        raise DataError(f"frontend.frame_shift_ms {config.frame_shift_ms} is under one sample at {rate} Hz")
+    frame_len, frame_shift = _frame_geometry(config, signal.sample_rate_hz)
     x = np.asarray(signal.samples, dtype=np.float64)
     if len(x) < frame_len:
         raise DataError(f"signal has {len(x)} samples, need at least {frame_len} for one frame")

@@ -21,18 +21,20 @@ import functools
 import json
 import logging
 import os
+import sys
+import traceback
 import warnings
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
-from typing import NamedTuple
+from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
 from . import gmm, labeling, metrics, network, pca, storage
 from .config import ExperimentConfig
 from .errors import DataError
-from .frontend import cmvn, extract_features, read_wav
+from .frontend import cmvn, count_frames, extract_features, read_wav
 from .manifest import ManifestEntry, by_split, read_manifest
 from .metrics import TrialScoreSet
 
@@ -208,6 +210,79 @@ def _load_frames(
     return frames
 
 
+def _wav_size(entry: ManifestEntry) -> int:
+    try:
+        return os.path.getsize(entry.wav_path)
+    except OSError:  # read_wav will record why
+        return 0
+
+
+def _shares(entries: list[ManifestEntry], count: int) -> list[list[ManifestEntry]]:
+    """``entries`` dealt into ``count`` shares of about equal WAV bytes: largest first, each to the lightest share."""
+    shares: list[list[ManifestEntry]] = [[] for _ in range(count)]
+    loads = [0] * count
+    for size, entry in sorted(((_wav_size(e), e) for e in entries), key=lambda pair: -pair[0]):
+        lightest = loads.index(min(loads))
+        shares[lightest].append(entry)
+        loads[lightest] += size
+    return shares
+
+
+def _extract_share(
+    entries: list[ManifestEntry], config: ExperimentConfig, feat_dir: Path, parent: int | None = None
+) -> tuple[list[tuple[str, str]], int, int]:
+    """Extract and write ``entries``' features: (failure rows, frames framed, frames VAD kept).
+
+    A DataError becomes the utterance's failure row; any other error is
+    raised.  ``parent``, in a forked worker, is the pid that forked it: the
+    worker stops before its next utterance once that process has gone.
+    """
+    failures: list[tuple[str, str]] = []
+    framed = kept = 0
+    for entry in entries:
+        if parent is not None and os.getppid() != parent:
+            raise RuntimeError(f"process {parent}, which forked this feature extraction worker, has gone")
+        try:
+            audio = read_wav(entry.wav_path)
+            feats = extract_features(audio, config.frontend, utterance_id=entry.utterance_id)
+            storage.write_feature_archive(feat_dir / f"{entry.utterance_id}.tclf", feats)
+        except DataError as exc:
+            # a WAV path in the message may hold a line break, which write_rows refuses
+            failures.append((entry.utterance_id, storage.escape_line_breaks(str(exc))))
+            continue
+        framed += count_frames(audio, config.frontend)
+        kept += feats.shape[0]
+    return failures, framed, kept
+
+
+def _fork_share(entries: list[ManifestEntry], config: ExperimentConfig, feat_dir: Path) -> tuple[int, BinaryIO]:
+    """(pid, pipe) of a forked worker that runs :func:`_extract_share` and sends its result down the pipe as JSON.
+
+    The worker never returns into the caller: it leaves through
+    ``os._exit``, so it writes no snapshot, runs no atexit handler and
+    flushes no stdio buffer it inherited.  It exits 0 once the result is
+    sent, and 1, after a traceback on stderr, on any error.
+    """
+    parent = os.getpid()
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            result = _extract_share(entries, config, feat_dir, parent)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(json.dumps(result).encode("utf-8"))
+            code = 0
+        except BaseException:
+            traceback.print_exc()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+    os.close(write_fd)  # else a later worker would inherit it, and this pipe would never reach EOF
+    return pid, open(read_fd, "rb")
+
+
 def run_extract_features(
     manifest_path, config: ExperimentConfig, out_dir: Path
 ) -> list[tuple[str, str]]:
@@ -216,25 +291,61 @@ def run_extract_features(
     Per-utterance failures (bad WAV, VAD removing everything, ...) are
     collected into features/failures.tsv instead of aborting the run.
     Returns the sorted failure list.
+
+    The entries are dealt into one share per CPU the process may use (no
+    more shares than entries), balanced by WAV size.  This process runs the
+    first share and forks one worker per other share; with one CPU, or no
+    ``os.fork``, it forks none.  Each worker inherits the stage's one BLAS
+    thread, so every archive has the same bytes on any CPU count.  An error
+    other than a DataError, in this process or in a worker, kills and reaps
+    every worker and is raised; failures.tsv is then not written.
     """
     entries = read_manifest(manifest_path)
     feat_dir = storage.make_dir(out_dir / "features")
     if not entries:
         warnings.warn("manifest has no entries; nothing to extract")
 
-    failures: list[tuple[str, str]] = []
-    for entry in entries:
-        try:
-            signal = read_wav(entry.wav_path)
-            feats = extract_features(signal, config.frontend, utterance_id=entry.utterance_id)
-            storage.write_feature_archive(feat_dir / f"{entry.utterance_id}.tclf", feats)
-        except DataError as exc:
-            # a WAV path in the message may hold a line break, which write_rows refuses
-            failures.append((entry.utterance_id, storage.escape_line_breaks(str(exc))))
+    cpus = _usable_cpus() if hasattr(os, "fork") else 1
+    first, *others = _shares(entries, max(1, min(cpus, len(entries))))
+    # before forking: a worker holds a copy of any line still buffered, and
+    # the flush after its traceback would write stderr's copy a second time
+    sys.stdout.flush()
+    sys.stderr.flush()
+    workers: list[tuple[int, BinaryIO]] = []
+    try:
+        for share in others:
+            workers.append(_fork_share(share, config, feat_dir))
+        failures, framed, kept = _extract_share(first, config, feat_dir)
+        while workers:
+            pid, pipe = workers[0]
+            with pipe:  # to EOF before waitpid: a long failure list fills the pipe buffer
+                result = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            workers.pop(0)
+            if status != 0:
+                raise RuntimeError(
+                    f"feature extraction worker {pid} exited with {os.waitstatus_to_exitcode(status)}"
+                )
+            worker_failures, worker_framed, worker_kept = json.loads(result)
+            failures += [tuple(row) for row in worker_failures]
+            framed += worker_framed
+            kept += worker_kept
+    finally:
+        if workers:
+            import signal  # here, so that importing the CLI does not pay for it
+
+            for pid, pipe in workers:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
     failures.sort()
     storage.write_rows(out_dir / _FAILURES, failures)
     for utt, msg in failures:
         logger.warning("extraction failed for %s: %s", utt, msg)
+    logger.info(
+        "extracted %d utterance(s) in %d process(es), %d failed; VAD kept %d of %d frames",
+        len(entries) - len(failures), 1 + len(others), len(failures), kept, framed,
+    )
     return failures
 
 

@@ -47,8 +47,10 @@ def _atomic_file(path: str | Path) -> Iterator[BinaryIO]:
     the temp file is removed and ``path`` is left as it was.
     """
     path = Path(path)
-    # Reading the umask means setting it, so no other thread may create a file
-    # meanwhile: tclsv writes every file from the main thread.
+    # Reading the umask means setting it, so no other thread of this process
+    # may create a file meanwhile.  The umask is per process: tclsv writes
+    # every file from the main thread of its process, or of a forked
+    # extract-features worker.
     umask = os.umask(0)
     os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")

@@ -388,25 +388,40 @@ def test_make_corpus_bytes_are_pinned(tmp_path):
     assert digest.hexdigest() == PINNED_CORPUS_SHA256
 
 
-def test_stages_never_import_scipy(tiny_corpus, config_path, tmp_path):
-    # scipy costs most of a process's start-up and only make-corpus uses it.
+def assert_cli_and_run_never_import(module, tiny_corpus, config_path, tmp_path):
+    """Neither ``import tclsv.cli`` nor a whole tiny ``run`` on 3 usable CPUs loads ``module``."""
     manifest, trials = tiny_corpus
     script = (
-        "import sys\n"
+        "import os, sys\n"
+        "os.sched_getaffinity = lambda pid: set(range(3))\n"
+        "module = sys.argv[1]\n"
         "from tclsv import cli\n"
-        "assert 'scipy' not in sys.modules, 'import'\n"
-        "code = cli.main(sys.argv[1:])\n"
+        "assert module not in sys.modules, 'import'\n"
+        "code = cli.main(sys.argv[2:])\n"
         "assert code == 0, code\n"
-        "assert 'scipy' not in sys.modules, 'run'\n"
+        "assert module not in sys.modules, 'run'\n"
     )
     src = str(Path(tclsv.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    argv = ["run", "--manifest", manifest, "--trials", trials, "--config", config_path, "--out", tmp_path / "run"]
+    argv = [module, "run", "--manifest", manifest, "--trials", trials, "--config", config_path,
+            "--out", tmp_path / "run"]
     result = subprocess.run(
         [sys.executable, "-c", script, *map(str, argv)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_stages_never_import_scipy(tiny_corpus, config_path, tmp_path):
+    # scipy costs most of a process's start-up and only make-corpus uses it.
+    assert_cli_and_run_never_import("scipy", tiny_corpus, config_path, tmp_path)
+
+
+def test_stages_never_import_multiprocessing(tiny_corpus, config_path, tmp_path):
+    # extract-features forks its workers with os.fork.  Importing
+    # multiprocessing takes about 11 ms (-X importtime, 2-core x86-64), which
+    # every tclsv process would pay before its stage starts.
+    assert_cli_and_run_never_import("multiprocessing", tiny_corpus, config_path, tmp_path)
 
 
 TRACED_SPANS = ("network.train", "gmm.map_adapt", "labeling.label_utterances")
@@ -1012,7 +1027,7 @@ def test_score_caches_each_model_on_the_ubms_arrays(tiny_corpus, config_path, tm
 
 
 def usable_cpus(monkeypatch, cpus):
-    """Make ``cpus`` CPUs usable to ``score``, and spread it over them for any UBM size."""
+    """Make ``cpus`` CPUs usable to ``extract-features`` and ``score``, and spread ``score`` for any UBM size."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     monkeypatch.setattr(pipeline, "SPREAD_MIN_COMPONENTS", 1)
 
@@ -1115,21 +1130,156 @@ def test_score_raises_the_first_fault_in_trial_order_on_any_cpu_count(tiny_corpu
 
 def test_every_file_is_written_from_the_main_thread(tiny_corpus, config_path, tmp_path, monkeypatch):
     # storage._atomic_file reads the umask by setting it, which is safe only
-    # while no other thread creates a file
+    # while no other thread of its process creates a file.  extract-features
+    # writes from forked workers too, which an in-memory record would miss,
+    # so each write appends its process and thread to a file.
     manifest, trials = tiny_corpus
     usable_cpus(monkeypatch, 3)
     real_atomic_file = storage._atomic_file
-    written_on = []
+    record = tmp_path / "writes.txt"
 
     def recording(path):
-        written_on.append(threading.current_thread())
+        with open(record, "a", encoding="utf-8") as lines:
+            lines.write(f"{os.getpid()}\t{threading.current_thread() is threading.main_thread()}\n")
         return real_atomic_file(path)
 
     monkeypatch.setattr(storage, "_atomic_file", recording)
     assert run_cli("run", "--manifest", manifest, "--trials", trials, "--config", config_path,
                    "--out", tmp_path / "run") == 0
-    assert len(written_on) == sum(1 for p in (tmp_path / "run").rglob("*") if p.is_file())
-    assert all(t is threading.main_thread() for t in written_on)
+    writes = [line.split("\t") for line in record.read_text(encoding="utf-8").splitlines()]
+    assert len(writes) == sum(1 for p in (tmp_path / "run").rglob("*") if p.is_file())
+    assert all(on_main == "True" for _, on_main in writes)
+    assert len({pid for pid, _ in writes}) == 3  # the record sees the workers' writes
+
+
+# --- extract-features on several CPUs ---
+
+
+def odd_wavs_in_a_workers_share(tiny_corpus, tmp_path):
+    """A copy of the tiny manifest with one corrupt and one silent WAV, both in a forked worker's share of 3."""
+    manifest, _ = tiny_corpus
+    entries = read_manifest(manifest)
+    odd = tmp_path / "odd"
+    odd.mkdir()
+    corrupt, silent = entries[0], entries[1]
+    entries[0] = replace(corrupt, wav_path=odd / "corrupt.wav")
+    entries[0].wav_path.write_bytes(b"this is not a wav file")
+    entries[1] = replace(silent, wav_path=odd / "silent.wav")
+    signal = frontend.read_wav(silent.wav_path)
+    frontend.write_wav(entries[1].wav_path, replace(signal, samples=np.zeros_like(signal.samples)))
+    path = tmp_path / "manifest.tsv"
+    write_manifest(path, entries)
+    first_share = {e.utterance_id for e in pipeline._shares(entries, 3)[0]}
+    assert not first_share & {corrupt.utterance_id, silent.utterance_id}
+    return path
+
+
+def run_extract_features_process(cpus, manifest, config_path, out, fail=""):
+    """``extract-features`` in a fresh interpreter that sees ``cpus`` usable CPUs.
+
+    With ``fail``, reading that utterance's WAV raises OSError.  Before the
+    stage the script prints a line that stays in stdout's buffer, so a
+    process that flushed a copy of it would print it twice.
+    """
+    script = (
+        "import os, sys\n"
+        "from pathlib import Path\n"
+        "cpus, fail = int(sys.argv[1]), sys.argv[2]\n"
+        "os.sched_getaffinity = lambda pid: set(range(cpus))\n"
+        "from tclsv import cli, pipeline\n"
+        "real_read_wav = pipeline.read_wav\n"
+        "def read_wav(path):\n"
+        "    if Path(path).stem == fail:\n"
+        "        raise OSError('disk on fire')\n"
+        "    return real_read_wav(path)\n"
+        "pipeline.read_wav = read_wav\n"
+        "print('before the stage')\n"
+        "sys.exit(cli.main(sys.argv[3:]))\n"
+    )
+    src = str(Path(tclsv.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe is then block-buffered
+    argv = [cpus, fail, "extract-features", "--manifest", manifest, "--config", config_path, "--out", out]
+    return subprocess.run([sys.executable, "-c", script, *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_extract_features_gives_the_same_bytes_on_any_cpu_count(tiny_corpus, config_path, tmp_path):
+    manifest = odd_wavs_in_a_workers_share(tiny_corpus, tmp_path)
+    outs, stdouts, counts = {}, {}, {}
+    for cpus in (1, 3):
+        outs[cpus] = tmp_path / f"cpus{cpus}"
+        result = run_extract_features_process(cpus, manifest, config_path, outs[cpus])
+        assert result.returncode == 0, result.stderr
+        stdouts[cpus] = result.stdout
+        # the INFO line sums the workers' counts
+        [counts[cpus]] = [line for line in result.stderr.splitlines() if line.startswith("INFO")]
+        assert f"extracted 29 utterance(s) in {cpus} process(es), 1 failed;" in counts[cpus]
+    assert stdouts[1] == stdouts[3] == "before the stage\nfeature extraction finished with 1 failure(s)\n"
+    assert counts[1].split(";")[1] == counts[3].split(";")[1]
+    failures = (outs[1] / "features" / "failures.tsv").read_text(encoding="utf-8")
+    assert failures.startswith(read_manifest(manifest)[0].utterance_id + "\t")
+    files = sorted(p.relative_to(outs[1]) for p in (outs[1] / "features").iterdir())
+    assert len(files) == 3 * 5 * 2
+    assert files == sorted(p.relative_to(outs[3]) for p in (outs[3] / "features").iterdir())
+    for name in files:
+        assert (outs[1] / name).read_bytes() == (outs[3] / name).read_bytes(), name
+
+
+def test_an_error_in_a_worker_exits_3_before_any_stage_output(tiny_corpus, config_path, tmp_path):
+    manifest, _ = tiny_corpus
+    victim = pipeline._shares(read_manifest(manifest), 3)[1][0].utterance_id
+    out = tmp_path / "run"
+    result = run_extract_features_process(3, manifest, config_path, out, fail=victim)
+    assert result.returncode == 3
+    assert result.stdout == "before the stage\n"
+    assert "OSError: disk on fire" in result.stderr
+    assert "feature extraction worker" in result.stderr
+    assert not (out / "features" / "failures.tsv").exists()
+    assert not (out / "config").exists()
+
+
+@pytest.mark.parametrize("fault", [None, "in the first share", "in a worker's share"])
+def test_no_worker_outlives_extract_features(tiny_corpus, config_path, tmp_path, capsys, monkeypatch, fault):
+    manifest, _ = tiny_corpus
+    usable_cpus(monkeypatch, 3)
+    shares = pipeline._shares(read_manifest(manifest), 3)
+    victim = {None: None, "in the first share": shares[0][-1], "in a worker's share": shares[2][-1]}[fault]
+    real_read_wav = pipeline.read_wav
+
+    def read_wav(path):
+        if victim is not None and Path(path) == victim.wav_path:
+            raise OSError("disk on fire")
+        return real_read_wav(path)
+
+    monkeypatch.setattr(pipeline, "read_wav", read_wav)
+    code = run_cli("extract-features", "--manifest", manifest, "--config", config_path, "--out", tmp_path / "run")
+    assert code == (0 if fault is None else 3)
+    with pytest.raises(ChildProcessError):  # no child, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+    if fault is not None:
+        # a worker's traceback goes to its copy of the captured stderr, so only the worker's exit shows here
+        expected = "disk on fire" if fault == "in the first share" else "feature extraction worker"
+        assert expected in capsys.readouterr().err
+
+
+def test_workers_run_on_one_blas_thread(tiny_corpus, tmp_path, monkeypatch, blas_threads):
+    # 40 ms frames take 513 FFT bins, whose mel product rounds differently on
+    # two OpenBLAS threads than on one (2-core x86-64, OpenBLAS 0.3.31)
+    manifest, _ = tiny_corpus
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({**TINY_CONFIG, "frontend": {"frame_length_ms": 40.0}}), encoding="utf-8")
+    outs = {}
+    for cpus in (1, 3):
+        usable_cpus(monkeypatch, cpus)
+        outs[cpus] = tmp_path / f"cpus{cpus}"
+        assert run_cli("extract-features", "--manifest", manifest, "--config", config_path,
+                       "--out", outs[cpus]) == 0
+    assert blas_threads() == 2
+    names = sorted(p.name for p in (outs[1] / "features").iterdir())
+    assert len(names) == 3 * 5 * 2 + 1
+    for name in names:
+        assert (outs[1] / "features" / name).read_bytes() == (outs[3] / "features" / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("mode", ["utterance", "stream"])

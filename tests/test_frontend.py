@@ -21,6 +21,7 @@ from tclsv.frontend import (
     apply_vad,
     cmvn,
     compute_mfcc,
+    count_frames,
     dct_matrix,
     extract_features,
     frame_signal,
@@ -52,12 +53,14 @@ def test_frame_count_formula(num_samples):
     expected = 1 + (num_samples - 320) // 160
     assert frames.shape == (expected, 320)
     assert energies.shape == (expected,)
+    assert count_frames(signal, FrontendConfig()) == expected
 
 
 def test_too_short_signal_raises():
     signal = AudioSignal(samples=np.ones(319) * 0.1, sample_rate_hz=RATE)
     with pytest.raises(DataError, match="need at least 320 for one frame"):
         frame_signal(signal, FrontendConfig())
+    assert count_frames(signal, FrontendConfig()) == 0
 
 
 def test_framing_matches_loop_oracle():

@@ -24,10 +24,9 @@ import os
 import sys
 import traceback
 import warnings
-from collections.abc import Callable, Iterator
-from contextlib import contextmanager
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
-from typing import BinaryIO, NamedTuple
+from typing import BinaryIO, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -40,16 +39,10 @@ from .metrics import TrialScoreSet
 
 logger = logging.getLogger(__name__)
 
+T = TypeVar("T")
+
 _FAILURES = Path("features", "failures.tsv")
 _UBM = Path("ubm", "ubm.tclg")
-
-# Fewest UBM components at which score spreads test utterances over the CPUs.
-# With fewer, scoring an utterance is mostly numpy calls too small to release
-# the interpreter lock for long, and a second thread only contends for it: on
-# 120 synthetic utterances of 124 frames against 20 models (2-core x86-64,
-# OpenBLAS 0.3.31), two threads took 1.36-1.54 times as long at K = 8-32 and
-# 1.01-1.05 times at K = 64, against 0.71-0.89 at K = 128 and 0.52-0.53 at 512.
-SPREAD_MIN_COMPONENTS = 128
 
 # Context-stacked rows per network call in extract-bn.  Whole utterances are
 # batched up to this many rows: 1,024 was the fastest size measured (2-core
@@ -149,9 +142,7 @@ def _failed_ids(out_dir: Path) -> set[str]:
     path = out_dir / _FAILURES
     if not path.exists():
         return set()
-    lines = storage.read_text(path).splitlines()
-    # not read_rows: the message field is free text, and the manifest's directory in it may hold a tab
-    return {line.split("\t", 1)[0] for line in lines if line.strip()}
+    return {fields[0] for _, fields in storage.read_rows(path, 2)}
 
 
 def _usable(
@@ -210,55 +201,51 @@ def _load_frames(
     return frames
 
 
-def _wav_size(entry: ManifestEntry) -> int:
+def _size(path: Path) -> int:
+    """The byte size of ``path``, 0 if it cannot be read; the stage that reads it will say why."""
     try:
-        return os.path.getsize(entry.wav_path)
-    except OSError:  # read_wav will record why
+        return os.path.getsize(path)
+    except OSError:
         return 0
 
 
-def _shares(entries: list[ManifestEntry], count: int) -> list[list[ManifestEntry]]:
-    """``entries`` dealt into ``count`` shares of about equal WAV bytes: largest first, each to the lightest share."""
-    shares: list[list[ManifestEntry]] = [[] for _ in range(count)]
-    loads = [0] * count
-    for size, entry in sorted(((_wav_size(e), e) for e in entries), key=lambda pair: -pair[0]):
-        lightest = loads.index(min(loads))
-        shares[lightest].append(entry)
-        loads[lightest] += size
-    return shares
+def _share_count(num_items: int) -> int:
+    """One share per CPU this process may run on, but no more than ``num_items`` and at least one.
 
-
-def _extract_share(
-    entries: list[ManifestEntry], config: ExperimentConfig, feat_dir: Path, parent: int | None = None
-) -> tuple[list[tuple[str, str]], int, int]:
-    """Extract and write ``entries``' features: (failure rows, frames framed, frames VAD kept).
-
-    A DataError becomes the utterance's failure row; any other error is
-    raised.  ``parent``, in a forked worker, is the pid that forked it: the
-    worker stops before its next utterance once that process has gone.
+    One share where the OS does not say, or cannot fork.
     """
-    failures: list[tuple[str, str]] = []
-    framed = kept = 0
-    for entry in entries:
-        if parent is not None and os.getppid() != parent:
-            raise RuntimeError(f"process {parent}, which forked this feature extraction worker, has gone")
-        try:
-            audio = read_wav(entry.wav_path)
-            feats = extract_features(audio, config.frontend, utterance_id=entry.utterance_id)
-            storage.write_feature_archive(feat_dir / f"{entry.utterance_id}.tclf", feats)
-        except DataError as exc:
-            # a WAV path in the message may hold a line break, which write_rows refuses
-            failures.append((entry.utterance_id, storage.escape_line_breaks(str(exc))))
-            continue
-        framed += count_frames(audio, config.frontend)
-        kept += feats.shape[0]
-    return failures, framed, kept
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), num_items))
 
 
-def _fork_share(entries: list[ManifestEntry], config: ExperimentConfig, feat_dir: Path) -> tuple[int, BinaryIO]:
-    """(pid, pipe) of a forked worker that runs :func:`_extract_share` and sends its result down the pipe as JSON.
+def _shares(items: list[T], count: int, weight: Callable[[T], float]) -> list[list[T]]:
+    """``items`` dealt into ``count`` shares of about equal total ``weight``, each in input order.
 
-    The worker never returns into the caller: it leaves through
+    The heaviest item is dealt first, each to the share that is lightest so far.
+    """
+    shares: list[list[int]] = [[] for _ in range(count)]
+    loads = [0.0] * count
+    for w, i in sorted(((weight(item), i) for i, item in enumerate(items)), key=lambda pair: -pair[0]):
+        lightest = loads.index(min(loads))
+        shares[lightest].append(i)
+        loads[lightest] += w
+    return [[items[i] for i in sorted(share)] for share in shares]
+
+
+def _while_parent_lives(items: list[T], parent: int, what: str) -> Iterator[T]:
+    """``items``, each yielded only while process ``parent`` is this process's parent."""
+    for item in items:
+        if os.getppid() != parent:
+            raise RuntimeError(f"process {parent}, which forked this {what} worker, has gone")
+        yield item
+
+
+def _fork_share(work: Callable[[Iterable[T]], object], share: list[T], what: str) -> tuple[int, BinaryIO]:
+    """(pid, pipe) of a forked worker that runs ``work`` on ``share`` and sends its result down the pipe as JSON.
+
+    The worker stops before its next item once the process that forked it
+    has gone.  It never returns into the caller: it leaves through
     ``os._exit``, so it writes no snapshot, runs no atexit handler and
     flushes no stdio buffer it inherited.  It exits 0 once the result is
     sent, and 1, after a traceback on stderr, on any error.
@@ -270,7 +257,7 @@ def _fork_share(entries: list[ManifestEntry], config: ExperimentConfig, feat_dir
         code = 1
         try:
             os.close(read_fd)
-            result = _extract_share(entries, config, feat_dir, parent)
+            result = work(_while_parent_lives(share, parent, what))
             with open(write_fd, "wb") as pipe:
                 pipe.write(json.dumps(result).encode("utf-8"))
             code = 0
@@ -283,6 +270,70 @@ def _fork_share(entries: list[ManifestEntry], config: ExperimentConfig, feat_dir
     return pid, open(read_fd, "rb")
 
 
+def _run_shares(work: Callable[[Iterable[T]], object], shares: list[list[T]], what: str) -> list:
+    """``work(share)`` of every share, in share order, as JSON gives it back: tuples as lists.
+
+    This process runs the first share and forks one worker per other share,
+    so one share forks nothing.  Each worker inherits its stage's one BLAS
+    thread, so a result has the same bits on any share count.  Any error, in
+    this process or in a worker, kills and reaps every worker and is raised;
+    a worker prints its own error's traceback, and here a RuntimeError names
+    the ``what`` worker.
+    """
+    first, *others = shares
+    # before forking: a worker holds a copy of any line still buffered, and
+    # the flush after its traceback would write stderr's copy a second time
+    sys.stdout.flush()
+    sys.stderr.flush()
+    workers: list[tuple[int, BinaryIO]] = []
+    try:
+        for share in others:
+            workers.append(_fork_share(work, share, what))
+        results = [json.loads(json.dumps(work(first)))]
+        while workers:
+            pid, pipe = workers[0]
+            with pipe:  # to EOF before waitpid: a long result fills the pipe buffer
+                result = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            workers.pop(0)
+            if status != 0:
+                raise RuntimeError(f"{what} worker {pid} exited with {os.waitstatus_to_exitcode(status)}")
+            results.append(json.loads(result))
+    finally:
+        if workers:
+            import signal  # here, so that importing the CLI does not pay for it
+
+            for pid, pipe in workers:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return results
+
+
+def _extract_share(
+    entries: Iterable[ManifestEntry], config: ExperimentConfig, feat_dir: Path
+) -> tuple[list[tuple[str, str]], int, int]:
+    """Extract and write ``entries``' features: (failure rows, frames framed, frames VAD kept).
+
+    A DataError becomes the utterance's failure row; any other error is
+    raised.
+    """
+    failures: list[tuple[str, str]] = []
+    framed = kept = 0
+    for entry in entries:
+        try:
+            audio = read_wav(entry.wav_path)
+            feats = extract_features(audio, config.frontend, utterance_id=entry.utterance_id)
+            storage.write_feature_archive(feat_dir / f"{entry.utterance_id}.tclf", feats)
+        except DataError as exc:
+            # a WAV path in the message may hold a tab or a line break, which write_rows refuses
+            failures.append((entry.utterance_id, storage.escape_field(str(exc))))
+            continue
+        framed += count_frames(audio, config.frontend)
+        kept += feats.shape[0]
+    return failures, framed, kept
+
+
 def run_extract_features(
     manifest_path, config: ExperimentConfig, out_dir: Path
 ) -> list[tuple[str, str]]:
@@ -292,59 +343,26 @@ def run_extract_features(
     collected into features/failures.tsv instead of aborting the run.
     Returns the sorted failure list.
 
-    The entries are dealt into one share per CPU the process may use (no
-    more shares than entries), balanced by WAV size.  This process runs the
-    first share and forks one worker per other share; with one CPU, or no
-    ``os.fork``, it forks none.  Each worker inherits the stage's one BLAS
-    thread, so every archive has the same bytes on any CPU count.  An error
-    other than a DataError, in this process or in a worker, kills and reaps
-    every worker and is raised; failures.tsv is then not written.
+    The entries are dealt into one share per usable CPU, balanced by WAV
+    size, and run by :func:`_run_shares`, so every archive has the same bytes
+    on any CPU count.  An error other than a DataError stops the stage before
+    failures.tsv is written.
     """
     entries = read_manifest(manifest_path)
     feat_dir = storage.make_dir(out_dir / "features")
     if not entries:
         warnings.warn("manifest has no entries; nothing to extract")
 
-    cpus = _usable_cpus() if hasattr(os, "fork") else 1
-    first, *others = _shares(entries, max(1, min(cpus, len(entries))))
-    # before forking: a worker holds a copy of any line still buffered, and
-    # the flush after its traceback would write stderr's copy a second time
-    sys.stdout.flush()
-    sys.stderr.flush()
-    workers: list[tuple[int, BinaryIO]] = []
-    try:
-        for share in others:
-            workers.append(_fork_share(share, config, feat_dir))
-        failures, framed, kept = _extract_share(first, config, feat_dir)
-        while workers:
-            pid, pipe = workers[0]
-            with pipe:  # to EOF before waitpid: a long failure list fills the pipe buffer
-                result = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            workers.pop(0)
-            if status != 0:
-                raise RuntimeError(
-                    f"feature extraction worker {pid} exited with {os.waitstatus_to_exitcode(status)}"
-                )
-            worker_failures, worker_framed, worker_kept = json.loads(result)
-            failures += [tuple(row) for row in worker_failures]
-            framed += worker_framed
-            kept += worker_kept
-    finally:
-        if workers:
-            import signal  # here, so that importing the CLI does not pay for it
-
-            for pid, pipe in workers:
-                pipe.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    failures.sort()
+    shares = _shares(entries, _share_count(len(entries)), lambda e: _size(e.wav_path))
+    results = _run_shares(lambda share: _extract_share(share, config, feat_dir), shares, "feature extraction")
+    failures = sorted(tuple(row) for rows, _, _ in results for row in rows)
     storage.write_rows(out_dir / _FAILURES, failures)
     for utt, msg in failures:
         logger.warning("extraction failed for %s: %s", utt, msg)
     logger.info(
         "extracted %d utterance(s) in %d process(es), %d failed; VAD kept %d of %d frames",
-        len(entries) - len(failures), 1 + len(others), len(failures), kept, framed,
+        len(entries) - len(failures), len(shares), len(failures),
+        sum(kept for _, _, kept in results), sum(framed for _, framed, _ in results),
     )
     return failures
 
@@ -583,57 +601,6 @@ def _missing_model(
     return DataError(f"{message} ({model_path}); run {_producer(model_path)} first")
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on (1 where the OS does not say)."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-@contextmanager
-def _caller_runs(threads: int) -> Iterator[Callable[..., None]]:
-    """A ``submit(fn, *args)`` that runs ``fn(*args)`` on one of ``threads`` worker threads.
-
-    At most two calls per worker wait or run at a time; when that many do,
-    ``submit`` runs the call itself, so the calling thread takes a share of
-    the work.  With no threads every call runs at once in the caller and no
-    thread is started.  When the block ends, every call has returned, the
-    first error a worker raised has been raised again and no worker thread
-    is left.
-    """
-    if threads == 0:
-        yield lambda fn, *args: fn(*args)
-        return
-    from concurrent.futures import ThreadPoolExecutor  # here, so that importing the CLI does not pay for it
-
-    with ThreadPoolExecutor(threads, thread_name_prefix="tclsv-score") as pool:
-        pending = []
-
-        def submit(fn: Callable[..., None], *args) -> None:
-            nonlocal pending
-            running = []
-            for future in pending:
-                if future.done():
-                    future.result()
-                else:
-                    running.append(future)
-            pending = running
-            if len(pending) < 2 * threads:
-                pending.append(pool.submit(fn, *args))
-            else:
-                fn(*args)
-
-        try:
-            yield submit
-            for future in pending:
-                future.result()
-        finally:
-            pool.shutdown(cancel_futures=True)
-
-
-def _score_into(scores: np.ndarray, indices: list[int], targets: list[gmm.GmmModel],
-                ubm: gmm.GmmModel, x: np.ndarray) -> None:
-    scores[indices] = gmm.score_llr(targets, ubm, x)
-
-
 def run_score(manifest_path, config: ExperimentConfig, out_dir: Path, trials_path) -> TrialScoreSet:
     """The average per-frame LLR of each trial, written in trial order.
 
@@ -643,12 +610,14 @@ def run_score(manifest_path, config: ExperimentConfig, out_dir: Path, trials_pat
     mean-only MAP keeps the UBM's weights and variances, and a model without
     them is rejected.
 
-    The calling thread reads each utterance's frames and models in trial
-    order and raises any DataError they cause in that order.  With a UBM
-    of at least ``SPREAD_MIN_COMPONENTS`` components, the ``score_llr``
-    calls are spread over every CPU the process may use, a few utterances
-    in flight per CPU.  Each runs on one BLAS thread, as with one CPU, so
-    every score has the same bits on any CPU count.
+    The test utterances are dealt into one share per usable CPU, balanced by
+    archive size times one more than their trial count, and run by
+    :func:`_run_shares`, so every score has the same bits on any CPU count.
+    A share reads each utterance's frames, then its models, in trial order
+    and stops at its first DataError.  Of those, the one whose utterance
+    comes first in the trials file is raised: the error scoring in trial
+    order meets first, as every utterance before it in its share succeeded.
+    Only this process writes scores.tsv.
     """
     ubm_path = _require(out_dir / _UBM)
     ubm = storage.read_gmm(ubm_path)
@@ -670,38 +639,53 @@ def run_score(manifest_path, config: ExperimentConfig, out_dir: Path, trials_pat
             )
 
     subdir = _backend_subdir(config)
-    model_cache: dict[str, gmm.GmmModel] = {}
+
+    def score_share(test_ids: Iterable[str]) -> tuple[list[list[float]], tuple[int, str] | None]:
+        """The scores of each utterance in turn; at a DataError, also (its first trial's index, message)."""
+        model_cache: dict[str, gmm.GmmModel] = {}
+        done = []
+        for utt in test_ids:
+            try:
+                x = _load_frames(out_dir, by_id[utt], subdir, ubm.dim)
+                if x.shape[0] == 0:
+                    raise DataError(f"{utt}: utterance has no frames")
+                targets = []
+                for i in by_test[utt]:
+                    model_id = trials[i].model_id
+                    if model_id not in model_cache:
+                        model_path = out_dir / "models" / f"{model_id}.tclg"
+                        if not model_path.exists():
+                            raise _missing_model(model_id, model_path, entries, out_dir, trials_path)
+                        model = storage.read_gmm(model_path)
+                        if not (np.array_equal(model.weights, ubm.weights)
+                                and np.array_equal(model.variances, ubm.variances)):
+                            raise DataError(
+                                f"{model_path}: weights or variances differ from {ubm_path}; run enroll again"
+                            )
+                        # on the UBM's own arrays, so a cached model holds only its
+                        # means and their terms, and shares the UBM's variance term
+                        model_cache[model_id] = gmm.GmmModel(ubm.weights, model.means, ubm.variances)
+                    targets.append(model_cache[model_id])
+                done.append(gmm.score_llr(targets, ubm, x).tolist())
+            except DataError as exc:
+                return done, (by_test[utt][0], str(exc))
+        return done, None
+
+    def weight(utt: str) -> int:
+        return _size(out_dir / subdir / f"{utt}.tclf") * (1 + len(by_test[utt]))
+
+    shares = _shares(list(by_test), _share_count(len(by_test)), weight)
+    results = _run_shares(score_share, shares, "score")
+    faults = [fault for _, fault in results if fault is not None]
+    if faults:
+        raise DataError(min(faults)[1])
     scores = np.empty(len(trials))
-    # The terms score_llr reads are cached on first use, by a cached_property
-    # that takes no lock from Python 3.12 on, so they are built here before
-    # any worker thread reads them.
-    _ = ubm._variance_factor, ubm._mean_terms
-    spread = ubm.num_components >= SPREAD_MIN_COMPONENTS and len(by_test) > 1
-    with _caller_runs(min(_usable_cpus(), len(by_test)) - 1 if spread else 0) as submit:
-        for utt, indices in by_test.items():
-            x = _load_frames(out_dir, by_id[utt], subdir, ubm.dim)
-            if x.shape[0] == 0:
-                raise DataError(f"{utt}: utterance has no frames")
-            targets = []
-            for i in indices:
-                model_id = trials[i].model_id
-                if model_id not in model_cache:
-                    model_path = out_dir / "models" / f"{model_id}.tclg"
-                    if not model_path.exists():
-                        raise _missing_model(model_id, model_path, entries, out_dir, trials_path)
-                    model = storage.read_gmm(model_path)
-                    if not (np.array_equal(model.weights, ubm.weights)
-                            and np.array_equal(model.variances, ubm.variances)):
-                        raise DataError(
-                            f"{model_path}: weights or variances differ from {ubm_path}; run enroll again"
-                        )
-                    # on the UBM's own arrays, so a cached model holds only its
-                    # means and their terms, and shares the UBM's variance term
-                    model = gmm.GmmModel(ubm.weights, model.means, ubm.variances)
-                    _ = model._mean_terms
-                    model_cache[model_id] = model
-                targets.append(model_cache[model_id])
-            submit(_score_into, scores, indices, targets, ubm, x)
+    for share, (done, _) in zip(shares, results):
+        for utt, utt_scores in zip(share, done):
+            scores[by_test[utt]] = utt_scores
+    logger.info(
+        "scored %d trial(s) of %d test utterance(s) in %d process(es)", len(trials), len(by_test), len(shares)
+    )
     score_set = TrialScoreSet(trials=trials, scores=scores)
     metrics.write_scores(storage.make_dir(out_dir / "scores") / "scores.tsv", score_set)
     return score_set

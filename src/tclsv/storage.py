@@ -32,10 +32,11 @@ from .pca import PcaModel
 FORMAT_VERSION = 1
 
 # Every character str.splitlines ends a line at.  A field holding one would be
-# read back as two rows, so write_rows refuses it.
+# read back as two rows, and one holding a tab as two fields, so write_rows
+# refuses both.
 LINE_BREAKS = "\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029"
-_LINE_BREAK = re.compile(f"[{re.escape(LINE_BREAKS)}]")
-_ESCAPED_LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in LINE_BREAKS})
+_SEPARATOR = re.compile(f"[\t{re.escape(LINE_BREAKS)}]")
+_ESCAPED_SEPARATORS = str.maketrans({c: repr(c)[1:-1] for c in "\t" + LINE_BREAKS})
 
 
 @contextmanager
@@ -48,9 +49,7 @@ def _atomic_file(path: str | Path) -> Iterator[BinaryIO]:
     """
     path = Path(path)
     # Reading the umask means setting it, so no other thread of this process
-    # may create a file meanwhile.  The umask is per process: tclsv writes
-    # every file from the main thread of its process, or of a forked
-    # extract-features worker.
+    # may create a file meanwhile; tclsv starts no Python thread.
     umask = os.umask(0)
     os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
@@ -111,24 +110,24 @@ def read_text(path: str | Path) -> str:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def escape_line_breaks(text: str) -> str:
-    """``text`` with each of ``LINE_BREAKS`` written as its Python escape, such as ``\\n``."""
-    return text.translate(_ESCAPED_LINE_BREAKS)
+def escape_field(text: str) -> str:
+    """``text`` with each tab and each of ``LINE_BREAKS`` written as its Python escape, such as ``\\t``."""
+    return text.translate(_ESCAPED_SEPARATORS)
 
 
 def write_rows(path: str | Path, rows: Iterable[Sequence[str]]) -> None:
     """Each row's fields joined by tabs, one row per line; the write-side twin of :func:`read_rows`.
 
-    DataError naming the file, which is left as it was, if a field holds one
-    of ``LINE_BREAKS``.
+    DataError naming the file, which is left as it was, if a field holds a
+    tab or one of ``LINE_BREAKS``.
     """
     lines = []
     for row in rows:
-        line = "\t".join(row)
-        if _LINE_BREAK.search(line):
-            field = next(f for f in row if _LINE_BREAK.search(f))
-            raise DataError(f"{path}: line break in field {field!r}")
-        lines.append(line + "\n")
+        for field in row:
+            if _SEPARATOR.search(field):
+                what = "tab" if "\t" in field else "line break"
+                raise DataError(f"{path}: {what} in field {field!r}")
+        lines.append("\t".join(row) + "\n")
     atomic_write_text(path, "".join(lines))
 
 

@@ -388,22 +388,22 @@ def test_make_corpus_bytes_are_pinned(tmp_path):
     assert digest.hexdigest() == PINNED_CORPUS_SHA256
 
 
-def assert_cli_and_run_never_import(module, tiny_corpus, config_path, tmp_path):
-    """Neither ``import tclsv.cli`` nor a whole tiny ``run`` on 3 usable CPUs loads ``module``."""
+def assert_cli_and_run_never_import(modules, tiny_corpus, config_path, tmp_path):
+    """Neither ``import tclsv.cli`` nor a whole tiny ``run`` on 3 usable CPUs loads any of ``modules``."""
     manifest, trials = tiny_corpus
     script = (
         "import os, sys\n"
         "os.sched_getaffinity = lambda pid: set(range(3))\n"
-        "module = sys.argv[1]\n"
+        "modules = sys.argv[1].split(',')\n"
         "from tclsv import cli\n"
-        "assert module not in sys.modules, 'import'\n"
+        "assert not sys.modules.keys() & modules, 'import'\n"
         "code = cli.main(sys.argv[2:])\n"
         "assert code == 0, code\n"
-        "assert module not in sys.modules, 'run'\n"
+        "assert not sys.modules.keys() & modules, 'run'\n"
     )
     src = str(Path(tclsv.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    argv = [module, "run", "--manifest", manifest, "--trials", trials, "--config", config_path,
+    argv = [",".join(modules), "run", "--manifest", manifest, "--trials", trials, "--config", config_path,
             "--out", tmp_path / "run"]
     result = subprocess.run(
         [sys.executable, "-c", script, *map(str, argv)],
@@ -414,14 +414,15 @@ def assert_cli_and_run_never_import(module, tiny_corpus, config_path, tmp_path):
 
 def test_stages_never_import_scipy(tiny_corpus, config_path, tmp_path):
     # scipy costs most of a process's start-up and only make-corpus uses it.
-    assert_cli_and_run_never_import("scipy", tiny_corpus, config_path, tmp_path)
+    assert_cli_and_run_never_import(["scipy"], tiny_corpus, config_path, tmp_path)
 
 
 def test_stages_never_import_multiprocessing(tiny_corpus, config_path, tmp_path):
-    # extract-features forks its workers with os.fork.  Importing
+    # extract-features and score fork their workers with os.fork.  Importing
     # multiprocessing takes about 11 ms (-X importtime, 2-core x86-64), which
-    # every tclsv process would pay before its stage starts.
-    assert_cli_and_run_never_import("multiprocessing", tiny_corpus, config_path, tmp_path)
+    # every tclsv process would pay before its stage starts.  A thread pool
+    # from concurrent.futures would be a second way to spread work.
+    assert_cli_and_run_never_import(["multiprocessing", "concurrent.futures"], tiny_corpus, config_path, tmp_path)
 
 
 TRACED_SPANS = ("network.train", "gmm.map_adapt", "labeling.label_utterances")
@@ -472,6 +473,7 @@ def test_run_calls_the_functions_the_benchmark_tracer_wraps(tiny_corpus, config_
     for module, name in ((network, "train"), (network, "backward"), (pca, "fit_pca"),
                          (gmm, "score_llr"), (gmm, "log_likelihoods")):
         count(module, name)
+    usable_cpus(monkeypatch, 1)  # calls in a forked worker would not be counted here
     out = tmp_path / "run"
     assert run_cli("run", "--manifest", manifest, "--trials", trials, "--config", config_path,
                    "--out", out) == 0
@@ -551,6 +553,23 @@ def test_failure_message_holding_a_line_break_stays_on_one_line(tmp_path, config
     escaped = str(wav).replace("\n", "\\n")
     assert failures == f"u1\t{escaped}: not a valid WAV file (file does not start with RIFF id)\n"
     assert pipeline._failed_ids(out) == {"u1"}
+
+
+def test_failure_message_holding_a_tab_keeps_two_fields(tmp_path, config_path, capsys):
+    # the manifest's directory, and so the WAV path in the message, holds a tab
+    manifest, _ = generate_corpus(tmp_path / "a\tb", CorpusSpec(num_speakers=2, takes_per_phrase=2, seed=3))
+    victim = next(e for e in read_manifest(manifest) if e.split == "dnn-train")
+    victim.wav_path.write_bytes(b"this is not a wav file")
+    out = tmp_path / "run"
+    for stage in ("extract-features", "make-labels"):
+        assert run_cli(stage, "--manifest", manifest, "--config", config_path, "--out", out) == 0
+    failures = (out / "features" / "failures.tsv").read_text(encoding="utf-8")
+    escaped = str(victim.wav_path).replace("\t", "\\t")
+    assert failures.rstrip("\n").split("\t") == [
+        victim.utterance_id, f"{escaped}: not a valid WAV file (file does not start with RIFF id)"
+    ]
+    labels = labeling.read_label_archive(out / "labels" / "labels.tsv")
+    assert labels and victim.utterance_id not in labels
 
 
 def test_wav_shorter_than_its_header_is_recorded(tiny_corpus, tmp_path, config_path, capsys):
@@ -784,11 +803,17 @@ def test_run_skips_the_stages_nothing_reads(tiny_corpus, tmp_path, capsys, confi
 def test_run_writes_only_archives_a_later_stage_reads(tiny_corpus, config_path, tmp_path, capsys, monkeypatch):
     manifest, trials = tiny_corpus
     out = tmp_path / "run"
-    read = set()
+    record = tmp_path / "reads.txt"  # a file, so that it sees the reads of score's forked workers
     real_read = storage.read_feature_archive
-    monkeypatch.setattr(storage, "read_feature_archive",
-                        lambda path, *a, **k: read.add(Path(path).resolve()) or real_read(path, *a, **k))
+
+    def recording(path, *args, **kwargs):
+        with open(record, "a", encoding="utf-8") as lines:
+            lines.write(f"{Path(path).resolve()}\n")
+        return real_read(path, *args, **kwargs)
+
+    monkeypatch.setattr(storage, "read_feature_archive", recording)
     run_stages(["run"], manifest, trials, config_path, out, capsys)
+    read = {Path(line) for line in record.read_text(encoding="utf-8").splitlines()}
     written = {p.resolve() for sub in ("features", "bn") for p in (out / sub).glob("*.tclf")}
     assert len(written) > len(read_manifest(manifest))
     assert written == read
@@ -983,6 +1008,7 @@ def test_score_matches_per_trial_score_llr_bitwise(tiny_corpus, config_path, tmp
         return real_log_likelihoods(model, frames, var_term)
 
     monkeypatch.setattr(gmm, "log_likelihoods", counting)
+    usable_cpus(monkeypatch, 1)  # calls in a forked worker would not be counted here
     score_set = pipeline.run_score(manifest, load_config(config_path).resolved(None), out, trials)
     monkeypatch.setattr(gmm, "log_likelihoods", real_log_likelihoods)
 
@@ -1012,6 +1038,7 @@ def test_score_caches_each_model_on_the_ubms_arrays(tiny_corpus, config_path, tm
         return real_log_likelihoods(model, frames, var_term)
 
     monkeypatch.setattr(gmm, "log_likelihoods", recording)
+    usable_cpus(monkeypatch, 1)  # models in a forked worker would not be recorded here
     pipeline.run_score(manifest, load_config(config_path).resolved(None), out, trials)
     ubm = models[0]  # each test utterance is scored against the UBM first
     speaker_models = {id(m): m for m in models if m is not ubm}.values()
@@ -1027,64 +1054,42 @@ def test_score_caches_each_model_on_the_ubms_arrays(tiny_corpus, config_path, tm
 
 
 def usable_cpus(monkeypatch, cpus):
-    """Make ``cpus`` CPUs usable to ``extract-features`` and ``score``, and spread ``score`` for any UBM size."""
+    """Make ``cpus`` CPUs usable to ``extract-features`` and ``score``."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setattr(pipeline, "SPREAD_MIN_COMPONENTS", 1)
 
 
-def record_score_threads(monkeypatch):
-    """The list, filled as ``score`` runs, of the thread each ``gmm.score_llr`` call ran on."""
+def record_score_processes(monkeypatch, record):
+    """Append the pid of each ``gmm.score_llr`` call to the file ``record``, from whichever process makes it."""
     real_score_llr = gmm.score_llr
-    threads = []
 
     def recording(*args):
-        threads.append(threading.current_thread())
+        with open(record, "a", encoding="utf-8") as lines:
+            lines.write(f"{os.getpid()}\n")
         return real_score_llr(*args)
 
     monkeypatch.setattr(gmm, "score_llr", recording)
-    return threads
 
 
 def test_score_gives_the_same_bits_on_any_cpu_count(tiny_corpus, config_path, tmp_path, monkeypatch):
     manifest, trials = tiny_corpus
     config = load_config(config_path).resolved(None)
-    scored_on = record_score_threads(monkeypatch)
-    outs, scores, on_main = {}, {}, {}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # threads switch as often as the interpreter lets them
-    try:
-        for cpus in (1, 3):  # 3 is more than the threads a 2-core machine runs at once
-            usable_cpus(monkeypatch, cpus)
-            out = outs[cpus] = tmp_path / f"cpus{cpus}"
-            threads = threading.active_count()
-            scored_on.clear()
-            assert run_cli("run", "--manifest", manifest, "--trials", trials, "--config", config_path,
-                           "--out", out) == 0
-            assert threading.active_count() == threads  # no thread outlives the stage
-            on_main[cpus] = [t is threading.main_thread() for t in scored_on]
-            scores[cpus] = pipeline.run_score(manifest, config, out, trials).scores
-            assert threading.active_count() == threads
-    finally:
-        sys.setswitchinterval(interval)
-    assert all(on_main[1])
-    assert not all(on_main[3])  # the test exercises the worker threads
+    outs, scores, pids = {}, {}, {}
+    for cpus in (1, 3):  # 3 is more than the processes a 2-core machine runs at once
+        usable_cpus(monkeypatch, cpus)
+        out = outs[cpus] = tmp_path / f"cpus{cpus}"
+        record = tmp_path / f"score_llr{cpus}.txt"
+        record_score_processes(monkeypatch, record)
+        assert run_cli("run", "--manifest", manifest, "--trials", trials, "--config", config_path,
+                       "--out", out) == 0
+        pids[cpus] = set(record.read_text(encoding="utf-8").split())
+        scores[cpus] = pipeline.run_score(manifest, config, out, trials).scores
+    assert pids[1] == {str(os.getpid())}
+    assert len(pids[3]) > 1  # the test exercises the forked workers
     assert np.array_equal(scores[1], scores[3])
     files = sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*") if p.is_file())
     assert files == sorted(p.relative_to(outs[3]) for p in outs[3].rglob("*") if p.is_file())
     for name in files:
         assert (outs[1] / name).read_bytes() == (outs[3] / name).read_bytes(), name
-
-
-def test_score_stays_on_the_main_thread_below_the_spread_size(tiny_corpus, config_path, tmp_path, capsys,
-                                                              monkeypatch):
-    manifest, trials = tiny_corpus
-    out = tmp_path / "run"
-    run_through("enroll", tiny_corpus, config_path, out, capsys)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
-    scored_on = record_score_threads(monkeypatch)
-    pipeline.run_score(manifest, load_config(config_path).resolved(None), out, trials)
-    assert TINY_CONFIG["backend"]["num_mixtures"] < pipeline.SPREAD_MIN_COMPONENTS
-    assert scored_on and all(t is threading.main_thread() for t in scored_on)
 
 
 def test_score_of_no_trials_writes_an_empty_score_file(tiny_corpus, config_path, tmp_path, capsys, monkeypatch):
@@ -1128,6 +1133,47 @@ def test_score_raises_the_first_fault_in_trial_order_on_any_cpu_count(tiny_corpu
     assert not (out / "scores").exists()
 
 
+@pytest.mark.parametrize("fault", [None, DataError, OSError])
+def test_no_worker_outlives_score(tiny_corpus, config_path, tmp_path, capsys, monkeypatch, fault):
+    manifest, trials = tiny_corpus
+    out = tmp_path / "run"
+    run_through("enroll", tiny_corpus, config_path, out, capsys)
+    score = ["score", "--manifest", manifest, "--trials", trials, "--config", config_path, "--out", out]
+    real_load_frames = pipeline._load_frames
+    record = tmp_path / "loads.txt"
+
+    def recording(out_dir, entry, *args):
+        with open(record, "a", encoding="utf-8") as lines:
+            lines.write(f"{os.getpid()}\t{entry.utterance_id}\n")
+        return real_load_frames(out_dir, entry, *args)
+
+    usable_cpus(monkeypatch, 3)
+    monkeypatch.setattr(pipeline, "_load_frames", recording)
+    assert run_cli(*score) == 0
+    loads = [line.split("\t") for line in record.read_text(encoding="utf-8").splitlines()]
+    victim = next(utt for pid, utt in loads if pid != str(os.getpid()))  # in a worker's share
+
+    def load_frames(out_dir, entry, *args):
+        if fault is not None and entry.utterance_id == victim:
+            raise fault(f"{victim}: disk on fire")
+        return real_load_frames(out_dir, entry, *args)
+
+    monkeypatch.setattr(pipeline, "_load_frames", load_frames)
+    errors = {}
+    for cpus in (1, 3):
+        usable_cpus(monkeypatch, cpus)
+        capsys.readouterr()
+        assert run_cli(*score) == {None: 0, DataError: 2, OSError: 3}[fault]
+        errors[cpus] = capsys.readouterr().err
+        with pytest.raises(ChildProcessError):  # no child, running or unreaped
+            os.waitpid(-1, os.WNOHANG)
+    if fault is DataError:
+        assert errors[3] == errors[1] == f"error: score: {victim}: disk on fire\n"
+    elif fault is OSError:
+        # a worker's traceback goes to its copy of the captured stderr, so only the worker's exit shows here
+        assert "score worker" in errors[3]
+
+
 def test_every_file_is_written_from_the_main_thread(tiny_corpus, config_path, tmp_path, monkeypatch):
     # storage._atomic_file reads the umask by setting it, which is safe only
     # while no other thread of its process creates a file.  extract-features
@@ -1155,6 +1201,11 @@ def test_every_file_is_written_from_the_main_thread(tiny_corpus, config_path, tm
 # --- extract-features on several CPUs ---
 
 
+def extract_shares(entries):
+    """``entries`` dealt as ``extract-features`` deals them on 3 CPUs."""
+    return pipeline._shares(entries, 3, lambda e: pipeline._size(e.wav_path))
+
+
 def odd_wavs_in_a_workers_share(tiny_corpus, tmp_path):
     """A copy of the tiny manifest with one corrupt and one silent WAV, both in a forked worker's share of 3."""
     manifest, _ = tiny_corpus
@@ -1169,7 +1220,7 @@ def odd_wavs_in_a_workers_share(tiny_corpus, tmp_path):
     frontend.write_wav(entries[1].wav_path, replace(signal, samples=np.zeros_like(signal.samples)))
     path = tmp_path / "manifest.tsv"
     write_manifest(path, entries)
-    first_share = {e.utterance_id for e in pipeline._shares(entries, 3)[0]}
+    first_share = {e.utterance_id for e in extract_shares(entries)[0]}
     assert not first_share & {corrupt.utterance_id, silent.utterance_id}
     return path
 
@@ -1228,7 +1279,7 @@ def test_extract_features_gives_the_same_bytes_on_any_cpu_count(tiny_corpus, con
 
 def test_an_error_in_a_worker_exits_3_before_any_stage_output(tiny_corpus, config_path, tmp_path):
     manifest, _ = tiny_corpus
-    victim = pipeline._shares(read_manifest(manifest), 3)[1][0].utterance_id
+    victim = extract_shares(read_manifest(manifest))[1][0].utterance_id
     out = tmp_path / "run"
     result = run_extract_features_process(3, manifest, config_path, out, fail=victim)
     assert result.returncode == 3
@@ -1243,7 +1294,7 @@ def test_an_error_in_a_worker_exits_3_before_any_stage_output(tiny_corpus, confi
 def test_no_worker_outlives_extract_features(tiny_corpus, config_path, tmp_path, capsys, monkeypatch, fault):
     manifest, _ = tiny_corpus
     usable_cpus(monkeypatch, 3)
-    shares = pipeline._shares(read_manifest(manifest), 3)
+    shares = extract_shares(read_manifest(manifest))
     victim = {None: None, "in the first share": shares[0][-1], "in a worker's share": shares[2][-1]}[fault]
     real_read_wav = pipeline.read_wav
 

@@ -20,12 +20,13 @@ from tclsv.pca import PcaModel, covariance, fit_pca
 from tclsv.storage import (
     LINE_BREAKS,
     atomic_write_bytes,
-    escape_line_breaks,
+    escape_field,
     read_feature_archive,
     read_feature_shape,
     read_gmm,
     read_network,
     read_pca,
+    read_rows,
     write_feature_archive,
     write_gmm,
     write_network,
@@ -128,8 +129,20 @@ def test_write_rows_refuses_a_field_holding_a_line_break(char, tmp_path):
     assert str(exc.value) == f"{path}: line break in field {field!r}"
     assert path.read_bytes() == b"previous\n"
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
-    write_rows(path, [("u1", escape_line_breaks(field))])
+    write_rows(path, [("u1", escape_field(field))])
     assert path.read_text(encoding="utf-8") == f"u1\td/a{repr(char)[1:-1]}b/x.wav: not a valid WAV file\n"
+
+
+def test_write_rows_refuses_a_field_holding_a_tab(tmp_path):
+    # it would be read back as two fields
+    path = tmp_path / "rows.tsv"
+    field = "d/a\tb/x.wav: not a valid WAV file"
+    with pytest.raises(DataError) as exc:
+        write_rows(path, [("u1", field)])
+    assert str(exc.value) == f"{path}: tab in field {field!r}"
+    assert not path.exists()
+    write_rows(path, [("u1", escape_field(field))])
+    assert list(read_rows(path, 2)) == [(1, ["u1", "d/a\\tb/x.wav: not a valid WAV file"])]
 
 
 # --- feature archives ---

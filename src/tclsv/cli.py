@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "make-corpus":
-        from .synthcorpus import CorpusSpec, generate_corpus  # the only stage that needs scipy
+        from .synthcorpus import CorpusSpec, generate_corpus  # no stage needs it, so none pays its import
 
         spec = CorpusSpec(num_speakers=args.speakers, takes_per_phrase=args.takes, seed=args.seed)
         manifest_path, trials_path = generate_corpus(args.out, spec)

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import storage
+from .errors import DataError
 from .frontend import AudioSignal, write_wav
 from .manifest import ManifestEntry, write_manifest
 from .metrics import Trial, write_trials
@@ -32,12 +33,27 @@ PHRASE_ENVELOPES = [
 ]
 
 
+SAMPLE_RATE_HZ = 16000
+JITTER = 0.02  # each utterance scales the speaker's frequencies by up to 1 +/- JITTER
+
+
 @dataclass(frozen=True)
 class CorpusSpec:
     num_speakers: int = 10
     takes_per_phrase: int = 4
-    sample_rate_hz: int = 16000
     seed: int = 7
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise DataError(f"--seed must be non-negative, not {self.seed}")
+        if self.takes_per_phrase < 2:  # one enroll and one test take of phrase 3
+            raise DataError(f"--takes must be at least 2, not {self.takes_per_phrase}")
+        if self.num_speakers < 1:
+            raise DataError(f"--speakers must be at least 1, not {self.num_speakers}")
+        top_hz = speaker_voice(self.num_speakers - 1).resonance2_hz * (1.0 + JITTER)
+        if top_hz >= SAMPLE_RATE_HZ / 2:  # it would alias
+            raise DataError(f"--speakers {self.num_speakers} is too many: the last speaker's second resonance "
+                            f"reaches {top_hz:g} Hz, past the {SAMPLE_RATE_HZ // 2} Hz Nyquist frequency")
 
 
 @dataclass(frozen=True)
@@ -61,13 +77,13 @@ def speaker_voice(index: int) -> SpeakerVoice:
 
 
 def _resonator(noise: np.ndarray, freq_hz: float, bandwidth_hz: float, rate: int) -> np.ndarray:
-    # scipy is imported here, not at module level, so that only ``make-corpus``
-    # pays its start-up; lfilter keeps the corpus bytes those of earlier releases.
-    import scipy.signal
-
     r = np.exp(-np.pi * bandwidth_hz / rate)
     theta = 2.0 * np.pi * freq_hz / rate
-    filtered = scipy.signal.lfilter([1.0 - r], [1.0, -2.0 * r * np.cos(theta), r * r], noise)
+    # the two-pole impulse response, cut where r**k < 1e-18, convolved over a power-of-two FFT
+    k = np.arange(int(np.log(1e-18) / np.log(r)) + 1)
+    response = (1.0 - r) * r**k * np.sin((k + 1) * theta) / np.sin(theta)
+    size = 1 << (len(noise) + len(k) - 2).bit_length()
+    filtered = np.fft.irfft(np.fft.rfft(noise, size) * np.fft.rfft(response, size), size)[: len(noise)]
     return filtered / max(np.max(np.abs(filtered)), 1e-9)
 
 
@@ -89,7 +105,7 @@ def synthesize_utterance(
     env = _envelope(PHRASE_ENVELOPES[phrase_index], rate, rng)
     n = len(env)
     noise = rng.standard_normal(n)
-    jitter = lambda: 1.0 + rng.uniform(-0.02, 0.02)
+    jitter = lambda: 1.0 + rng.uniform(-JITTER, JITTER)
     source = 0.5 * _resonator(noise, voice.resonance1_hz * jitter(), voice.bandwidth1_hz, rate)
     source += 0.5 * _resonator(noise, voice.resonance2_hz * jitter(), voice.bandwidth2_hz, rate)
     t = np.arange(n) / rate
@@ -123,7 +139,7 @@ def generate_corpus(out_dir: str | Path, spec: CorpusSpec = CorpusSpec()) -> tup
         for p in range(len(PHRASE_ENVELOPES)):
             for take in range(spec.takes_per_phrase):
                 utt_id = f"{speaker_id}_p{p}_t{take}"
-                signal = synthesize_utterance(voice, p, spec.sample_rate_hz, rng)
+                signal = synthesize_utterance(voice, p, SAMPLE_RATE_HZ, rng)
                 write_wav(wav_dir / f"{utt_id}.wav", signal)
                 entries.append(
                     ManifestEntry(

@@ -373,19 +373,46 @@ def test_make_corpus_layout(tmp_path):
     assert len(wavs) == 2 * 5 * 2  # speakers x phrases x takes
 
 
-# SHA-256 of the corpus below as written before scipy became a lazy import of
-# make-corpus; every benchmark corpus is generated by the same code.
-PINNED_CORPUS_SHA256 = "72ef9b59862c1b913c5c069a7ebb06f01e90f2d6b13edeec0b05fa371caa1bfe"
-
-
-def test_make_corpus_bytes_are_pinned(tmp_path):
+# SHA-256 of make-corpus's output, as written when scipy.signal.lfilter filtered
+# the sources; every benchmark corpus is generated by the same code, and
+# (seed 1, 10 speakers x 4 takes) is paper-1epoch's.
+@pytest.mark.parametrize(
+    "seed, speakers, takes, sha256",
+    [
+        (3, 2, 2, "72ef9b59862c1b913c5c069a7ebb06f01e90f2d6b13edeec0b05fa371caa1bfe"),
+        (1, 10, 4, "0c06f76332e78af37c32318203e4a35d877fa89b50bf042e0e042e4b29bd827c"),
+    ],
+    ids=["seed3-2x2", "seed1-10x4"],
+)
+def test_make_corpus_bytes_are_pinned(tmp_path, monkeypatch, seed, speakers, takes, sha256):
+    monkeypatch.setitem(sys.modules, "scipy", None)  # numpy is the only runtime dependency
+    monkeypatch.setitem(sys.modules, "scipy.signal", None)
     out = tmp_path / "c"
-    assert run_cli("make-corpus", "--out", out, "--speakers", 2, "--takes", 2, "--seed", 3) == 0
+    assert run_cli("make-corpus", "--out", out, "--speakers", speakers, "--takes", takes, "--seed", seed) == 0
     wavs = sorted(f"wavs/{p.name}" for p in (out / "wavs").glob("*.wav"))
     digest = hashlib.sha256()
     for rel in ["manifest.tsv", "trials.tsv", *wavs]:
         digest.update(rel.encode() + b"\0" + (out / rel).read_bytes())
-    assert digest.hexdigest() == PINNED_CORPUS_SHA256
+    assert digest.hexdigest() == sha256
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--seed", -1), ("--takes", 1), ("--takes", 0), ("--speakers", 0), ("--speakers", -2), ("--speakers", 44)],
+)
+def test_make_corpus_rejects_bad_sizes_and_seeds(tmp_path, capsys, flag, value):
+    # 44 speakers: the last one's second resonance, with its jitter, would pass the 8 kHz Nyquist frequency
+    out = tmp_path / "c"
+    code = run_cli("make-corpus", "--out", out, "--speakers", 2, "--takes", 2, flag, value)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith(f"error: {flag} ")
+    assert not out.exists()
+
+
+def test_make_corpus_accepts_the_sizes_at_its_bounds():
+    CorpusSpec(num_speakers=1, takes_per_phrase=2, seed=0)
+    CorpusSpec(num_speakers=43, takes_per_phrase=2, seed=0)  # the most speakers that do not alias at 16 kHz
 
 
 def assert_cli_and_run_never_import(modules, tiny_corpus, config_path, tmp_path):

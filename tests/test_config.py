@@ -134,9 +134,14 @@ def test_invalid_values_rejected_at_load(tmp_path, data, message):
 
 
 def test_workers_key_is_accepted_and_ignored(tmp_path):
+    # perfbench/run.py writes "workers" into every workload's config
     path = tmp_path / "config.json"
-    path.write_text('{"seed": 3, "workers": 2}', encoding="utf-8")
-    assert load_config(path) == ExperimentConfig(seed=3)
+    path.write_text('{"seed": 3, "dnn": {"epochs": 1}}', encoding="utf-8")
+    expected = load_config(path).to_json()
+    for workers in (1, 2):
+        path.write_text(f'{{"seed": 3, "workers": {workers}, "dnn": {{"epochs": 1}}}}', encoding="utf-8")
+        assert load_config(path).to_json() == expected
+    assert load_config(path) == ExperimentConfig(seed=3, dnn=DnnConfig(epochs=1))
 
 
 def test_resolved_derives_stage_seeds_from_master():

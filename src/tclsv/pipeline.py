@@ -1,8 +1,8 @@
 """Pipeline stages behind the CLI.
 
-Each stage reads its upstream artifacts from the run directory and writes its
-own outputs there.  ``STAGES`` declares the stages in run order, with the
-top-level entry each one writes and the entries it reads under a config:
+Each stage reads its upstream artifacts from the run directory and replaces
+its own entry there whole, through ``storage.entry``.  ``STAGES`` declares
+the stages in run order, with the entry each one writes and those it reads:
 
     features/   per-utterance feature archives + failures.tsv
     labels/     labels.tsv, for a dnn.targets with the tcl head
@@ -345,18 +345,18 @@ def run_extract_features(
 
     The entries are dealt into one share per usable CPU, balanced by WAV
     size, and run by :func:`_run_shares`, so every archive has the same bytes
-    on any CPU count.  An error other than a DataError stops the stage before
-    failures.tsv is written.
+    on any CPU count.  The workers write into the stage's new entry.  An error
+    other than a DataError stops the stage and leaves features/ as it was.
     """
     entries = read_manifest(manifest_path)
-    feat_dir = storage.make_dir(out_dir / "features")
     if not entries:
         warnings.warn("manifest has no entries; nothing to extract")
 
     shares = _shares(entries, _share_count(len(entries)), lambda e: _size(e.wav_path))
-    results = _run_shares(lambda share: _extract_share(share, config, feat_dir), shares, "feature extraction")
-    failures = sorted(tuple(row) for rows, _, _ in results for row in rows)
-    storage.write_rows(out_dir / _FAILURES, failures)
+    with storage.entry(out_dir / "features") as feat_dir:
+        results = _run_shares(lambda share: _extract_share(share, config, feat_dir), shares, "feature extraction")
+        failures = sorted(tuple(row) for rows, _, _ in results for row in rows)
+        storage.write_rows(feat_dir / _FAILURES.name, failures)
     for utt, msg in failures:
         logger.warning("extraction failed for %s: %s", utt, msg)
     logger.info(
@@ -375,9 +375,8 @@ def run_make_labels(manifest_path, config: ExperimentConfig, out_dir: Path) -> l
         for e in _usable(read_manifest(manifest_path), out_dir, "dnn-train")
     ]
     labeled = labeling.label_utterances(utterances, config.tcl)
-    labeling.write_label_archive(
-        storage.make_dir(out_dir / "labels") / "labels.tsv", labeling.labels_by_utterance(labeled)
-    )
+    with storage.entry(out_dir / "labels") as labels_dir:
+        labeling.write_label_archive(labels_dir / "labels.tsv", labeling.labels_by_utterance(labeled))
     return labeled
 
 
@@ -453,9 +452,9 @@ def run_train_dnn(
     entries = _usable(read_manifest(manifest_path), out_dir, "dnn-train")
     dataset, arch = _build_training_dataset(entries, config, out_dir)
     params, trace = network.train(dataset, arch, config.dnn)
-    dnn_dir = storage.make_dir(out_dir / "dnn")
-    storage.write_network(dnn_dir / "model.tcln", params)
-    _write_trace(dnn_dir / "loss_trace.txt", trace)
+    with storage.entry(out_dir / "dnn") as dnn_dir:
+        storage.write_network(dnn_dir / "model.tcln", params)
+        _write_trace(dnn_dir / "loss_trace.txt", trace)
     logger.info("dnn loss %s", loss_trace_summary(trace))
     return params, trace
 
@@ -537,11 +536,11 @@ def run_extract_bn(manifest_path, config: ExperimentConfig, out_dir: Path) -> pc
     del pooled  # eigh's workspace is about as large
     projection = pca.fit_pca(mean, cov, config.bn.pca_dim)
 
-    bn_dir = storage.make_dir(out_dir / "bn")
-    storage.write_pca(bn_dir / "pca.tclp", projection)
     kept = [e for e in entries if e.split != "dnn-train"]
-    for entry, deep in _normalized_deep_features(params, kept, config, out_dir):
-        storage.write_feature_archive(bn_dir / f"{entry.utterance_id}.tclf", pca.project(projection, deep))
+    with storage.entry(out_dir / "bn") as bn_dir:
+        storage.write_pca(bn_dir / "pca.tclp", projection)
+        for entry, deep in _normalized_deep_features(params, kept, config, out_dir):
+            storage.write_feature_archive(bn_dir / f"{entry.utterance_id}.tclf", pca.project(projection, deep))
     return projection
 
 
@@ -557,31 +556,24 @@ def run_train_ubm(
         config.backend.em_iterations,
         seed=config.backend.init_seed or 0,
     )
-    ubm_dir = storage.make_dir(out_dir / "ubm")
-    storage.write_gmm(ubm_dir / "ubm.tclg", model)
-    _write_trace(ubm_dir / "ll_trace.txt", trace)
+    with storage.entry(out_dir / "ubm") as ubm_dir:
+        storage.write_gmm(ubm_dir / "ubm.tclg", model)
+        _write_trace(ubm_dir / "ll_trace.txt", trace)
     return model, trace
 
 
 def run_enroll(manifest_path, config: ExperimentConfig, out_dir: Path) -> list[str]:
-    """MAP-adapt one model per speaker from their pooled enrollment utterances.
-
-    Every speaker is adapted before any model is written, so a failure leaves
-    models/ as it was.
-    """
+    """MAP-adapt one model per speaker from their pooled enrollment utterances."""
     ubm = storage.read_gmm(_require(out_dir / _UBM))
     enroll_entries = _usable(read_manifest(manifest_path), out_dir, "enroll")
     speakers = sorted({e.speaker_id for e in enroll_entries})
     subdir = _backend_subdir(config)
-    models = {}
-    for speaker in speakers:
-        frames = np.vstack([
-            _load_frames(out_dir, e, subdir, ubm.dim) for e in enroll_entries if e.speaker_id == speaker
-        ])
-        models[speaker] = gmm.map_adapt(ubm, frames, config.backend)
-    models_dir = storage.make_dir(out_dir / "models")
-    for speaker, model in models.items():
-        storage.write_gmm(models_dir / f"{speaker}.tclg", model)
+    with storage.entry(out_dir / "models") as models_dir:
+        for speaker in speakers:
+            frames = np.vstack([
+                _load_frames(out_dir, e, subdir, ubm.dim) for e in enroll_entries if e.speaker_id == speaker
+            ])
+            storage.write_gmm(models_dir / f"{speaker}.tclg", gmm.map_adapt(ubm, frames, config.backend))
     return speakers
 
 
@@ -687,17 +679,18 @@ def run_score(manifest_path, config: ExperimentConfig, out_dir: Path, trials_pat
         "scored %d trial(s) of %d test utterance(s) in %d process(es)", len(trials), len(by_test), len(shares)
     )
     score_set = TrialScoreSet(trials=trials, scores=scores)
-    metrics.write_scores(storage.make_dir(out_dir / "scores") / "scores.tsv", score_set)
+    with storage.entry(out_dir / "scores") as scores_dir:
+        metrics.write_scores(scores_dir / "scores.tsv", score_set)
     return score_set
 
 
 def run_evaluate(config: ExperimentConfig, out_dir: Path) -> metrics.EvaluationReport:
     scores_path = _require(out_dir / "scores" / "scores.tsv")
     report = metrics.evaluate(metrics.read_scores(scores_path), config.dcf, source=scores_path)
-    report_dir = storage.make_dir(out_dir / "report")
-    storage.atomic_write_text(report_dir / "report.txt", metrics.format_report(report) + "\n")
-    storage.atomic_write_text(
-        report_dir / "report.json",
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-    )
+    with storage.entry(out_dir / "report") as report_dir:
+        storage.atomic_write_text(report_dir / "report.txt", metrics.format_report(report) + "\n")
+        storage.atomic_write_text(
+            report_dir / "report.json",
+            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
+        )
     return report

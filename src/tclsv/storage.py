@@ -3,11 +3,12 @@
 Every input file is read here, and one that is missing, unreadable or not UTF-8
 text raises DataError naming it; so does an output directory that cannot be
 made.  Every tab-separated file is written by :func:`write_rows` and read by
-:func:`read_rows`.  Writes go through a temp file plus rename, so readers never
-observe partial files.  A binary artifact (TCLF features, TCLN network, TCLP
-PCA, TCLG GMM) is a 4-byte ASCII magic, a uint32 format version, uint32 shape
-fields, then row-major float64 arrays, all little-endian; README "File formats"
-gives each layout.  A wrong magic or version is a hard error.
+:func:`read_rows`.  A file is written through a temp file plus rename, and a
+stage's run-directory entry through :func:`entry`, so no reader sees either
+half-written.  A binary artifact (TCLF features, TCLN network, TCLP PCA, TCLG
+GMM) is a 4-byte ASCII magic, a uint32 format version, uint32 shape fields,
+then row-major float64 arrays, all little-endian; README "File formats" gives
+each layout.  A wrong magic or version is a hard error.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from __future__ import annotations
 import math
 import os
 import re
+import shutil
 import struct
-import tempfile
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from pathlib import Path
@@ -44,18 +45,14 @@ def _atomic_file(path: str | Path) -> Iterator[BinaryIO]:
     """A temp file in the destination directory, renamed to ``path`` once the block succeeds.
 
     The file gets the mode a plain ``open`` would give it (0o666 less the
-    umask), not the owner-only mode of ``mkstemp``.  If the block raises,
-    the temp file is removed and ``path`` is left as it was.
+    umask).  If the block raises, the temp file is removed and ``path`` is
+    left as it was.
     """
     path = Path(path)
-    # Reading the umask means setting it, so no other thread of this process
-    # may create a file meanwhile; tclsv starts no Python thread.
-    umask = os.umask(0)
-    os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
-            os.chmod(tmp, 0o666 & ~umask)
             yield handle
         os.replace(tmp, path)
     except BaseException:
@@ -75,13 +72,39 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def make_dir(path: Path) -> Path:
-    """``path``, made with its parents if missing; DataError naming it if it cannot be made."""
+def make_dir(path: Path, exist_ok: bool = True) -> Path:
+    """``path``, made with its parents; DataError naming it if it cannot be made, or exists and not ``exist_ok``."""
     try:
-        path.mkdir(parents=True, exist_ok=True)
+        path.mkdir(parents=True, exist_ok=exist_ok)
     except OSError as exc:
         raise DataError(f"{path}: cannot make directory ({exc.strerror})") from None
     return path
+
+
+def _remove(*paths: Path) -> None:
+    """Delete each of ``paths`` that exists: a directory with its tree, anything else (a symlink too) alone."""
+    for path in filter(os.path.lexists, paths):
+        shutil.rmtree(path) if path.is_dir() and not path.is_symlink() else path.unlink()
+
+
+@contextmanager
+def entry(path: Path) -> Iterator[Path]:
+    """A new ``.<name>.new`` beside ``path``: deleted if the block raises, else swapped in for ``path``.
+
+    The old entry goes via ``.<name>.old``.  A killed run's leftovers go first.
+    """
+    new, old = (path.with_name(f".{path.name}.{suffix}") for suffix in ("new", "old"))
+    _remove(new, old)
+    make_dir(new, exist_ok=False)
+    try:
+        yield new
+    except BaseException:
+        shutil.rmtree(new, ignore_errors=True)
+        raise
+    if os.path.lexists(path):
+        os.rename(path, old)
+    os.rename(new, path)
+    _remove(old)
 
 
 @contextmanager

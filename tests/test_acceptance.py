@@ -386,10 +386,13 @@ def test_criterion_9_reruns_are_byte_identical(pipeline_runs):
         if not path_b.exists() or path_a.read_bytes() != path_b.read_bytes():
             mismatched.append(str(path_a.relative_to(a)))
     model_files = [p for p in a.rglob("*") if p.suffix in (".tcln", ".tclp", ".tclg")]
+    # a stage's .<name>.new or .<name>.old left behind
+    hidden = [str(p) for run in (a, b) for p in run.rglob(".*")]
     _report(
         9,
         "deterministic rerun, byte-identical artifacts",
-        compared > 0 and not mismatched and len(model_files) >= 3,
+        compared > 0 and not mismatched and len(model_files) >= 3 and not hidden,
         f"{compared} files identical across reruns"
-        + (f"; MISMATCH: {mismatched[:5]}" if mismatched else ""),
+        + (f"; MISMATCH: {mismatched[:5]}" if mismatched else "")
+        + (f"; LEFT BEHIND: {hidden[:5]}" if hidden else ""),
     )

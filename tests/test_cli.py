@@ -946,6 +946,122 @@ def test_rerun_is_byte_identical(tiny_corpus, config_path, tmp_path, capsys):
     assert compared > 10
 
 
+# --- each stage replaces its run-directory entry whole ---
+
+
+def files_under(path):
+    """The bytes of every file under ``path``, by path relative to it."""
+    return {p.relative_to(path): p.read_bytes() for p in sorted(path.rglob("*")) if p.is_file()}
+
+
+def copy_of_finished_run(finished_run, tmp_path, **changes):
+    """A copy of the finished run directory, and its config with each section of ``changes`` updated."""
+    out, config = finished_run
+    shutil.copytree(out, tmp_path / "run")
+    tree = json.loads(config.read_text(encoding="utf-8"))
+    for section, values in changes.items():
+        tree[section] = {**tree.get(section, {}), **values}
+    (tmp_path / "config.json").write_text(json.dumps(tree), encoding="utf-8")
+    return tmp_path / "run", tmp_path / "config.json"
+
+
+@pytest.mark.parametrize("stage", ["enroll", "extract-features"])
+def test_a_rerun_leaves_no_file_of_what_the_manifest_dropped(tiny_corpus, finished_run, tmp_path, capsys, stage):
+    manifest, trials = tiny_corpus
+    out, config = copy_of_finished_run(finished_run, tmp_path)
+    entries = read_manifest(manifest)
+    if stage == "enroll":
+        dropped = {e.utterance_id for e in entries if e.split == "enroll" and e.speaker_id == "s00"}
+        gone = out / "models" / "s00.tclg"
+    else:
+        dropped = {entries[-1].utterance_id}
+        gone = out / "features" / f"{entries[-1].utterance_id}.tclf"
+    assert dropped and gone.exists()
+    kept = [e for e in entries if e.utterance_id not in dropped]
+    write_manifest(tmp_path / "manifest.tsv", kept)
+    assert run_cli(stage, "--manifest", tmp_path / "manifest.tsv", "--config", config, "--out", out) == 0
+    assert not gone.exists()
+    if stage == "extract-features":
+        archives = {p.name for p in (out / "features").glob("*.tclf")}
+        assert archives == {f"{e.utterance_id}.tclf" for e in kept}
+    else:  # the trials of s00 now find no model, as after a fresh run on this manifest
+        capsys.readouterr()
+        assert run_cli("score", "--manifest", tmp_path / "manifest.tsv", "--trials", trials,
+                       "--config", config, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "no enrolled model for 's00': the manifest has no enroll utterance for it" in err
+
+
+def raise_on_call(monkeypatch, module, name, nth=None, stem=None):
+    """Make ``module.name`` raise OSError on its ``nth`` call in a process, or on a path named ``stem``."""
+    real, calls = getattr(module, name), []
+
+    def failing(*args, **kwargs):
+        calls.append(args[0])
+        if len(calls) == nth or (stem is not None and Path(args[0]).stem == stem):
+            raise OSError("disk on fire")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, failing)
+
+
+@pytest.mark.parametrize("case, stage, entry, changes", [
+    pytest.param("enroll", "enroll", "models", {}, id="enroll"),
+    pytest.param("extract-bn", "extract-bn", "bn", {"bn": {"pca_dim": 6}}, id="extract-bn"),
+    pytest.param("extract-features", "extract-features", "features", {"frontend": {"preemphasis_coeff": 0.9}},
+                 id="extract-features"),
+    pytest.param("leftovers", "enroll", "models", {}, id="leftovers"),
+])
+def test_a_failed_stage_leaves_the_previous_entry_intact(
+    tiny_corpus, finished_run, tmp_path, monkeypatch, case, stage, entry, changes
+):
+    manifest, _ = tiny_corpus
+    out, config = copy_of_finished_run(finished_run, tmp_path, **changes)
+    before = files_under(out / entry)
+    if case == "enroll":
+        raise_on_call(monkeypatch, gmm, "map_adapt", nth=2)
+    elif case == "extract-bn":
+        raise_on_call(monkeypatch, storage, "write_feature_archive", nth=3)
+    elif case == "extract-features":  # in a forked worker's share
+        usable_cpus(monkeypatch, 3)
+        victim = extract_shares(read_manifest(manifest))[2][0].utterance_id
+        raise_on_call(monkeypatch, storage, "write_feature_archive", stem=victim)
+    else:  # what a killed enroll leaves behind
+        (out / ".models.new").mkdir()
+        (out / ".models.new" / "junk").write_bytes(b"junk")
+        (out / ".models.old").mkdir()
+        (out / ".models.old" / "s99.tclg").write_bytes(b"stale")
+    code = run_cli(stage, "--manifest", manifest, "--config", config, "--out", out)
+    assert code == (0 if case == "leftovers" else 3)
+    assert files_under(out / entry) == before
+    assert list(out.glob(".*")) == []
+
+
+@pytest.mark.parametrize("link", ["hard", "symbolic"])
+def test_a_rerun_in_a_linked_copy_leaves_the_source_entry_alone(tiny_corpus, finished_run, tmp_path, capsys, link):
+    # a hard-linked features/ lets other back ends reuse one extraction
+    manifest, trials = tiny_corpus
+    source, config = copy_of_finished_run(finished_run, tmp_path / "source")
+    out = tmp_path / "run"
+    if link == "hard":
+        shutil.copytree(source / "features", out / "features", copy_function=os.link)
+    else:
+        out.mkdir()
+        (out / "features").symlink_to(source / "features")
+    before = files_under(source / "features")
+    later = [stage.name for stage in pipeline.STAGES[1:]]
+    run_stages(later, manifest, trials, config, out, capsys)
+    assert files_under(out / "report") == files_under(source / "report")
+    changed = tmp_path / "changed.json"
+    changed.write_text(json.dumps({**TINY_CONFIG, "frontend": {"preemphasis_coeff": 0.9}}), encoding="utf-8")
+    run_stages(["extract-features"], manifest, trials, changed, out, capsys)
+    assert files_under(source / "features") == before
+    assert not (out / "features").is_symlink()
+    after = files_under(out / "features")
+    assert after.keys() == before.keys() and after != before
+    assert list(out.glob(".*")) == []
+
+
 @pytest.mark.parametrize("epochs", [1, 3])
 def test_loss_trace_has_one_line_per_epoch(tiny_corpus, tmp_path, capsys, caplog, epochs):
     manifest, _ = tiny_corpus
@@ -1202,10 +1318,10 @@ def test_no_worker_outlives_score(tiny_corpus, config_path, tmp_path, capsys, mo
 
 
 def test_every_file_is_written_from_the_main_thread(tiny_corpus, config_path, tmp_path, monkeypatch):
-    # storage._atomic_file reads the umask by setting it, which is safe only
-    # while no other thread of its process creates a file.  extract-features
-    # writes from forked workers too, which an in-memory record would miss,
-    # so each write appends its process and thread to a file.
+    # Every run-directory file is written through storage._atomic_file, so its
+    # calls are every write.  extract-features writes from forked workers too,
+    # which an in-memory record would miss, so each write appends its process
+    # and thread to a file.
     manifest, trials = tiny_corpus
     usable_cpus(monkeypatch, 3)
     real_atomic_file = storage._atomic_file

@@ -16,6 +16,7 @@ nothing.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import logging
 import os
@@ -42,8 +43,6 @@ _SYMBOLS = (
 @functools.cache
 def controls() -> tuple[Callable[[], int], Callable[[int], None]] | None:
     """The loaded OpenBLAS's (get, set) thread-count functions, or None if there are none."""
-    import ctypes  # here, so that importing the CLI does not pay for it
-
     import numpy  # noqa: F401 - loads the library looked for
 
     try:

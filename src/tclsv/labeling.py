@@ -152,12 +152,8 @@ def label_utterances(utterances: list[FrameCount], config: TclConfig) -> Labeled
     )
 
 
-def summarize_label_distribution(
-    labeled: LabeledFrames, num_classes: int | None = None
-) -> dict[int, int]:
+def summarize_label_distribution(labeled: LabeledFrames, num_classes: int) -> dict[int, int]:
     """Per-class frame counts; counts sum to the number of labeled frames."""
-    if num_classes is None:
-        num_classes = int(labeled.labels.max()) + 1 if len(labeled.labels) else 0
     counts = dict.fromkeys(range(num_classes), 0)
     values, freq = np.unique(labeled.labels, return_counts=True)
     for v, f in zip(values, freq):

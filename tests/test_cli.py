@@ -1341,12 +1341,68 @@ def test_every_file_is_written_from_the_main_thread(tiny_corpus, config_path, tm
     assert len({pid for pid, _ in writes}) == 3  # the record sees the workers' writes
 
 
+# --- the fork runner ---
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_the_fork_runner_gives_the_serial_loops_results(monkeypatch, cpus):
+    usable_cpus(monkeypatch, cpus)
+
+    def fn(x):
+        return x, x * x, f"item {x}"
+
+    items = list(range(7))
+    assert pipeline._run_shares(fn, items, "test") == json.loads(json.dumps([fn(x) for x in items]))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("earlier", ["in a worker's share", "in this process's share"])
+def test_the_fork_runner_raises_the_serial_loops_first_error(tmp_path, monkeypatch, cpus, earlier):
+    usable_cpus(monkeypatch, cpus)
+    # item i is in share i % cpus, and share 0 is this process's
+    failing = {"in a worker's share": (1, 2 * cpus), "in this process's share": (cpus, cpus + 1)}[earlier]
+    record = tmp_path / "calls.txt"
+
+    def fn(x):
+        with open(record, "a", encoding="utf-8") as calls:
+            calls.write(f"{x}\n")
+        if x in failing:
+            raise DataError(f"item {x} is bad")
+        return x
+
+    items = list(range(7))
+    with pytest.raises(DataError, match=f"^item {min(failing)} is bad$"):
+        pipeline._run_shares(fn, items, "test")
+    # each share stops at its first failure
+    expected = []
+    for i in range(cpus):
+        for x in items[i::cpus]:
+            expected.append(x)
+            if x in failing:
+                break
+    assert sorted(int(x) for x in record.read_text(encoding="utf-8").split()) == sorted(expected)
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_the_fork_runner_forks_nothing_for_no_items(monkeypatch, cpus):
+    usable_cpus(monkeypatch, cpus)
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    assert pipeline._run_shares(lambda x: x, [], "test") == []
+    assert forks == []
+    with pytest.raises(ChildProcessError):  # no child, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
 # --- extract-features on several CPUs ---
 
 
 def extract_shares(entries):
     """``entries`` dealt as ``extract-features`` deals them on 3 CPUs."""
-    return pipeline._shares(entries, 3, lambda e: pipeline._size(e.wav_path))
+    return [entries[i::3] for i in range(3)]
 
 
 def odd_wavs_in_a_workers_share(tiny_corpus, tmp_path):
@@ -1355,12 +1411,12 @@ def odd_wavs_in_a_workers_share(tiny_corpus, tmp_path):
     entries = read_manifest(manifest)
     odd = tmp_path / "odd"
     odd.mkdir()
-    corrupt, silent = entries[0], entries[1]
-    entries[0] = replace(corrupt, wav_path=odd / "corrupt.wav")
-    entries[0].wav_path.write_bytes(b"this is not a wav file")
-    entries[1] = replace(silent, wav_path=odd / "silent.wav")
+    corrupt, silent = entries[1], entries[2]
+    entries[1] = replace(corrupt, wav_path=odd / "corrupt.wav")
+    entries[1].wav_path.write_bytes(b"this is not a wav file")
+    entries[2] = replace(silent, wav_path=odd / "silent.wav")
     signal = frontend.read_wav(silent.wav_path)
-    frontend.write_wav(entries[1].wav_path, replace(signal, samples=np.zeros_like(signal.samples)))
+    frontend.write_wav(entries[2].wav_path, replace(signal, samples=np.zeros_like(signal.samples)))
     path = tmp_path / "manifest.tsv"
     write_manifest(path, entries)
     first_share = {e.utterance_id for e in extract_shares(entries)[0]}
@@ -1412,7 +1468,7 @@ def test_extract_features_gives_the_same_bytes_on_any_cpu_count(tiny_corpus, con
     assert stdouts[1] == stdouts[3] == "before the stage\nfeature extraction finished with 1 failure(s)\n"
     assert counts[1].split(";")[1] == counts[3].split(";")[1]
     failures = (outs[1] / "features" / "failures.tsv").read_text(encoding="utf-8")
-    assert failures.startswith(read_manifest(manifest)[0].utterance_id + "\t")
+    assert failures.startswith(read_manifest(manifest)[1].utterance_id + "\t")
     files = sorted(p.relative_to(outs[1]) for p in (outs[1] / "features").iterdir())
     assert len(files) == 3 * 5 * 2
     assert files == sorted(p.relative_to(outs[3]) for p in (outs[3] / "features").iterdir())

@@ -49,7 +49,7 @@ def test_stream_exact_division_balances_classes():
     k = 4
     config = TclConfig(num_classes=3, frames_per_segment=6, mode="stream")
     labeled = assign_stream_labels([make_utt(6 * 3 * k)], config)
-    counts = summarize_label_distribution(labeled)
+    counts = summarize_label_distribution(labeled, config.num_classes)
     assert counts == {0: 6 * k, 1: 6 * k, 2: 6 * k}
 
 
@@ -188,7 +188,7 @@ def test_labels_by_utterance_slices_correctly():
 
 def test_distribution_sums_to_frame_count():
     labeled = assign_utterance_labels(make_utt(32), 10)
-    counts = summarize_label_distribution(labeled)
+    counts = summarize_label_distribution(labeled, 10)
     assert sum(counts.values()) == 32
     assert counts[0] == 4 and counts[1] == 4 and counts[9] == 3
 

@@ -11,6 +11,7 @@ import contextlib
 import logging
 import sys
 import traceback
+from collections.abc import Callable
 from pathlib import Path
 
 from . import blas, labeling, metrics, pipeline, storage
@@ -57,50 +58,52 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     config = load_config(args.config).resolved(args.seed)
-    stages = pipeline.stages_for_run(config) if args.command == "run" else [args.command]
-    for stage in stages:
-        _run_stage(stage, args, config, Path(args.out))
+    names = pipeline.stages_for_run(config) if args.command == "run" else [args.command]
+    for name in names:
+        _run_stage(next(s for s in pipeline.STAGES if s.name == name), args, config, Path(args.out))
     return 0
 
 
-def _run_stage(stage: str, args: argparse.Namespace, config: ExperimentConfig, out: Path) -> None:
-    """Run one stage, print its summary and snapshot the resolved config to config/<stage>.json.
+def _labels_summary(labeled: labeling.LabeledFrames, config: ExperimentConfig, out: Path) -> str:
+    counts = labeling.summarize_label_distribution(labeled, config.tcl.num_classes)
+    return (f"labeled {len(labeled.labels)} frames over {len(labeled.utterance_ids)} utterances\n"
+            "frames per class: " + " ".join(str(counts[c]) for c in sorted(counts)))
 
-    The stage runs on one OpenBLAS thread unless its ``Stage.blas_threads`` is set.
-    A DataError from the stage is raised again with the stage's name in front.
+
+# Each stage's summary on stdout: (what its run_<name> returned, the config, --out) -> lines.
+_SUMMARIES: dict[str, Callable[[object, ExperimentConfig, Path], str]] = {
+    "extract-features": lambda failures, *_: f"feature extraction finished with {len(failures)} failure(s)",
+    "make-labels": _labels_summary,
+    "train-dnn": lambda result, *_: f"training loss {pipeline.loss_trace_summary(result[1])}",
+    "extract-bn": lambda projection, *_: f"projection {projection.input_dim} -> {projection.output_dim} dims",
+    "train-ubm": lambda result, *_: f"UBM log-likelihood {result[1][0]:.6g} -> {result[1][-1]:.6g}",
+    "enroll": lambda speakers, *_: f"enrolled {len(speakers)} speaker(s)",
+    "score": lambda scored, _, out: f"scored {len(scored.trials)} trial(s) -> {out / 'scores' / 'scores.tsv'}",
+    "evaluate": lambda report, *_: metrics.format_report(report),
+}
+
+
+def _run_stage(stage: pipeline.Stage, args: argparse.Namespace, config: ExperimentConfig, out: Path) -> None:
+    """Run one stage into a new ``<out>/<stage.writes>`` entry, then print its summary.
+
+    ``pipeline.run_<name>`` writes the entry's files, and the resolved config
+    goes beside them as ``config.json``; only then does the new entry replace
+    the old one.  A stage that fails leaves the old entry as it was and
+    prints nothing.  The stage runs on one OpenBLAS thread unless its
+    ``Stage.blas_threads`` is set.  A DataError, ``--out`` naming a file
+    included, is raised again with the stage's name in front.
     """
-    keeps_threads = next(s.blas_threads for s in pipeline.STAGES if s.name == stage)
+    run = getattr(pipeline, "run_" + stage.name.replace("-", "_"))  # looked up now: a tracer may wrap it
     try:
-        with contextlib.nullcontext() if keeps_threads else blas.single_thread():
-            if stage == "extract-features":
-                failures = pipeline.run_extract_features(args.manifest, config, out)
-                print(f"feature extraction finished with {len(failures)} failure(s)")
-            elif stage == "make-labels":
-                labeled = pipeline.run_make_labels(args.manifest, config, out)
-                counts = labeling.summarize_label_distribution(labeled, config.tcl.num_classes)
-                print(f"labeled {len(labeled.labels)} frames over {len(labeled.utterance_ids)} utterances")
-                print("frames per class: " + " ".join(str(counts[c]) for c in sorted(counts)))
-            elif stage == "train-dnn":
-                _, trace = pipeline.run_train_dnn(args.manifest, config, out)
-                print(f"training loss {pipeline.loss_trace_summary(trace)}")
-            elif stage == "extract-bn":
-                projection = pipeline.run_extract_bn(args.manifest, config, out)
-                print(f"projection {projection.input_dim} -> {projection.output_dim} dims")
-            elif stage == "train-ubm":
-                _, trace = pipeline.run_train_ubm(args.manifest, config, out)
-                print(f"UBM log-likelihood {trace[0]:.6g} -> {trace[-1]:.6g}")
-            elif stage == "enroll":
-                speakers = pipeline.run_enroll(args.manifest, config, out)
-                print(f"enrolled {len(speakers)} speaker(s)")
-            elif stage == "score":
-                score_set = pipeline.run_score(args.manifest, config, out, args.trials)
-                print(f"scored {len(score_set.trials)} trial(s) -> {out / 'scores' / 'scores.tsv'}")
-            elif stage == "evaluate":
-                report = pipeline.run_evaluate(config, out)
-                print(metrics.format_report(report))
+        if out.exists() and not out.is_dir():
+            raise DataError(f"{out}: --out is not a directory")
+        with contextlib.nullcontext() if stage.blas_threads else blas.single_thread():
+            with storage.entry(out / stage.writes) as into:
+                result = run(args.manifest, getattr(args, "trials", None), config, out, into)
+                write_snapshot(into / "config.json", config)
     except DataError as exc:
-        raise DataError(f"{stage}: {exc}") from exc
-    write_snapshot(storage.make_dir(out / "config") / f"{stage}.json", config)
+        raise DataError(f"{stage.name}: {exc}") from exc
+    print(_SUMMARIES[stage.name](result, config, out))
 
 
 def main(argv=None) -> int:

@@ -34,7 +34,7 @@ def covariance(pooled: np.ndarray, out_dim: int) -> tuple[np.ndarray, np.ndarray
     needs more than ``out_dim`` rows to give ``out_dim`` components.
     """
     if pooled.ndim != 2:
-        raise DataError("fit_pca expects a 2-D matrix of pooled frames")
+        raise DataError("covariance expects a 2-D matrix of pooled frames")
     m = pooled.shape[0]
     if m <= out_dim:
         raise DataError(f"need more than {out_dim} rows to fit PCA, got {m}")

@@ -1,8 +1,9 @@
 """Pipeline stages behind the CLI.
 
-Each stage reads its upstream artifacts from the run directory and replaces
-its own entry there whole, through ``storage.entry``.  ``STAGES`` declares
-the stages in run order, with the entry each one writes and those it reads:
+Each stage reads its upstream artifacts from the run directory and writes
+its own entry into the new directory ``cli`` opens for it, which replaces the
+entry whole once the stage is done.  ``STAGES`` declares the stages in run
+order, with the entry each one writes and those it reads:
 
     features/   per-utterance feature archives + failures.tsv
     labels/     labels.tsv, for a dnn.targets with the tcl head
@@ -12,7 +13,8 @@ the stages in run order, with the entry each one writes and those it reads:
     models/     one adapted GMM per enrolled speaker
     scores/     scores.tsv
     report/     report.txt + report.json
-    config/     one resolved-config snapshot per executed stage, written by cli
+
+and every entry holds config.json, the resolved config of the run that wrote it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import logging
 import os
 import sys
 import traceback
-import warnings
 from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 from typing import BinaryIO, NamedTuple, TypeVar
@@ -54,7 +55,9 @@ class Stage(NamedTuple):
     """A stage's subcommand, the run-directory entry it writes, and the entries it reads.
 
     ``cli`` runs it as ``pipeline.run_<name>`` (``-`` as ``_``), looked up at
-    call time.  Reading features/failures.tsv counts as reading ``features``.
+    call time, with ``(manifest_path, trials_path, config, out_dir, into)``:
+    the stage reads ``out_dir`` and writes the files of its entry into
+    ``into``.  Reading features/failures.tsv counts as reading ``features``.
     Only a stage with ``blas_threads`` keeps OpenBLAS's threads.  The others
     run on one BLAS thread: their matrix products are so small that a second
     thread makes them no faster and costs CPU time.
@@ -109,22 +112,10 @@ def _producer(path: Path) -> str:
     return next(stage.name for stage in STAGES if stage.writes == path.parent.name)
 
 
-def _missing(path: Path, hint: str) -> DataError:
-    """DataError for ``path``, a missing file in a top-level run-directory entry.
-
-    It says ``hint`` unless the run directory is in the way: an ``--out``
-    naming a file gets that said instead of a stage to run.
-    """
-    out_dir = path.parents[1]
-    if out_dir.exists() and not out_dir.is_dir():
-        return DataError(f"{out_dir}: --out is not a directory")
-    return DataError(f"{path}: {hint}")
-
-
 def _require(path: Path) -> Path:
     """``path`` if the stage that writes it has run, else DataError."""
     if not path.exists():
-        raise _missing(path, f"run {_producer(path)} first")
+        raise DataError(f"{path}: run {_producer(path)} first")
     return path
 
 
@@ -169,10 +160,9 @@ def _usable(
 def _feature_path(out_dir: Path, entry: ManifestEntry, subdir: str = "features") -> Path:
     path = out_dir / subdir / f"{entry.utterance_id}.tclf"
     if not path.exists():
-        raise _missing(
-            path,
-            f"no feature archive for {entry.utterance_id!r};"
-            f" run {_producer(path)} first or check features/failures.tsv",
+        raise DataError(
+            f"{path}: no feature archive for {entry.utterance_id!r};"
+            f" run {_producer(path)} first or check features/failures.tsv"
         )
     return path
 
@@ -313,7 +303,7 @@ def _run_shares(fn: Callable[[T], object], items: list[T], what: str) -> list:
 
 
 def run_extract_features(
-    manifest_path, config: ExperimentConfig, out_dir: Path
+    manifest_path, trials_path, config: ExperimentConfig, out_dir: Path, into: Path
 ) -> list[tuple[str, str]]:
     """Extract frontend features for every manifest entry.
 
@@ -322,29 +312,26 @@ def run_extract_features(
     Returns the sorted failure list.
 
     The entries are mapped by :func:`_run_shares`, so every archive has the
-    same bytes on any CPU count.  The workers write into the stage's new
-    entry.  An error other than a DataError stops the stage and leaves
-    features/ as it was.
+    same bytes on any CPU count.  The workers write into ``into``.
     """
     entries = read_manifest(manifest_path)
     if not entries:
-        warnings.warn("manifest has no entries; nothing to extract")
+        logger.warning("manifest has no entries; nothing to extract")
 
     def extract(entry: ManifestEntry) -> tuple[str | None, int, int]:
         """(None, frames framed, frames VAD kept), or a DataError's message as the utterance's failure."""
         try:
             audio = read_wav(entry.wav_path)
             feats = extract_features(audio, config.frontend, utterance_id=entry.utterance_id)
-            storage.write_feature_archive(feat_dir / f"{entry.utterance_id}.tclf", feats)
+            storage.write_feature_archive(into / f"{entry.utterance_id}.tclf", feats)
         except DataError as exc:
             # a WAV path in the message may hold a tab or a line break, which write_rows refuses
             return storage.escape_field(str(exc)), 0, 0
         return None, count_frames(audio, config.frontend), feats.shape[0]
 
-    with storage.entry(out_dir / "features") as feat_dir:
-        results = _run_shares(extract, entries, "feature extraction")
-        failures = sorted((e.utterance_id, msg) for e, (msg, _, _) in zip(entries, results) if msg is not None)
-        storage.write_rows(feat_dir / _FAILURES.name, failures)
+    results = _run_shares(extract, entries, "feature extraction")
+    failures = sorted((e.utterance_id, msg) for e, (msg, _, _) in zip(entries, results) if msg is not None)
+    storage.write_rows(into / _FAILURES.name, failures)
     for utt, msg in failures:
         logger.warning("extraction failed for %s: %s", utt, msg)
     logger.info(
@@ -355,7 +342,9 @@ def run_extract_features(
     return failures
 
 
-def run_make_labels(manifest_path, config: ExperimentConfig, out_dir: Path) -> labeling.LabeledFrames:
+def run_make_labels(
+    manifest_path, trials_path, config: ExperimentConfig, out_dir: Path, into: Path
+) -> labeling.LabeledFrames:
     """Assign time-contrastive labels to the dnn-train split."""
     # labels depend only on frame counts, which the archive headers hold
     utterances = [
@@ -363,8 +352,7 @@ def run_make_labels(manifest_path, config: ExperimentConfig, out_dir: Path) -> l
         for e in _usable(read_manifest(manifest_path), out_dir, "dnn-train")
     ]
     labeled = labeling.label_utterances(utterances, config.tcl)
-    with storage.entry(out_dir / "labels") as labels_dir:
-        labeling.write_label_archive(labels_dir / "labels.tsv", labeling.labels_by_utterance(labeled))
+    labeling.write_label_archive(into / "labels.tsv", labeling.labels_by_utterance(labeled))
     return labeled
 
 
@@ -435,14 +423,13 @@ def loss_trace_summary(trace: list[float]) -> str:
 
 
 def run_train_dnn(
-    manifest_path, config: ExperimentConfig, out_dir: Path
+    manifest_path, trials_path, config: ExperimentConfig, out_dir: Path, into: Path
 ) -> tuple[network.NetworkParams, list[float]]:
     entries = _usable(read_manifest(manifest_path), out_dir, "dnn-train")
     dataset, arch = _build_training_dataset(entries, config, out_dir)
     params, trace = network.train(dataset, arch, config.dnn)
-    with storage.entry(out_dir / "dnn") as dnn_dir:
-        storage.write_network(dnn_dir / "model.tcln", params)
-        _write_trace(dnn_dir / "loss_trace.txt", trace)
+    storage.write_network(into / "model.tcln", params)
+    _write_trace(into / "loss_trace.txt", trace)
     logger.info("dnn loss %s", loss_trace_summary(trace))
     return params, trace
 
@@ -493,7 +480,9 @@ def _normalized_deep_features(
             yield entry, cmvn(utt.astype(np.float64))
 
 
-def run_extract_bn(manifest_path, config: ExperimentConfig, out_dir: Path) -> pca.PcaModel:
+def run_extract_bn(
+    manifest_path, trials_path, config: ExperimentConfig, out_dir: Path, into: Path
+) -> pca.PcaModel:
     """Deep features at the configured layer -> per-utterance CMVN -> PCA projection.
 
     Only the network's layers up to ``bn.layer`` are read, and they run in
@@ -525,15 +514,14 @@ def run_extract_bn(manifest_path, config: ExperimentConfig, out_dir: Path) -> pc
     projection = pca.fit_pca(mean, cov, config.bn.pca_dim)
 
     kept = [e for e in entries if e.split != "dnn-train"]
-    with storage.entry(out_dir / "bn") as bn_dir:
-        storage.write_pca(bn_dir / "pca.tclp", projection)
-        for entry, deep in _normalized_deep_features(params, kept, config, out_dir):
-            storage.write_feature_archive(bn_dir / f"{entry.utterance_id}.tclf", pca.project(projection, deep))
+    storage.write_pca(into / "pca.tclp", projection)
+    for entry, deep in _normalized_deep_features(params, kept, config, out_dir):
+        storage.write_feature_archive(into / f"{entry.utterance_id}.tclf", pca.project(projection, deep))
     return projection
 
 
 def run_train_ubm(
-    manifest_path, config: ExperimentConfig, out_dir: Path
+    manifest_path, trials_path, config: ExperimentConfig, out_dir: Path, into: Path
 ) -> tuple[gmm.GmmModel, list[float]]:
     ubm_entries = _usable(read_manifest(manifest_path), out_dir, "ubm-train")
     subdir = _backend_subdir(config)
@@ -544,24 +532,22 @@ def run_train_ubm(
         config.backend.em_iterations,
         seed=config.backend.init_seed or 0,
     )
-    with storage.entry(out_dir / "ubm") as ubm_dir:
-        storage.write_gmm(ubm_dir / "ubm.tclg", model)
-        _write_trace(ubm_dir / "ll_trace.txt", trace)
+    storage.write_gmm(into / "ubm.tclg", model)
+    _write_trace(into / "ll_trace.txt", trace)
     return model, trace
 
 
-def run_enroll(manifest_path, config: ExperimentConfig, out_dir: Path) -> list[str]:
+def run_enroll(manifest_path, trials_path, config: ExperimentConfig, out_dir: Path, into: Path) -> list[str]:
     """MAP-adapt one model per speaker from their pooled enrollment utterances."""
     ubm = storage.read_gmm(_require(out_dir / _UBM))
     enroll_entries = _usable(read_manifest(manifest_path), out_dir, "enroll")
     speakers = sorted({e.speaker_id for e in enroll_entries})
     subdir = _backend_subdir(config)
-    with storage.entry(out_dir / "models") as models_dir:
-        for speaker in speakers:
-            frames = np.vstack([
-                _load_frames(out_dir, e, subdir, ubm.dim) for e in enroll_entries if e.speaker_id == speaker
-            ])
-            storage.write_gmm(models_dir / f"{speaker}.tclg", gmm.map_adapt(ubm, frames, config.backend))
+    for speaker in speakers:
+        frames = np.vstack([
+            _load_frames(out_dir, e, subdir, ubm.dim) for e in enroll_entries if e.speaker_id == speaker
+        ])
+        storage.write_gmm(into / f"{speaker}.tclg", gmm.map_adapt(ubm, frames, config.backend))
     return speakers
 
 
@@ -581,7 +567,7 @@ def _missing_model(
     return DataError(f"{message} ({model_path}); run {_producer(model_path)} first")
 
 
-def run_score(manifest_path, config: ExperimentConfig, out_dir: Path, trials_path) -> TrialScoreSet:
+def run_score(manifest_path, trials_path, config: ExperimentConfig, out_dir: Path, into: Path) -> TrialScoreSet:
     """The average per-frame LLR of each trial, written in trial order.
 
     Trials are scored one test utterance at a time, by one ``gmm.score_llr``
@@ -648,18 +634,15 @@ def run_score(manifest_path, config: ExperimentConfig, out_dir: Path, trials_pat
         len(trials), len(by_test), _share_count(len(by_test)),
     )
     score_set = TrialScoreSet(trials=trials, scores=scores)
-    with storage.entry(out_dir / "scores") as scores_dir:
-        metrics.write_scores(scores_dir / "scores.tsv", score_set)
+    metrics.write_scores(into / "scores.tsv", score_set)
     return score_set
 
 
-def run_evaluate(config: ExperimentConfig, out_dir: Path) -> metrics.EvaluationReport:
+def run_evaluate(
+    manifest_path, trials_path, config: ExperimentConfig, out_dir: Path, into: Path
+) -> metrics.EvaluationReport:
     scores_path = _require(out_dir / "scores" / "scores.tsv")
     report = metrics.evaluate(metrics.read_scores(scores_path), config.dcf, source=scores_path)
-    with storage.entry(out_dir / "report") as report_dir:
-        storage.atomic_write_text(report_dir / "report.txt", metrics.format_report(report) + "\n")
-        storage.atomic_write_text(
-            report_dir / "report.json",
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-        )
+    storage.atomic_write_text(into / "report.txt", metrics.format_report(report) + "\n")
+    storage.atomic_write_text(into / "report.json", json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     return report

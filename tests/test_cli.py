@@ -61,17 +61,25 @@ def run_cli(*argv):
     return cli.main([str(a) for a in argv])
 
 
+def stage_argv(command, manifest, trials, config_path, out):
+    """The argv that runs ``command`` on ``manifest`` (and ``trials`` for score and run) into ``out``."""
+    return [command, "--manifest", manifest, "--config", config_path, "--out", out,
+            *(["--trials", trials] if command in ("score", "run") else [])]
+
+
 def run_stages(stages, manifest, trials, config_path, out, capsys):
     """Run each subcommand in turn, asserting exit 0; returns their stdout lines."""
     capsys.readouterr()
     for stage in stages:
-        argv = [stage, "--config", config_path, "--out", out]
-        if stage != "evaluate":
-            argv += ["--manifest", manifest]
-        if stage in ("score", "run"):
-            argv += ["--trials", trials]
-        assert run_cli(*argv) == 0, stage
+        assert run_cli(*stage_argv(stage, manifest, trials, config_path, out)) == 0, stage
     return capsys.readouterr().out.splitlines()
+
+
+def run_stage_function(name, manifest, trials, config, out):
+    """What ``pipeline.run_<name>`` returns, its entry committed as the CLI commits it, bar the config snapshot."""
+    stage = next(s for s in pipeline.STAGES if s.name == name)
+    with storage.entry(out / stage.writes) as into:
+        return getattr(pipeline, "run_" + name.replace("-", "_"))(manifest, trials, config, out, into)
 
 
 def break_wavs(manifest, utterance_ids, tmp_path):
@@ -162,10 +170,10 @@ def test_unreadable_input_exits_2_naming_it(tiny_corpus, config_path, tmp_path, 
     assert err.startswith("error: ") and str(bad) in err
 
 
-WRITING_FIRST = ("extract-features", "run", "make-corpus")  # these fail making a directory in --out
+WRITING_FIRST = ("make-corpus",)  # fails making a directory in --out; a stage checks --out before it runs
 
 
-@pytest.mark.parametrize("command", [*WRITING_FIRST, *(s.name for s in pipeline.STAGES[1:])])
+@pytest.mark.parametrize("command", [*WRITING_FIRST, "run", *(s.name for s in pipeline.STAGES)])
 def test_out_naming_a_file_exits_2(tiny_corpus, config_path, tmp_path, capsys, command):
     manifest, trials = tiny_corpus
     out = tmp_path / "out"
@@ -181,8 +189,9 @@ def test_out_naming_a_file_exits_2(tiny_corpus, config_path, tmp_path, capsys, c
     assert code == 2, err
     if command in WRITING_FIRST:
         assert err.startswith("error: ") and f"{out}/" in err and "cannot make directory" in err
-    else:  # a reading stage names --out, not a stage to run first
-        assert err.startswith(f"error: {command}: {out}: --out is not a directory"), err
+    else:  # names --out, not a stage to run first; run names its first stage
+        stage = pipeline.STAGES[0].name if command == "run" else command
+        assert err.startswith(f"error: {stage}: {out}: --out is not a directory"), err
     assert out.read_text(encoding="utf-8") == "a file\n"
 
 
@@ -532,7 +541,7 @@ def test_extract_features_writes_archives_and_snapshot(tiny_corpus, config_path,
     archives = list((out / "features").glob("*.tclf"))
     assert len(archives) == 3 * 5 * 2
     assert (out / "features" / "failures.tsv").read_text(encoding="utf-8") == ""
-    snapshot = json.loads((out / "config" / "extract-features.json").read_text(encoding="utf-8"))
+    snapshot = json.loads((out / "features" / "config.json").read_text(encoding="utf-8"))
     assert snapshot["seed"] == 11
     assert snapshot["tcl"]["shuffle_seed"] == 11 + 101  # resolved before the snapshot
 
@@ -786,10 +795,8 @@ def test_full_run_and_report(tiny_corpus, config_path, tmp_path, capsys):
     report = json.loads((out / "report" / "report.json").read_text(encoding="utf-8"))
     assert set(report["per_type"]) <= {"target-wrong", "impostor-correct", "impostor-wrong"}
     assert 0.0 <= report["average"]["eer_pct"] <= 100.0
-    # one resolved-config snapshot per executed stage
-    stages = {p.stem for p in (out / "config").glob("*.json")}
-    assert {"extract-features", "make-labels", "train-dnn", "extract-bn",
-            "train-ubm", "enroll", "score", "evaluate"} <= stages
+    # one resolved-config snapshot per executed stage, in its entry
+    assert {p.parent.name for p in out.glob("*/config.json")} == {p.name for p in out.iterdir()}
 
 
 def assert_run_matches_stages(stages, tiny_corpus, config_path, tmp_path, capsys):
@@ -824,7 +831,8 @@ def test_run_skips_the_stages_nothing_reads(tiny_corpus, tmp_path, capsys, confi
     whole = assert_run_matches_stages(stages, tiny_corpus, config_path, tmp_path, capsys)
     for sub in absent:
         assert not (whole / sub).exists(), sub
-    assert {p.stem for p in (whole / "config").glob("*.json")} == set(stages)
+    entries = {s.writes for s in pipeline.STAGES if s.name in stages}
+    assert {p.parent.name for p in whole.glob("*/config.json")} == {p.name for p in whole.iterdir()} == entries
 
 
 def test_run_writes_only_archives_a_later_stage_reads(tiny_corpus, config_path, tmp_path, capsys, monkeypatch):
@@ -910,6 +918,19 @@ def test_readme_config_block_matches_the_defaults():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Configuration\n", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
     assert json.loads(block) == json.loads(ExperimentConfig().to_json())
+
+
+def test_an_empty_manifest_is_logged_as_a_warning(tmp_path, capsys, caplog, recwarn):
+    manifest = tmp_path / "manifest.tsv"
+    write_manifest(manifest, [])
+    caplog.set_level(logging.WARNING, logger="tclsv.pipeline")
+    assert run_cli("extract-features", "--manifest", manifest, "--out", tmp_path / "run") == 0
+    assert capsys.readouterr().out == "feature extraction finished with 0 failure(s)\n"
+    assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+        (logging.WARNING, "manifest has no entries; nothing to extract")
+    ]
+    assert len(recwarn) == 0
+    assert (tmp_path / "run" / "features" / "failures.tsv").read_text(encoding="utf-8") == ""
 
 
 def test_each_stage_warns_once_about_failed_utterances(tiny_corpus, config_path, tmp_path, capsys, caplog):
@@ -1037,6 +1058,45 @@ def test_a_failed_stage_leaves_the_previous_entry_intact(
     assert list(out.glob(".*")) == []
 
 
+@pytest.mark.parametrize("stage", [s.name for s in pipeline.STAGES])
+def test_a_failed_config_snapshot_leaves_the_previous_entry_and_prints_nothing(
+    tiny_corpus, finished_run, tmp_path, capsys, monkeypatch, stage
+):
+    manifest, trials = tiny_corpus
+    out, config = copy_of_finished_run(finished_run, tmp_path)
+    entry = next(s.writes for s in pipeline.STAGES if s.name == stage)
+    before = files_under(out / entry)
+
+    def failing(path, config):
+        raise DataError(f"{path}: disk full")
+
+    monkeypatch.setattr(cli, "write_snapshot", failing)
+    capsys.readouterr()
+    assert run_cli(*stage_argv(stage, manifest, trials, config, out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {stage}: {out / f'.{entry}.new' / 'config.json'}: disk full")
+    assert captured.out == ""
+    assert files_under(out / entry) == before
+    assert list(out.glob(".*")) == []
+
+
+@pytest.mark.parametrize("stage", [s.name for s in pipeline.STAGES])
+def test_a_stage_changes_only_its_own_entry(tiny_corpus, finished_run, tmp_path, capsys, stage):
+    manifest, trials = tiny_corpus
+    source, config = finished_run
+    resolved = load_config(config).resolved(None)
+    writes, reads = next((s.writes, s.reads(resolved)) for s in pipeline.STAGES if s.name == stage)
+    out = tmp_path / "run"
+    out.mkdir()
+    for name in reads:  # the upstream entries alone
+        shutil.copytree(source / name, out / name)
+    before = files_under(out)
+    run_stages([stage], manifest, trials, config, out, capsys)
+    assert sorted(p.name for p in out.iterdir()) == sorted(reads | {writes})
+    assert {p: b for p, b in files_under(out).items() if p.parts[0] != writes} == before
+    assert (out / writes / "config.json").read_text(encoding="utf-8") == resolved.to_json()
+
+
 @pytest.mark.parametrize("link", ["hard", "symbolic"])
 def test_a_rerun_in_a_linked_copy_leaves_the_source_entry_alone(tiny_corpus, finished_run, tmp_path, capsys, link):
     # a hard-linked features/ lets other back ends reuse one extraction
@@ -1152,7 +1212,7 @@ def test_score_matches_per_trial_score_llr_bitwise(tiny_corpus, config_path, tmp
 
     monkeypatch.setattr(gmm, "log_likelihoods", counting)
     usable_cpus(monkeypatch, 1)  # calls in a forked worker would not be counted here
-    score_set = pipeline.run_score(manifest, load_config(config_path).resolved(None), out, trials)
+    score_set = run_stage_function("score", manifest, trials, load_config(config_path).resolved(None), out)
     monkeypatch.setattr(gmm, "log_likelihoods", real_log_likelihoods)
 
     test_ids = {t.test_utterance_id for t in score_set.trials}
@@ -1182,7 +1242,7 @@ def test_score_caches_each_model_on_the_ubms_arrays(tiny_corpus, config_path, tm
 
     monkeypatch.setattr(gmm, "log_likelihoods", recording)
     usable_cpus(monkeypatch, 1)  # models in a forked worker would not be recorded here
-    pipeline.run_score(manifest, load_config(config_path).resolved(None), out, trials)
+    run_stage_function("score", manifest, trials, load_config(config_path).resolved(None), out)
     ubm = models[0]  # each test utterance is scored against the UBM first
     speaker_models = {id(m): m for m in models if m is not ubm}.values()
     assert len(speaker_models) == len(list((out / "models").glob("*.tclg")))
@@ -1225,7 +1285,7 @@ def test_score_gives_the_same_bits_on_any_cpu_count(tiny_corpus, config_path, tm
         assert run_cli("run", "--manifest", manifest, "--trials", trials, "--config", config_path,
                        "--out", out) == 0
         pids[cpus] = set(record.read_text(encoding="utf-8").split())
-        scores[cpus] = pipeline.run_score(manifest, config, out, trials).scores
+        scores[cpus] = run_stage_function("score", manifest, trials, config, out).scores
     assert pids[1] == {str(os.getpid())}
     assert len(pids[3]) > 1  # the test exercises the forked workers
     assert np.array_equal(scores[1], scores[3])
@@ -1470,7 +1530,7 @@ def test_extract_features_gives_the_same_bytes_on_any_cpu_count(tiny_corpus, con
     failures = (outs[1] / "features" / "failures.tsv").read_text(encoding="utf-8")
     assert failures.startswith(read_manifest(manifest)[1].utterance_id + "\t")
     files = sorted(p.relative_to(outs[1]) for p in (outs[1] / "features").iterdir())
-    assert len(files) == 3 * 5 * 2
+    assert len(files) == 3 * 5 * 2 + 1  # 29 archives, failures.tsv and config.json
     assert files == sorted(p.relative_to(outs[3]) for p in (outs[3] / "features").iterdir())
     for name in files:
         assert (outs[1] / name).read_bytes() == (outs[3] / name).read_bytes(), name
@@ -1485,8 +1545,7 @@ def test_an_error_in_a_worker_exits_3_before_any_stage_output(tiny_corpus, confi
     assert result.stdout == "before the stage\n"
     assert "OSError: disk on fire" in result.stderr
     assert "feature extraction worker" in result.stderr
-    assert not (out / "features" / "failures.tsv").exists()
-    assert not (out / "config").exists()
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("fault", [None, "in the first share", "in a worker's share"])
@@ -1527,7 +1586,7 @@ def test_workers_run_on_one_blas_thread(tiny_corpus, tmp_path, monkeypatch, blas
                        "--out", outs[cpus]) == 0
     assert blas_threads() == 2
     names = sorted(p.name for p in (outs[1] / "features").iterdir())
-    assert len(names) == 3 * 5 * 2 + 1
+    assert len(names) == 3 * 5 * 2 + 2  # the archives, failures.tsv and config.json
     for name in names:
         assert (outs[1] / "features" / name).read_bytes() == (outs[3] / "features" / name).read_bytes(), name
 
@@ -1544,7 +1603,7 @@ def test_make_labels_reads_archive_headers_only(tiny_corpus, config_path, tmp_pa
     real_read = storage.read_feature_archive
     monkeypatch.setattr(storage, "read_feature_archive",
                         lambda *a, **k: full_reads.append(a) or real_read(*a, **k))
-    pipeline.run_make_labels(manifest, config, out)
+    run_stage_function("make-labels", manifest, None, config, out)
     assert full_reads == []
 
     # the same labels as labeling the fully read archives
@@ -1584,8 +1643,8 @@ def test_dnn_stages_compute_in_float32(tiny_corpus, config_path, tmp_path, monke
 
     monkeypatch.setattr(network, "backward", checked_backward)
     monkeypatch.setattr(network, "extract_deep_features", checked_extract)
-    params, _ = pipeline.run_train_dnn(manifest, config, out)
-    pipeline.run_extract_bn(manifest, config, out)
+    params, _ = run_stage_function("train-dnn", manifest, None, config, out)
+    run_stage_function("extract-bn", manifest, None, config, out)
     assert dtypes == {np.dtype(np.float32)}
 
     # the model file keeps its float64 format; the upcast loses nothing
@@ -1696,7 +1755,7 @@ def test_training_dataset_matches_the_reference_builder(tiny_corpus, config_path
     entries = dnn_train_entries(manifest)
     labels_path = out / "labels" / "labels.tsv"
     if case == "tcl-utterance":
-        pipeline.run_make_labels(manifest, config, out)
+        run_stage_function("make-labels", manifest, None, config, out)
         rows = labeling.read_label_archive(labels_path)
         del rows[entries[1].utterance_id]  # skipped, as if too short to label
         labeling.write_label_archive(labels_path, rows)
@@ -1823,7 +1882,7 @@ def test_extract_bn_matches_per_utterance_reference(
         return real_extract(params, inputs, layer)
 
     monkeypatch.setattr(network, "extract_deep_features", counting)
-    projection = pipeline.run_extract_bn(manifest, config, out)
+    projection = run_stage_function("extract-bn", manifest, None, config, out)
     monkeypatch.setattr(network, "extract_deep_features", real_extract)
 
     entries = read_manifest(manifest)

@@ -196,8 +196,8 @@ def test_small_negative_master_seed_still_resolves():
     assert config.backend.init_seed == 251
 
 
-# SHA-256 of to_json() for the two configs below, as the snapshots of
-# config/<stage>.json hold them; a change here changes every run directory.
+# SHA-256 of to_json() for the two configs below, as each entry's config.json
+# snapshot holds them; a change here changes every run directory.
 PINNED_DEFAULTS_SHA256 = "63bf02fd9c30c263b5b0cc43863e0d017787065e88eef0b2a29de830f0a9d26e"
 PINNED_EVERY_SECTION_SHA256 = "f6f02417be6828b8657699eb6bf046cbe2316136beea14a098102f74d114dfc8"
 EVERY_SECTION = {

@@ -123,10 +123,10 @@ def test_rank_deficient_pads_with_zero_rows_and_warns():
 
 
 def test_fit_requires_more_rows_than_out_dim():
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="need more than 5 rows"):
         fit(np.zeros((5, 4)), 5)
-    with pytest.raises(DataError):
-        fit(np.zeros(12), 2)
+    with pytest.raises(DataError, match="^covariance expects a 2-D matrix of pooled frames$"):
+        covariance(np.zeros(12), 2)
 
 
 def test_project_dimension_mismatch():

@@ -19,7 +19,6 @@ from .errors import DataError
 from .frontend import FrontendConfig
 from .gmm import BackendConfig
 from .labeling import TclConfig
-from .manifest import SPLITS
 from .metrics import DcfParams
 from .network import DnnConfig, NetworkArch
 
@@ -37,11 +36,6 @@ _DERIVED_SEEDS = (
 class BnConfig:
     layer: str = "L2"
     pca_dim: int = 57
-    fit_split: str = "ubm-train"
-
-    def __post_init__(self):
-        if self.fit_split not in SPLITS:
-            raise DataError(f"bn.fit_split must be one of {SPLITS}, got {self.fit_split!r}")
 
 
 @dataclass(frozen=True)
@@ -103,9 +97,9 @@ _ACCEPTED = {
 
 def _build(section_cls, data: dict, section: str):
     defaults = {f.name: f.default for f in fields(section_cls)}
-    bad = set(data) - set(defaults)
+    bad = sorted(set(data) - set(defaults))
     if bad:
-        raise DataError(f"unknown keys {sorted(bad)} in {section!r}")
+        raise DataError(f"{section}.{bad[0]}: unknown key")
     converted = {}
     for key, value in data.items():
         default = defaults[key]

@@ -64,7 +64,6 @@ class AudioSignal:
 class FrontendConfig:
     frame_shift_ms: float = 10.0
     frame_length_ms: float = 20.0
-    window: str = "hamming"
     num_static_ceps: int = 19
     num_mel_filters: int = 24
     preemphasis_coeff: float = 0.97
@@ -83,8 +82,6 @@ class FrontendConfig:
             raise DataError("frontend.num_static_ceps must be < frontend.num_mel_filters")
         if not 0.0 <= self.preemphasis_coeff < 1.0:
             raise DataError("frontend.preemphasis_coeff must be in [0, 1)")
-        if self.window != "hamming":
-            raise DataError(f"frontend.window must be 'hamming', got {self.window!r}")
         if self.delta_window < 1:
             raise DataError("frontend.delta_window must be positive")
 

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
-import warnings
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, RankDeficientWarning
+from .errors import DataError
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,7 @@ def fit_pca(mean: np.ndarray, cov: np.ndarray, out_dim: int) -> PcaModel:
 
     Eigenvector signs are fixed so each row's largest-magnitude entry is
     positive.  If fewer than ``out_dim`` eigenvalues are positive, the basis
-    is padded with zero rows and a :class:`RankDeficientWarning` is issued.
+    is padded with zero rows and a warning is logged.
     """
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1][:out_dim]
@@ -60,10 +62,8 @@ def fit_pca(mean: np.ndarray, cov: np.ndarray, out_dim: int) -> PcaModel:
     positive = eigvals > max(eigvals[0], 0.0) * 1e-12
     rank = int(np.count_nonzero(positive))
     if rank < out_dim:
-        warnings.warn(
-            f"only {rank} positive eigenvalues for {out_dim} requested dimensions; "
-            "padding with zero rows",
-            RankDeficientWarning,
+        logger.warning(
+            "only %d positive eigenvalues for %d requested dimensions; padding with zero rows", rank, out_dim
         )
         basis[rank:] = 0.0
         eigvals = eigvals.copy()

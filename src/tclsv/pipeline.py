@@ -258,12 +258,15 @@ def _run_shares(fn: Callable[[T], object], items: list[T], what: str) -> list:
     0.11 % above the mean WAV bytes.  This process maps the first share and
     forks one worker per other share, so one share forks nothing.  Each
     worker inherits its stage's one BLAS thread, so a result has the same
-    bits on any share count.  A share stops at its first DataError; of
-    those, the one of the earliest item is raised, the error the serial loop
-    meets first, as every item before it succeeded.  Any other error, in
-    this process or in a worker, kills and reaps every worker and is raised;
-    a worker prints its own error's traceback, and here a RuntimeError names
-    the ``what`` worker.
+    bits on any share count.  That thread count also carries the workers'
+    speed: with OpenBLAS's two threads in every stage, ``tclsv run`` on the
+    seed-1 ``mfcc-k512`` workload took 12.29 s wall / 23.15 s CPU instead of
+    2.83 s / 4.13 s (2-core x86-64, OpenBLAS 0.3.31).  A share stops at its
+    first DataError; of those, the one of the earliest item is raised, the
+    error the serial loop meets first, as every item before it succeeded.
+    Any other error, in this process or in a worker, kills and reaps every
+    worker and is raised; a worker prints its own error's traceback, and
+    here a RuntimeError names the ``what`` worker.
     """
     count = _share_count(len(items))
     first, *others = (items[i::count] for i in range(count))
@@ -430,7 +433,6 @@ def run_train_dnn(
     params, trace = network.train(dataset, arch, config.dnn)
     storage.write_network(into / "model.tcln", params)
     _write_trace(into / "loss_trace.txt", trace)
-    logger.info("dnn loss %s", loss_trace_summary(trace))
     return params, trace
 
 
@@ -489,21 +491,20 @@ def run_extract_bn(
     float32; their outputs go back to float64 for CMVN and PCA.
 
     The projection is fitted on the pooled normalized frames of the
-    ``bn.fit_split`` utterances, then applied to every utterance except the
-    dnn-train split, which no later stage reads.  The pooled matrix is freed
-    before the eigendecomposition, so the fit split goes through the network
-    a second time to be projected like every other utterance, with the same
-    bits.  Non-finite network outputs raise DataError naming the utterance
-    before the PCA fit sees them and before that utterance's archive is
-    written.
+    ubm-train utterances, the split train-ubm reads, then applied to every
+    utterance except the dnn-train split, which no later stage reads.  The
+    pooled matrix is freed before the eigendecomposition, so the ubm-train
+    split goes through the network a second time to be projected like every
+    other utterance, with the same bits.  Non-finite network outputs raise
+    DataError naming the utterance before the PCA fit sees them and before
+    that utterance's archive is written.
     """
     params = storage.read_network(_require(out_dir / "dnn" / "model.tcln"), np.float32, config.bn.layer)
-    skip = () if config.bn.fit_split == "dnn-train" else ("dnn-train",)  # no later stage reads it
-    entries = _usable([e for e in read_manifest(manifest_path) if e.split not in skip], out_dir)
-    fit_entries = _usable(entries, out_dir, config.bn.fit_split)
+    entries = _usable([e for e in read_manifest(manifest_path) if e.split != "dnn-train"], out_dir)
+    fit_entries = _usable(entries, out_dir, "ubm-train")
 
-    # The fit split's normalized deep features, pooled in manifest order into
-    # one matrix sized from the archive headers.
+    # The ubm-train split's normalized deep features, pooled in manifest
+    # order into one matrix sized from the archive headers.
     offsets = np.cumsum([0] + [_num_frames(out_dir, e) for e in fit_entries])
     width = params.arch.hidden_layers[params.arch.layer_index(config.bn.layer)]
     pooled = np.empty((offsets[-1], width))
@@ -513,9 +514,8 @@ def run_extract_bn(
     del pooled  # eigh's workspace is about as large
     projection = pca.fit_pca(mean, cov, config.bn.pca_dim)
 
-    kept = [e for e in entries if e.split != "dnn-train"]
     storage.write_pca(into / "pca.tclp", projection)
-    for entry, deep in _normalized_deep_features(params, kept, config, out_dir):
+    for entry, deep in _normalized_deep_features(params, entries, config, out_dir):
         storage.write_feature_archive(into / f"{entry.utterance_id}.tclf", pca.project(projection, deep))
     return projection
 
@@ -570,6 +570,9 @@ def _missing_model(
 def run_score(manifest_path, trials_path, config: ExperimentConfig, out_dir: Path, into: Path) -> TrialScoreSet:
     """The average per-frame LLR of each trial, written in trial order.
 
+    Every trial must test an utterance of the test split: each other split
+    trains the network, the PCA and UBM, or the speaker models.
+
     Trials are scored one test utterance at a time, by one ``gmm.score_llr``
     call that evaluates the UBM and the frames' variance term once for every
     model the utterance is tried against.  Every model shares that term:
@@ -595,10 +598,10 @@ def run_score(manifest_path, trials_path, config: ExperimentConfig, out_dir: Pat
         entry = by_id.get(utt)
         if entry is None:
             raise DataError(f"{trials_path}: trial references utterance {utt!r} which is not in the manifest")
-        if entry.split == "dnn-train":
+        if entry.split != "test":
             raise DataError(
-                f"{trials_path}: trial tests utterance {utt!r} of the dnn-train split;"
-                f" pass-phrases that trained the network cannot be scored"
+                f"{trials_path}: trial tests utterance {utt!r} of the {entry.split} split;"
+                " only test utterances are scored"
             )
 
     subdir = _backend_subdir(config)

@@ -210,7 +210,7 @@ def test_bad_config_key_exits_2(tiny_corpus, tmp_path, capsys):
     bad.write_text('{"dnn": {"epoch": 3}}', encoding="utf-8")
     code = run_cli("extract-features", "--manifest", manifest, "--config", bad, "--out", tmp_path)
     assert code == 2
-    assert "unknown keys" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {bad}: dnn.epoch: unknown key\n"
 
 
 def test_non_integer_seed_exits_2(tiny_corpus, tmp_path, capsys):
@@ -263,13 +263,14 @@ def test_invalid_frontend_value_exits_2_naming_it(tiny_corpus, tmp_path, capsys,
     ("frontend", {"frame_length_ms": 5.0}, "frontend.frame_length_ms"),
     ("frontend", {"num_static_ceps": 24}, "frontend.num_static_ceps"),
     ("frontend", {"preemphasis_coeff": 1.0}, "frontend.preemphasis_coeff"),
-    ("frontend", {"window": "hann"}, "frontend.window"),
+    ("frontend", {"window": "hann"}, "frontend.window"),  # a removed key, now unknown
     ("frontend", {"delta_window": 0}, "frontend.delta_window"),
     ("tcl", {"mode": "x"}, "tcl.mode"),
     ("dcf", {"p_target": 1.0}, "dcf.p_target"),
     ("dcf", {"cost_miss": 0}, "dcf.cost_miss"),
     ("bn", {"layer": "L9"}, "bn.layer"),
     ("dnn", {"hidden_layers": []}, "dnn.hidden_layers"),
+    ("bn", {"fit_split": "ubm-train"}, "bn.fit_split"),  # removed, even at its old default
 ])
 def test_every_invalid_config_value_exits_2_naming_its_key(tiny_corpus, tmp_path, capsys, section, values, key):
     manifest, trials = tiny_corpus
@@ -1139,7 +1140,7 @@ def test_loss_trace_has_one_line_per_epoch(tiny_corpus, tmp_path, capsys, caplog
     first, last = (f"{float(v):.6f}" for v in (lines[0], lines[-1]))
     want = f"{first} over 1 epoch" if epochs == 1 else f"{first} -> {last} over {epochs} epochs"
     assert capsys.readouterr().out == f"training loss {want}\n"
-    assert f"dnn loss {want}" in caplog.messages
+    assert not [m for m in caplog.messages if m.startswith("dnn loss")]  # stdout's line is the one report
 
 
 def test_seed_override_changes_models(tiny_corpus, config_path, tmp_path, capsys):
@@ -1895,7 +1896,7 @@ def test_extract_bn_matches_per_utterance_reference(
         deep = real_extract(params, context, config.bn.layer).astype(np.float64)
         return frontend.cmvn(deep)
 
-    fit = np.vstack([reference(e) for e in entries if e.split == config.bn.fit_split])
+    fit = np.vstack([reference(e) for e in entries if e.split == "ubm-train"])
     want = pca.fit_pca(*pca.covariance(fit, config.bn.pca_dim), config.bn.pca_dim)
     for got_array, want_array in zip(
         (projection.mean, projection.basis, projection.eigenvalues), (want.mean, want.basis, want.eigenvalues)
@@ -1907,10 +1908,10 @@ def test_extract_bn_matches_per_utterance_reference(
         got = storage.read_feature_archive(out / "bn" / f"{entry.utterance_id}.tclf")
         assert np.array_equal(got, pca.project(want, reference(entry))), entry.utterance_id
 
-    # every kept utterance goes through the network once, and the fit split
+    # every kept utterance goes through the network once, and ubm-train
     # once more to fit the PCA, in calls of at most batch_rows rows
     assert max(rows_seen) <= batch_rows
-    fit_entries = [e for e in entries if e.split == config.bn.fit_split]
+    fit_entries = [e for e in entries if e.split == "ubm-train"]
     total = sum(storage.read_feature_shape(out / "features" / f"{e.utterance_id}.tclf")[0]
                 for e in kept + fit_entries)
     assert sum(rows_seen) == total
@@ -1994,15 +1995,17 @@ def test_score_rejects_non_finite_frames(tiny_corpus, tmp_path, capsys, backend)
     assert not (out / "scores").exists()
 
 
+# each split but test trains something: the network, the PCA and UBM, or the models
+@pytest.mark.parametrize("split", ["dnn-train", "ubm-train", "enroll"])
 @pytest.mark.parametrize("backend", ["bn", "mfcc"])
-def test_score_rejects_a_dnn_train_test_utterance(tiny_corpus, tmp_path, capsys, backend):
+def test_score_rejects_a_trial_testing_a_non_test_utterance(tiny_corpus, tmp_path, capsys, backend, split):
     manifest, trials = tiny_corpus
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(TINY_CONFIG if backend == "bn" else MFCC_CONFIG), encoding="utf-8")
     out = tmp_path / "run"
     stages = [s for s in UP_TO_ENROLL if s in pipeline.stages_for_run(load_config(config_path).resolved(None))]
     run_stages(stages, manifest, trials, config_path, out, capsys)
-    victim = next(e for e in read_manifest(manifest) if e.split == "dnn-train").utterance_id
+    victim = next(e for e in read_manifest(manifest) if e.split == split).utterance_id
     lines = trials.read_text(encoding="utf-8").splitlines()
     model_id, _, kind = lines[-1].split("\t")
     bad_trials = tmp_path / "trials.tsv"
@@ -2010,8 +2013,10 @@ def test_score_rejects_a_dnn_train_test_utterance(tiny_corpus, tmp_path, capsys,
     code = run_cli("score", "--manifest", manifest, "--trials", bad_trials,
                    "--config", config_path, "--out", out)
     assert code == 2
-    err = capsys.readouterr().err
-    assert repr(victim) in err and "dnn-train" in err
+    assert capsys.readouterr().err == (
+        f"error: score: {bad_trials}: trial tests utterance {victim!r} of the {split} split;"
+        " only test utterances are scored\n"
+    )
     assert not (out / "scores").exists()
 
 

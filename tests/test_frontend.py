@@ -573,8 +573,6 @@ def test_config_validation():
         FrontendConfig(num_static_ceps=24, num_mel_filters=24)
     with pytest.raises(DataError):
         FrontendConfig(preemphasis_coeff=1.0)
-    with pytest.raises(DataError):
-        FrontendConfig(window="hann")
 
 
 def test_features_are_the_same_bits_on_one_blas_thread():

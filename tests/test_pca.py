@@ -2,12 +2,12 @@
 properties, the sign convention, and a cross-method oracle via SVD.
 """
 
-import warnings
+import logging
 
 import numpy as np
 import pytest
 
-from tclsv.errors import DataError, RankDeficientWarning
+from tclsv.errors import DataError
 from tclsv.pca import covariance, fit_pca, project
 
 
@@ -38,15 +38,15 @@ def test_eigenvalues_non_increasing_and_nonnegative():
     assert np.all(model.eigenvalues >= 0.0)
 
 
-def test_exact_recovery_of_low_dimensional_subspace():
+def test_exact_recovery_of_low_dimensional_subspace(caplog):
     dim, k = 10, 2
     v = random_orthonormal(dim, k, seed=2)
     rng = np.random.default_rng(3)
     coords = rng.standard_normal((500, k)) * np.array([3.0, 1.5])
     x = coords @ v.T + 0.7
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # exactly k positive eigenvalues: no warning
-        model = fit(x, k)
+    caplog.set_level(logging.DEBUG, logger="tclsv.pca")
+    model = fit(x, k)
+    assert caplog.records == []  # exactly k positive eigenvalues: nothing logged
     reconstructed = project(model, x) @ model.basis + model.mean
     assert np.max(np.abs(reconstructed - x)) <= 1e-8
 
@@ -108,13 +108,17 @@ def test_sign_convention_largest_entry_positive():
         assert row[np.argmax(np.abs(row))] > 0
 
 
-def test_rank_deficient_pads_with_zero_rows_and_warns():
+def test_rank_deficient_pads_with_zero_rows_and_warns(caplog):
     dim, k, out_dim = 8, 3, 6
     v = random_orthonormal(dim, k, seed=10)
     coords = np.random.default_rng(11).standard_normal((100, k))
     x = coords @ v.T
-    with pytest.warns(RankDeficientWarning):
-        model = fit(x, out_dim)
+    caplog.set_level(logging.WARNING, logger="tclsv.pca")
+    model = fit(x, out_dim)
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("tclsv.pca", logging.WARNING,
+         "only 3 positive eigenvalues for 6 requested dimensions; padding with zero rows")
+    ]
     np.testing.assert_allclose(model.basis[k:], 0.0, atol=0)
     np.testing.assert_allclose(model.eigenvalues[k:], 0.0, atol=0)
     assert np.all(model.eigenvalues[:k] > 0)

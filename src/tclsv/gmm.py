@@ -181,19 +181,20 @@ def _row_blocks(m: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def _augmented_blocks(x: np.ndarray):
-    """Yield ``(rows, [x, x^2, 1])`` per row block, in one block-sized buffer.
+def _augmented_blocks(x: np.ndarray, squares: bool = True):
+    """Yield ``(rows, [x, x^2, 1])``, or ``[x, 1]`` without ``squares``, per row block.
 
-    The buffer is refilled for the next block, so each block must be used
-    before the next is drawn.
+    Every block is filled into one block-sized buffer, which is refilled for
+    the next block, so each block must be used before the next is drawn.
     """
     m, dim = x.shape
-    aug = np.empty((min(m, _ROW_BLOCK), 2 * dim + 1))
+    aug = np.empty((min(m, _ROW_BLOCK), (2 if squares else 1) * dim + 1))
     aug[:, -1] = 1.0
     for rows in _row_blocks(m):
         block = aug[: rows.stop - rows.start]
         block[:, :dim] = x[rows]
-        np.square(x[rows], out=block[:, dim:-1])
+        if squares:
+            np.square(x[rows], out=block[:, dim:-1])
         yield rows, block
 
 
@@ -271,9 +272,9 @@ def init_gmm(data, num_components: int, seed: int = 0) -> GmmModel:
 
     # Lloyd: each frame's nearest center minimises ||c||^2 - 2 x.c, its
     # distance less ||x||^2, which no row's argmin depends on.  One GEMM per
-    # block, [x, 1] @ [-2 c^T; ||c||^2], into one block-sized buffer.
+    # block, [x, 1] @ [-2 c^T; ||c||^2], into one block-sized buffer, with
+    # [x, 1] filled block by block as EM's [x, x^2, 1] is.
     dim = x.shape[1]
-    x_one = np.hstack([x, np.ones((m, 1))])
     design = np.empty((dim + 1, num_components))
     dists = np.empty((min(m, _ROW_BLOCK), num_components))
     assignment = None
@@ -281,8 +282,8 @@ def init_gmm(data, num_components: int, seed: int = 0) -> GmmModel:
         np.multiply(centers.T, -2.0, out=design[:dim])
         np.sum(centers**2, axis=1, out=design[dim])
         new_assignment = np.empty(m, dtype=np.intp)
-        for rows in _row_blocks(m):
-            d = np.matmul(x_one[rows], design, out=dists[: rows.stop - rows.start])
+        for rows, x_one in _augmented_blocks(x, squares=False):
+            d = np.matmul(x_one, design, out=dists[: len(x_one)])
             new_assignment[rows] = d.argmin(axis=1)
         if assignment is not None and np.array_equal(new_assignment, assignment):
             break

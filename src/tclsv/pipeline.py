@@ -46,9 +46,14 @@ _FAILURES = Path("features", "failures.tsv")
 _UBM = Path("ubm", "ubm.tclg")
 
 # Context-stacked rows per network call in extract-bn.  Whole utterances are
-# batched up to this many rows: 1,024 was the fastest size measured (2-core
-# x86-64, OpenBLAS 0.3.31), and its float32 batch stays a few MB.
-BN_BATCH_ROWS = 1024
+# batched up to this many rows.  A batch's transients are held beside the
+# pooled matrix while the PCA fit pools its frames, so they add to the peak:
+# on the seed-1 paper-1epoch corpus, tclsv run peaks at 89.2 MB with 256
+# rows, 91.7 MB with 512 and 99.2 MB with 1,024.  Smaller batches cost some
+# time: in-process extract-bn on that corpus took a median 1.07-1.09 s at 256
+# rows, 1.02 s at 512 and 0.90-0.96 s at 1,024 (two sets of 10 alternating
+# runs; 2-core x86-64 KVM guest, OpenBLAS 0.3.31).
+BN_BATCH_ROWS = 256
 
 
 class Stage(NamedTuple):
@@ -482,6 +487,12 @@ def _normalized_deep_features(
             yield entry, cmvn(utt.astype(np.float64))
 
 
+def _file_identity(path: Path) -> tuple[int, int, int]:
+    """(inode, size, mtime) of ``path``, which changes when a stage replaces the file."""
+    st = os.stat(path)
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
 def run_extract_bn(
     manifest_path, trials_path, config: ExperimentConfig, out_dir: Path, into: Path
 ) -> pca.PcaModel:
@@ -493,13 +504,19 @@ def run_extract_bn(
     The projection is fitted on the pooled normalized frames of the
     ubm-train utterances, the split train-ubm reads, then applied to every
     utterance except the dnn-train split, which no later stage reads.  The
-    pooled matrix is freed before the eigendecomposition, so the ubm-train
-    split goes through the network a second time to be projected like every
-    other utterance, with the same bits.  Non-finite network outputs raise
-    DataError naming the utterance before the PCA fit sees them and before
-    that utterance's archive is written.
+    network is dropped once the fit pass has pooled its rows, and the pooled
+    matrix before the eigendecomposition, so neither is held beside the
+    covariance or eigh's workspace.  The network is then read again, and the
+    ubm-train split goes through it a second time to be projected like every
+    other utterance, with the same bits.  DataError if ``dnn/model.tcln`` was
+    replaced between the two reads (a train-dnn run meanwhile), so both
+    passes run one network.  Non-finite network outputs raise DataError
+    naming the utterance before the PCA fit sees them and before that
+    utterance's archive is written.
     """
-    params = storage.read_network(_require(out_dir / "dnn" / "model.tcln"), np.float32, config.bn.layer)
+    model_path = _require(out_dir / "dnn" / "model.tcln")
+    identity = _file_identity(model_path)
+    params = storage.read_network(model_path, np.float32, config.bn.layer)
     entries = _usable([e for e in read_manifest(manifest_path) if e.split != "dnn-train"], out_dir)
     fit_entries = _usable(entries, out_dir, "ubm-train")
 
@@ -510,13 +527,22 @@ def run_extract_bn(
     pooled = np.empty((offsets[-1], width))
     for i, (_, deep) in enumerate(_normalized_deep_features(params, fit_entries, config, out_dir)):
         pooled[offsets[i] : offsets[i + 1]] = deep
+    del params
     mean, cov = pca.covariance(pooled, config.bn.pca_dim)
     del pooled  # eigh's workspace is about as large
     projection = pca.fit_pca(mean, cov, config.bn.pca_dim)
 
+    params = storage.read_network(model_path, np.float32, config.bn.layer)
+    if _file_identity(model_path) != identity:
+        raise DataError(f"{model_path} was replaced while extract-bn ran; run extract-bn again")
     storage.write_pca(into / "pca.tclp", projection)
     for entry, deep in _normalized_deep_features(params, entries, config, out_dir):
         storage.write_feature_archive(into / f"{entry.utterance_id}.tclf", pca.project(projection, deep))
+    logger.info(
+        "fitted the PCA on %d frames of %d ubm-train utterance(s), %d -> %d dims;"
+        " wrote %d bn archive(s)",
+        offsets[-1], len(fit_entries), width, config.bn.pca_dim, len(entries),
+    )
     return projection
 
 

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -1865,8 +1866,11 @@ def run_through(stage, tiny_corpus, config_path, out, capsys):
     run_stages(UP_TO_ENROLL[: UP_TO_ENROLL.index(stage) + 1], manifest, trials, config_path, out, capsys)
 
 
-# the default batches several utterances per call; 40 rows splits each utterance
-@pytest.mark.parametrize("batch_rows, batched", [(pipeline.BN_BATCH_ROWS, True), (40, False)])
+# the default and 1,024 rows batch several utterances per call; 40 rows splits
+# each utterance
+@pytest.mark.parametrize(
+    "batch_rows, batched", [(1024, True), (pipeline.BN_BATCH_ROWS, True), (40, False)]
+)
 def test_extract_bn_matches_per_utterance_reference(
     tiny_corpus, config_path, tmp_path, capsys, monkeypatch, batch_rows, batched
 ):
@@ -1934,6 +1938,74 @@ def test_extract_bn_rejects_non_finite_deep_features(tiny_corpus, config_path, t
     assert err.startswith("error: extract-bn: ") and repr(first_fit) in err and "non-finite" in err
     # raised before the PCA fit and before any archive
     assert not (out / "bn").exists()
+
+
+def test_extract_bn_drops_the_fit_pass_network_before_the_covariance(
+    tiny_corpus, config_path, tmp_path, capsys, monkeypatch
+):
+    manifest, _ = tiny_corpus
+    out = tmp_path / "run"
+    run_through("train-dnn", tiny_corpus, config_path, out, capsys)
+    reads, at_covariance = [], []
+    real_read, real_covariance = storage.read_network, pca.covariance
+
+    def reading(*args, **kwargs):
+        params = real_read(*args, **kwargs)
+        reads.append((weakref.ref(params), weakref.ref(params.weights[0])))
+        return params
+
+    def covariance(pooled, out_dim):
+        at_covariance.append([ref() is None for ref in reads[0]])
+        return real_covariance(pooled, out_dim)
+
+    monkeypatch.setattr(storage, "read_network", reading)
+    monkeypatch.setattr(pca, "covariance", covariance)
+    assert run_cli("extract-bn", "--manifest", manifest, "--config", config_path, "--out", out) == 0
+    # the network and its weights are dead on entry, and read again to project
+    assert at_covariance == [[True, True]]
+    assert len(reads) == 2
+
+
+def test_extract_bn_exits_2_when_the_network_is_replaced_between_its_passes(
+    tiny_corpus, config_path, tmp_path, capsys, monkeypatch
+):
+    manifest, _ = tiny_corpus
+    out = tmp_path / "run"
+    run_through("extract-bn", tiny_corpus, config_path, out, capsys)
+    model_path = out / "dnn" / "model.tcln"
+    kept = {p.name: p.read_bytes() for p in (out / "bn").iterdir()}
+    real_fit = pca.fit_pca
+
+    def fit_while_train_dnn_reruns(*args):
+        params = storage.read_network(model_path)
+        params.weights[0][0, 0] += 1.0
+        storage.write_network(model_path, params)
+        return real_fit(*args)
+
+    monkeypatch.setattr(pca, "fit_pca", fit_while_train_dnn_reruns)
+    assert run_cli("extract-bn", "--manifest", manifest, "--config", config_path, "--out", out) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: extract-bn: {model_path} was replaced") and not captured.out
+    assert {p.name: p.read_bytes() for p in (out / "bn").iterdir()} == kept
+
+
+def test_extract_bn_logs_one_info_line_to_the_log_alone(tiny_corpus, config_path, tmp_path, capsys, caplog):
+    manifest, _ = tiny_corpus
+    out = tmp_path / "run"
+    run_through("train-dnn", tiny_corpus, config_path, out, capsys)
+    caplog.set_level(logging.INFO, logger="tclsv.pipeline")
+    assert run_cli("extract-bn", "--manifest", manifest, "--config", config_path, "--out", out) == 0
+    assert capsys.readouterr().out == "projection 16 -> 8 dims\n"
+    entries = read_manifest(manifest)
+    fit = [e for e in entries if e.split == "ubm-train"]
+    kept = [e.utterance_id for e in entries if e.split != "dnn-train"]
+    line = (f"fitted the PCA on {sum(num_frames(out, e) for e in fit)} frames of {len(fit)} ubm-train"
+            f" utterance(s), 16 -> 8 dims; wrote {len(kept)} bn archive(s)")
+    assert [(r.levelno, r.getMessage()) for r in caplog.records] == [(logging.INFO, line)]
+    assert sorted(p.name for p in (out / "bn").iterdir()) == sorted(
+        [*(f"{utt}.tclf" for utt in kept), "config.json", "pca.tclp"]
+    )
+    assert not [p for p in out.rglob("*") if p.is_file() and b"fitted the PCA" in p.read_bytes()]
 
 
 def poison_backend_archive(stage, backend, tiny_corpus, tmp_path, capsys, victim, subdir=None):

@@ -739,8 +739,9 @@ def test_ubm_training_holds_no_frames_by_components_matrix():
     assert block * 4 == full
     # em_step: the posterior block, one block's temporaries, x**2 and the like
     assert traced_peak_bytes(lambda: em_step(model, x)) < 3 * block + 3 * frames_copy
-    # init_gmm: one block of distances plus (frames x dim) copies
-    assert traced_peak_bytes(lambda: init_gmm(x, k, seed=1)) < block + 6 * frames_copy
+    # init_gmm: one block of distances plus about three (frames x dim) copies
+    # (block + 3.09 copies measured), so a whole [x, 1] copy, 9/8 of one, fails
+    assert traced_peak_bytes(lambda: init_gmm(x, k, seed=1)) < block + 3.5 * frames_copy
 
 
 # --- the same bits on one BLAS thread ---

@@ -88,6 +88,41 @@ class GmmModel:
 
 
 @dataclass(frozen=True)
+class AdaptedTarget:
+    """A mean-only MAP adaptation of a UBM, holding only what scoring reads of it.
+
+    ``weights`` and ``variances`` are the UBM's own arrays, so ``score_llr``
+    shares the UBM's variance term with it; of its means it keeps only the
+    offset and scaled means of ``GmmModel._mean_terms``.  ``log_likelihoods``
+    gives it the bits of the ``GmmModel`` it was made from.
+    """
+
+    weights: np.ndarray
+    variances: np.ndarray
+    offset: np.ndarray
+    scaled_means: np.ndarray
+
+    @classmethod
+    def of(cls, ubm: GmmModel, means: np.ndarray) -> AdaptedTarget:
+        """The target of the model with ``means`` and ``ubm``'s weights and variances."""
+        offset, scaled_means = GmmModel(ubm.weights, means, ubm.variances)._mean_terms
+        return cls(ubm.weights, ubm.variances, offset, scaled_means)
+
+    @property
+    def dim(self) -> int:
+        return self.scaled_means.shape[0]
+
+    @property
+    def _mean_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.offset, self.scaled_means
+
+    @property
+    def _variance_factor(self) -> np.ndarray:
+        """As ``GmmModel._variance_factor``, made anew on each call: ``score_llr`` never reads it."""
+        return (-0.5 * (1.0 / self.variances)).T
+
+
+@dataclass(frozen=True)
 class BackendConfig:
     """The ``backend`` config section; a ``None`` seed reads as 0."""
 
@@ -115,7 +150,7 @@ def _as_frames(data) -> np.ndarray:
     return np.atleast_2d(np.asarray(data, dtype=np.float64))
 
 
-def variance_term(model: GmmModel, frames) -> np.ndarray:
+def variance_term(model: GmmModel | AdaptedTarget, frames) -> np.ndarray:
     """-0.5 * x^2 . (1/sigma_k^2), shape (frames, components).
 
     The part of each component log density that reads only the frames and the
@@ -128,7 +163,7 @@ def variance_term(model: GmmModel, frames) -> np.ndarray:
 
 
 def _component_log_likelihoods(
-    model: GmmModel,
+    model: GmmModel | AdaptedTarget,
     x: np.ndarray,
     var_term: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -206,7 +241,7 @@ def _total_log_likelihood(model: GmmModel, x: np.ndarray) -> float:
     return float(log_norm.sum())
 
 
-def log_likelihoods(model: GmmModel, frames, var_term: np.ndarray | None = None) -> np.ndarray:
+def log_likelihoods(model: GmmModel | AdaptedTarget, frames, var_term: np.ndarray | None = None) -> np.ndarray:
     """Per-frame mixture log density via log-sum-exp over components.
 
     ``var_term``, when given, is ``variance_term`` of these frames under a
@@ -233,12 +268,14 @@ def init_gmm(data, num_components: int, seed: int = 0) -> GmmModel:
     """Seeded k-means++ selection plus Lloyd refinement for the means.
 
     Weights start uniform; every component uses the global per-dimension
-    variance.
+    variance, taken first, so its (frames x dim) temporary is gone before
+    any k-means buffer exists.
     """
     x = _as_frames(data)
     m = x.shape[0]
     if m < num_components:
         raise DataError(f"{m} frames for {num_components} components")
+    data_var = x.var(axis=0)
     rng = np.random.default_rng(seed)
 
     x_sq = np.sum(x**2, axis=1)
@@ -295,8 +332,9 @@ def init_gmm(data, num_components: int, seed: int = 0) -> GmmModel:
         ends = np.cumsum(counts)
         for k in np.flatnonzero(counts):
             centers[k] = members[ends[k] - counts[k] : ends[k]].mean(axis=0)
+        del members  # else it is held beside the next pass's sorted copy
 
-    variances = np.tile(np.maximum(x.var(axis=0), 1e-12), (num_components, 1))
+    variances = np.tile(np.maximum(data_var, 1e-12), (num_components, 1))
     weights = np.full(num_components, 1.0 / num_components)
     return GmmModel(weights=weights, means=centers, variances=variances)
 
@@ -308,12 +346,15 @@ def em_step(model: GmmModel, data) -> tuple[GmmModel, float]:
     block-sized buffer, so no (frames x components) matrix is held whole.  Per
     block, one GEMM against ``model._design`` gives the component
     log-likelihoods and one more, [x, x^2, 1]^T @ posteriors, gives the
-    block's sums of gamma x, gamma x^2 and gamma.
+    block's sums of gamma x, gamma x^2 and gamma.  The data variance, which
+    scales the variance floor, is taken first, so its (frames x dim)
+    temporary is gone before any block buffer exists.
     """
     x = _as_frames(data)
     m, dim = x.shape
     if m == 0:
         raise DataError("em_step needs at least one frame")
+    data_var = x.var(axis=0)
     log_norm = np.empty((m, 1))
     stats = np.zeros((2 * dim + 1, model.num_components))
     buf = np.empty((min(m, _ROW_BLOCK), model.num_components))
@@ -332,7 +373,7 @@ def em_step(model: GmmModel, data) -> tuple[GmmModel, float]:
     new_means = sum_x / divisor
     new_vars = sum_x_sq / divisor - new_means**2
 
-    floor = VARIANCE_FLOOR_FRACTION * x.var(axis=0)
+    floor = VARIANCE_FLOOR_FRACTION * data_var
     new_vars = np.maximum(new_vars, np.maximum(floor, 1e-12))
 
     new_means[empty] = model.means[empty]
@@ -387,13 +428,13 @@ def map_adapt(ubm: GmmModel, enrollment_data, config: BackendConfig) -> GmmModel
     return GmmModel(weights=ubm.weights.copy(), means=means, variances=ubm.variances.copy())
 
 
-def score_llr(targets: list[GmmModel], ubm: GmmModel, utterance) -> np.ndarray:
+def score_llr(targets: list[GmmModel | AdaptedTarget], ubm: GmmModel, utterance) -> np.ndarray:
     """Each target's average per-frame log-likelihood difference from the UBM on one utterance.
 
     The UBM's log-likelihoods and the frames' variance term are computed once.
     The variance term is shared by every target that holds the UBM's own
-    variance array, as a model mean-only MAP adapted onto the UBM's arrays
-    does; any other target computes its own.
+    variance array, as an ``AdaptedTarget`` of it does; any other target
+    computes its own.
     """
     x = _as_frames(utterance)
     if x.shape[0] == 0:

@@ -136,16 +136,30 @@ class ForwardPass:
     head_log_posteriors: list[np.ndarray]
 
 
-def _context_index(num_frames: int, left: int, right: int) -> np.ndarray:
-    """Frame index of every context slot, clipped to the utterance edges."""
-    offsets = np.arange(-left, right + 1)
-    return np.clip(np.arange(num_frames)[:, None] + offsets[None, :], 0, num_frames - 1)
+def context_index(lengths: list[tuple[int, int]], left: int = 5, right: int = 5) -> np.ndarray:
+    """Frame index of every context slot of utterances laid end to end, clipped to each one's edges.
+
+    ``lengths`` gives each utterance's (frames, rows kept): its first ``rows``
+    stacked rows are indexed into its frames, offset by the frames of the
+    utterances before it, and a kept prefix still reaches the right context
+    beyond it.  The index is filled into one array, with no per-utterance copy.
+    """
+    slots = np.arange(-left, right + 1)
+    index = np.empty((sum(rows for _, rows in lengths), len(slots)), dtype=np.intp)
+    start = offset = 0
+    for num_frames, rows in lengths:
+        block = index[start : start + rows]
+        np.add.outer(np.arange(offset, offset + rows), slots, out=block)
+        np.clip(block, offset, offset + num_frames - 1, out=block)
+        start += rows
+        offset += num_frames
+    return index
 
 
 def stack_context(frames: np.ndarray, left: int = 5, right: int = 5) -> np.ndarray:
     """One row per frame: the frame plus its left/right context, edges replicated."""
     T = frames.shape[0]
-    return frames[_context_index(T, left, right)].reshape(T, -1)
+    return frames[context_index([(T, T)], left, right)].reshape(T, -1)
 
 
 def context_windows(
@@ -156,12 +170,8 @@ def context_windows(
     Each utterance keeps all its frames, so a truncated prefix still sees the
     right context that lies beyond it.
     """
-    frames, index, offset = [], [], 0
-    for utt_frames, rows in utterances:
-        index.append(_context_index(len(utt_frames), left, right)[:rows] + offset)
-        frames.append(utt_frames)
-        offset += len(utt_frames)
-    return ContextWindows(np.concatenate(frames), np.concatenate(index))
+    index = context_index([(len(frames), rows) for frames, rows in utterances], left, right)
+    return ContextWindows(np.concatenate([frames for frames, _ in utterances]), index)
 
 
 def init_network(arch: NetworkArch, seed: int = 0, dtype=np.float64) -> NetworkParams:

@@ -172,9 +172,9 @@ def _feature_path(out_dir: Path, entry: ManifestEntry, subdir: str = "features")
     return path
 
 
-def _num_frames(out_dir: Path, entry: ManifestEntry) -> int:
-    """The frame count of ``entry``'s features/ archive, read from its header alone."""
-    return storage.read_feature_shape(_feature_path(out_dir, entry))[0]
+def _feature_shape(out_dir: Path, entry: ManifestEntry, subdir: str = "features") -> tuple[int, int]:
+    """(frames, dim) of ``entry``'s archive in ``subdir``, read from its header alone."""
+    return storage.read_feature_shape(_feature_path(out_dir, entry, subdir))
 
 
 def _load_frames(
@@ -194,6 +194,41 @@ def _load_frames(
             f" {ubm_dim}; run train-ubm again"
         )
     return frames
+
+
+def _stacked_frames(
+    out_dir: Path,
+    entries: list[ManifestEntry],
+    shapes: list[tuple[int, int]],
+    subdir: str = "features",
+    dtype=np.float64,
+) -> np.ndarray:
+    """The frames of ``entries``' archives in ``subdir``, in order, in one ``dtype`` matrix.
+
+    ``shapes`` are the archives' (frames, dim) as :func:`_feature_shape` read
+    them, before any frames, and size the matrix; so a missing archive is met
+    before a non-finite frame of an earlier utterance.  DataError naming the
+    archive if its frame dim differs from the first one's, or if it no longer
+    holds the shape its header gave (it was rewritten since).  Each
+    utterance's frames are checked as :func:`_load_frames` checks them, then
+    cast to ``dtype`` as they are filled in.
+    """
+    paths = [_feature_path(out_dir, e, subdir) for e in entries]
+    for path, (_, dim) in zip(paths, shapes):
+        if dim != shapes[0][1]:
+            raise DataError(f"{path}: {dim}-dim frames, but {paths[0]} holds {shapes[0][1]}-dim ones")
+    stacked = np.empty((sum(n for n, _ in shapes), shapes[0][1]), dtype)
+    start = 0
+    for entry, path, shape in zip(entries, paths, shapes):
+        frames = _load_frames(out_dir, entry, subdir)
+        if frames.shape != shape:  # else numpy would broadcast a 1-row archive down the slice
+            raise DataError(
+                f"{path}: holds {frames.shape[0]} x {frames.shape[1]} frames, but its header read"
+                f" {shape[0]} x {shape[1]} before; was it rewritten during this stage?"
+            )
+        stacked[start : start + len(frames)] = frames
+        start += len(frames)
+    return stacked
 
 
 def _share_count(num_items: int) -> int:
@@ -356,7 +391,7 @@ def run_make_labels(
     """Assign time-contrastive labels to the dnn-train split."""
     # labels depend only on frame counts, which the archive headers hold
     utterances = [
-        labeling.FrameCount(e.utterance_id, _num_frames(out_dir, e))
+        labeling.FrameCount(e.utterance_id, _feature_shape(out_dir, e)[0])
         for e in _usable(read_manifest(manifest_path), out_dir, "dnn-train")
     ]
     labeled = labeling.label_utterances(utterances, config.tcl)
@@ -372,13 +407,16 @@ def _build_training_dataset(
     Each head maps an utterance id to its frame labels: ``tcl`` to its vector
     in labels.tsv, ``speaker`` and ``phrase`` to the sorted index of the
     entry's ``<head>_id``, repeated over its frames (counted from the archive
-    headers).  Utterances some head has no labels for are skipped.  The frames
-    are cast to float32 once, here, so the network trains in float32.
+    headers).  Utterances some head has no labels for are skipped.  Every
+    label is checked against its archive's header before any frames are
+    read; the frames are then filled into one float32 matrix (so the network
+    trains in float32) beside one context-window index, and no
+    per-utterance list of them is held.
     """
     targets = config.dnn.targets
     labels_path = out_dir / "labels" / "labels.tsv"
     num_classes, tables = {}, {}  # per head: number of classes, utterance id -> labels
-    num_frames = functools.cache(lambda e: _num_frames(out_dir, e))
+    shape = functools.cache(lambda e: _feature_shape(out_dir, e))  # each header is read once
     for head in targets.split("+"):
         if head == "tcl":
             num_classes[head] = config.tcl.num_classes
@@ -389,31 +427,36 @@ def _build_training_dataset(
             raise DataError(f"dnn.targets {targets!r} needs {head}_id on every dnn-train row")
         index = {v: i for i, v in enumerate(sorted(set(ids)))}
         num_classes[head], tables[head] = len(index), {
-            e.utterance_id: np.full(num_frames(e), index[v]) for e, v in zip(train_entries, ids)
+            e.utterance_id: np.full(shape(e)[0], index[v]) for e, v in zip(train_entries, ids)
         }
 
-    utterances: list[tuple[np.ndarray, int]] = []  # (frames, rows kept)
+    kept: list[tuple[ManifestEntry, int]] = []  # (entry, rows kept)
     parts: dict[str, list[np.ndarray]] = {head: [] for head in tables}
     for entry in train_entries:
         vecs = {head: table.get(entry.utterance_id) for head, table in tables.items()}
         if any(vec is None or len(vec) == 0 for vec in vecs.values()):
             continue  # skipped as too short, or truncated away in stream mode
-        frames = _load_frames(out_dir, entry)
+        count = shape(entry)[0]
         for head, vec in vecs.items():
             # stream mode may label only a prefix; anything else must match exactly
-            too_long = len(vec) > len(frames)
+            too_long = len(vec) > count
             where = f"{labels_path}: {entry.utterance_id}"  # only a tcl head's labels can be wrong
-            if too_long or (config.tcl.mode == "utterance" and len(vec) != len(frames)):
-                raise DataError(f"{where}: {len(vec)} labels for {len(frames)} frames")
+            if too_long or (config.tcl.mode == "utterance" and len(vec) != count):
+                raise DataError(f"{where}: {len(vec)} labels for {count} frames")
             bad = vec[(vec < 0) | (vec >= num_classes[head])]
             if bad.size:
                 raise DataError(f"{where}: label {bad[0]} out of range for {num_classes[head]} classes")
             parts[head].append(vec)
-        utterances.append((frames.astype(np.float32), len(vec)))  # every head labels these rows
-    if not utterances:
+        kept.append((entry, len(vec)))  # every head labels these rows
+    if not kept:
         raise DataError(f"no labeled training frames; check {labels_path}")
 
-    inputs = network.context_windows(utterances, config.dnn.context_left, config.dnn.context_right)
+    left, right = config.dnn.context_left, config.dnn.context_right
+    shapes = [shape(e) for e, _ in kept]
+    inputs = network.ContextWindows(
+        _stacked_frames(out_dir, [e for e, _ in kept], shapes, dtype=np.float32),
+        network.context_index([(n, rows) for (n, _), (_, rows) in zip(shapes, kept)], left, right),
+    )
     arch = network.NetworkArch(
         input_dim=inputs.shape[1],
         hidden_layers=config.dnn.hidden_layers,
@@ -522,7 +565,7 @@ def run_extract_bn(
 
     # The ubm-train split's normalized deep features, pooled in manifest
     # order into one matrix sized from the archive headers.
-    offsets = np.cumsum([0] + [_num_frames(out_dir, e) for e in fit_entries])
+    offsets = np.cumsum([0] + [_feature_shape(out_dir, e)[0] for e in fit_entries])
     width = params.arch.hidden_layers[params.arch.layer_index(config.bn.layer)]
     pooled = np.empty((offsets[-1], width))
     for i, (_, deep) in enumerate(_normalized_deep_features(params, fit_entries, config, out_dir)):
@@ -549,9 +592,15 @@ def run_extract_bn(
 def run_train_ubm(
     manifest_path, trials_path, config: ExperimentConfig, out_dir: Path, into: Path
 ) -> tuple[gmm.GmmModel, list[float]]:
+    """Train the UBM on the ubm-train split's frames of the back-end's archives.
+
+    The frames are filled into one matrix sized from the archive headers, so
+    they are held once, not also as a per-utterance list.
+    """
     ubm_entries = _usable(read_manifest(manifest_path), out_dir, "ubm-train")
     subdir = _backend_subdir(config)
-    frames = np.vstack([_load_frames(out_dir, e, subdir) for e in ubm_entries])
+    shapes = [_feature_shape(out_dir, e, subdir) for e in ubm_entries]
+    frames = _stacked_frames(out_dir, ubm_entries, shapes, subdir)
     model, trace = gmm.train_ubm(
         frames,
         config.backend.num_mixtures,
@@ -609,7 +658,10 @@ def run_score(manifest_path, trials_path, config: ExperimentConfig, out_dir: Pat
     :func:`_run_shares`, so every score has the same bits on any CPU count
     and the error raised is the one scoring in trial order meets first.
     Each process reads an utterance's frames, then its models through its own
-    cache, in trial order.  Only this process writes scores.tsv.
+    cache, in trial order.  A cached model is a ``gmm.AdaptedTarget`` on the
+    UBM's own weight and variance arrays, so it holds only the offset and
+    scaled means its log-likelihood reads, not its means.  Only this process
+    writes scores.tsv.
     """
     ubm_path = _require(out_dir / _UBM)
     ubm = storage.read_gmm(ubm_path)
@@ -631,7 +683,7 @@ def run_score(manifest_path, trials_path, config: ExperimentConfig, out_dir: Pat
             )
 
     subdir = _backend_subdir(config)
-    model_cache: dict[str, gmm.GmmModel] = {}  # per process: a forked worker fills its own copy
+    model_cache: dict[str, gmm.AdaptedTarget] = {}  # per process: a forked worker fills its own copy
 
     def score(utt: str) -> list[float]:
         """The scores of ``utt``'s trials, in trial order."""
@@ -649,9 +701,7 @@ def run_score(manifest_path, trials_path, config: ExperimentConfig, out_dir: Pat
                 if not (np.array_equal(model.weights, ubm.weights)
                         and np.array_equal(model.variances, ubm.variances)):
                     raise DataError(f"{model_path}: weights or variances differ from {ubm_path}; run enroll again")
-                # on the UBM's own arrays, so a cached model holds only its
-                # means and their terms, and shares the UBM's variance term
-                model_cache[model_id] = gmm.GmmModel(ubm.weights, model.means, ubm.variances)
+                model_cache[model_id] = gmm.AdaptedTarget.of(ubm, model.means)
             targets.append(model_cache[model_id])
         return gmm.score_llr(targets, ubm, x).tolist()
 

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -1248,14 +1249,16 @@ def test_score_caches_each_model_on_the_ubms_arrays(tiny_corpus, config_path, tm
     ubm = models[0]  # each test utterance is scored against the UBM first
     speaker_models = {id(m): m for m in models if m is not ubm}.values()
     assert len(speaker_models) == len(list((out / "models").glob("*.tclg")))
+    k, dim = ubm.means.shape
     for model in speaker_models:
+        assert isinstance(model, gmm.AdaptedTarget)
         assert model.weights is ubm.weights and model.variances is ubm.variances
-        # beyond the shared arrays, only its means and the offset and scaled
-        # means cached from them: no copy of the UBM's arrays or variance factor
-        cached = [v for value in vars(model).values()
-                  for v in (value if isinstance(value, tuple) else (value,))]
-        own = [a for a in cached if a is not ubm.weights and a is not ubm.variances]
-        assert sum(a.nbytes for a in own) == 2 * model.means.nbytes + model.weights.nbytes
+        # beyond the shared arrays, only the offset and scaled means its
+        # log-likelihood reads: no means, no copy of the UBM's arrays or
+        # variance factor, and no view that keeps a larger array alive
+        own = [a if a.base is None else a.base for a in vars(model).values()
+               if a is not ubm.weights and a is not ubm.variances]
+        assert sum(a.nbytes for a in own) == (k + k * dim) * 8
 
 
 def usable_cpus(monkeypatch, cpus):
@@ -2008,21 +2011,30 @@ def test_extract_bn_logs_one_info_line_to_the_log_alone(tiny_corpus, config_path
     assert not [p for p in out.rglob("*") if p.is_file() and b"fitted the PCA" in p.read_bytes()]
 
 
-def poison_backend_archive(stage, backend, tiny_corpus, tmp_path, capsys, victim, subdir=None):
-    """Run the stages ``run`` needs before ``stage`` under ``backend``, then put a NaN
-    in ``victim``'s archive in ``subdir`` (by default the back-end's); returns (config
-    path, run directory)."""
+def run_before(stage, backend, tiny_corpus, tmp_path, capsys):
+    """Run the stages ``run`` needs before ``stage`` under ``backend``; returns (config path, run directory)."""
     manifest, trials = tiny_corpus
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(TINY_CONFIG if backend == "bn" else MFCC_CONFIG), encoding="utf-8")
     out = tmp_path / "run"
     needed = pipeline.stages_for_run(load_config(config_path).resolved(None))
-    before = needed[: needed.index(stage)]
-    run_stages(before, manifest, trials, config_path, out, capsys)
-    path = out / (subdir or ("bn" if backend == "bn" else "features")) / f"{victim}.tclf"
+    run_stages(needed[: needed.index(stage)], manifest, trials, config_path, out, capsys)
+    return config_path, out
+
+
+def poison(path):
+    """Put a NaN in the feature archive at ``path``."""
     frames = storage.read_feature_archive(path)
     frames[3, 2] = np.nan
     storage.write_feature_archive(path, frames)
+
+
+def poison_backend_archive(stage, backend, tiny_corpus, tmp_path, capsys, victim, subdir=None):
+    """Run the stages ``run`` needs before ``stage`` under ``backend``, then put a NaN
+    in ``victim``'s archive in ``subdir`` (by default the back-end's); returns (config
+    path, run directory)."""
+    config_path, out = run_before(stage, backend, tiny_corpus, tmp_path, capsys)
+    poison(out / (subdir or ("bn" if backend == "bn" else "features")) / f"{victim}.tclf")
     return config_path, out
 
 
@@ -2038,6 +2050,159 @@ def test_training_rejects_non_finite_frames(tiny_corpus, tmp_path, capsys, stage
     assert run_cli(stage, "--manifest", manifest, "--config", config_path, "--out", out) == 2
     assert capsys.readouterr().err == f"error: {stage}: {victim!r}: non-finite frames in {subdir}/\n"
     assert not (out / {"train-dnn": "dnn", "train-ubm": "ubm"}[stage]).exists()
+
+
+# Both training loaders read every archive header before any frames, to size
+# one matrix, and train-dnn checks each utterance's labels against its header
+# as it goes.  So a missing archive or a bad label is met before a non-finite
+# frame of an earlier utterance, while a bad label still comes before a
+# missing archive of a later utterance.
+@pytest.mark.parametrize("stage, subdir, split, first, last, met", [
+    ("train-ubm", "bn", "ubm-train", "non-finite", "missing", "last"),
+    ("train-dnn", "features", "dnn-train", "non-finite", "missing", "last"),
+    ("train-dnn", "features", "dnn-train", "non-finite", "bad-label", "last"),
+    ("train-dnn", "features", "dnn-train", "bad-label", "missing", "first"),
+])
+def test_training_meets_header_and_label_faults_before_frame_faults(
+    tiny_corpus, tmp_path, capsys, stage, subdir, split, first, last, met
+):
+    manifest, _ = tiny_corpus
+    utts = [e.utterance_id for e in read_manifest(manifest) if e.split == split]
+    victims = {"first": utts[0], "last": utts[-1]}
+    config_path, out = run_before(stage, "bn", tiny_corpus, tmp_path, capsys)
+    want = {}
+    for where, fault in (("first", first), ("last", last)):
+        utt, path = victims[where], out / subdir / f"{victims[where]}.tclf"
+        if fault == "non-finite":
+            poison(path)
+            want[where] = f"{utt!r}: non-finite frames in {subdir}/"
+        elif fault == "missing":
+            path.unlink()
+            want[where] = (f"{path}: no feature archive for {utt!r};"
+                           f" run {pipeline._producer(path)} first or check features/failures.tsv")
+        else:
+            labels_path = out / "labels" / "labels.tsv"
+            rows = labeling.read_label_archive(labels_path)
+            rows[utt] = np.append(rows[utt], 0)
+            labeling.write_label_archive(labels_path, rows)
+            want[where] = f"{labels_path}: {utt}: {len(rows[utt])} labels for {len(rows[utt]) - 1} frames"
+    capsys.readouterr()
+    assert run_cli(stage, "--manifest", manifest, "--config", config_path, "--out", out) == 2
+    assert capsys.readouterr().err == f"error: {stage}: {want[met]}\n"
+
+
+def test_train_ubm_rejects_archives_of_different_dims(tiny_corpus, tmp_path, capsys):
+    manifest, _ = tiny_corpus
+    utts = [e.utterance_id for e in read_manifest(manifest) if e.split == "ubm-train"]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(MFCC_CONFIG), encoding="utf-8")
+    out = tmp_path / "run"
+    assert run_cli("extract-features", "--manifest", manifest, "--config", config_path, "--out", out) == 0
+    first, narrow = out / "features" / f"{utts[0]}.tclf", out / "features" / f"{utts[1]}.tclf"
+    frames = storage.read_feature_archive(narrow)
+    storage.write_feature_archive(narrow, frames[:, :-1])
+    capsys.readouterr()
+    assert run_cli("train-ubm", "--manifest", manifest, "--config", config_path, "--out", out) == 2
+    dim = frames.shape[1]
+    assert capsys.readouterr().err == (
+        f"error: train-ubm: {narrow}: {dim - 1}-dim frames, but {first} holds {dim}-dim ones\n"
+    )
+    assert not (out / "ubm").exists()
+
+
+@pytest.mark.parametrize("stage, config", [("train-ubm", MFCC_CONFIG), ("train-dnn", SPEAKER_CONFIG)])
+def test_training_rejects_an_archive_rewritten_after_its_header_was_read(
+    tiny_corpus, tmp_path, capsys, monkeypatch, stage, config
+):
+    manifest, _ = tiny_corpus
+    split = "ubm-train" if stage == "train-ubm" else "dnn-train"
+    utt = [e.utterance_id for e in read_manifest(manifest) if e.split == split][1]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "run"
+    assert run_cli("extract-features", "--manifest", manifest, "--config", config_path, "--out", out) == 0
+    if stage == "train-dnn":
+        assert run_cli("make-labels", "--manifest", manifest, "--config", config_path, "--out", out) == 0
+    path = out / "features" / f"{utt}.tclf"
+    read_shape = storage.read_feature_shape
+    shapes = []
+
+    def read_then_rewrite(p):
+        """The header's shape, after which the archive is cut to its first frame."""
+        shape = read_shape(p)
+        if Path(p) == path and not shapes:
+            shapes.append(shape)
+            storage.write_feature_archive(path, storage.read_feature_archive(path)[:1])
+        return shape
+
+    monkeypatch.setattr(storage, "read_feature_shape", read_then_rewrite)
+    capsys.readouterr()
+    assert run_cli(stage, "--manifest", manifest, "--config", config_path, "--out", out) == 2
+    (n, dim), = shapes
+    assert capsys.readouterr().err == (
+        f"error: {stage}: {path}: holds 1 x {dim} frames, but its header read {n} x {dim} before;"
+        " was it rewritten during this stage?\n"
+    )
+    assert not (out / ("ubm" if stage == "train-ubm" else "dnn")).exists()
+
+
+# --- memory shape of the training loaders ---
+
+
+def synthetic_features(tmp_path, split, config):
+    """A manifest of 80 ``split`` utterances of two speakers, whose WAVs are never
+    read, with features/ archives of 100 random 57-dim frames each, and ``config``
+    resolved; returns (manifest path, run directory, entries, config)."""
+    out = tmp_path / "run"
+    (out / "features").mkdir(parents=True)
+    rng = np.random.default_rng(7)
+    entries = [ManifestEntry(f"u{i:02d}", tmp_path / f"u{i:02d}.wav", f"s{i % 2}", "p0", split) for i in range(80)]
+    for e in entries:
+        storage.write_feature_archive(out / "features" / f"{e.utterance_id}.tclf", rng.standard_normal((100, 57)))
+    manifest = tmp_path / "manifest.tsv"
+    write_manifest(manifest, entries)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    return manifest, out, entries, load_config(config_path).resolved(None)
+
+
+def test_training_dataset_holds_one_frame_matrix_and_one_index(tmp_path):
+    _, out, entries, config = synthetic_features(tmp_path, "dnn-train", SPEAKER_CONFIG)
+    tracemalloc.start()
+    try:
+        dataset, _ = pipeline._build_training_dataset(entries, config, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    inputs = dataset.inputs
+    assert inputs.frames.dtype == np.float32 and inputs.frames.shape == (80 * 100, 57)
+    # the two arrays, the labels and one utterance's read (1.08x measured); a
+    # per-utterance list beside its concatenation holds about 2x
+    assert peak < 1.3 * (inputs.frames.nbytes + inputs.index.nbytes)
+
+
+def test_train_ubm_holds_its_frames_once_before_training(tmp_path, monkeypatch):
+    manifest, out, _, config = synthetic_features(tmp_path, "ubm-train", MFCC_CONFIG)
+    seen = {}
+
+    class Loaded(Exception):
+        pass
+
+    def train_ubm(frames, *args, **kwargs):
+        seen["peak"], seen["frames"] = tracemalloc.get_traced_memory()[1], frames
+        raise Loaded
+
+    monkeypatch.setattr(gmm, "train_ubm", train_ubm)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Loaded):
+            pipeline.run_train_ubm(manifest, None, config, out, tmp_path / "into")
+    finally:
+        tracemalloc.stop()
+    assert seen["frames"].shape == (80 * 100, 57)
+    # the matrix and one utterance's read (1.05x measured); a per-utterance
+    # list beside its vstack holds 2x
+    assert seen["peak"] < 1.1 * seen["frames"].nbytes
 
 
 @pytest.mark.parametrize("backend", ["bn", "mfcc"])

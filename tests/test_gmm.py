@@ -328,6 +328,22 @@ def test_llr_of_several_targets_is_each_targets_plain_difference():
         score_llr([ubm], ubm, np.zeros((4, 3)))
 
 
+def test_adapted_target_scores_with_the_bits_of_its_model():
+    x = two_cluster_data(seed=19)
+    ubm, _ = train_ubm(x, 3, em_iterations=3, seed=0)
+    means = map_adapt(ubm, x[:200], BackendConfig()).means
+    model = GmmModel(ubm.weights, means, ubm.variances)
+    target = gmm.AdaptedTarget.of(ubm, means)
+    assert target.weights is ubm.weights and target.variances is ubm.variances
+    utt = x[400:430]
+    want = log_likelihoods(model, utt)
+    assert np.array_equal(log_likelihoods(target, utt), want)
+    assert np.array_equal(log_likelihoods(target, utt, variance_term(ubm, utt)), want)
+    assert np.array_equal(score_llr([target, ubm], ubm, utt), score_llr([model, ubm], ubm, utt))
+    with pytest.raises(DataError, match="frames have dim 3, model expects 2"):
+        log_likelihoods(target, np.zeros((4, 3)))
+
+
 def test_llr_empty_utterance():
     ubm = GmmModel(weights=np.array([1.0]), means=np.zeros((1, 2)), variances=np.ones((1, 2)))
     with pytest.raises(DataError, match="utterance has no frames"):
@@ -665,6 +681,22 @@ def test_train_ubm_equals_whole_matrix_reference(monkeypatch, m, row_block):
     assert_models_equal(model, ref_model, rtol=1e-12)
 
 
+@pytest.mark.parametrize("m, row_block", [(1000, None), (2500, None), (2500, 100)])
+def test_train_ubm_is_init_gmm_plus_the_em_step_loop(monkeypatch, m, row_block):
+    if row_block:
+        monkeypatch.setattr(gmm, "_ROW_BLOCK", row_block)
+    x = cluster_frames(m)
+    ubm, trace = train_ubm(x, 16, em_iterations=4, seed=3)
+    model = init_gmm(x, 16, seed=3)
+    want_trace = []
+    for _ in range(4):
+        model, ll = em_step(model, x)
+        want_trace.append(ll)
+    want_trace.append(gmm._total_log_likelihood(model, x))
+    assert trace == want_trace
+    assert_models_equal(ubm, model)
+
+
 @pytest.mark.parametrize("m", [1, 2, 1023, 1024, 1025, 1026, 2048, 2049, 7863])
 def test_row_blocks_cover_frames_in_near_equal_blocks(m):
     blocks = _row_blocks(m)
@@ -739,9 +771,18 @@ def test_ubm_training_holds_no_frames_by_components_matrix():
     assert block * 4 == full
     # em_step: the posterior block, one block's temporaries, x**2 and the like
     assert traced_peak_bytes(lambda: em_step(model, x)) < 3 * block + 3 * frames_copy
-    # init_gmm: one block of distances plus about three (frames x dim) copies
-    # (block + 3.09 copies measured), so a whole [x, 1] copy, 9/8 of one, fails
-    assert traced_peak_bytes(lambda: init_gmm(x, k, seed=1)) < block + 3.5 * frames_copy
+    # em_step takes the data variance before its block buffers exist.  On
+    # frames wider than those buffers, they are 0.87 copies of the frames and
+    # the variance's temporary about one (1.03 measured at peak), so a
+    # variance taken while the buffers are held (1.87) fails
+    wide = rng.standard_normal((m, 64))
+    wide_model = init_gmm(wide[:1024], 64, seed=1)
+    em_step(wide_model, wide)  # the model's cached terms are built outside the trace
+    assert traced_peak_bytes(lambda: em_step(wide_model, wide)) < 1.25 * wide.nbytes
+    # init_gmm: one block of distances plus Lloyd's sorted copy of the frames
+    # and its index vectors (block + 1.95 copies measured), so a whole [x, 1]
+    # copy, 9/8 of one, or a sorted copy kept beside the next pass's (2.96) fails
+    assert traced_peak_bytes(lambda: init_gmm(x, k, seed=1)) < block + 2.25 * frames_copy
 
 
 # --- the same bits on one BLAS thread ---
